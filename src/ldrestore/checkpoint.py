@@ -6,10 +6,12 @@ the raw float64 little-endian payload of every tensor in header order.
 
 The header carries kind ("base" or "lora"), the network/schedule/meta dicts,
 and a "tensors" list of {name, shape} describing the payload. Writing the
-same state twice produces byte-identical files.
+same state twice produces byte-identical files. Loading treats the file as
+untrusted: any malformed content raises FormatError with a byte offset.
 """
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -74,11 +76,12 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(buf[pos : pos + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"corrupt checkpoint header: {e}", offset=pos) from None
+    entries = _checked_entries(header, pos)
     pos += hlen
     arrays = {}
-    for entry in header["tensors"]:
-        shape = tuple(int(s) for s in entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+    for entry in entries:
+        shape = tuple(entry["shape"])
+        count = math.prod(shape)
         nbytes = count * 8
         if len(buf) < pos + nbytes:
             raise FormatError(
@@ -98,3 +101,28 @@ def load_checkpoint(path) -> Checkpoint:
         meta=header.get("meta", {}),
         arrays=arrays,
     )
+
+
+def _checked_entries(header, offset) -> list:
+    """The header's tensor entries, after checking every field load reads."""
+    if not isinstance(header, dict):
+        raise FormatError(f"checkpoint header is a JSON {type(header).__name__}, not an object", offset=offset)
+    if not isinstance(header.get("kind"), str):
+        raise FormatError("checkpoint header has no 'kind' string", offset=offset)
+    for key in ("config", "schedule", "meta"):
+        if not isinstance(header.get(key, {}), dict):
+            raise FormatError(f"checkpoint header field {key!r} is not an object", offset=offset)
+    entries = header.get("tensors")
+    if not isinstance(entries, list):
+        raise FormatError("checkpoint header has no 'tensors' list", offset=offset)
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)):
+            raise FormatError(f"tensor entry {i} needs a string 'name' and a list 'shape'", offset=offset)
+        # bool is an int subclass, so test the type exactly
+        if not all(type(d) is int and d >= 0 for d in entry["shape"]):
+            raise FormatError(
+                f"tensor {entry['name']!r} has shape {entry['shape']}; dimensions must be integers >= 0",
+                offset=offset,
+            )
+    return entries

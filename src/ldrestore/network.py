@@ -16,9 +16,12 @@ Every parameter under "ctrl.zero." starts at exactly zero, so at
 initialization the control conditioning and the bottleneck skip contribute
 nothing and the network behaves as if those paths were absent.
 
-All weight applications route through a single 2-D product site so low-rank
-adapters can hook any parameter uniformly (spatial kernels are viewed as
-(out, in*kh*kw) matrices). Inputs may carry a leading batch axis.
+Weights are applied at two sites, and low-rank adapters hook in at both:
+every convolution goes through ``tensor.conv2d``, which adds an adapter's
+delta to the kernel's (out, in*kh*kw) view, and the two dense weights
+(``den.temb.w``, ``den.pemb.w``) go through ``_apply_weight``. Only
+``tensor.py`` knows the convolution's patch layout. Inputs may carry a
+leading batch axis.
 """
 
 import math
@@ -169,7 +172,7 @@ def init_params(cfg: NetConfig, seed: int) -> NetParams:
 
 
 # ---------------------------------------------------------------------------
-# adapter routing: every weight application flows through _apply_weight
+# adapter routing: weights are applied by _apply_weight (dense) and _conv
 
 
 def _adapter_map(adapters) -> dict:
@@ -181,30 +184,16 @@ def _adapter_map(adapters) -> dict:
 
 
 def _apply_weight(x2d: T.Tensor, params: NetParams, name: str, adapters: dict) -> T.Tensor:
-    """y = x @ W2d.T plus any attached low-rank deltas x @ (A B).T."""
-    w = params[name]
-    w2d = w if w.ndim == 2 else T.reshape(w, (w.shape[0], w.size // w.shape[0]))
-    y = T.linear(x2d, w2d)
+    """y = x @ W.T for a 2-D weight, plus any attached low-rank deltas x @ (A B).T."""
+    y = T.linear(x2d, params[name])
     for a in adapters.get(name, ()):
         y = T.add(y, T.linear(T.linear(x2d, a.B), a.A))
     return y
 
 
 def _conv(x: T.Tensor, params: NetParams, base: str, padding: int, adapters: dict) -> T.Tensor:
-    w = params[base + ".w"]
-    co, ci, kh, kw = w.shape
-    batched = x.ndim == 4
-    if x.shape[1 if batched else 0] != ci:
-        raise DimensionError(f"{base}: input {x.shape} vs kernel {w.shape}")
-    cols = T.im2col(x, kh, kw, padding)
-    y2d = _apply_weight(cols, params, base + ".w", adapters)
-    if batched:
-        n, _, h, wd = x.shape
-        lead = (n, h + 2 * padding - kh + 1, wd + 2 * padding - kw + 1)
-    else:
-        _, h, wd = x.shape
-        lead = (h + 2 * padding - kh + 1, wd + 2 * padding - kw + 1)
-    out = T.fold_channels_last(y2d, lead)
+    deltas = [(a.A, a.B) for a in adapters.get(base + ".w", ())]
+    out = T.conv2d(x, params[base + ".w"], padding, deltas)
     return T.channel_bias(out, params[base + ".b"])
 
 

@@ -6,12 +6,24 @@ records a tape node holding its inputs and a backward closure; calling
 order and accumulates gradients additively into every tensor that was
 created with ``requires_grad=True``.
 
+A node's backward closure takes the output gradient and returns one entry
+per input. An input that needs no gradient (``not inp._needs_grad()``: not
+``requires_grad`` and not produced by a recorded op) gets ``None``, and its
+gradient is never computed, so a frozen weight costs no gradient product.
+
 Shapes are explicit. There is no general broadcasting: mixed-shape
 combinations exist only as named ops (``channel_bias``, ``row_scale``,
 ``broadcast_spatial``) with hand-written backward rules. Convolution and
 pooling accept either a single item ``(c, h, w)`` or a leading batch axis
 ``(n, c, h, w)``; the batched form is the plain op applied per item with a
 shared kernel.
+
+Convolution is patch-major. ``im2col`` lays the input out as a
+``(c*kh*kw, n*ho*wo)`` matrix: one row per kernel tap in the kernel's
+``(ci, kh, kw)`` order, one column per output position. The kernel's
+``(co, ci*kh*kw)`` view times that matrix is already channel-first, so
+folding it into ``(n, co, ho, wo)`` moves whole spatial blocks. This module
+is the only one that knows the layout.
 """
 
 from contextlib import contextmanager
@@ -123,11 +135,24 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(data, op, inputs, backward) -> Tensor:
+def _make(data, op, inputs, grad_fns) -> Tensor:
+    """Wrap an op's output; grad_fns[i](g) gives the gradient for inputs[i].
+
+    The recorded backward calls only the gradient functions of inputs that
+    need a gradient and returns None for the others.
+    """
     out = Tensor(data)
     if _GRAD_ENABLED and any(t._needs_grad() for t in inputs):
+
+        def backward(g):
+            return tuple(fn(g) if t._needs_grad() else None for t, fn in zip(inputs, grad_fns))
+
         out.node = TapeNode(op, inputs, backward)
     return out
+
+
+def _pass(g):
+    return g
 
 
 def _same_shape(a, b, op):
@@ -141,36 +166,52 @@ def _same_shape(a, b, op):
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "add")
-    return _make(a.data + b.data, "add", (a, b), lambda g: (g, g))
+    return _make(a.data + b.data, "add", (a, b), (_pass, _pass))
 
 
 def add_scalar(a: Tensor, c: float) -> Tensor:
-    return _make(a.data + c, "add_scalar", (a,), lambda g: (g,))
+    return _make(a.data + c, "add_scalar", (a,), (_pass,))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "mul")
-    return _make(a.data * b.data, "mul", (a, b), lambda g: (g * b.data, g * a.data))
+    return _make(a.data * b.data, "mul", (a, b), (lambda g: g * b.data, lambda g: g * a.data))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    return _make(a.data * c, "scale", (a,), lambda g: (g * c,))
+    return _make(a.data * c, "scale", (a,), (lambda g: g * c,))
 
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0.0
-    return _make(np.where(mask, a.data, 0.0), "relu", (a,), lambda g: (g * mask,))
+    return _make(np.where(mask, a.data, 0.0), "relu", (a,), (lambda g: g * mask,))
+
+
+def _logistic(x):
+    """1 / (1 + exp(-x)) as exp(min(x, 0)) / (1 + exp(-|x|)), where no exp overflows.
+
+    Computed in place: a temporary costs about as much as a pass over the
+    data here, which is also why this form is used rather than np.where.
+    """
+    num = np.minimum(x, 0.0)
+    np.exp(num, out=num)
+    den = np.abs(x)
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    num /= den
+    return num
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    s = 1.0 / (1.0 + np.exp(-a.data))
-    return _make(s, "sigmoid", (a,), lambda g: (g * s * (1.0 - s),))
+    s = _logistic(a.data)
+    return _make(s, "sigmoid", (a,), (lambda g: g * s * (1.0 - s),))
 
 
 def silu(a: Tensor) -> Tensor:
-    s = 1.0 / (1.0 + np.exp(-a.data))
-    return _make(a.data * s, "silu", (a,), lambda g: (g * s * (1.0 + a.data * (1.0 - s)),))
+    s = _logistic(a.data)
+    return _make(a.data * s, "silu", (a,), (lambda g: g * s * (1.0 + a.data * (1.0 - s)),))
 
 
 # ---------------------------------------------------------------------------
@@ -178,28 +219,26 @@ def silu(a: Tensor) -> Tensor:
 
 
 def tsum(a: Tensor) -> Tensor:
-    return _make(np.sum(a.data), "sum", (a,), lambda g: (np.full(a.shape, float(g)),))
+    return _make(np.sum(a.data), "sum", (a,), (lambda g: np.full(a.shape, float(g)),))
 
 
 def tmean(a: Tensor) -> Tensor:
     n = a.data.size
-    return _make(np.mean(a.data), "mean", (a,), lambda g: (np.full(a.shape, float(g) / n),))
+    return _make(np.mean(a.data), "mean", (a,), (lambda g: np.full(a.shape, float(g) / n),))
 
 
 def mse(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "mse")
     diff = a.data - b.data
     n = diff.size
-
-    def backward(g):
-        coeff = 2.0 * float(g) / n
-        return coeff * diff, -coeff * diff
-
-    return _make(np.mean(diff * diff), "mse", (a, b), backward)
+    return _make(
+        np.mean(diff * diff), "mse", (a, b),
+        (lambda g: 2.0 * float(g) / n * diff, lambda g: -2.0 * float(g) / n * diff),
+    )
 
 
 def frobenius_norm_sq(a: Tensor) -> Tensor:
-    return _make(np.sum(a.data * a.data), "fro2", (a,), lambda g: (2.0 * float(g) * a.data,))
+    return _make(np.sum(a.data * a.data), "fro2", (a,), (lambda g: 2.0 * float(g) * a.data,))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +249,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape)) != a.data.size:
         raise DimensionError(f"reshape: {a.shape} -> {shape} changes element count")
-    return _make(a.data.reshape(shape), "reshape", (a,), lambda g: (g.reshape(a.shape),))
+    return _make(a.data.reshape(shape), "reshape", (a,), (lambda g: g.reshape(a.shape),))
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
@@ -220,13 +259,12 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     axis = 0 if a.ndim == 3 else 1
     if a.shape[:axis] != b.shape[:axis] or a.shape[axis + 1 :] != b.shape[axis + 1 :]:
         raise DimensionError(f"concat_channels: shape {a.shape} vs {b.shape}")
-    ca = a.shape[axis]
-
-    def backward(g):
-        ga, gb = np.split(g, [ca], axis=axis)
-        return np.ascontiguousarray(ga), np.ascontiguousarray(gb)
-
-    return _make(np.concatenate([a.data, b.data], axis=axis), "concat", (a, b), backward)
+    lead = (slice(None),) * axis
+    first, rest = lead + (slice(None, a.shape[axis]),), lead + (slice(a.shape[axis], None),)
+    return _make(
+        np.concatenate([a.data, b.data], axis=axis), "concat", (a, b),
+        (lambda g: np.ascontiguousarray(g[first]), lambda g: np.ascontiguousarray(g[rest])),
+    )
 
 
 def channel_bias(x: Tensor, b: Tensor) -> Tensor:
@@ -245,21 +283,21 @@ def channel_bias(x: Tensor, b: Tensor) -> Tensor:
         back_b = lambda g: g.sum(axis=(2, 3))
     else:
         raise DimensionError(f"channel_bias: x {x.shape} vs b {b.shape}")
-    return _make(out, "channel_bias", (x, b), lambda g: (g, back_b(g)))
+    return _make(out, "channel_bias", (x, b), (_pass, back_b))
 
 
 def broadcast_spatial(v: Tensor, h: int, w: int) -> Tensor:
     """Tile a channel vector over an h x w grid: (c,)->(c,h,w), (n,c)->(n,c,h,w)."""
     if v.ndim == 1:
         out = np.broadcast_to(v.data[:, None, None], (v.shape[0], h, w)).copy()
-        back = lambda g: (g.sum(axis=(1, 2)),)
+        back = lambda g: g.sum(axis=(1, 2))
     elif v.ndim == 2:
         n, c = v.shape
         out = np.broadcast_to(v.data[:, :, None, None], (n, c, h, w)).copy()
-        back = lambda g: (g.sum(axis=(2, 3)),)
+        back = lambda g: g.sum(axis=(2, 3))
     else:
         raise DimensionError(f"broadcast_spatial: rank {v.ndim}")
-    return _make(out, "broadcast_spatial", (v,), back)
+    return _make(out, "broadcast_spatial", (v,), (back,))
 
 
 def row_scale(x: Tensor, s: Tensor) -> Tensor:
@@ -270,11 +308,10 @@ def row_scale(x: Tensor, s: Tensor) -> Tensor:
     sb = s.data.reshape(shape)
     axes = tuple(range(1, x.ndim))
 
-    def backward(g):
-        gs = (g * x.data).sum(axis=axes) if axes else g * x.data
-        return g * sb, gs
+    def back_s(g):
+        return (g * x.data).sum(axis=axes) if axes else g * x.data
 
-    return _make(x.data * sb, "row_scale", (x, s), backward)
+    return _make(x.data * sb, "row_scale", (x, s), (lambda g: g * sb, back_s))
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -288,9 +325,9 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     def backward(g):
         gt = np.zeros_like(table.data)
         np.add.at(gt, ids, g)
-        return (gt,)
+        return gt
 
-    return _make(table.data[ids].copy(), "embedding", (table,), backward)
+    return _make(table.data[ids].copy(), "embedding", (table,), (backward,))
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +339,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul: need 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dims differ, {a.shape} x {b.shape}")
-
-    def backward(g):
-        return g @ b.data.T, a.data.T @ g
-
-    return _make(a.data @ b.data, "matmul", (a, b), backward)
+    return _make(a.data @ b.data, "matmul", (a, b), (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
 
 
 def linear(x: Tensor, w: Tensor) -> Tensor:
@@ -315,11 +348,7 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
         raise DimensionError(f"linear: need 2-D operands, got {x.shape} and {w.shape}")
     if x.shape[1] != w.shape[1]:
         raise DimensionError(f"linear: inner dims differ, {x.shape} x {w.shape}^T")
-
-    def backward(g):
-        return g @ w.data, g.T @ x.data
-
-    return _make(x.data @ w.data.T, "linear", (x, w), backward)
+    return _make(x.data @ w.data.T, "linear", (x, w), (lambda g: g @ w.data, lambda g: g.T @ x.data))
 
 
 # ---------------------------------------------------------------------------
@@ -351,58 +380,73 @@ def _conv_geometry(x_shape, k_shape, padding):
 
 
 def im2col(x: Tensor, kh: int, kw: int, padding: int) -> Tensor:
-    """Patch matrix for a (kh,kw) window sweep: rows ordered (n, ho, wo)."""
+    """Patch-major patch matrix of a (kh, kw) window sweep: (c*kh*kw, n*ho*wo).
+
+    Row (ci, i, j) holds input channel ci at kernel tap (i, j), the order of a
+    kernel's (co, ci*kh*kw) view; columns are output positions in (n, ho, wo)
+    order, with n = 1 for an unbatched input. Each tap is one slice copy whose
+    (ho, wo) runs are contiguous, and the backward pass (col2im) accumulates
+    the same slices.
+    """
     batched = x.ndim == 4
     xd = x.data if batched else x.data[None]
     n, c, h, w = xd.shape
-    ho = h + 2 * padding - kh + 1
-    wo = w + 2 * padding - kw + 1
+    hp, wp = h + 2 * padding, w + 2 * padding
+    ho, wo = hp - kh + 1, wp - kw + 1
     if ho < 1 or wo < 1:
         raise DimensionError(f"im2col: window {kh}x{kw} larger than padded input {x.shape}")
-    if padding:
-        xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = xd
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    # (n, c, ho, wo, kh, kw) -> (n, ho, wo, c, kh, kw) -> (n*ho*wo, c*kh*kw)
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, c * kh * kw)
+    # channel-major padded input (c, n, hp, wp), so a tap's rows are one slice
+    xp = np.zeros((c, n, hp, wp))
+    xp[:, :, padding : padding + h, padding : padding + w] = xd.transpose(1, 0, 2, 3)
+    cols = np.empty((c, kh, kw, n, ho, wo))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = xp[:, :, i : i + ho, j : j + wo]
 
-    def backward(g):
-        gp = g.reshape(n, ho, wo, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-        gxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
+    def col2im(g):
+        taps = g.reshape(c, kh, kw, n, ho, wo)
+        gxp = np.zeros((c, n, hp, wp))
         for i in range(kh):
             for j in range(kw):
-                gxp[:, :, i : i + ho, j : j + wo] += gp[:, :, i, j]
-        gx = gxp[:, :, padding : padding + h, padding : padding + w] if padding else gxp
-        return (np.ascontiguousarray(gx if batched else gx[0]),)
+                gxp[:, :, i : i + ho, j : j + wo] += taps[:, i, j]
+        gx = gxp[:, :, padding : padding + h, padding : padding + w].transpose(1, 0, 2, 3)
+        return np.ascontiguousarray(gx if batched else gx[0])
 
-    return _make(cols, "im2col", (x,), backward)
+    return _make(cols.reshape(c * kh * kw, n * ho * wo), "im2col", (x,), (col2im,))
 
 
 def fold_channels_last(y: Tensor, lead_shape) -> Tensor:
-    """(prod(lead), c) -> lead_shape + channel moved in front of the spatial dims."""
-    co = y.shape[1]
-    if len(lead_shape) == 2:  # (ho, wo) -> (co, ho, wo)
+    """Conv product (co, prod(lead)) -> channel-first activations.
+
+    lead (ho, wo) gives (co, ho, wo), a plain reshape; lead (n, ho, wo) gives
+    (n, co, ho, wo), one (co, n) -> (n, co) swap of contiguous (ho, wo) blocks.
+    """
+    co = y.shape[0]
+    if len(lead_shape) == 2:
         ho, wo = lead_shape
-        out = np.ascontiguousarray(y.data.reshape(ho, wo, co).transpose(2, 0, 1))
-        back = lambda g: (np.ascontiguousarray(g.transpose(1, 2, 0)).reshape(ho * wo, co),)
-    elif len(lead_shape) == 3:  # (n, ho, wo) -> (n, co, ho, wo)
+        out = y.data.reshape(co, ho, wo)
+        back = lambda g: g.reshape(co, ho * wo)
+    elif len(lead_shape) == 3:
         n, ho, wo = lead_shape
-        out = np.ascontiguousarray(y.data.reshape(n, ho, wo, co).transpose(0, 3, 1, 2))
-        back = lambda g: (np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, co),)
+        out = np.ascontiguousarray(y.data.reshape(co, n, ho, wo).transpose(1, 0, 2, 3))
+        back = lambda g: np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(co, n * ho * wo)
     else:
         raise DimensionError(f"fold_channels_last: lead shape {lead_shape}")
-    return _make(out, "fold", (y,), back)
+    return _make(out, "fold", (y,), (back,))
 
 
-def conv2d(x: Tensor, k: Tensor, padding: int = 0) -> Tensor:
-    """Cross-correlation with zero padding; x (c,h,w) or (n,c,h,w), k (co,ci,kh,kw)."""
+def conv2d(x: Tensor, k: Tensor, padding: int = 0, deltas=()) -> Tensor:
+    """Cross-correlation with zero padding; x (c,h,w) or (n,c,h,w), k (co,ci,kh,kw).
+
+    deltas are low-rank (A, B) pairs, A (co, r) and B (r, ci*kh*kw), each
+    added to the kernel's 2-D view as A @ B without forming that product.
+    """
     n, _, _, _, co, kh, kw, ho, wo = _conv_geometry(x.shape, k.shape, padding)
     cols = im2col(x, kh, kw, padding)
-    kmat = reshape(k, (co, k.size // co))
-    y = linear(cols, kmat)
-    lead = (ho, wo) if n is None else (n, ho, wo)
-    return fold_channels_last(y, lead)
+    y = matmul(reshape(k, (co, k.size // co)), cols)
+    for A, B in deltas:
+        y = add(y, matmul(A, matmul(B, cols)))
+    return fold_channels_last(y, (ho, wo) if n is None else (n, ho, wo))
 
 
 def _spatial_split(x):
@@ -424,10 +468,9 @@ def avg_pool2(x: Tensor) -> Tensor:
     out = blk.mean(axis=(-3, -1))
 
     def backward(g):
-        gi = np.repeat(np.repeat(g, 2, axis=-1), 2, axis=-2) * 0.25
-        return (gi,)
+        return np.repeat(np.repeat(g, 2, axis=-1), 2, axis=-2) * 0.25
 
-    return _make(out, "avg_pool2", (x,), backward)
+    return _make(out, "avg_pool2", (x,), (backward,))
 
 
 def upsample2(x: Tensor) -> Tensor:
@@ -437,9 +480,9 @@ def upsample2(x: Tensor) -> Tensor:
 
     def backward(g):
         lead = x.shape[:-2]
-        return (g.reshape(lead + (h, 2, w, 2)).sum(axis=(-3, -1)),)
+        return g.reshape(lead + (h, 2, w, 2)).sum(axis=(-3, -1))
 
-    return _make(out, "upsample2", (x,), backward)
+    return _make(out, "upsample2", (x,), (backward,))
 
 
 # ---------------------------------------------------------------------------

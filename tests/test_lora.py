@@ -200,15 +200,30 @@ def test_double_merge_rejected():
         unmerge(params, adapters)
 
 
+def tiny_net_batch(n=3, seed=0):
+    """tiny_net with a batch of n latents and per-item conditioning."""
+    params = init_params(TINY, seed)
+    rng = np.random.default_rng(seed + 60)
+    z = encode(T.Tensor(rng.uniform(0.1, 0.9, size=(n, 1, 16, 16))), params)
+    pe = T.Tensor(np.stack([prompt_embedding(params, ["gradient", "high-quality"]).data] * n))
+    cond = ConditioningBundle(control_features(z, pe, params), None, pe)
+    return params, cond, T.Tensor(rng.standard_normal(z.shape))
+
+
 def test_merge_on_conv_kernel_view():
-    params, cond, zt = tiny_net()
-    adapters = attach(params, LoraConfig(rank=2, targets=("ctrl.zero.sft.w",)), seed=6)
-    a = adapters[0]
-    a.B.data = np.random.default_rng(6).normal(size=a.B.shape) * 0.1
-    runtime = denoise(zt, 2, cond, params, adapters=adapters).data.copy()
-    merge(params, adapters)
-    merged = denoise(zt, 2, cond, params).data
-    assert np.allclose(runtime, merged, atol=1e-9)
+    # a 1x1 target on one latent, and a 3x3 target on a batch, where a patch
+    # row order other than the kernel's (ci, kh, kw) would disagree with merge
+    for target, (params, cond, zt), t in [("ctrl.zero.sft.w", tiny_net(), 2),
+                                          ("den.mid.w", tiny_net_batch(), [2, 5, 9])]:
+        adapters = attach(params, LoraConfig(rank=2, targets=(target,)), seed=6)
+        a = adapters[0]
+        a.B.data = np.random.default_rng(6).normal(size=a.B.shape) * 0.1
+        runtime = denoise(zt, t, cond, params, adapters=adapters).data.copy()
+        merge(params, adapters)
+        merged = denoise(zt, t, cond, params).data
+        assert np.allclose(runtime, merged, atol=1e-9)
+        unmerge(params, adapters)
+        assert not np.allclose(runtime, denoise(zt, t, cond, params).data, atol=1e-6)
 
 
 def test_lora_step_updates_and_contracts():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,9 @@ from ldrestore.errors import ContractViolation, DimensionError, OracleError
 
 
 def conv2d_loops(x, k, padding=0):
-    """Brute-force cross-correlation oracle, nested loops only."""
+    """Brute-force cross-correlation oracle, nested loops only; a batch is looped per item."""
+    if x.ndim == 4:
+        return np.stack([conv2d_loops(xi, k, padding) for xi in x])
     c, h, w = x.shape
     co, ci, kh, kw = k.shape
     assert c == ci
@@ -82,11 +86,18 @@ def test_linear_matches_matmul_transpose():
 
 def test_conv2d_matches_loop_oracle():
     rng = np.random.default_rng(2)
-    x = rng.normal(size=(2, 5, 6))
-    k = rng.normal(size=(3, 2, 3, 3))
-    for pad in (0, 1):
-        y = T.conv2d(T.Tensor(x), T.Tensor(k), padding=pad)
-        assert np.allclose(y.data, conv2d_loops(x, k, pad), atol=1e-12)
+    # unbatched and batched inputs, 3x3 and 1x1 kernels
+    for x_shape, k_shape in [((2, 5, 6), (3, 2, 3, 3)), ((3, 2, 5, 6), (3, 2, 3, 3)),
+                             ((2, 5, 6), (4, 2, 1, 1)), ((3, 2, 4, 5), (4, 2, 1, 1))]:
+        x = rng.normal(size=x_shape)
+        k = rng.normal(size=k_shape)
+        for pad in (0, 1):
+            y = T.conv2d(T.Tensor(x), T.Tensor(k), padding=pad)
+            assert np.allclose(y.data, conv2d_loops(x, k, pad), atol=1e-12)
+    # a low-rank delta acts as kernel + (A @ B) in the kernel's (co, ci*kh*kw) view
+    A, B = rng.normal(size=(4, 2)), rng.normal(size=(2, 2))
+    y = T.conv2d(T.Tensor(x), T.Tensor(k), 1, [(T.Tensor(A), T.Tensor(B))])
+    assert np.allclose(y.data, conv2d_loops(x, k + (A @ B).reshape(k.shape), 1), atol=1e-12)
 
 
 def test_conv2d_batched_equals_per_item():
@@ -101,19 +112,35 @@ def test_conv2d_batched_equals_per_item():
 
 def test_conv2d_gradients_match_numeric():
     rng = np.random.default_rng(4)
-    x0 = rng.normal(size=(2, 4, 4))
-    k0 = rng.normal(size=(2, 2, 3, 3))
-    w = rng.normal(size=(2, 4, 4))
+    # (input shape, kernel shape, padding, rank of a low-rank delta or 0)
+    cases = [((2, 4, 4), (2, 2, 3, 3), 1, 0), ((2, 2, 4, 4), (2, 2, 3, 3), 1, 0),
+             ((2, 4, 5), (3, 2, 3, 3), 0, 0), ((2, 2, 3, 4), (3, 2, 1, 1), 0, 0),
+             ((2, 2, 4, 4), (2, 2, 3, 3), 1, 1)]
+    for x_shape, k_shape, pad, rank in cases:
+        x0 = rng.normal(size=x_shape)
+        k0 = rng.normal(size=k_shape)
+        w = rng.normal(size=conv2d_loops(x0, k0, pad).shape)
 
-    x = T.Tensor(x0, requires_grad=True)
-    k = T.Tensor(k0, requires_grad=True)
-    loss = T.tsum(T.mul(T.conv2d(x, k, padding=1), T.Tensor(w)))
-    T.backward(loss)
+        x = T.Tensor(x0, requires_grad=True)
+        k = T.Tensor(k0, requires_grad=True)
+        deltas = []
+        if rank:
+            a0 = rng.normal(size=(k_shape[0], rank))
+            b0 = rng.normal(size=(rank, k0[0].size))
+            deltas = [(T.Tensor(a0, requires_grad=True), T.Tensor(b0, requires_grad=True))]
+        kd = k0 + (a0 @ b0).reshape(k_shape) if rank else k0
+        loss = T.tsum(T.mul(T.conv2d(x, k, pad, deltas), T.Tensor(w)))
+        T.backward(loss)
 
-    nx = numeric_grad(lambda v: np.sum(conv2d_loops(v, k0, 1) * w), x0)
-    nk = numeric_grad(lambda v: np.sum(conv2d_loops(x0, v, 1) * w), k0)
-    assert np.allclose(x.grad, nx, atol=1e-5)
-    assert np.allclose(k.grad, nk, atol=1e-5)
+        nx = numeric_grad(lambda v: np.sum(conv2d_loops(v, kd, pad) * w), x0)
+        nk = numeric_grad(lambda v: np.sum(conv2d_loops(x0, v, pad) * w), k0)
+        assert np.allclose(x.grad, nx, atol=1e-5)
+        assert np.allclose(k.grad, nk, atol=1e-5)
+        if rank:
+            na = numeric_grad(lambda v: np.sum(conv2d_loops(x0, k0 + (v @ b0).reshape(k_shape), pad) * w), a0)
+            nb = numeric_grad(lambda v: np.sum(conv2d_loops(x0, k0 + (a0 @ v).reshape(k_shape), pad) * w), b0)
+            assert np.allclose(deltas[0][0].grad, na, atol=1e-5)
+            assert np.allclose(deltas[0][1].grad, nb, atol=1e-5)
 
 
 def test_conv2d_channel_mismatch_names_shapes():
@@ -157,6 +184,54 @@ def test_elementwise_and_activations_numeric():
         T.backward(T.tsum(op(x)))
         ng = numeric_grad(ref, x0)
         assert np.allclose(x.grad, ng, atol=1e-6), name
+
+
+def test_sigmoid_and_silu_stable_at_extremes():
+    x0 = np.array([-1000.0, -40.0, -1.0, 0.0, 2.5, 40.0, 1000.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for op in (T.sigmoid, T.silu):
+            x = T.Tensor(x0, requires_grad=True)
+            y = op(x)
+            T.backward(T.tsum(y))
+            assert np.all(np.isfinite(y.data)) and np.all(np.isfinite(x.grad))
+    assert T.sigmoid(T.Tensor(x0)).data[[0, -1]].tolist() == [0.0, 1.0]
+    assert T.silu(T.Tensor(x0)).data[[0, -1]].tolist() == [0.0, 1000.0]
+
+    # where 1 / (1 + exp(-x)) does not overflow, values and gradients agree with it
+    v = np.linspace(-30.0, 30.0, 241)
+    s = 1.0 / (1.0 + np.exp(-v))
+    for op, want, dwant in ((T.sigmoid, s, s * (1 - s)), (T.silu, v * s, s * (1 + v * (1 - s)))):
+        x = T.Tensor(v, requires_grad=True)
+        y = op(x)
+        T.backward(T.tsum(y))
+        assert np.allclose(y.data, want, rtol=1e-14, atol=1e-300)
+        assert np.allclose(x.grad, dwant, rtol=1e-13, atol=1e-300)
+
+
+def test_backward_returns_none_for_inputs_without_gradient():
+    rng = np.random.default_rng(11)
+    x = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = T.Tensor(rng.normal(size=(4, 2)))
+    g = rng.normal(size=(3, 2))
+    gx, gw = T.matmul(x, w).node.backward(g)
+    assert gw is None and np.allclose(gx, g @ w.data.T)
+    gw, gx = T.matmul(T.Tensor(w.data.T), T.Tensor(x.data.T, requires_grad=True)).node.backward(g.T)
+    assert gw is None and np.allclose(gx, w.data @ g.T)
+    gx, gw = T.linear(x, T.Tensor(w.data.T)).node.backward(g)
+    assert gw is None and np.allclose(gx, g @ w.data.T)
+
+    fm = rng.normal(size=(2, 3, 4))
+    fm_req = T.Tensor(fm, requires_grad=True)
+    gm = rng.normal(size=(2, 3, 4))
+    gx, gb = T.channel_bias(fm_req, T.Tensor(np.zeros(2))).node.backward(gm)
+    assert gb is None and np.array_equal(gx, gm)
+    ga, gb = T.concat_channels(fm_req, T.Tensor(fm)).node.backward(np.concatenate([gm, gm]))
+    assert gb is None and np.array_equal(ga, gm)
+    ga, gb = T.mul(fm_req, T.Tensor(fm)).node.backward(gm)
+    assert gb is None and np.allclose(ga, gm * fm)
+    gx, gs = T.row_scale(fm_req, T.Tensor(np.ones(2))).node.backward(gm)
+    assert gs is None and np.allclose(gx, gm)
 
 
 def test_mse_value_and_gradient():
