@@ -30,7 +30,9 @@ class Checkpoint:
     config: dict
     schedule: dict
     meta: dict
-    arrays: dict  # name -> float64 ndarray, insertion order = file order
+    # name -> float64 ndarray, insertion order = file order. float32 tensors are
+    # stored widened, which is exact, and T.Tensor narrows them back bit for bit.
+    arrays: dict
 
 
 def save_checkpoint(path, kind: str, config: dict, schedule: dict, named_arrays, meta: dict):
@@ -38,9 +40,9 @@ def save_checkpoint(path, kind: str, config: dict, schedule: dict, named_arrays,
     entries = []
     blobs = []
     for name, arr in named_arrays:
-        arr = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
+        arr = np.asarray(arr, dtype="<f8")
         entries.append({"name": str(name), "shape": list(arr.shape)})
-        blobs.append(arr.astype("<f8").tobytes())
+        blobs.append(arr.tobytes())
     header = {
         "kind": kind,
         "config": config,

@@ -255,7 +255,7 @@ def _as_tensor_image(img) -> T.Tensor:
         return T.Tensor(img.data)
     if isinstance(img, T.Tensor):
         return img
-    return T.Tensor(np.asarray(img, dtype=np.float64))
+    return T.Tensor(img)
 
 
 def encode(img, params: NetParams, adapters=()) -> T.Tensor:

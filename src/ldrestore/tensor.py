@@ -1,10 +1,19 @@
-"""Dense float64 tensors with tape-based reverse-mode differentiation.
+"""Dense tensors with tape-based reverse-mode differentiation.
 
-Tensors wrap C-contiguous numpy arrays. Every differentiable operation
-records a tape node holding its inputs and a backward closure; calling
-``backward`` on a scalar loss walks the tape once in reverse topological
-order and accumulates gradients additively into every tensor that was
-created with ``requires_grad=True``.
+Tensors wrap C-contiguous numpy arrays of the compute dtype: float32, or
+float64 inside a ``float64()`` block, which is the only way to change it.
+``Tensor.__init__`` is the one conversion point. Every array an op
+allocates (im2col's patch buffers, col2im's accumulator, a reduction's
+gradient, the backward seed) takes its dtype from the op's operands, so a
+float32 tape stays float32 through the backward pass. float64 is the
+reference mode: ``finite_diff_check`` enters it itself, and tests that
+compare against a float64 oracle run under it. Arrays that leave the tape
+for images, metrics or checkpoints are widened to float64, which is exact.
+
+Every differentiable operation records a tape node holding its inputs and a
+backward closure; calling ``backward`` on a scalar loss walks the tape once
+in reverse topological order and accumulates gradients additively into
+every tensor that was created with ``requires_grad=True``.
 
 A node's backward closure takes the output gradient and returns one entry
 per input. An input that needs no gradient (``not inp._needs_grad()``: not
@@ -33,6 +42,7 @@ import numpy as np
 from .errors import ContractViolation, DimensionError, OracleError, ParameterError
 
 _GRAD_ENABLED = True
+_DTYPE = np.float32
 
 
 @contextmanager
@@ -51,6 +61,22 @@ def grad_enabled() -> bool:
     return _GRAD_ENABLED
 
 
+@contextmanager
+def float64():
+    """Compute in float64 inside the block (reference mode for gradient and oracle checks).
+
+    Tensors created in the block hold float64; tensors created before it keep
+    their float32 data, and an op mixing the two yields float64.
+    """
+    global _DTYPE
+    prev = _DTYPE
+    _DTYPE = np.float64
+    try:
+        yield
+    finally:
+        _DTYPE = prev
+
+
 class TapeNode:
     """One recorded operation: inputs and how to push gradients back."""
 
@@ -66,7 +92,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "node")
 
     def __init__(self, data, requires_grad=False):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = np.asarray(data, dtype=_DTYPE)
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
         self.data = arr
@@ -193,6 +219,9 @@ def _logistic(x):
 
     Computed in place: a temporary costs about as much as a pass over the
     data here, which is also why this form is used rather than np.where.
+    Results below the smallest normal number are flushed to zero. float32
+    reaches subnormals for x below about -87, which sampling produces, and a
+    GEMM that reads them runs tens of times slower on x86.
     """
     num = np.minimum(x, 0.0)
     np.exp(num, out=num)
@@ -201,17 +230,34 @@ def _logistic(x):
     np.exp(den, out=den)
     den += 1.0
     num /= den
+    np.copyto(num, 0.0, where=num < np.finfo(num.dtype).tiny)
     return num
 
 
 def sigmoid(a: Tensor) -> Tensor:
     s = _logistic(a.data)
-    return _make(s, "sigmoid", (a,), (lambda g: g * s * (1.0 - s),))
+
+    def backward(g):  # g * s * (1 - s), in one buffer
+        d = 1.0 - s
+        d *= s
+        d *= g
+        return d
+
+    return _make(s, "sigmoid", (a,), (backward,))
 
 
 def silu(a: Tensor) -> Tensor:
     s = _logistic(a.data)
-    return _make(a.data * s, "silu", (a,), (lambda g: g * s * (1.0 + a.data * (1.0 - s)),))
+
+    def backward(g):  # g * s * (1 + x * (1 - s)), in one buffer
+        d = 1.0 - s
+        d *= a.data
+        d += 1.0
+        d *= s
+        d *= g
+        return d
+
+    return _make(a.data * s, "silu", (a,), (backward,))
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +265,12 @@ def silu(a: Tensor) -> Tensor:
 
 
 def tsum(a: Tensor) -> Tensor:
-    return _make(np.sum(a.data), "sum", (a,), (lambda g: np.full(a.shape, float(g)),))
+    return _make(np.sum(a.data), "sum", (a,), (lambda g: np.full_like(a.data, float(g)),))
 
 
 def tmean(a: Tensor) -> Tensor:
     n = a.data.size
-    return _make(np.mean(a.data), "mean", (a,), (lambda g: np.full(a.shape, float(g) / n),))
+    return _make(np.mean(a.data), "mean", (a,), (lambda g: np.full_like(a.data, float(g) / n),))
 
 
 def mse(a: Tensor, b: Tensor) -> Tensor:
@@ -395,20 +441,28 @@ def im2col(x: Tensor, kh: int, kw: int, padding: int) -> Tensor:
     ho, wo = hp - kh + 1, wp - kw + 1
     if ho < 1 or wo < 1:
         raise DimensionError(f"im2col: window {kh}x{kw} larger than padded input {x.shape}")
-    # channel-major padded input (c, n, hp, wp), so a tap's rows are one slice
-    xp = np.zeros((c, n, hp, wp))
-    xp[:, :, padding : padding + h, padding : padding + w] = xd.transpose(1, 0, 2, 3)
-    cols = np.empty((c, kh, kw, n, ho, wo))
+    # channel-major input (c, n, hp, wp), so a tap's rows are one slice; only
+    # a padded input needs the zero-filled copy
+    if padding:
+        xp = np.zeros((c, n, hp, wp), dtype=xd.dtype)
+        xp[:, :, padding : padding + h, padding : padding + w] = xd.transpose(1, 0, 2, 3)
+    else:
+        xp = xd.transpose(1, 0, 2, 3)
+    cols = np.empty((c, kh, kw, n, ho, wo), dtype=xd.dtype)
     for i in range(kh):
         for j in range(kw):
             cols[:, i, j] = xp[:, :, i : i + ho, j : j + wo]
 
     def col2im(g):
         taps = g.reshape(c, kh, kw, n, ho, wo)
-        gxp = np.zeros((c, n, hp, wp))
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, :, i : i + ho, j : j + wo] += taps[:, i, j]
+        if (ho, wo) == (hp, wp):
+            # a 1x1 window without padding: the one tap is the whole gradient
+            gxp = taps[:, 0, 0]
+        else:
+            gxp = np.zeros((c, n, hp, wp), dtype=g.dtype)
+            for i in range(kh):
+                for j in range(kw):
+                    gxp[:, :, i : i + ho, j : j + wo] += taps[:, i, j]
         gx = gxp[:, :, padding : padding + h, padding : padding + w].transpose(1, 0, 2, 3)
         return np.ascontiguousarray(gx if batched else gx[0])
 
@@ -458,14 +512,25 @@ def _spatial_split(x):
     raise DimensionError(f"expected 3-D or 4-D tensor, got {x.shape}")
 
 
+def _quarter_sum(a):
+    """Sum of each 2x2 spatial block, as three adds of strided quarter views.
+
+    A reduction over the split axes of a (..., h/2, 2, w/2, 2) view would
+    walk non-adjacent axes, about ten times slower here.
+    """
+    out = a[..., 0::2, 0::2] + a[..., 0::2, 1::2]
+    out += a[..., 1::2, 0::2]
+    out += a[..., 1::2, 1::2]
+    return out
+
+
 def avg_pool2(x: Tensor) -> Tensor:
     """2x2 average pooling; spatial dims must be even."""
     n, c, h, w = _spatial_split(x)
     if h % 2 or w % 2:
         raise DimensionError(f"avg_pool2: odd spatial dims {x.shape}")
-    lead = x.shape[:-2]
-    blk = x.data.reshape(lead + (h // 2, 2, w // 2, 2))
-    out = blk.mean(axis=(-3, -1))
+    out = _quarter_sum(x.data)
+    out *= 0.25
 
     def backward(g):
         return np.repeat(np.repeat(g, 2, axis=-1), 2, axis=-2) * 0.25
@@ -475,14 +540,9 @@ def avg_pool2(x: Tensor) -> Tensor:
 
 def upsample2(x: Tensor) -> Tensor:
     """Nearest-neighbour 2x upsampling of the spatial dims."""
-    n, c, h, w = _spatial_split(x)
+    _spatial_split(x)
     out = np.repeat(np.repeat(x.data, 2, axis=-1), 2, axis=-2)
-
-    def backward(g):
-        lead = x.shape[:-2]
-        return g.reshape(lead + (h, 2, w, 2)).sum(axis=(-3, -1))
-
-    return _make(out, "upsample2", (x,), (backward,))
+    return _make(out, "upsample2", (x,), (_quarter_sum,))
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +572,7 @@ def backward(loss: Tensor):
                 if inp._needs_grad() and id(inp) not in visited:
                     stack.append((inp, False))
 
-    grads = {id(loss): np.ones((), dtype=np.float64)}
+    grads = {id(loss): np.ones_like(loss.data)}
     for t in reversed(order):
         g = grads.pop(id(t), None)
         if g is None:
@@ -537,33 +597,37 @@ def finite_diff_check(f, x: Tensor, eps: float = 1e-5) -> float:
 
     f must be a deterministic scalar-valued function of a single tensor; the
     relative error at each coordinate is |analytic - numeric| divided by
-    max(1e-8, |analytic| + |numeric|).
+    max(1e-8, |analytic| + |numeric|). Both gradients are computed in
+    float64 whatever the caller's compute dtype, so float32 rounding does
+    not swamp the differences; tensors f closes over take part at the
+    values they hold.
     """
     if eps <= 0:
         raise ParameterError(f"finite_diff_check: eps must be > 0, got {eps}")
+    with float64():
+        x = Tensor(x.data)
+        probe = Tensor(x.data.copy(), requires_grad=True)
+        out1 = f(probe)
+        out2 = f(Tensor(x.data.copy(), requires_grad=True))
+        if out1.data.shape != () or out2.data.shape != ():
+            raise ContractViolation("finite_diff_check: f must return a scalar")
+        if not np.array_equal(out1.data, out2.data):
+            raise OracleError("finite_diff_check: f is not deterministic")
 
-    probe = Tensor(x.data.copy(), requires_grad=True)
-    out1 = f(probe)
-    out2 = f(Tensor(x.data.copy(), requires_grad=True))
-    if out1.data.shape != () or out2.data.shape != ():
-        raise ContractViolation("finite_diff_check: f must return a scalar")
-    if not np.array_equal(out1.data, out2.data):
-        raise OracleError("finite_diff_check: f is not deterministic")
+        backward(out1)
+        analytic = probe.grad if probe.grad is not None else np.zeros_like(x.data)
 
-    backward(out1)
-    analytic = probe.grad if probe.grad is not None else np.zeros_like(x.data)
+        flat = x.data.reshape(-1)
+        numeric = np.zeros_like(flat)
+        with no_grad():
+            for i in range(flat.size):
+                bump = flat.copy()
+                bump[i] += eps
+                hi = f(Tensor(bump.reshape(x.shape))).item()
+                bump[i] = flat[i] - eps
+                lo = f(Tensor(bump.reshape(x.shape))).item()
+                numeric[i] = (hi - lo) / (2.0 * eps)
 
-    flat = x.data.reshape(-1)
-    numeric = np.zeros_like(flat)
-    with no_grad():
-        for i in range(flat.size):
-            bump = flat.copy()
-            bump[i] += eps
-            hi = f(Tensor(bump.reshape(x.shape))).item()
-            bump[i] = flat[i] - eps
-            lo = f(Tensor(bump.reshape(x.shape))).item()
-            numeric[i] = (hi - lo) / (2.0 * eps)
-
-    an = analytic.reshape(-1)
-    denom = np.maximum(1e-8, np.abs(an) + np.abs(numeric))
-    return float(np.max(np.abs(an - numeric) / denom))
+        an = analytic.reshape(-1)
+        denom = np.maximum(1e-8, np.abs(an) + np.abs(numeric))
+        return float(np.max(np.abs(an - numeric) / denom))

@@ -4,8 +4,10 @@ import struct
 import numpy as np
 import pytest
 
+from ldrestore import tensor as T
 from ldrestore.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from ldrestore.errors import FormatError
+from ldrestore.network import NetConfig, NetParams, init_params
 
 HEADER_OFFSET = 16  # magic, version, header length
 
@@ -71,3 +73,23 @@ def test_negative_or_non_integer_dimension(tmp_path):
         with pytest.raises(FormatError, match="dimensions must be integers") as e:
             load_checkpoint(path)
         assert e.value.offset == HEADER_OFFSET
+
+
+def test_zero_d_array_round_trips_as_scalar(tmp_path):
+    path = tmp_path / "s.ldrs"
+    save_checkpoint(path, "base", {}, {}, [("s", np.array(1.5))], {})
+    loaded = load_checkpoint(path).arrays["s"]
+    assert loaded.shape == () and loaded == 1.5
+
+
+def test_float32_params_round_trip_bit_identical(tmp_path):
+    cfg = NetConfig(image_size=16, c_lat=3, c_enc=3, c_hid=4, c_mid=5, prompt_dim=4, temb_dim=4)
+    params = init_params(cfg, 7)
+    path = tmp_path / "p.ldrs"
+    save_checkpoint(path, "base", cfg.to_dict(), {}, [(n, t.data) for n, t in params.items()], {})
+    ck = load_checkpoint(path)
+    back = NetParams(NetConfig.from_dict(ck.config), {n: T.Tensor(a) for n, a in ck.arrays.items()})
+    assert back.names() == params.names()
+    for name, t in params.items():
+        assert t.data.dtype == back[name].data.dtype == np.float32
+        assert t.data.tobytes() == back[name].data.tobytes()

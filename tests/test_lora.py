@@ -19,10 +19,12 @@ from ldrestore.network import (
     NetConfig,
     NetParams,
     control_features,
+    decode_tensor,
     denoise,
     encode,
     init_params,
     prompt_embedding,
+    prompt_embedding_batch,
 )
 
 TINY = NetConfig(image_size=16, c_lat=3, c_enc=3, c_hid=4, c_mid=5, prompt_dim=4, temb_dim=4)
@@ -153,19 +155,20 @@ def test_reg_loss_values_and_gradient():
 
 
 def test_merge_equivalence_all_ranks():
-    rng = np.random.default_rng(4)
-    for r in (1, 2, 4, 8):
-        params = NetParams(TINY, {"w": T.Tensor(rng.normal(size=(10, 9)), requires_grad=True)})
-        adapters = attach(params, LoraConfig(rank=r, targets=("w",)), seed=r)
-        a = adapters[0]
-        a.B.data = rng.normal(size=a.B.shape) * 0.2
-        xs = rng.normal(size=(20, 1, 9))
-        runtime = [effective_forward(T.Tensor(x), params["w"], a).data.copy() for x in xs]
-        merge(params, adapters)
-        merged = [(x @ params["w"].data.T) for x in xs]
-        for u, v in zip(runtime, merged):
-            assert np.allclose(u, v, atol=1e-9)
-        unmerge(params, adapters)
+    with T.float64():
+        rng = np.random.default_rng(4)
+        for r in (1, 2, 4, 8):
+            params = NetParams(TINY, {"w": T.Tensor(rng.normal(size=(10, 9)), requires_grad=True)})
+            adapters = attach(params, LoraConfig(rank=r, targets=("w",)), seed=r)
+            a = adapters[0]
+            a.B.data = rng.normal(size=a.B.shape) * 0.2
+            xs = rng.normal(size=(20, 1, 9))
+            runtime = [effective_forward(T.Tensor(x), params["w"], a).data.copy() for x in xs]
+            merge(params, adapters)
+            merged = [(x @ params["w"].data.T) for x in xs]
+            for u, v in zip(runtime, merged):
+                assert np.allclose(u, v, atol=1e-9)
+            unmerge(params, adapters)
 
 
 def test_merge_with_zero_b_keeps_params():
@@ -211,19 +214,68 @@ def tiny_net_batch(n=3, seed=0):
 
 
 def test_merge_on_conv_kernel_view():
-    # a 1x1 target on one latent, and a 3x3 target on a batch, where a patch
-    # row order other than the kernel's (ci, kh, kw) would disagree with merge
-    for target, (params, cond, zt), t in [("ctrl.zero.sft.w", tiny_net(), 2),
-                                          ("den.mid.w", tiny_net_batch(), [2, 5, 9])]:
-        adapters = attach(params, LoraConfig(rank=2, targets=(target,)), seed=6)
-        a = adapters[0]
-        a.B.data = np.random.default_rng(6).normal(size=a.B.shape) * 0.1
-        runtime = denoise(zt, t, cond, params, adapters=adapters).data.copy()
-        merge(params, adapters)
-        merged = denoise(zt, t, cond, params).data
-        assert np.allclose(runtime, merged, atol=1e-9)
-        unmerge(params, adapters)
-        assert not np.allclose(runtime, denoise(zt, t, cond, params).data, atol=1e-6)
+    with T.float64():
+        # a 1x1 target on one latent, and a 3x3 target on a batch, where a patch
+        # row order other than the kernel's (ci, kh, kw) would disagree with merge
+        for target, (params, cond, zt), t in [("ctrl.zero.sft.w", tiny_net(), 2),
+                                              ("den.mid.w", tiny_net_batch(), [2, 5, 9])]:
+            adapters = attach(params, LoraConfig(rank=2, targets=(target,)), seed=6)
+            a = adapters[0]
+            a.B.data = np.random.default_rng(6).normal(size=a.B.shape) * 0.1
+            runtime = denoise(zt, t, cond, params, adapters=adapters).data.copy()
+            merge(params, adapters)
+            merged = denoise(zt, t, cond, params).data
+            assert np.allclose(runtime, merged, atol=1e-9)
+            unmerge(params, adapters)
+            assert not np.allclose(runtime, denoise(zt, t, cond, params).data, atol=1e-6)
+
+
+def lora_tape_dtypes():
+    """Dtypes seen in one LoRA-style step: (tape outputs and leaves, gradients
+    passed between ops, .grad slots)."""
+    params = init_params(TINY, 0)
+    for t in params.tensors():
+        t.requires_grad = False
+    adapters = attach(params, LoraConfig(rank=2, targets=("ctrl.zero.conv.w",)), seed=1)
+    rng = np.random.default_rng(13)
+    z = encode(T.Tensor(rng.uniform(0.1, 0.9, size=(2, 1, 16, 16))), params)
+    pe = prompt_embedding_batch(params, [["gradient"], ["rings", "low-quality"]])
+    cond = ConditioningBundle(control_features(z, pe, params, adapters), None, pe)
+    zt = T.Tensor(rng.standard_normal(z.shape))
+    out = denoise(zt, np.array([3, 7]), cond, params, adapters)
+    loss = T.add(T.add(T.mse(out, zt), reg_loss(adapters, 1e-3)), T.scale(T.tsum(decode_tensor(out, params)), 1e-3))
+
+    tape, seen, stack = [], set(), [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            tape.append(t)
+            stack.extend(t.node.inputs if t.node is not None else ())
+    passed = set()
+
+    def recording(inner):
+        def backward(g):
+            gs = inner(g)
+            passed.update(x.dtype for x in (g,) + gs if x is not None)
+            return gs
+
+        return backward
+
+    for t in tape:
+        if t.node is not None:
+            t.node.backward = recording(t.node.backward)
+    T.backward(loss)
+    grads = [t.grad for t in tape if t.requires_grad]
+    assert len(grads) == 2 and all(g is not None for g in grads)
+    return {t.data.dtype for t in tape}, passed, {g.dtype for g in grads}
+
+
+def test_tape_and_gradients_follow_compute_dtype():
+    assert lora_tape_dtypes() == ({np.dtype(np.float32)},) * 3
+    with T.float64():
+        assert lora_tape_dtypes() == ({np.dtype(np.float64)},) * 3
+    assert T.Tensor(0.0).data.dtype == np.float32
 
 
 def test_lora_step_updates_and_contracts():

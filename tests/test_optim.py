@@ -5,29 +5,30 @@ from ldrestore.optim import AdamW
 
 
 def test_adamw_steps_match_hand_computed_moments():
-    p0 = np.array([0.5, -1.0, 2.0])
-    g1 = np.array([0.2, -0.4, 1.5])
-    g2 = np.array([-0.1, 0.3, 0.5])
-    lr, eps = 0.01, 1e-8
-    for wd in (0.0, 0.1):
-        p = T.Tensor(p0.copy(), requires_grad=True)
-        opt = AdamW([("p", p)], lr=lr, betas=(0.9, 0.999), eps=eps, weight_decay=wd)
+    with T.float64():
+        p0 = np.array([0.5, -1.0, 2.0])
+        g1 = np.array([0.2, -0.4, 1.5])
+        g2 = np.array([-0.1, 0.3, 0.5])
+        lr, eps = 0.01, 1e-8
+        for wd in (0.0, 0.1):
+            p = T.Tensor(p0.copy(), requires_grad=True)
+            opt = AdamW([("p", p)], lr=lr, betas=(0.9, 0.999), eps=eps, weight_decay=wd)
 
-        opt.step([g1])
-        m1, v1 = 0.1 * g1, 0.001 * g1 * g1
-        # bias correction divides by 1 - beta**1, so the first update is g / (|g| + eps)
-        p1 = p0 - lr * wd * p0 - lr * (m1 / 0.1) / (np.sqrt(v1 / 0.001) + eps)
-        assert np.allclose(opt.m["p"], m1, rtol=1e-15) and np.allclose(opt.v["p"], v1, rtol=1e-15)
-        assert np.allclose(p.data, p1, rtol=1e-14, atol=0)
+            opt.step([g1])
+            m1, v1 = 0.1 * g1, 0.001 * g1 * g1
+            # bias correction divides by 1 - beta**1, so the first update is g / (|g| + eps)
+            p1 = p0 - lr * wd * p0 - lr * (m1 / 0.1) / (np.sqrt(v1 / 0.001) + eps)
+            assert np.allclose(opt.m["p"], m1, rtol=1e-15) and np.allclose(opt.v["p"], v1, rtol=1e-15)
+            assert np.allclose(p.data, p1, rtol=1e-14, atol=0)
 
-        p.grad = g2
-        opt.step()
-        m2, v2 = 0.9 * m1 + 0.1 * g2, 0.999 * v1 + 0.001 * g2 * g2
-        bc1, bc2 = 1 - 0.9**2, 1 - 0.999**2
-        p2 = p1 - lr * wd * p1 - lr * (m2 / bc1) / (np.sqrt(v2 / bc2) + eps)
-        assert opt.t == 2
-        assert np.allclose(opt.m["p"], m2, rtol=1e-14) and np.allclose(opt.v["p"], v2, rtol=1e-14)
-        assert np.allclose(p.data, p2, rtol=1e-14, atol=0)
+            p.grad = g2
+            opt.step()
+            m2, v2 = 0.9 * m1 + 0.1 * g2, 0.999 * v1 + 0.001 * g2 * g2
+            bc1, bc2 = 1 - 0.9**2, 1 - 0.999**2
+            p2 = p1 - lr * wd * p1 - lr * (m2 / bc1) / (np.sqrt(v2 / bc2) + eps)
+            assert opt.t == 2
+            assert np.allclose(opt.m["p"], m2, rtol=1e-14) and np.allclose(opt.v["p"], v2, rtol=1e-14)
+            assert np.allclose(p.data, p2, rtol=1e-14, atol=0)
 
 
 def test_adamw_state_dict_round_trip_continues_bit_exactly():

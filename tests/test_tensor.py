@@ -85,19 +85,28 @@ def test_linear_matches_matmul_transpose():
 
 
 def test_conv2d_matches_loop_oracle():
-    rng = np.random.default_rng(2)
-    # unbatched and batched inputs, 3x3 and 1x1 kernels
-    for x_shape, k_shape in [((2, 5, 6), (3, 2, 3, 3)), ((3, 2, 5, 6), (3, 2, 3, 3)),
-                             ((2, 5, 6), (4, 2, 1, 1)), ((3, 2, 4, 5), (4, 2, 1, 1))]:
+    with T.float64():
+        rng = np.random.default_rng(2)
+        # unbatched and batched inputs, 3x3 and 1x1 kernels
+        for x_shape, k_shape in [((2, 5, 6), (3, 2, 3, 3)), ((3, 2, 5, 6), (3, 2, 3, 3)),
+                                 ((2, 5, 6), (4, 2, 1, 1)), ((3, 2, 4, 5), (4, 2, 1, 1))]:
+            x = rng.normal(size=x_shape)
+            k = rng.normal(size=k_shape)
+            for pad in (0, 1):
+                y = T.conv2d(T.Tensor(x), T.Tensor(k), padding=pad)
+                assert np.allclose(y.data, conv2d_loops(x, k, pad), atol=1e-12)
+        # a low-rank delta acts as kernel + (A @ B) in the kernel's (co, ci*kh*kw) view
+        A, B = rng.normal(size=(4, 2)), rng.normal(size=(2, 2))
+        y = T.conv2d(T.Tensor(x), T.Tensor(k), 1, [(T.Tensor(A), T.Tensor(B))])
+        assert np.allclose(y.data, conv2d_loops(x, k + (A @ B).reshape(k.shape), 1), atol=1e-12)
+    # float32, the default compute dtype: within float32 rounding of the float64 oracle
+    for x_shape, k_shape in [((3, 2, 5, 6), (3, 2, 3, 3)), ((3, 2, 4, 5), (4, 2, 1, 1))]:
         x = rng.normal(size=x_shape)
         k = rng.normal(size=k_shape)
         for pad in (0, 1):
             y = T.conv2d(T.Tensor(x), T.Tensor(k), padding=pad)
-            assert np.allclose(y.data, conv2d_loops(x, k, pad), atol=1e-12)
-    # a low-rank delta acts as kernel + (A @ B) in the kernel's (co, ci*kh*kw) view
-    A, B = rng.normal(size=(4, 2)), rng.normal(size=(2, 2))
-    y = T.conv2d(T.Tensor(x), T.Tensor(k), 1, [(T.Tensor(A), T.Tensor(B))])
-    assert np.allclose(y.data, conv2d_loops(x, k + (A @ B).reshape(k.shape), 1), atol=1e-12)
+            assert y.data.dtype == np.float32
+            assert np.allclose(y.data, conv2d_loops(x, k, pad), rtol=1e-5, atol=1e-5)
 
 
 def test_conv2d_batched_equals_per_item():
@@ -187,26 +196,56 @@ def test_elementwise_and_activations_numeric():
 
 
 def test_sigmoid_and_silu_stable_at_extremes():
-    x0 = np.array([-1000.0, -40.0, -1.0, 0.0, 2.5, 40.0, 1000.0])
+    with T.float64():
+        x0 = np.array([-1000.0, -40.0, -1.0, 0.0, 2.5, 40.0, 1000.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for op in (T.sigmoid, T.silu):
+                x = T.Tensor(x0, requires_grad=True)
+                y = op(x)
+                T.backward(T.tsum(y))
+                assert np.all(np.isfinite(y.data)) and np.all(np.isfinite(x.grad))
+        assert T.sigmoid(T.Tensor(x0)).data[[0, -1]].tolist() == [0.0, 1.0]
+        assert T.silu(T.Tensor(x0)).data[[0, -1]].tolist() == [0.0, 1000.0]
+
+        # where 1 / (1 + exp(-x)) does not overflow, values and gradients agree with it
+        v = np.linspace(-30.0, 30.0, 241)
+        s = 1.0 / (1.0 + np.exp(-v))
+        for op, want, dwant in ((T.sigmoid, s, s * (1 - s)), (T.silu, v * s, s * (1 + v * (1 - s)))):
+            x = T.Tensor(v, requires_grad=True)
+            y = op(x)
+            T.backward(T.tsum(y))
+            assert np.allclose(y.data, want, rtol=1e-14, atol=1e-300)
+            assert np.allclose(x.grad, dwant, rtol=1e-13, atol=1e-300)
+    # float32, the default compute dtype: the same checks at float32 rounding
+    # (1 - s rounds to 0 near s = 1, hence the absolute term)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for op in (T.sigmoid, T.silu):
             x = T.Tensor(x0, requires_grad=True)
             y = op(x)
             T.backward(T.tsum(y))
+            assert y.data.dtype == x.grad.dtype == np.float32
             assert np.all(np.isfinite(y.data)) and np.all(np.isfinite(x.grad))
     assert T.sigmoid(T.Tensor(x0)).data[[0, -1]].tolist() == [0.0, 1.0]
     assert T.silu(T.Tensor(x0)).data[[0, -1]].tolist() == [0.0, 1000.0]
-
-    # where 1 / (1 + exp(-x)) does not overflow, values and gradients agree with it
-    v = np.linspace(-30.0, 30.0, 241)
-    s = 1.0 / (1.0 + np.exp(-v))
     for op, want, dwant in ((T.sigmoid, s, s * (1 - s)), (T.silu, v * s, s * (1 + v * (1 - s)))):
         x = T.Tensor(v, requires_grad=True)
         y = op(x)
         T.backward(T.tsum(y))
-        assert np.allclose(y.data, want, rtol=1e-14, atol=1e-300)
-        assert np.allclose(x.grad, dwant, rtol=1e-13, atol=1e-300)
+        assert np.allclose(y.data, want, rtol=1e-5, atol=1e-6)
+        assert np.allclose(x.grad, dwant, rtol=1e-5, atol=1e-6)
+
+
+def test_sigmoid_and_silu_outputs_have_no_subnormals():
+    # float32 exp(x) is subnormal for x in about [-103, -87]; a GEMM over such
+    # values is slow, so they are flushed to zero
+    x = T.Tensor(np.linspace(-110.0, -80.0, 301))
+    for op in (T.sigmoid, T.silu):
+        y = np.abs(op(x).data)
+        assert y.dtype == np.float32
+        assert not np.any((y > 0) & (y < np.finfo(np.float32).tiny))
+        assert np.all(y[x.data > -87.0] > 0)
 
 
 def test_backward_returns_none_for_inputs_without_gradient():
