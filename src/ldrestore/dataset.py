@@ -152,22 +152,18 @@ def synth_dataset(seed: int, n: int, size: int) -> list:
 
 def batches(data: list, batch: int, seed: int):
     """Yield epoch after epoch of seeded shuffled batches; short final batch kept."""
-    if not data:
-        raise ConfigurationError("batches: empty dataset")
-    if batch < 1 or batch > len(data):
-        raise ConfigurationError(f"batches: batch {batch} outside [1, {len(data)}]")
     epoch = 0
     while True:
-        order = stream(seed, "batches", epoch).permutation(len(data))
-        for lo in range(0, len(data), batch):
-            yield [data[i] for i in order[lo : lo + batch]]
+        yield from epoch_batches(data, batch, seed, epoch)
         epoch += 1
 
 
 def epoch_batches(data: list, batch: int, seed: int, epoch: int = 0) -> list:
-    """One epoch's batches as a list (non-streaming helper for tests and eval)."""
+    """One epoch's batches as a list: a seeded shuffle cut into runs of ``batch``."""
     if not data:
-        raise ConfigurationError("epoch_batches: empty dataset")
+        raise ConfigurationError("batches: empty dataset")
+    if batch < 1 or batch > len(data):
+        raise ConfigurationError(f"batches: batch {batch} outside [1, {len(data)}]")
     order = stream(seed, "batches", epoch).permutation(len(data))
     return [[data[i] for i in order[lo : lo + batch]] for lo in range(0, len(data), batch)]
 

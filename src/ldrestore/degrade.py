@@ -18,6 +18,15 @@ from .images import Image
 from .rng import stream
 
 
+def _gaussian_1d(sigma: float) -> np.ndarray:
+    """Normalized 1-D Gaussian of size k = 2*ceil(3*sigma)+1."""
+    if sigma <= 0:
+        raise ParameterError(f"gaussian_kernel: sigma must be > 0, got {sigma}")
+    r = math.ceil(3.0 * sigma)
+    g = np.exp(-np.arange(-r, r + 1, dtype=np.float64) ** 2 / (2.0 * sigma * sigma))
+    return g / g.sum()
+
+
 def gaussian_kernel(sigma: float) -> np.ndarray:
     """Square normalized Gaussian, size k = 2*ceil(3*sigma)+1."""
     if sigma <= 0:
@@ -30,15 +39,16 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
 
 
 def blur(img: Image, sigma: float) -> Image:
-    kern = gaussian_kernel(sigma)
-    k = kern.shape[0]
+    """Reflect-padded Gaussian blur, as two 1-D passes: the kernel is separable."""
+    g = _gaussian_1d(sigma)
+    k = g.size
     _, h, w = img.data.shape
     if k > 2 * w or k > 2 * h:
         raise ParameterError(f"blur: kernel {k}x{k} wider than twice image {h}x{w}")
     r = k // 2
     pad = np.pad(img.data, ((0, 0), (r, r), (r, r)), mode="reflect")
-    win = np.lib.stride_tricks.sliding_window_view(pad, (k, k), axis=(1, 2))
-    out = np.einsum("chwij,ij->chw", win, kern)
+    rows = np.lib.stride_tricks.sliding_window_view(pad, k, axis=1) @ g
+    out = np.lib.stride_tricks.sliding_window_view(rows, k, axis=2) @ g
     return Image(np.clip(out, 0.0, 1.0))
 
 

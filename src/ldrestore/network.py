@@ -17,15 +17,15 @@ initialization the control conditioning and the bottleneck skip contribute
 nothing and the network behaves as if those paths were absent.
 
 Weights are applied at two sites, and low-rank adapters hook in at both:
-every convolution goes through ``tensor.conv2d``, which adds an adapter's
-delta to the kernel's (out, in*kh*kw) view, and the two dense weights
-(``den.temb.w``, ``den.pemb.w``) go through ``_apply_weight``. Only
-``tensor.py`` knows the convolution's patch layout. Inputs may carry a
-leading batch axis.
+every convolution is one ``tensor.conv2d`` tape node, which takes the
+adapters' (A, B) pairs as deltas on the kernel's (out, in*kh*kw) view, and
+the two dense weights (``den.temb.w``, ``den.pemb.w``) go through
+``_apply_weight``. Only ``tensor.py`` knows the convolution's layout.
+Inputs may carry a leading batch axis.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -62,16 +62,7 @@ class NetConfig:
         return self.image_size // DOWNSCALE
 
     def to_dict(self) -> dict:
-        return {
-            "image_size": self.image_size,
-            "channels": self.channels,
-            "c_lat": self.c_lat,
-            "c_enc": self.c_enc,
-            "c_hid": self.c_hid,
-            "c_mid": self.c_mid,
-            "prompt_dim": self.prompt_dim,
-            "temb_dim": self.temb_dim,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "NetConfig":

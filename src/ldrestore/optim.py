@@ -73,8 +73,9 @@ class AdamW:
                 raise ContractViolation(
                     f"AdamW: state shape {m.shape} vs parameter {n} {tensor.data.shape}"
                 )
-            self.m[n] = m.copy()
-            self.v[n] = v.copy()
+            # in the parameter's dtype: a checkpoint stores the moments widened to float64
+            self.m[n] = m.astype(tensor.data.dtype)
+            self.v[n] = v.astype(tensor.data.dtype)
         self.t = int(state["t"])
         self.lr = float(state["lr"])
         self.beta1, self.beta2 = (float(b) for b in state["betas"])

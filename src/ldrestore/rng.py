@@ -15,19 +15,8 @@ def _tag(name: str) -> int:
     return zlib.crc32(name.encode("utf-8"))
 
 
-class RngHub:
-    """Root of all random streams for one experiment seed."""
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-
-    def stream(self, name: str, *indices: int) -> np.random.Generator:
-        """Fresh generator for the given stream name and counter indices."""
-        entropy = [_tag(name), self.seed & 0xFFFFFFFFFFFFFFFF]
-        entropy.extend(int(i) & 0xFFFFFFFFFFFFFFFF for i in indices)
-        return np.random.default_rng(entropy)
-
-
 def stream(seed: int, name: str, *indices: int) -> np.random.Generator:
-    """Shorthand for RngHub(seed).stream(name, *indices)."""
-    return RngHub(seed).stream(name, *indices)
+    """Fresh generator for the named stream of ``seed`` at the given counter indices."""
+    entropy = [_tag(name), int(seed) & 0xFFFFFFFFFFFFFFFF]
+    entropy.extend(int(i) & 0xFFFFFFFFFFFFFFFF for i in indices)
+    return np.random.default_rng(entropy)

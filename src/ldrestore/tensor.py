@@ -3,8 +3,8 @@
 Tensors wrap C-contiguous numpy arrays of the compute dtype: float32, or
 float64 inside a ``float64()`` block, which is the only way to change it.
 ``Tensor.__init__`` is the one conversion point. Every array an op
-allocates (im2col's patch buffers, col2im's accumulator, a reduction's
-gradient, the backward seed) takes its dtype from the op's operands, so a
+allocates (the padded grid, the patch matrix, a reduction's gradient,
+the backward seed) takes its dtype from the op's operands, so a
 float32 tape stays float32 through the backward pass. float64 is the
 reference mode: ``finite_diff_check`` enters it itself, and tests that
 compare against a float64 oracle run under it. Arrays that leave the tape
@@ -27,12 +27,19 @@ pooling accept either a single item ``(c, h, w)`` or a leading batch axis
 ``(n, c, h, w)``; the batched form is the plain op applied per item with a
 shared kernel.
 
-Convolution is patch-major. ``im2col`` lays the input out as a
-``(c*kh*kw, n*ho*wo)`` matrix: one row per kernel tap in the kernel's
-``(ci, kh, kw)`` order, one column per output position. The kernel's
-``(co, ci*kh*kw)`` view times that matrix is already channel-first, so
-folding it into ``(n, co, ho, wo)`` moves whole spatial blocks. This module
-is the only one that knows the layout.
+Convolution is one tape node per call. ``conv2d`` copies its input into a
+channel-major zero-padded grid, flattened to ``(c, n*hp*wp)`` plus a tail of
+zeros, so kernel tap (i, j) reads one contiguous slice at offset i*wp + j.
+The forward stacks those slices into the ``(c*kh*kw, n*hp*wp)`` patch matrix
+(rows in the kernel's ``(ci, kh, kw)`` order), multiplies the kernel's
+``(co, ci*kh*kw)`` view by it once, crops each image's grid to (ho, wo) and
+drops the matrix. The node keeps x, and B @ patches per low-rank delta; its
+backward works tap by tap on the grid, one product per tap with a slice, so
+no patch matrix is alive while the tape is. Grid positions outside the crop
+get zero gradient. ``im2col`` and ``fold_channels_last`` record the patch
+build and the crop as tape ops of their own: tests compose them as the
+reference for the node, and the benchmark's tracer looks them up by name.
+This module is the only one that knows the layout.
 """
 
 from contextlib import contextmanager
@@ -161,6 +168,11 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _recording(inputs) -> bool:
+    """Whether an op on these inputs records a tape node."""
+    return _GRAD_ENABLED and any(t._needs_grad() for t in inputs)
+
+
 def _make(data, op, inputs, grad_fns) -> Tensor:
     """Wrap an op's output; grad_fns[i](g) gives the gradient for inputs[i].
 
@@ -168,7 +180,7 @@ def _make(data, op, inputs, grad_fns) -> Tensor:
     need a gradient and returns None for the others.
     """
     out = Tensor(data)
-    if _GRAD_ENABLED and any(t._needs_grad() for t in inputs):
+    if _recording(inputs):
 
         def backward(g):
             return tuple(fn(g) if t._needs_grad() else None for t, fn in zip(inputs, grad_fns))
@@ -398,7 +410,7 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# convolution (via im2col) and resampling
+# convolution over the flattened padded grid, and resampling
 
 
 def _conv_geometry(x_shape, k_shape, padding):
@@ -425,68 +437,139 @@ def _conv_geometry(x_shape, k_shape, padding):
     return n, c, h, w, co, kh, kw, ho, wo
 
 
-def im2col(x: Tensor, kh: int, kw: int, padding: int) -> Tensor:
-    """Patch-major patch matrix of a (kh, kw) window sweep: (c*kh*kw, n*ho*wo).
+def _padded_grid(xd, kh, kw, padding):
+    """xd (n, c, h, w) as a channel-major zero-padded grid, flattened: (c, n*hp*wp + tail).
 
-    Row (ci, i, j) holds input channel ci at kernel tap (i, j), the order of a
-    kernel's (co, ci*kh*kw) view; columns are output positions in (n, ho, wo)
-    order, with n = 1 for an unbatched input. Each tap is one slice copy whose
-    (ho, wo) runs are contiguous, and the backward pass (col2im) accumulates
-    the same slices.
+    The tail of (kh-1)*wp + kw-1 zeros lets every tap of _patches read a
+    full-length slice. A 1x1 window without padding reads the input itself,
+    with only the (c, n) swap, which is a view when n = 1.
+    """
+    n, c, h, w = xd.shape
+    xt = xd.transpose(1, 0, 2, 3)
+    if padding == 0 and kh == kw == 1:
+        return xt.reshape(c, n * h * w)
+    hp, wp = h + 2 * padding, w + 2 * padding
+    length = n * hp * wp
+    xp = np.zeros((c, length + (kh - 1) * wp + kw - 1), dtype=xd.dtype)
+    xp[:, :length].reshape(c, n, hp, wp)[:, :, padding : padding + h, padding : padding + w] = xt
+    return xp
+
+
+def _tap_offsets(kh, kw, wp):
+    """Offset of tap (i, j) into a flattened padded grid of width wp, in (i, j) order."""
+    return [i * wp + j for i in range(kh) for j in range(kw)]
+
+
+def _patches(xp, kh, kw, wp, length):
+    """(c*kh*kw, length) patch matrix of a padded grid: row (ci, i, j) is xp[ci, i*wp+j:][:length]."""
+    if kh == kw == 1:
+        return xp
+    c = xp.shape[0]
+    cols = np.empty((c, kh * kw, length), dtype=xp.dtype)
+    for t, off in enumerate(_tap_offsets(kh, kw, wp)):
+        cols[:, t] = xp[:, off : off + length]
+    return cols.reshape(c * kh * kw, length)
+
+
+def _col2im(gcols, kh, kw, wp, length):
+    """Adjoint of _patches onto the grid without its tail, which is constant: (c, length)."""
+    if kh == kw == 1:
+        return gcols
+    taps = gcols.reshape(-1, kh * kw, length)
+    gxp = taps[:, 0].copy()
+    for t, off in enumerate(_tap_offsets(kh, kw, wp)[1:], 1):
+        gxp[:, off:] += taps[:, t, : length - off]
+    return gxp
+
+
+def _tap_matmul_t(g, xp, kh, kw, wp, length):
+    """g @ _patches(xp).T, as one product per tap with a slice of xp: (rows, c*kh*kw)."""
+    if kh == kw == 1:
+        return g @ xp.T
+    out = np.empty((kh * kw, g.shape[0], xp.shape[0]), dtype=np.result_type(g, xp))
+    for t, off in enumerate(_tap_offsets(kh, kw, wp)):
+        np.matmul(g, xp[:, off : off + length].T, out=out[t])
+    return out.transpose(1, 2, 0).reshape(g.shape[0], -1)
+
+
+def _tap_col2im(m, g, kh, kw, wp, length):
+    """_col2im(m.T @ g), as one product per tap added into a slice of the grid: (c, length)."""
+    if kh == kw == 1:
+        return m.T @ g
+    # m's (rows, c) block of each tap, contiguous
+    mt = np.ascontiguousarray(m.reshape(m.shape[0], -1, kh * kw).transpose(2, 0, 1))
+    gxp = mt[0].T @ g
+    tmp = np.empty_like(gxp)
+    for t, off in enumerate(_tap_offsets(kh, kw, wp)[1:], 1):
+        np.matmul(mt[t].T, g[:, : length - off], out=tmp[:, : length - off])
+        gxp[:, off:] += tmp[:, : length - off]
+    return gxp
+
+
+def _unpad(gxp, x_shape, padding):
+    """Gradient on the (c, n*hp*wp) grid -> gradient of the input, of shape x_shape."""
+    batched = len(x_shape) == 4
+    n, c, h, w = x_shape if batched else (1,) + tuple(x_shape)
+    p = padding
+    gx = gxp.reshape(c, n, h + 2 * p, w + 2 * p)[:, :, p : p + h, p : p + w].transpose(1, 0, 2, 3)
+    return np.ascontiguousarray(gx if batched else gx[0])
+
+
+def _crop(y, n, hp, wp, ho, wo, batched):
+    """Grid product (co, n*hp*wp) -> (n, co, ho, wo), or (co, ho, wo) unbatched,
+    keeping the top-left (ho, wo) of each image's grid."""
+    co = y.shape[0]
+    v = y.reshape(co, n, hp, wp)[:, :, :ho, :wo]
+    return np.ascontiguousarray(v.transpose(1, 0, 2, 3) if batched else v[:, 0])
+
+
+def _uncrop(g, hp, wp):
+    """Adjoint of _crop: the output gradient on the (co, n*hp*wp) grid, zero off the crop."""
+    gb = g if g.ndim == 4 else g[None]
+    n, co, ho, wo = gb.shape
+    gt = gb.transpose(1, 0, 2, 3)
+    if (ho, wo) == (hp, wp):
+        return np.ascontiguousarray(gt).reshape(co, n * hp * wp)
+    gg = np.zeros((co, n, hp, wp), dtype=g.dtype)
+    gg[:, :, :ho, :wo] = gt
+    return gg.reshape(co, n * hp * wp)
+
+
+def im2col(x: Tensor, kh: int, kw: int, padding: int) -> Tensor:
+    """Patch matrix of a (kh, kw) window over the zero-padded grid: (c*kh*kw, n*hp*wp).
+
+    Column (b, r, s) in (n, hp, wp) order, n = 1 for an unbatched input, and
+    row (ci, i, j), the order of a kernel's (co, ci*kh*kw) view, hold the
+    padded input at (b, ci, r+i, s+j). Only columns with r <= hp-kh and
+    s <= wp-kw are windows of the input; the others hold finite values that
+    fold_channels_last crops away. conv2d builds the same matrix inside its
+    own node; this op records it on the tape.
     """
     batched = x.ndim == 4
     xd = x.data if batched else x.data[None]
     n, c, h, w = xd.shape
     hp, wp = h + 2 * padding, w + 2 * padding
-    ho, wo = hp - kh + 1, wp - kw + 1
-    if ho < 1 or wo < 1:
+    if hp < kh or wp < kw:
         raise DimensionError(f"im2col: window {kh}x{kw} larger than padded input {x.shape}")
-    # channel-major input (c, n, hp, wp), so a tap's rows are one slice; only
-    # a padded input needs the zero-filled copy
-    if padding:
-        xp = np.zeros((c, n, hp, wp), dtype=xd.dtype)
-        xp[:, :, padding : padding + h, padding : padding + w] = xd.transpose(1, 0, 2, 3)
-    else:
-        xp = xd.transpose(1, 0, 2, 3)
-    cols = np.empty((c, kh, kw, n, ho, wo), dtype=xd.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, i, j] = xp[:, :, i : i + ho, j : j + wo]
-
-    def col2im(g):
-        taps = g.reshape(c, kh, kw, n, ho, wo)
-        if (ho, wo) == (hp, wp):
-            # a 1x1 window without padding: the one tap is the whole gradient
-            gxp = taps[:, 0, 0]
-        else:
-            gxp = np.zeros((c, n, hp, wp), dtype=g.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, :, i : i + ho, j : j + wo] += taps[:, i, j]
-        gx = gxp[:, :, padding : padding + h, padding : padding + w].transpose(1, 0, 2, 3)
-        return np.ascontiguousarray(gx if batched else gx[0])
-
-    return _make(cols.reshape(c * kh * kw, n * ho * wo), "im2col", (x,), (col2im,))
+    length = n * hp * wp
+    cols = _patches(_padded_grid(xd, kh, kw, padding), kh, kw, wp, length)
+    return _make(cols, "im2col", (x,), (lambda g: _unpad(_col2im(g, kh, kw, wp, length), x.shape, padding),))
 
 
-def fold_channels_last(y: Tensor, lead_shape) -> Tensor:
-    """Conv product (co, prod(lead)) -> channel-first activations.
+def fold_channels_last(y: Tensor, lead_shape, out_hw) -> Tensor:
+    """Grid product (co, prod(lead)) -> channel-first activations cropped to out_hw.
 
-    lead (ho, wo) gives (co, ho, wo), a plain reshape; lead (n, ho, wo) gives
-    (n, co, ho, wo), one (co, n) -> (n, co) swap of contiguous (ho, wo) blocks.
+    lead (hp, wp) gives (co, ho, wo) and lead (n, hp, wp) gives
+    (n, co, ho, wo), keeping the top-left (ho, wo) = out_hw of each grid.
     """
-    co = y.shape[0]
-    if len(lead_shape) == 2:
-        ho, wo = lead_shape
-        out = y.data.reshape(co, ho, wo)
-        back = lambda g: g.reshape(co, ho * wo)
-    elif len(lead_shape) == 3:
-        n, ho, wo = lead_shape
-        out = np.ascontiguousarray(y.data.reshape(co, n, ho, wo).transpose(1, 0, 2, 3))
-        back = lambda g: np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(co, n * ho * wo)
-    else:
+    if len(lead_shape) not in (2, 3):
         raise DimensionError(f"fold_channels_last: lead shape {lead_shape}")
-    return _make(out, "fold", (y,), (back,))
+    batched = len(lead_shape) == 3
+    n, hp, wp = lead_shape if batched else (1,) + tuple(lead_shape)
+    ho, wo = out_hw
+    if y.ndim != 2 or y.shape[1] != n * hp * wp or not (0 < ho <= hp and 0 < wo <= wp):
+        raise DimensionError(f"fold_channels_last: {y.shape} with grid {lead_shape} cropped to {out_hw}")
+    return _make(_crop(y.data, n, hp, wp, ho, wo, batched), "fold", (y,), (lambda g: _uncrop(g, hp, wp),))
 
 
 def conv2d(x: Tensor, k: Tensor, padding: int = 0, deltas=()) -> Tensor:
@@ -494,13 +577,59 @@ def conv2d(x: Tensor, k: Tensor, padding: int = 0, deltas=()) -> Tensor:
 
     deltas are low-rank (A, B) pairs, A (co, r) and B (r, ci*kh*kw), each
     added to the kernel's 2-D view as A @ B without forming that product.
+    One tape node with inputs (x, k, A1, B1, ...). The forward builds the
+    patch matrix for one product and drops it; the node keeps x and, of each
+    delta, B @ patches, which A's gradient needs. The backward forms no patch
+    matrix: it works tap by tap on the padded grid, rebuilt from x only when
+    k or a B needs a gradient.
     """
     n, _, _, _, co, kh, kw, ho, wo = _conv_geometry(x.shape, k.shape, padding)
-    cols = im2col(x, kh, kw, padding)
-    y = matmul(reshape(k, (co, k.size // co)), cols)
+    batched = n is not None
+    deltas = tuple(deltas)
+    xd = x.data if batched else x.data[None]
+    n = xd.shape[0]
+    hp, wp = ho + kh - 1, wo + kw - 1
+    geom = (kh, kw, wp, n * hp * wp)
+    xp = _padded_grid(xd, kh, kw, padding)
+    cols = _patches(xp, *geom)
+    y = k.data.reshape(co, -1) @ cols
+    inputs = (x, k)
+    kept = []
     for A, B in deltas:
-        y = add(y, matmul(A, matmul(B, cols)))
-    return fold_channels_last(y, (ho, wo) if n is None else (n, ho, wo))
+        bc = B.data @ cols
+        y = y + A.data @ bc
+        inputs += (A, B)
+        kept.append(bc)
+    out = Tensor(_crop(y, n, hp, wp, ho, wo, batched))
+    if not _recording(inputs):
+        return out
+
+    def backward(g):
+        need = [t._needs_grad() for t in inputs]
+        grads = [None] * len(inputs)
+        gg = _uncrop(g, hp, wp)
+        # A^T g per delta, shared by the gradients of x and of B
+        ag = [A.data.T @ gg if need[0] or need[3 + 2 * d] else None for d, (A, _) in enumerate(deltas)]
+        if need[0]:
+            # col2im of W^T g + sum B^T A^T g, as one product of the stacked rows
+            m, gm = k.data.reshape(co, -1), gg
+            if deltas:
+                m = np.concatenate([m] + [B.data for _, B in deltas])
+                gm = np.concatenate([gm] + ag)
+            grads[0] = _unpad(_tap_col2im(m, gm, *geom), x.shape, padding)
+        if need[1] or any(need[3::2]):
+            xp = _padded_grid(xd, kh, kw, padding)
+            if need[1]:
+                grads[1] = _tap_matmul_t(gg, xp, *geom).reshape(k.shape)
+        for d, bc in enumerate(kept):
+            if need[2 + 2 * d]:
+                grads[2 + 2 * d] = gg @ bc.T
+            if need[3 + 2 * d]:
+                grads[3 + 2 * d] = _tap_matmul_t(ag[d], xp, *geom)
+        return tuple(grads)
+
+    out.node = TapeNode("conv2d", inputs, backward)
+    return out
 
 
 def _spatial_split(x):

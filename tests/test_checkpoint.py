@@ -7,7 +7,20 @@ import pytest
 from ldrestore import tensor as T
 from ldrestore.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from ldrestore.errors import FormatError
-from ldrestore.network import NetConfig, NetParams, init_params
+from ldrestore.lora import DEFAULT_TARGETS, LoraConfig, attach, reg_loss, zero_adapter_grads
+from ldrestore.network import (
+    ConditioningBundle,
+    NetConfig,
+    NetParams,
+    control_features,
+    denoise,
+    encode,
+    init_params,
+    prompt_embedding_batch,
+)
+from ldrestore.optim import AdamW
+
+TINY = NetConfig(image_size=16, c_lat=3, c_enc=3, c_hid=4, c_mid=5, prompt_dim=4, temb_dim=4)
 
 HEADER_OFFSET = 16  # magic, version, header length
 
@@ -93,3 +106,73 @@ def test_float32_params_round_trip_bit_identical(tmp_path):
     for name, t in params.items():
         assert t.data.dtype == back[name].data.dtype == np.float32
         assert t.data.tobytes() == back[name].data.tobytes()
+
+
+def test_net_config_dict_and_checkpoint_bytes_unchanged(tmp_path):
+    written = {"image_size": 16, "channels": 1, "c_lat": 3, "c_enc": 3, "c_hid": 4, "c_mid": 5,
+               "prompt_dim": 4, "temb_dim": 4}
+    assert list(TINY.to_dict().items()) == list(written.items())
+    arrays = [(n, t.data) for n, t in init_params(TINY, 7).items()]
+    a, b = tmp_path / "a.ldrs", tmp_path / "b.ldrs"
+    save_checkpoint(a, "base", TINY.to_dict(), {}, arrays, {})
+    save_checkpoint(b, "base", written, {}, arrays, {})
+    assert a.read_bytes() == b.read_bytes()
+    assert NetConfig.from_dict(load_checkpoint(a).config) == TINY
+
+
+def test_lora_run_resumes_bit_exactly_from_checkpoint(tmp_path):
+    params = init_params(TINY, 3)
+    for _, t in params.items():
+        t.requires_grad = False
+    # the default targets plus a 3x3 conv kernel
+    lcfg = LoraConfig(rank=2, targets=DEFAULT_TARGETS + ("den.mid.w",))
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.1, 0.9, size=(2, 1, 16, 16))
+    eps = rng.standard_normal((2, 3, 8, 8))
+
+    def bound(adapters):
+        return [(f"{a.target}.{p}", getattr(a, p)) for a in adapters for p in ("A", "B")]
+
+    def train(adapters, opt, steps):
+        for _ in range(steps):
+            z = encode(T.Tensor(x), params, adapters)
+            pe = prompt_embedding_batch(params, [["gradient"], ["rings", "low-quality"]])
+            cond = ConditioningBundle(control_features(z, pe, params, adapters), None, pe)
+            pred = denoise(z, np.array([5, 40]), cond, params, adapters)
+            loss = T.add(T.mse(T.Tensor(eps), pred), reg_loss(adapters, 1e-3))
+            zero_adapter_grads(adapters)
+            T.backward(loss)
+            opt.step()
+
+    ref = attach(params, lcfg, seed=1)
+    ref_opt = AdamW(bound(ref), lr=1e-2, weight_decay=0.01)
+    train(ref, ref_opt, 3)
+
+    first = attach(params, lcfg, seed=1)
+    opt = AdamW(bound(first), lr=1e-2, weight_decay=0.01)
+    train(first, opt, 2)
+    state = opt.state_dict()
+    arrays = [(n, t.data) for n, t in bound(first)]
+    arrays += [(f"adamw.{k}.{n}", state[k][n]) for k in ("m", "v") for n, _ in bound(first)]
+    meta = {k: state[k] for k in ("t", "lr", "betas", "eps", "weight_decay")}
+    path = tmp_path / "lora.ldrs"
+    save_checkpoint(path, "lora", TINY.to_dict(), {}, arrays, meta)
+
+    ck = load_checkpoint(path)
+    assert ck.kind == "lora" and ck.meta["t"] == 2
+    resumed = attach(params, lcfg, seed=2)  # other initial values, all overwritten
+    for a in resumed:
+        a.A = T.Tensor(ck.arrays[a.target + ".A"], requires_grad=True)
+        a.B = T.Tensor(ck.arrays[a.target + ".B"], requires_grad=True)
+    named = bound(resumed)
+    resumed_opt = AdamW(named, lr=1.0)  # hyperparameters come from the state
+    resumed_opt.load_state_dict(dict(ck.meta, **{k: {n: ck.arrays[f"adamw.{k}.{n}"] for n, _ in named}
+                                                   for k in ("m", "v")}))
+    train(resumed, resumed_opt, 1)
+
+    assert resumed_opt.t == ref_opt.t == 3
+    for (n, t), (_, t_ref) in zip(named, bound(ref)):
+        assert t.data.dtype == resumed_opt.m[n].dtype == np.float32
+        assert t.data.tobytes() == t_ref.data.tobytes()
+        assert resumed_opt.m[n].tobytes() == ref_opt.m[n].tobytes()
+        assert resumed_opt.v[n].tobytes() == ref_opt.v[n].tobytes()

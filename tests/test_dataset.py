@@ -10,6 +10,7 @@ from ldrestore.dataset import (
     write_dataset,
 )
 from ldrestore.errors import ConfigurationError, ParameterError
+from ldrestore.rng import stream
 
 
 def test_same_seed_identical_datasets():
@@ -99,6 +100,29 @@ def test_empty_dataset_rejected():
     data = synth_dataset(0, 4, 16)
     with pytest.raises(ConfigurationError):
         next(batches(data, 5, seed=0))
+
+
+def test_batch_size_outside_range_rejected_by_both():
+    data = synth_dataset(0, 6, 16)
+    for bad in (0, -1, 7):
+        with pytest.raises(ConfigurationError):
+            epoch_batches(data, bad, seed=0)
+        with pytest.raises(ConfigurationError):
+            next(batches(data, bad, seed=0))
+
+
+def test_batches_yields_the_epochs_in_order():
+    data = synth_dataset(4, 10, 16)
+    index = {id(item): i for i, item in enumerate(data)}
+    it = batches(data, 4, seed=5)
+    got = [[index[id(x)] for x in next(it)] for _ in range(6)]  # two epochs of 4, 4, 2
+    # the shuffle batches has always drawn: one permutation per epoch
+    want = []
+    for epoch in (0, 1):
+        order = stream(5, "batches", epoch).permutation(10).tolist()
+        want += [order[lo : lo + 4] for lo in range(0, 10, 4)]
+    assert got == want
+    assert got == [[index[id(x)] for x in b] for e in (0, 1) for b in epoch_batches(data, 4, 5, e)]
 
 
 def test_manifest_roundtrip(tmp_path):

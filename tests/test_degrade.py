@@ -65,6 +65,18 @@ def test_blur_impulse_response_matches_kernel():
     assert np.allclose(out.data[0, 8 - r : 8 + r + 1, 8 - r : 8 + r + 1], k, atol=1e-12)
 
 
+def test_separable_blur_matches_2d_kernel_oracle():
+    rng = np.random.default_rng(21)
+    arr = rng.uniform(size=(3, 24, 20))
+    for sigma in (0.5, 1.0, 2.0, 3.0):
+        k = gaussian_kernel(sigma)
+        r = k.shape[0] // 2
+        pad = np.pad(arr, ((0, 0), (r, r), (r, r)), mode="reflect")
+        win = np.lib.stride_tricks.sliding_window_view(pad, k.shape, axis=(1, 2))
+        want = np.clip(np.einsum("chwij,ij->chw", win, k), 0.0, 1.0)
+        assert np.allclose(blur(Image(arr), sigma).data, want, rtol=0, atol=1e-12)
+
+
 def test_blur_preserves_mean_of_interior_supported_image():
     arr = np.zeros((1, 32, 32))
     arr[0, 12:20, 12:20] = 0.5  # support far from borders relative to kernel radius

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -158,6 +159,60 @@ def test_conv2d_channel_mismatch_names_shapes():
     assert "(3, 5, 5)" in str(e.value) and "(2, 4, 3, 3)" in str(e.value)
 
 
+def decomposed_conv2d(x, k, padding=0, deltas=()):
+    """conv2d recorded as separate tape ops: im2col, one matmul per product, fold_channels_last."""
+    co, _, kh, kw = k.shape
+    cols = T.im2col(x, kh, kw, padding)
+    y = T.matmul(T.reshape(k, (co, k.size // co)), cols)
+    for A, B in deltas:
+        y = T.add(y, T.matmul(A, T.matmul(B, cols)))
+    hp, wp = x.shape[-2] + 2 * padding, x.shape[-1] + 2 * padding
+    lead = (hp, wp) if x.ndim == 3 else (x.shape[0], hp, wp)
+    return T.fold_channels_last(y, lead, (hp - kh + 1, wp - kw + 1))
+
+
+def test_conv2d_node_matches_decomposed_tape():
+    rng = np.random.default_rng(12)
+    # unbatched and batched inputs, padding 0 and 1, 3x3 and 1x1 kernels, two deltas on one kernel
+    cases = [((2, 5, 6), (3, 2, 3, 3), 1), ((3, 2, 5, 6), (3, 2, 3, 3), 1), ((3, 2, 5, 6), (3, 2, 3, 3), 0),
+             ((2, 4, 5), (4, 2, 1, 1), 0), ((3, 2, 4, 5), (4, 2, 1, 1), 0), ((3, 2, 4, 5), (4, 2, 1, 1), 1)]
+    with T.float64():
+        for x_shape, k_shape, pad in cases:
+            x0, k0 = rng.normal(size=x_shape), rng.normal(size=k_shape)
+            ab0 = [(rng.normal(size=(k_shape[0], r)), rng.normal(size=(r, k0[0].size))) for r in (1, 2)]
+            w = rng.normal(size=conv2d_loops(x0, k0, pad).shape)
+            results = []
+            for conv in (T.conv2d, decomposed_conv2d):
+                x, k = T.Tensor(x0, requires_grad=True), T.Tensor(k0, requires_grad=True)
+                deltas = [(T.Tensor(a, requires_grad=True), T.Tensor(b, requires_grad=True)) for a, b in ab0]
+                y = conv(x, k, pad, deltas)
+                T.backward(T.tsum(T.mul(y, T.Tensor(w))))
+                results.append([y.data, x.grad, k.grad] + [t.grad for d in deltas for t in d])
+                if conv is T.conv2d:
+                    assert y.node.op == "conv2d" and len(y.node.inputs) == 6
+            for fused, ref in zip(*results):
+                assert fused.shape == ref.shape
+                assert np.allclose(fused, ref, rtol=1e-12, atol=1e-12)
+
+
+def test_conv_tape_keeps_no_patch_matrix():
+    # bytes a recorded conv allocates and holds until backward, against one
+    # (c*kh*kw, n*ho*wo) patch matrix of the input
+    rng = np.random.default_rng(13)
+    x = T.Tensor(rng.normal(size=(8, 40, 16, 16)), requires_grad=True)
+    patch_bytes = 40 * 9 * 8 * 16 * 16 * x.data.itemsize
+    for k_trainable in (False, True):
+        k = T.Tensor(rng.normal(size=(16, 40, 3, 3)), requires_grad=k_trainable)
+        tracemalloc.start()
+        try:
+            y = T.conv2d(x, k, 1)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert y.node is not None
+        assert held < patch_bytes, (k_trainable, held, patch_bytes)
+
+
 def test_gradient_accumulates_over_reused_input():
     # x used twice: loss = sum(x*x) + sum(x), dloss/dx = 2x + 1
     x = T.Tensor([1.0, -2.0, 3.0], requires_grad=True)
@@ -271,6 +326,17 @@ def test_backward_returns_none_for_inputs_without_gradient():
     assert gb is None and np.allclose(ga, gm * fm)
     gx, gs = T.row_scale(fm_req, T.Tensor(np.ones(2))).node.backward(gm)
     assert gs is None and np.allclose(gx, gm)
+
+    # conv2d: a frozen kernel and a frozen B get no gradient, x and A do
+    xc = T.Tensor(rng.normal(size=(2, 3, 5, 5)), requires_grad=True)
+    kc = T.Tensor(rng.normal(size=(4, 3, 3, 3)))
+    A = T.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    B = T.Tensor(rng.normal(size=(2, 27)))
+    y = T.conv2d(xc, kc, 1, [(A, B)])
+    gx, gk, gA, gB = y.node.backward(rng.normal(size=y.shape))
+    assert gk is None and gB is None and gx.shape == xc.shape and gA.shape == A.shape
+    T.backward(T.tsum(T.conv2d(xc, kc, 1, [(A, B)])))
+    assert kc.grad is None and B.grad is None and xc.grad is not None and A.grad is not None
 
 
 def test_mse_value_and_gradient():
