@@ -473,8 +473,6 @@ def _patches(xp, kh, kw, wp, length):
 
 def _col2im(gcols, kh, kw, wp, length):
     """Adjoint of _patches onto the grid without its tail, which is constant: (c, length)."""
-    if kh == kw == 1:
-        return gcols
     taps = gcols.reshape(-1, kh * kw, length)
     gxp = taps[:, 0].copy()
     for t, off in enumerate(_tap_offsets(kh, kw, wp)[1:], 1):
@@ -484,8 +482,6 @@ def _col2im(gcols, kh, kw, wp, length):
 
 def _tap_matmul_t(g, xp, kh, kw, wp, length):
     """g @ _patches(xp).T, as one product per tap with a slice of xp: (rows, c*kh*kw)."""
-    if kh == kw == 1:
-        return g @ xp.T
     out = np.empty((kh * kw, g.shape[0], xp.shape[0]), dtype=np.result_type(g, xp))
     for t, off in enumerate(_tap_offsets(kh, kw, wp)):
         np.matmul(g, xp[:, off : off + length].T, out=out[t])
@@ -494,8 +490,6 @@ def _tap_matmul_t(g, xp, kh, kw, wp, length):
 
 def _tap_col2im(m, g, kh, kw, wp, length):
     """_col2im(m.T @ g), as one product per tap added into a slice of the grid: (c, length)."""
-    if kh == kw == 1:
-        return m.T @ g
     # m's (rows, c) block of each tap, contiguous
     mt = np.ascontiguousarray(m.reshape(m.shape[0], -1, kh * kw).transpose(2, 0, 1))
     gxp = mt[0].T @ g
@@ -583,9 +577,14 @@ def conv2d(x: Tensor, k: Tensor, padding: int = 0, deltas=()) -> Tensor:
     matrix: it works tap by tap on the padded grid, rebuilt from x only when
     k or a B needs a gradient.
     """
-    n, _, _, _, co, kh, kw, ho, wo = _conv_geometry(x.shape, k.shape, padding)
+    n, c, _, _, co, kh, kw, ho, wo = _conv_geometry(x.shape, k.shape, padding)
     batched = n is not None
     deltas = tuple(deltas)
+    for A, B in deltas:
+        if A.ndim != 2 or B.ndim != 2 or A.shape[0] != co or B.shape != (A.shape[1], c * kh * kw):
+            raise DimensionError(
+                f"conv2d: delta A {A.shape}, B {B.shape} do not fit kernel {k.shape}; need A (co, r), B (r, ci*kh*kw)"
+            )
     xd = x.data if batched else x.data[None]
     n = xd.shape[0]
     hp, wp = ho + kh - 1, wo + kw - 1

@@ -159,6 +159,15 @@ def test_conv2d_channel_mismatch_names_shapes():
     assert "(3, 5, 5)" in str(e.value) and "(2, 4, 3, 3)" in str(e.value)
 
 
+def test_conv2d_delta_shape_mismatch_names_shapes():
+    x, k = T.Tensor(np.zeros((2, 3, 5, 5))), T.Tensor(np.zeros((4, 3, 3, 3)))
+    # an A with one row would broadcast over co; a B with the wrong inner size
+    for a_shape, b_shape in [((1, 2), (2, 27)), ((4, 2), (2, 26)), ((4, 2), (3, 27)), ((4,), (1, 27))]:
+        with pytest.raises(DimensionError) as e:
+            T.conv2d(x, k, 1, [(T.Tensor(np.zeros(a_shape)), T.Tensor(np.zeros(b_shape)))])
+        assert str(a_shape) in str(e.value) and str(b_shape) in str(e.value)
+
+
 def decomposed_conv2d(x, k, padding=0, deltas=()):
     """conv2d recorded as separate tape ops: im2col, one matmul per product, fold_channels_last."""
     co, _, kh, kw = k.shape
