@@ -3,10 +3,18 @@
 A degradation is an ordered list of steps with a canonical string form
 ``step("+"step)*`` where step is ``blur:<float>``, ``sr:<int>`` or
 ``noise:<float>``. Noise sigma is quoted on the 0-255 byte scale and divided
-by 255 internally. All operators keep images inside [0,1] and are
-deterministic given (spec, image, seed).
+by 255 internally; noise step i of a spec draws from stream
+``("degrade.noise", i)`` of the seed. All operators keep images inside [0,1]
+and are deterministic given (spec, image, seed).
+
+The two linear steps act on each image axis separately, so each is a small
+per-axis matrix: ``out = M_h @ x @ M_w.T``. The matrices depend only on the
+step's parameter and the axis length, and the library's images come in a few
+sizes (``dataset.VALID_SIZES``: 16, 32, 64 px), so each one is built once and
+cached, read-only.
 """
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -17,38 +25,69 @@ from .errors import FormatError, ParameterError
 from .images import Image
 from .rng import stream
 
+# (sigma or factor, axis length) pairs kept per operator kind; an entry is an
+# (n, n) matrix, as large as one image plane. The benchmark recipes need three.
+_OPERATOR_CACHE_SIZE = 16
+
+
+def _radius(sigma: float) -> int:
+    """Kernel radius r = ceil(3*sigma); the kernel has k = 2r+1 taps."""
+    if not (sigma > 0 and math.isfinite(3.0 * sigma)):
+        raise ParameterError(f"gaussian_kernel: sigma must be finite and > 0, got {sigma}")
+    return math.ceil(3.0 * sigma)
+
 
 def _gaussian_1d(sigma: float) -> np.ndarray:
     """Normalized 1-D Gaussian of size k = 2*ceil(3*sigma)+1."""
-    if sigma <= 0:
-        raise ParameterError(f"gaussian_kernel: sigma must be > 0, got {sigma}")
-    r = math.ceil(3.0 * sigma)
+    r = _radius(sigma)
     g = np.exp(-np.arange(-r, r + 1, dtype=np.float64) ** 2 / (2.0 * sigma * sigma))
     return g / g.sum()
 
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
     """Square normalized Gaussian, size k = 2*ceil(3*sigma)+1."""
-    if sigma <= 0:
-        raise ParameterError(f"gaussian_kernel: sigma must be > 0, got {sigma}")
-    r = math.ceil(3.0 * sigma)
+    r = _radius(sigma)
     ax = np.arange(-r, r + 1, dtype=np.float64)
     dx, dy = np.meshgrid(ax, ax, indexing="ij")
     k = np.exp(-(dx * dx + dy * dy) / (2.0 * sigma * sigma))
     return k / k.sum()
 
 
-def blur(img: Image, sigma: float) -> Image:
-    """Reflect-padded Gaussian blur, as two 1-D passes: the kernel is separable."""
+@functools.lru_cache(maxsize=_OPERATOR_CACHE_SIZE)
+def _blur_operator(sigma: float, n: int) -> np.ndarray:
+    """(n, n) matrix of the 1-D Gaussian pass with numpy's ``reflect`` padding.
+
+    Row i holds the taps around i; a tap that falls off an edge at i+t is
+    folded onto the mirrored index. The caller ensures r <= n-1, so one fold
+    lands every tap inside [0, n).
+    """
     g = _gaussian_1d(sigma)
-    k = g.size
+    r = g.size // 2
+    rows = np.arange(n)
+    op = np.zeros((n, n))
+    for t, gt in zip(range(-r, r + 1), g):
+        j = np.abs(rows + t)
+        j = np.where(j > n - 1, 2 * (n - 1) - j, j)
+        op[rows, j] += gt
+    op.flags.writeable = False
+    return op
+
+
+@functools.lru_cache(maxsize=_OPERATOR_CACHE_SIZE)
+def _box_operator(factor: int, n: int) -> np.ndarray:
+    """(n // factor, n) matrix averaging each run of ``factor`` samples."""
+    op = np.repeat(np.eye(n // factor), factor, axis=1) / factor
+    op.flags.writeable = False
+    return op
+
+
+def blur(img: Image, sigma: float) -> Image:
+    """Reflect-padded Gaussian blur, as one cached matrix per axis: the kernel is separable."""
+    k = 2 * _radius(sigma) + 1
     _, h, w = img.data.shape
     if k > 2 * w or k > 2 * h:
         raise ParameterError(f"blur: kernel {k}x{k} wider than twice image {h}x{w}")
-    r = k // 2
-    pad = np.pad(img.data, ((0, 0), (r, r), (r, r)), mode="reflect")
-    rows = np.lib.stride_tricks.sliding_window_view(pad, k, axis=1) @ g
-    out = np.lib.stride_tricks.sliding_window_view(rows, k, axis=2) @ g
+    out = _blur_operator(sigma, h) @ img.data @ _blur_operator(sigma, w).T
     return Image(np.clip(out, 0.0, 1.0))
 
 
@@ -63,22 +102,17 @@ def downsample_up(img: Image, factor: int) -> Image:
         raise ParameterError(f"downsample_up: factor must be >= 1, got {factor}")
     if factor == 1:
         return Image(img.data.copy())
-    c, h, w = img.data.shape
+    _, h, w = img.data.shape
     if h % factor or w % factor:
         raise ParameterError(f"downsample_up: {h}x{w} not divisible by factor {factor}")
-    low = img.data.reshape(c, h // factor, factor, w // factor, factor).mean(axis=(2, 4))
+    low = _box_operator(factor, h) @ img.data @ _box_operator(factor, w).T
     up = np.repeat(np.repeat(low, factor, axis=1), factor, axis=2)
     return Image(up)
 
 
 def add_noise(img: Image, sigma255: float, seed: int) -> Image:
-    if sigma255 < 0:
-        raise ParameterError(f"add_noise: sigma255 must be >= 0, got {sigma255}")
-    if sigma255 == 0:
-        return Image(img.data.copy())
-    rng = stream(seed, "degrade.noise")
-    noisy = img.data + rng.normal(0.0, sigma255 / 255.0, size=img.data.shape)
-    return Image(np.clip(noisy, 0.0, 1.0))
+    """The one-step spec ``noise:<sigma255>``: the same image as ``apply`` gives it."""
+    return apply(DegradationSpec((Noise(sigma255),)), img, seed)
 
 
 @dataclass(frozen=True)
@@ -86,8 +120,8 @@ class Blur:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ParameterError(f"Blur: sigma must be > 0, got {self.sigma}")
+        if not (self.sigma > 0 and math.isfinite(self.sigma)):
+            raise ParameterError(f"Blur: sigma must be finite and > 0, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -104,8 +138,8 @@ class Noise:
     sigma255: float
 
     def __post_init__(self):
-        if self.sigma255 < 0:
-            raise ParameterError(f"Noise: sigma255 must be >= 0, got {self.sigma255}")
+        if not (self.sigma255 >= 0 and math.isfinite(self.sigma255)):
+            raise ParameterError(f"Noise: sigma255 must be finite and >= 0, got {self.sigma255}")
 
 
 _FLOAT_RE = re.compile(r"^[0-9]+(\.[0-9]+)?$")
@@ -118,6 +152,7 @@ class DegradationSpec:
 
     @staticmethod
     def parse(text: str) -> "DegradationSpec":
+        """Parse the canonical form; any malformed or out-of-range step raises ``FormatError``."""
         text = text.strip()
         if not text:
             return DegradationSpec(())
@@ -126,20 +161,23 @@ class DegradationSpec:
             if ":" not in part:
                 raise FormatError(f"degradation step {part!r} missing ':'")
             kind, _, arg = part.partition(":")
-            if kind == "blur":
-                if not _FLOAT_RE.match(arg):
-                    raise FormatError(f"bad blur sigma {arg!r}")
-                steps.append(Blur(float(arg)))
-            elif kind == "sr":
-                if not _INT_RE.match(arg):
-                    raise FormatError(f"bad sr factor {arg!r}")
-                steps.append(Downsample(int(arg)))
-            elif kind == "noise":
-                if not _FLOAT_RE.match(arg):
-                    raise FormatError(f"bad noise sigma {arg!r}")
-                steps.append(Noise(float(arg)))
-            else:
-                raise FormatError(f"unknown degradation step kind {kind!r}")
+            try:
+                if kind == "blur":
+                    if not _FLOAT_RE.match(arg):
+                        raise FormatError(f"bad blur sigma {arg!r}")
+                    steps.append(Blur(float(arg)))
+                elif kind == "sr":
+                    if not _INT_RE.match(arg):
+                        raise FormatError(f"bad sr factor {arg!r}")
+                    steps.append(Downsample(int(arg)))
+                elif kind == "noise":
+                    if not _FLOAT_RE.match(arg):
+                        raise FormatError(f"bad noise sigma {arg!r}")
+                    steps.append(Noise(float(arg)))
+                else:
+                    raise FormatError(f"unknown degradation step kind {kind!r}")
+            except ParameterError as e:
+                raise FormatError(f"degradation step {part!r}: {e}") from e
         return DegradationSpec(tuple(steps))
 
     def canonical(self) -> str:
@@ -160,7 +198,7 @@ class DegradationSpec:
 
 
 def apply(spec: DegradationSpec, img: Image, seed: int) -> Image:
-    """Run steps in order; noise steps draw from per-index streams of ``seed``."""
+    """Run steps in order; noise step i draws from stream ``("degrade.noise", i)`` of ``seed``."""
     out = img
     for i, step in enumerate(spec.steps):
         try:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, FormatError, ParameterError
+from .errors import DimensionError, FormatError
 
 
 @dataclass
@@ -137,20 +137,3 @@ def save_pnm(path, img: Image):
     with open(path, "wb") as f:
         f.write(encode_pnm(img))
 
-
-def grey_to_rgb(img: Image) -> Image:
-    if img.channels == 3:
-        return img
-    return Image(np.repeat(img.data, 3, axis=0))
-
-
-def rgb_to_grey(img: Image) -> Image:
-    """Luma-style average; equal weights keep the codec self-inverse on grey ramps."""
-    if img.channels == 1:
-        return img
-    return Image(img.data.mean(axis=0, keepdims=True))
-
-
-def require_same_shape(a: Image, b: Image, what: str):
-    if a.data.shape != b.data.shape:
-        raise ParameterError(f"{what}: image shapes differ, {a.data.shape} vs {b.data.shape}")

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,8 @@ from ldrestore.degrade import (
     DegradationSpec,
     Downsample,
     Noise,
+    _blur_operator,
+    _box_operator,
     add_noise,
     apply,
     benchmark_specs,
@@ -18,6 +23,7 @@ from ldrestore.dataset import synth_dataset
 from ldrestore.errors import FormatError, ParameterError
 from ldrestore.images import Image
 from ldrestore.metrics import psnr  # noqa: F401  (imported late in file tests)
+from ldrestore.rng import stream
 
 
 def test_kernel_size_and_normalization():
@@ -44,7 +50,7 @@ def test_kernel_center_edge_ratio_sigma1():
 
 
 def test_kernel_rejects_nonpositive_sigma():
-    for s in (0.0, -1.0):
+    for s in (0.0, -1.0, float("inf"), float("nan")):
         with pytest.raises(ParameterError):
             gaussian_kernel(s)
 
@@ -90,6 +96,62 @@ def test_blur_kernel_too_wide_rejected():
         blur(Image(np.zeros((1, 16, 16))), 6.0)  # k=37 > 32
 
 
+def test_blur_width_checked_before_any_kernel():
+    img = Image(np.zeros((1, 32, 32)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError):
+            blur(img, 1e5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(ParameterError) as e:
+        apply(DegradationSpec.parse("blur:100000000000"), img, seed=0)
+    assert "step 0" in str(e.value)
+
+
+def test_operators_are_cached_and_read_only():
+    blur_op, box_op = _blur_operator(2.0, 32), _box_operator(4, 32)
+    assert _blur_operator(2.0, 32) is blur_op and _box_operator(4, 32) is box_op
+    for op in (blur_op, box_op):
+        with pytest.raises(ValueError):
+            op[0, 0] = 1.0
+    img = Image(np.random.default_rng(5).uniform(size=(1, 32, 32)))
+    assert np.array_equal(blur(img, 2.0).data, blur(img, 2.0).data)
+    assert np.array_equal(downsample_up(img, 4).data, downsample_up(img, 4).data)
+
+
+def _reference_apply(spec, data, seed):
+    """Each step by its direct formula: reflect pad + sliding windows, reshape-mean-repeat."""
+    win = np.lib.stride_tricks.sliding_window_view
+    for i, step in enumerate(spec.steps):
+        if isinstance(step, Blur):
+            r = math.ceil(3.0 * step.sigma)
+            g = np.exp(-np.arange(-r, r + 1, dtype=np.float64) ** 2 / (2.0 * step.sigma**2))
+            g /= g.sum()
+            pad = np.pad(data, ((0, 0), (r, r), (r, r)), mode="reflect")
+            rows = win(pad, g.size, axis=1) @ g
+            data = np.clip(win(rows, g.size, axis=2) @ g, 0.0, 1.0)
+        elif isinstance(step, Downsample):
+            f = step.factor
+            c, h, w = data.shape
+            low = data.reshape(c, h // f, f, w // f, f).mean(axis=(2, 4))
+            data = np.repeat(np.repeat(low, f, axis=1), f, axis=2)
+        elif step.sigma255 > 0:
+            rng = stream(seed, "degrade.noise", i)
+            data = np.clip(data + rng.normal(0.0, step.sigma255 / 255.0, size=data.shape), 0.0, 1.0)
+    return data
+
+
+def test_apply_matches_reference_formulas():
+    arr = np.random.default_rng(33).uniform(size=(3, 24, 40))
+    for text in BENCHMARK_RECIPES + ("blur:0.5", "sr:2", "blur:1.5+sr:2"):
+        spec = DegradationSpec.parse(text)
+        got = apply(spec, Image(arr), seed=9).data
+        assert np.allclose(got, _reference_apply(spec, arr, 9), rtol=0, atol=1e-12), text
+
+
 def test_downsample_constant_and_identity():
     img = Image(np.full((1, 16, 16), 0.42))
     assert np.allclose(downsample_up(img, 4).data, 0.42)
@@ -127,6 +189,13 @@ def test_noise_zero_sigma_identity_and_determinism():
     assert not np.array_equal(a.data, c.data)
 
 
+def test_add_noise_is_the_one_step_spec():
+    img = Image(np.random.default_rng(8).uniform(size=(3, 8, 8)))
+    for s in (0.0, 10.0, 30.0):
+        want = apply(DegradationSpec.parse(f"noise:{s}"), img, seed=6)
+        assert np.array_equal(add_noise(img, s, seed=6).data, want.data)
+
+
 def test_noise_std_monte_carlo():
     img = Image(np.full((1, 100, 100), 0.5))
     out = add_noise(img, 20.0, seed=0)
@@ -152,6 +221,14 @@ def test_spec_parse_errors():
     for bad in ("blur", "blur:x", "sr:2.5", "warp:3", "noise:-1"):
         with pytest.raises((FormatError, ParameterError)):
             DegradationSpec.parse(bad)
+
+
+def test_spec_out_of_range_values_are_format_errors():
+    huge = "9" * 400  # matches the number grammar, but float() gives inf
+    for bad in ("sr:1", "sr:0", "blur:0", f"blur:{huge}", f"noise:{huge}", "blur:1.0+sr:1"):
+        with pytest.raises(FormatError) as e:
+            DegradationSpec.parse(bad)
+        assert bad.split("+")[-1][:8] in str(e.value)
 
 
 def test_spec_invariants():
