@@ -7,12 +7,13 @@ stream, so the dataset is a pure function of (seed, n, size).
 """
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ParameterError
-from .images import Image, save_pnm
+from .errors import ConfigurationError, FormatError, ParameterError
+from .images import Image, load_pnm, save_pnm
 from .rng import stream
 
 FAMILIES = (
@@ -170,8 +171,6 @@ def epoch_batches(data: list, batch: int, seed: int, epoch: int = 0) -> list:
 
 def write_dataset(items: list, outdir, prefix: str = "img") -> str:
     """Save items as PGM files plus a JSON manifest; returns the manifest path."""
-    import os
-
     os.makedirs(outdir, exist_ok=True)
     entries = []
     width = max(4, len(str(len(items) - 1)))
@@ -187,16 +186,37 @@ def write_dataset(items: list, outdir, prefix: str = "img") -> str:
 
 
 def read_manifest(path) -> list:
-    """Load (Image, prompt, tags) items listed in a manifest JSON."""
-    import os
+    """Load (Image, prompt, tags) items listed in a manifest JSON.
 
-    from .images import load_pnm
-
-    with open(path) as f:
-        doc = json.load(f)
+    The manifest is untrusted input: text that is not JSON, a missing or
+    ill-typed field, or a file outside the manifest's directory raises
+    FormatError, as does a malformed image. A file that cannot be read
+    raises OSError.
+    """
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        doc = json.loads(raw)
+    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
+        raise FormatError(f"manifest {path}: not valid JSON: {e}") from None
+    entries = doc.get("items") if isinstance(doc, dict) else None
+    if not isinstance(entries, list):
+        raise FormatError(f"manifest {path}: need an object with an 'items' list")
     base = os.path.dirname(os.path.abspath(path))
-    items = []
-    for entry in doc["items"]:
-        img = load_pnm(os.path.join(base, entry["file"]))
-        items.append(DatasetItem(img, entry["prompt"], list(entry.get("tags", []))))
-    return items
+    return [_manifest_item(base, entry, f"manifest {path}, item {i}") for i, entry in enumerate(entries)]
+
+
+def _manifest_item(base, entry, where) -> DatasetItem:
+    if not isinstance(entry, dict):
+        raise FormatError(f"{where}: not an object")
+    name, prompt, tags = entry.get("file"), entry.get("prompt"), entry.get("tags", [])
+    if not isinstance(name, str):
+        raise FormatError(f"{where}: 'file' must be a string")
+    if not isinstance(prompt, str):
+        raise FormatError(f"{where}: 'prompt' must be a string")
+    if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
+        raise FormatError(f"{where}: 'tags' must be a list of strings")
+    rel = os.path.normpath(name)
+    if os.path.isabs(rel) or rel.split(os.sep)[0] in (os.curdir, os.pardir):
+        raise FormatError(f"{where}: {name!r} is not a file inside the manifest's directory")
+    return DatasetItem(load_pnm(os.path.join(base, rel)), prompt, list(tags))

@@ -17,11 +17,11 @@ initialization the control conditioning and the bottleneck skip contribute
 nothing and the network behaves as if those paths were absent.
 
 Weights are applied at two sites, and low-rank adapters hook in at both:
-every convolution is one ``tensor.conv2d`` tape node, which takes the
-adapters' (A, B) pairs as deltas on the kernel's (out, in*kh*kw) view, and
-the two dense weights (``den.temb.w``, ``den.pemb.w``) go through
-``_apply_weight``. Only ``tensor.py`` knows the convolution's layout.
-Inputs may carry a leading batch axis.
+every convolution, its bias included, is one ``tensor.conv2d`` tape node,
+which takes the adapters' (A, B) pairs as deltas on the kernel's
+(out, in*kh*kw) view, and the two dense weights (``den.temb.w``,
+``den.pemb.w``) go through ``_apply_weight``. Only ``tensor.py`` knows the
+convolution's layout. Inputs may carry a leading batch axis.
 """
 
 import math
@@ -184,8 +184,7 @@ def _apply_weight(x2d: T.Tensor, params: NetParams, name: str, adapters: dict) -
 
 def _conv(x: T.Tensor, params: NetParams, base: str, padding: int, adapters: dict) -> T.Tensor:
     deltas = [(a.A, a.B) for a in adapters.get(base + ".w", ())]
-    out = T.conv2d(x, params[base + ".w"], padding, deltas)
-    return T.channel_bias(out, params[base + ".b"])
+    return T.conv2d(x, params[base + ".w"], padding, deltas, params[base + ".b"])
 
 
 # ---------------------------------------------------------------------------

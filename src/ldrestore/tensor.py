@@ -3,8 +3,8 @@
 Tensors wrap C-contiguous numpy arrays of the compute dtype: float32, or
 float64 inside a ``float64()`` block, which is the only way to change it.
 ``Tensor.__init__`` is the one conversion point. Every array an op
-allocates (the padded grid, the patch matrix, a reduction's gradient,
-the backward seed) takes its dtype from the op's operands, so a
+allocates (the padded grid, a conv's grid product, a reduction's
+gradient, the backward seed) takes its dtype from the op's operands, so a
 float32 tape stays float32 through the backward pass. float64 is the
 reference mode: ``finite_diff_check`` enters it itself, and tests that
 compare against a float64 oracle run under it. Arrays that leave the tape
@@ -27,21 +27,34 @@ pooling accept either a single item ``(c, h, w)`` or a leading batch axis
 ``(n, c, h, w)``; the batched form is the plain op applied per item with a
 shared kernel.
 
-Convolution is one tape node per call. ``conv2d`` copies its input into a
-channel-major zero-padded grid, flattened to ``(c, n*hp*wp)`` plus a tail of
-zeros, so kernel tap (i, j) reads one contiguous slice at offset i*wp + j.
-The forward stacks those slices into the ``(c*kh*kw, n*hp*wp)`` patch matrix
-(rows in the kernel's ``(ci, kh, kw)`` order), multiplies the kernel's
-``(co, ci*kh*kw)`` view by it once, crops each image's grid to (ho, wo) and
-drops the matrix. The node keeps x, and B @ patches per low-rank delta; its
-backward works tap by tap on the grid, one product per tap with a slice, so
-no patch matrix is alive while the tape is. Grid positions outside the crop
-get zero gradient. ``im2col`` and ``fold_channels_last`` record the patch
-build and the crop as tape ops of their own: tests compose them as the
-reference for the node, and the benchmark's tracer looks them up by name.
-This module is the only one that knows the layout.
+Convolution is one tape node per call, with inputs (x, k, A1, B1, ..., bias).
+``conv2d`` copies its input into a channel-major zero-padded grid, flattened
+to ``(c, n*hp*wp)`` plus a tail of zeros, so kernel tap (i, j) reads one
+contiguous slice at offset i*wp + j. The forward takes one product per tap:
+the tap's columns of the kernel, stacked with the rows of every low-rank
+delta's B, times the tap's slice, summed into a ``(rows, n*hp*wp)`` grid. With
+a single input channel that product is a broadcast multiply, as numpy's
+matmul with an inner dimension of 1 is several times slower. The forward
+then adds A @ (B @ patches) per delta and the bias, and crops each image's
+grid to (ho, wo). The node keeps x and, of each delta, B @ patches, which A's
+gradient needs. The backward works tap by tap on the grid as well, so no
+patch matrix is formed anywhere in the node. Grid positions outside the crop
+get zero gradient, and the bias gradient is the grid gradient summed over
+batch and space. ``im2col`` and ``fold_channels_last`` record the patch
+matrix and the crop as tape ops of their own: tests compose them with
+``channel_bias`` as the reference for the node, and the benchmark's tracer
+looks them up by name. This module is the only one that knows the layout.
+
+Importing this module fixes glibc's heap thresholds (``_keep_heap_mapped``).
+With no patch matrix, every temporary of a training step is below about
+0.5 MB, and glibc's self-adjusting thresholds then return the memory a step
+frees to the OS, which the next step faults back in: about 1250-2000 minor
+page faults per step, against under one with the thresholds fixed. The
+values are constants, not settings.
 """
 
+import ctypes
+import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -50,6 +63,37 @@ from .errors import ContractViolation, DimensionError, OracleError, ParameterErr
 
 _GRAD_ENABLED = True
 _DTYPE = np.float32
+
+# glibc's mallopt parameters (malloc.h) and the values this module sets
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_THRESHOLD = 256 << 20  # far above the heap a training step uses
+_MMAP_THRESHOLD = 32 << 20  # glibc's maximum on 64-bit
+
+
+def _keep_heap_mapped():
+    """Fix glibc's heap thresholds so memory a step frees stays mapped for the next.
+
+    A training step allocates and frees a tape of arrays each smaller than
+    about 0.5 MB. glibc's default thresholds move with the sizes it sees
+    freed, and with this pattern they return the freed tape to the OS every
+    step; the next step then takes ~1250-2000 minor page faults to map it
+    back in. Setting both thresholds turns that adjustment off: arrays under
+    32 MiB come from the heap, and up to 256 MiB of free heap stays mapped.
+    Other C libraries are left as they are.
+    """
+    try:
+        if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
+            return
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
+_keep_heap_mapped()
 
 
 @contextmanager
@@ -440,8 +484,8 @@ def _conv_geometry(x_shape, k_shape, padding):
 def _padded_grid(xd, kh, kw, padding):
     """xd (n, c, h, w) as a channel-major zero-padded grid, flattened: (c, n*hp*wp + tail).
 
-    The tail of (kh-1)*wp + kw-1 zeros lets every tap of _patches read a
-    full-length slice. A 1x1 window without padding reads the input itself,
+    The tail of (kh-1)*wp + kw-1 zeros lets every tap read a full-length
+    slice. A 1x1 window without padding reads the input itself,
     with only the (c, n) swap, which is a view when n = 1.
     """
     n, c, h, w = xd.shape
@@ -480,6 +524,28 @@ def _col2im(gcols, kh, kw, wp, length):
     return gxp
 
 
+def _tap_blocks(m, taps):
+    """(rows, c*taps) in the kernel's (ci, kh, kw) column order -> (taps, rows, c), contiguous."""
+    return np.ascontiguousarray(m.reshape(m.shape[0], -1, taps).transpose(2, 0, 1))
+
+
+def _tap_matmul(m, xp, kh, kw, wp, length, dtype):
+    """m @ _patches(xp), as one product per tap with a slice of xp, summed: (rows, length).
+
+    With one input channel a tap's product is a broadcast multiply: numpy's
+    matmul with an inner dimension of 1 is several times slower.
+    """
+    mt = _tap_blocks(m, kh * kw)
+    product = np.multiply if xp.shape[0] == 1 else np.matmul
+    out = np.empty((m.shape[0], length), dtype=dtype)
+    tmp = np.empty_like(out) if kh * kw > 1 else None
+    for t, off in enumerate(_tap_offsets(kh, kw, wp)):
+        product(mt[t], xp[:, off : off + length], out=tmp if t else out)
+        if t:
+            out += tmp
+    return out
+
+
 def _tap_matmul_t(g, xp, kh, kw, wp, length):
     """g @ _patches(xp).T, as one product per tap with a slice of xp: (rows, c*kh*kw)."""
     out = np.empty((kh * kw, g.shape[0], xp.shape[0]), dtype=np.result_type(g, xp))
@@ -490,8 +556,7 @@ def _tap_matmul_t(g, xp, kh, kw, wp, length):
 
 def _tap_col2im(m, g, kh, kw, wp, length):
     """_col2im(m.T @ g), as one product per tap added into a slice of the grid: (c, length)."""
-    # m's (rows, c) block of each tap, contiguous
-    mt = np.ascontiguousarray(m.reshape(m.shape[0], -1, kh * kw).transpose(2, 0, 1))
+    mt = _tap_blocks(m, kh * kw)
     gxp = mt[0].T @ g
     tmp = np.empty_like(gxp)
     for t, off in enumerate(_tap_offsets(kh, kw, wp)[1:], 1):
@@ -536,8 +601,8 @@ def im2col(x: Tensor, kh: int, kw: int, padding: int) -> Tensor:
     row (ci, i, j), the order of a kernel's (co, ci*kh*kw) view, hold the
     padded input at (b, ci, r+i, s+j). Only columns with r <= hp-kh and
     s <= wp-kw are windows of the input; the others hold finite values that
-    fold_channels_last crops away. conv2d builds the same matrix inside its
-    own node; this op records it on the tape.
+    fold_channels_last crops away. conv2d forms no such matrix; this op is
+    the reference that tests compose it against.
     """
     batched = x.ndim == 4
     xd = x.data if batched else x.data[None]
@@ -566,16 +631,17 @@ def fold_channels_last(y: Tensor, lead_shape, out_hw) -> Tensor:
     return _make(_crop(y.data, n, hp, wp, ho, wo, batched), "fold", (y,), (lambda g: _uncrop(g, hp, wp),))
 
 
-def conv2d(x: Tensor, k: Tensor, padding: int = 0, deltas=()) -> Tensor:
+def conv2d(x: Tensor, k: Tensor, padding: int = 0, deltas=(), bias=None) -> Tensor:
     """Cross-correlation with zero padding; x (c,h,w) or (n,c,h,w), k (co,ci,kh,kw).
 
     deltas are low-rank (A, B) pairs, A (co, r) and B (r, ci*kh*kw), each
     added to the kernel's 2-D view as A @ B without forming that product.
-    One tape node with inputs (x, k, A1, B1, ...). The forward builds the
-    patch matrix for one product and drops it; the node keeps x and, of each
-    delta, B @ patches, which A's gradient needs. The backward forms no patch
-    matrix: it works tap by tap on the padded grid, rebuilt from x only when
-    k or a B needs a gradient.
+    bias (co,), if given, is added to every output position. One tape node
+    with inputs (x, k, A1, B1, ..., bias). Forward and backward work tap by
+    tap on the padded grid and form no patch matrix: the forward takes one
+    product per tap of the kernel stacked with every B; the node keeps x
+    and, of each delta, B @ patches, which A's gradient needs, and the
+    backward rebuilds the grid from x only when k or a B needs a gradient.
     """
     n, c, _, _, co, kh, kw, ho, wo = _conv_geometry(x.shape, k.shape, padding)
     batched = n is not None
@@ -585,20 +651,25 @@ def conv2d(x: Tensor, k: Tensor, padding: int = 0, deltas=()) -> Tensor:
             raise DimensionError(
                 f"conv2d: delta A {A.shape}, B {B.shape} do not fit kernel {k.shape}; need A (co, r), B (r, ci*kh*kw)"
             )
+    if bias is not None and bias.shape != (co,):
+        raise DimensionError(f"conv2d: bias {bias.shape} does not fit kernel {k.shape}; need ({co},)")
+    inputs = (x, k) + tuple(t for d in deltas for t in d) + ((bias,) if bias is not None else ())
+    dtype = np.result_type(*(t.data for t in inputs))
     xd = x.data if batched else x.data[None]
     n = xd.shape[0]
     hp, wp = ho + kh - 1, wo + kw - 1
     geom = (kh, kw, wp, n * hp * wp)
-    xp = _padded_grid(xd, kh, kw, padding)
-    cols = _patches(xp, *geom)
-    y = k.data.reshape(co, -1) @ cols
-    inputs = (x, k)
-    kept = []
+    # the kernel's rows and every B's rows in one product per tap
+    m = np.concatenate([k.data.reshape(co, -1)] + [B.data for _, B in deltas])
+    prod = _tap_matmul(m, _padded_grid(xd, kh, kw, padding), *geom, dtype)
+    y, kept, r = prod[:co], [], co
     for A, B in deltas:
-        bc = B.data @ cols
-        y = y + A.data @ bc
-        inputs += (A, B)
+        bc = prod[r : r + B.shape[0]].copy()  # a view would keep all of prod alive
+        r += B.shape[0]
+        y += A.data @ bc
         kept.append(bc)
+    if bias is not None:
+        y += bias.data[:, None]
     out = Tensor(_crop(y, n, hp, wp, ho, wo, batched))
     if not _recording(inputs):
         return out
@@ -611,10 +682,7 @@ def conv2d(x: Tensor, k: Tensor, padding: int = 0, deltas=()) -> Tensor:
         ag = [A.data.T @ gg if need[0] or need[3 + 2 * d] else None for d, (A, _) in enumerate(deltas)]
         if need[0]:
             # col2im of W^T g + sum B^T A^T g, as one product of the stacked rows
-            m, gm = k.data.reshape(co, -1), gg
-            if deltas:
-                m = np.concatenate([m] + [B.data for _, B in deltas])
-                gm = np.concatenate([gm] + ag)
+            gm = np.concatenate([gg] + ag) if deltas else gg
             grads[0] = _unpad(_tap_col2im(m, gm, *geom), x.shape, padding)
         if need[1] or any(need[3::2]):
             xp = _padded_grid(xd, kh, kw, padding)
@@ -625,6 +693,8 @@ def conv2d(x: Tensor, k: Tensor, padding: int = 0, deltas=()) -> Tensor:
                 grads[2 + 2 * d] = gg @ bc.T
             if need[3 + 2 * d]:
                 grads[3 + 2 * d] = _tap_matmul_t(ag[d], xp, *geom)
+        if bias is not None and need[-1]:
+            grads[-1] = gg.sum(axis=1)
         return tuple(grads)
 
     out.node = TapeNode("conv2d", inputs, backward)

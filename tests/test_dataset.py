@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from ldrestore.dataset import (
     synth_dataset,
     write_dataset,
 )
-from ldrestore.errors import ConfigurationError, ParameterError
+from ldrestore.errors import ConfigurationError, FormatError, ParameterError
+from ldrestore.images import Image, save_pnm
 from ldrestore.rng import stream
 
 
@@ -135,3 +138,44 @@ def test_manifest_roundtrip(tmp_path):
         assert loaded.tags == orig.tags
         # files are quantized to bytes, so compare at byte resolution
         assert np.array_equal(loaded.clean.to_bytes(), orig.clean.to_bytes())
+
+
+def test_manifest_that_is_not_json_is_format_error(tmp_path):
+    for raw in (b'{"items": [', b"\xff\xfe not utf-8"):
+        (tmp_path / "manifest.json").write_bytes(raw)
+        with pytest.raises(FormatError):
+            read_manifest(tmp_path / "manifest.json")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [],
+        {},
+        {"items": {"file": "a.pgm"}},
+        {"items": ["a.pgm"]},
+        {"items": [{"prompt": "disks"}]},
+        {"items": [{"file": 3, "prompt": "disks"}]},
+        {"items": [{"file": "a.pgm"}]},
+        {"items": [{"file": "a.pgm", "prompt": "disks", "tags": "high-quality"}]},
+    ],
+    ids=["not-object", "no-items", "items-not-list", "entry-not-object", "no-file", "file-not-string",
+         "no-prompt", "tags-not-list"],
+)
+def test_manifest_missing_or_ill_typed_field_is_format_error(tmp_path, doc):
+    save_pnm(tmp_path / "a.pgm", Image(np.zeros((1, 4, 4))))
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(FormatError):
+        read_manifest(tmp_path / "manifest.json")
+
+
+@pytest.mark.parametrize("where", ["parent", "absolute", "dot"])
+def test_manifest_file_not_inside_its_directory_is_format_error(tmp_path, where):
+    # a valid image the entry could reach if the path were followed
+    save_pnm(tmp_path / "outside.pgm", Image(np.zeros((1, 4, 4))))
+    (tmp_path / "data").mkdir()
+    name = {"parent": "../outside.pgm", "absolute": str(tmp_path / "outside.pgm"), "dot": "."}[where]
+    manifest = tmp_path / "data" / "manifest.json"
+    manifest.write_text(json.dumps({"items": [{"file": name, "prompt": "disks"}]}))
+    with pytest.raises(FormatError):
+        read_manifest(manifest)

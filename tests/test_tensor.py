@@ -1,3 +1,7 @@
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -88,8 +92,9 @@ def test_linear_matches_matmul_transpose():
 def test_conv2d_matches_loop_oracle():
     with T.float64():
         rng = np.random.default_rng(2)
-        # unbatched and batched inputs, 3x3 and 1x1 kernels
+        # unbatched and batched inputs, 3x3 and 1x1 kernels, one input channel
         for x_shape, k_shape in [((2, 5, 6), (3, 2, 3, 3)), ((3, 2, 5, 6), (3, 2, 3, 3)),
+                                 ((3, 1, 5, 6), (4, 1, 3, 3)),
                                  ((2, 5, 6), (4, 2, 1, 1)), ((3, 2, 4, 5), (4, 2, 1, 1))]:
             x = rng.normal(size=x_shape)
             k = rng.normal(size=k_shape)
@@ -100,14 +105,26 @@ def test_conv2d_matches_loop_oracle():
         A, B = rng.normal(size=(4, 2)), rng.normal(size=(2, 2))
         y = T.conv2d(T.Tensor(x), T.Tensor(k), 1, [(T.Tensor(A), T.Tensor(B))])
         assert np.allclose(y.data, conv2d_loops(x, k + (A @ B).reshape(k.shape), 1), atol=1e-12)
+        # a bias is added to every output position of its channel
+        b = rng.normal(size=4)
+        y = T.conv2d(T.Tensor(x), T.Tensor(k), 1, [(T.Tensor(A), T.Tensor(B))], T.Tensor(b))
+        assert np.allclose(y.data, conv2d_loops(x, k + (A @ B).reshape(k.shape), 1) + b[:, None, None], atol=1e-12)
     # float32, the default compute dtype: within float32 rounding of the float64 oracle
-    for x_shape, k_shape in [((3, 2, 5, 6), (3, 2, 3, 3)), ((3, 2, 4, 5), (4, 2, 1, 1))]:
+    for x_shape, k_shape in [((3, 2, 5, 6), (3, 2, 3, 3)), ((3, 1, 5, 6), (4, 1, 3, 3)), ((3, 2, 4, 5), (4, 2, 1, 1))]:
         x = rng.normal(size=x_shape)
         k = rng.normal(size=k_shape)
         for pad in (0, 1):
             y = T.conv2d(T.Tensor(x), T.Tensor(k), padding=pad)
             assert y.data.dtype == np.float32
             assert np.allclose(y.data, conv2d_loops(x, k, pad), rtol=1e-5, atol=1e-5)
+    # in float64 mode, a float32 input with a float64 kernel and bias is computed in float64
+    x32 = T.Tensor(x)
+    with T.float64():
+        k64, b64 = T.Tensor(k), T.Tensor(rng.normal(size=k.shape[0]))
+        y = T.conv2d(x32, k64, 1, (), b64)
+    want = conv2d_loops(x32.data.astype(np.float64), k, 1) + b64.data[:, None, None]
+    assert y.data.dtype == np.float64
+    assert np.allclose(y.data, want, rtol=1e-12, atol=1e-12)
 
 
 def test_conv2d_batched_equals_per_item():
@@ -122,11 +139,11 @@ def test_conv2d_batched_equals_per_item():
 
 def test_conv2d_gradients_match_numeric():
     rng = np.random.default_rng(4)
-    # (input shape, kernel shape, padding, rank of a low-rank delta or 0)
-    cases = [((2, 4, 4), (2, 2, 3, 3), 1, 0), ((2, 2, 4, 4), (2, 2, 3, 3), 1, 0),
-             ((2, 4, 5), (3, 2, 3, 3), 0, 0), ((2, 2, 3, 4), (3, 2, 1, 1), 0, 0),
-             ((2, 2, 4, 4), (2, 2, 3, 3), 1, 1)]
-    for x_shape, k_shape, pad, rank in cases:
+    # (input shape, kernel shape, padding, rank of a low-rank delta or 0, with a bias)
+    cases = [((2, 4, 4), (2, 2, 3, 3), 1, 0, False), ((2, 2, 4, 4), (2, 2, 3, 3), 1, 0, False),
+             ((2, 4, 5), (3, 2, 3, 3), 0, 0, False), ((2, 2, 3, 4), (3, 2, 1, 1), 0, 0, False),
+             ((2, 2, 4, 4), (2, 2, 3, 3), 1, 1, False), ((2, 1, 4, 4), (3, 1, 3, 3), 1, 1, True)]
+    for x_shape, k_shape, pad, rank, with_bias in cases:
         x0 = rng.normal(size=x_shape)
         k0 = rng.normal(size=k_shape)
         w = rng.normal(size=conv2d_loops(x0, k0, pad).shape)
@@ -138,9 +155,12 @@ def test_conv2d_gradients_match_numeric():
             a0 = rng.normal(size=(k_shape[0], rank))
             b0 = rng.normal(size=(rank, k0[0].size))
             deltas = [(T.Tensor(a0, requires_grad=True), T.Tensor(b0, requires_grad=True))]
+        bias = T.Tensor(rng.normal(size=k_shape[0]), requires_grad=True) if with_bias else None
         kd = k0 + (a0 @ b0).reshape(k_shape) if rank else k0
-        loss = T.tsum(T.mul(T.conv2d(x, k, pad, deltas), T.Tensor(w)))
+        loss = T.tsum(T.mul(T.conv2d(x, k, pad, deltas, bias), T.Tensor(w)))
         T.backward(loss)
+        if with_bias:  # the loss is linear in the bias
+            assert np.allclose(bias.grad, w.sum(axis=(0, 2, 3)), atol=1e-5)
 
         nx = numeric_grad(lambda v: np.sum(conv2d_loops(v, kd, pad) * w), x0)
         nk = numeric_grad(lambda v: np.sum(conv2d_loops(x0, v, pad) * w), k0)
@@ -166,10 +186,16 @@ def test_conv2d_delta_shape_mismatch_names_shapes():
         with pytest.raises(DimensionError) as e:
             T.conv2d(x, k, 1, [(T.Tensor(np.zeros(a_shape)), T.Tensor(np.zeros(b_shape)))])
         assert str(a_shape) in str(e.value) and str(b_shape) in str(e.value)
+    # a bias needs one entry per output channel
+    for b_shape in [(3,), (1, 4)]:
+        with pytest.raises(DimensionError) as e:
+            T.conv2d(x, k, 1, (), T.Tensor(np.zeros(b_shape)))
+        assert str(b_shape) in str(e.value) and str(k.shape) in str(e.value)
 
 
-def decomposed_conv2d(x, k, padding=0, deltas=()):
-    """conv2d recorded as separate tape ops: im2col, one matmul per product, fold_channels_last."""
+def decomposed_conv2d(x, k, padding=0, deltas=(), bias=None):
+    """conv2d recorded as separate tape ops: im2col, one matmul per product,
+    fold_channels_last, channel_bias."""
     co, _, kh, kw = k.shape
     cols = T.im2col(x, kh, kw, padding)
     y = T.matmul(T.reshape(k, (co, k.size // co)), cols)
@@ -177,35 +203,41 @@ def decomposed_conv2d(x, k, padding=0, deltas=()):
         y = T.add(y, T.matmul(A, T.matmul(B, cols)))
     hp, wp = x.shape[-2] + 2 * padding, x.shape[-1] + 2 * padding
     lead = (hp, wp) if x.ndim == 3 else (x.shape[0], hp, wp)
-    return T.fold_channels_last(y, lead, (hp - kh + 1, wp - kw + 1))
+    y = T.fold_channels_last(y, lead, (hp - kh + 1, wp - kw + 1))
+    return y if bias is None else T.channel_bias(y, bias)
 
 
 def test_conv2d_node_matches_decomposed_tape():
     rng = np.random.default_rng(12)
-    # unbatched and batched inputs, padding 0 and 1, 3x3 and 1x1 kernels, two deltas on one kernel
+    # unbatched and batched inputs, padding 0 and 1, 3x3 and 1x1 kernels, one input channel,
+    # two deltas on one kernel, and a bias
     cases = [((2, 5, 6), (3, 2, 3, 3), 1), ((3, 2, 5, 6), (3, 2, 3, 3), 1), ((3, 2, 5, 6), (3, 2, 3, 3), 0),
+             ((3, 1, 5, 6), (3, 1, 3, 3), 1),
              ((2, 4, 5), (4, 2, 1, 1), 0), ((3, 2, 4, 5), (4, 2, 1, 1), 0), ((3, 2, 4, 5), (4, 2, 1, 1), 1)]
     with T.float64():
         for x_shape, k_shape, pad in cases:
             x0, k0 = rng.normal(size=x_shape), rng.normal(size=k_shape)
             ab0 = [(rng.normal(size=(k_shape[0], r)), rng.normal(size=(r, k0[0].size))) for r in (1, 2)]
+            bias0 = rng.normal(size=k_shape[0])
             w = rng.normal(size=conv2d_loops(x0, k0, pad).shape)
             results = []
             for conv in (T.conv2d, decomposed_conv2d):
                 x, k = T.Tensor(x0, requires_grad=True), T.Tensor(k0, requires_grad=True)
                 deltas = [(T.Tensor(a, requires_grad=True), T.Tensor(b, requires_grad=True)) for a, b in ab0]
-                y = conv(x, k, pad, deltas)
+                bias = T.Tensor(bias0, requires_grad=True)
+                y = conv(x, k, pad, deltas, bias)
                 T.backward(T.tsum(T.mul(y, T.Tensor(w))))
-                results.append([y.data, x.grad, k.grad] + [t.grad for d in deltas for t in d])
+                results.append([y.data, x.grad, k.grad] + [t.grad for d in deltas for t in d] + [bias.grad])
                 if conv is T.conv2d:
-                    assert y.node.op == "conv2d" and len(y.node.inputs) == 6
+                    assert y.node.op == "conv2d" and len(y.node.inputs) == 7
             for fused, ref in zip(*results):
                 assert fused.shape == ref.shape
                 assert np.allclose(fused, ref, rtol=1e-12, atol=1e-12)
 
 
 def test_conv_tape_keeps_no_patch_matrix():
-    # bytes a recorded conv allocates and holds until backward, against one
+    # bytes a recorded conv allocates and holds until backward, and the most
+    # it has allocated at once during the forward, against one
     # (c*kh*kw, n*ho*wo) patch matrix of the input
     rng = np.random.default_rng(13)
     x = T.Tensor(rng.normal(size=(8, 40, 16, 16)), requires_grad=True)
@@ -215,11 +247,68 @@ def test_conv_tape_keeps_no_patch_matrix():
         tracemalloc.start()
         try:
             y = T.conv2d(x, k, 1)
-            held = tracemalloc.get_traced_memory()[0]
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert y.node is not None
         assert held < patch_bytes, (k_trainable, held, patch_bytes)
+        assert peak < patch_bytes, (k_trainable, peak, patch_bytes)
+
+
+# A LoRA fine-tune loop: default config, batch 8, rank-4 adapters on the default
+# targets, AdamW. Prints the minor page faults per step after warm-up.
+_FINE_TUNE_FAULTS = """
+import resource
+import numpy as np
+from ldrestore import diffusion, lora, network, optim
+from ldrestore import tensor as T
+
+cfg, n = network.NetConfig(), 8
+params = network.init_params(cfg, 0)
+for _, t in params.items():
+    t.requires_grad = False
+adapters = lora.attach(params, lora.LoraConfig(rank=4), 0)
+opt = optim.AdamW([(a.target + s, getattr(a, s)) for a in adapters for s in "AB"], lr=1e-3)
+sched = diffusion.make_schedule(1000, 1e-4, 0.02)
+rng = np.random.default_rng(0)
+x, y = rng.uniform(size=(2, n, cfg.channels, cfg.image_size, cfg.image_size))
+prompts = [["disks", "high-quality"]] * n
+
+def step():
+    t = rng.integers(0, sched.T, size=n)
+    eps = T.Tensor(rng.standard_normal((n, cfg.c_lat, cfg.latent_size, cfg.latent_size)))
+    z0 = network.encode(T.Tensor(x), params)
+    pemb = network.prompt_embedding_batch(params, prompts)
+    z_lq = network.control_features(network.encode(T.Tensor(y), params, adapters), pemb, params, adapters)
+    z_t = diffusion.forward_diffuse_batch(z0, t, eps, sched)
+    eps_hat = network.denoise(z_t, t, network.ConditioningBundle(z_lq, prompts, pemb), params, adapters)
+    loss = T.add(T.mse(eps, eps_hat), lora.reg_loss(adapters, 1e-4))
+    lora.zero_adapter_grads(adapters)
+    T.backward(loss)
+    opt.step()
+
+for _ in range(10):
+    step()
+steps = 30
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(steps):
+    step()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / steps)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap thresholds are set under glibc only")
+def test_fine_tune_steps_keep_freed_memory_mapped():
+    # with glibc's self-adjusting thresholds a step's freed tape goes back to
+    # the OS and the next step faults it back in: about 1250 minor faults per
+    # step without tensor._keep_heap_mapped (glibc 2.36, x86-64)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(T.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", _FINE_TUNE_FAULTS], env=env, capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert float(run.stdout) < 20
 
 
 def test_gradient_accumulates_over_reused_input():
@@ -336,16 +425,18 @@ def test_backward_returns_none_for_inputs_without_gradient():
     gx, gs = T.row_scale(fm_req, T.Tensor(np.ones(2))).node.backward(gm)
     assert gs is None and np.allclose(gx, gm)
 
-    # conv2d: a frozen kernel and a frozen B get no gradient, x and A do
+    # conv2d: a frozen kernel, B and bias get no gradient, x and A do
     xc = T.Tensor(rng.normal(size=(2, 3, 5, 5)), requires_grad=True)
     kc = T.Tensor(rng.normal(size=(4, 3, 3, 3)))
     A = T.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
     B = T.Tensor(rng.normal(size=(2, 27)))
-    y = T.conv2d(xc, kc, 1, [(A, B)])
-    gx, gk, gA, gB = y.node.backward(rng.normal(size=y.shape))
-    assert gk is None and gB is None and gx.shape == xc.shape and gA.shape == A.shape
-    T.backward(T.tsum(T.conv2d(xc, kc, 1, [(A, B)])))
-    assert kc.grad is None and B.grad is None and xc.grad is not None and A.grad is not None
+    bc = T.Tensor(rng.normal(size=4))
+    y = T.conv2d(xc, kc, 1, [(A, B)], bc)
+    gx, gk, gA, gB, gb = y.node.backward(rng.normal(size=y.shape))
+    assert gk is None and gB is None and gb is None and gx.shape == xc.shape and gA.shape == A.shape
+    T.backward(T.tsum(T.conv2d(xc, kc, 1, [(A, B)], bc)))
+    assert kc.grad is None and B.grad is None and bc.grad is None
+    assert xc.grad is not None and A.grad is not None
 
 
 def test_mse_value_and_gradient():
