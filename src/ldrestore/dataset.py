@@ -189,9 +189,9 @@ def read_manifest(path) -> list:
     """Load (Image, prompt, tags) items listed in a manifest JSON.
 
     The manifest is untrusted input: text that is not JSON, a missing or
-    ill-typed field, or a file outside the manifest's directory raises
-    FormatError, as does a malformed image. A file that cannot be read
-    raises OSError.
+    ill-typed field, or a file outside the manifest's directory (by name or
+    through a symlink) raises FormatError, as does a malformed image. A file
+    that cannot be read raises OSError.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -217,6 +217,9 @@ def _manifest_item(base, entry, where) -> DatasetItem:
     if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
         raise FormatError(f"{where}: 'tags' must be a list of strings")
     rel = os.path.normpath(name)
-    if os.path.isabs(rel) or rel.split(os.sep)[0] in (os.curdir, os.pardir):
+    root = os.path.realpath(base)
+    real = os.path.realpath(os.path.join(root, rel))
+    # the name's text, and the path it resolves to through symlinks
+    if os.path.isabs(rel) or rel.split(os.sep)[0] in (os.curdir, os.pardir) or os.path.commonpath([root, real]) != root:
         raise FormatError(f"{where}: {name!r} is not a file inside the manifest's directory")
-    return DatasetItem(load_pnm(os.path.join(base, rel)), prompt, list(tags))
+    return DatasetItem(load_pnm(real), prompt, list(tags))

@@ -316,7 +316,7 @@ def denoise(z_t: T.Tensor, t, cond: ConditioningBundle, params: NetParams,
     h = _conv(T.concat_channels(x, z_lq), params, "den.conv_in", 1, amap)
     tb = _apply_weight(time_embedding(tv, cfg.temb_dim), params, "den.temb.w", amap)
     pb = _apply_weight(pemb, params, "den.pemb.w", amap)
-    h1 = T.silu(T.channel_bias(T.channel_bias(h, tb), pb))
+    h1 = T.silu(T.channel_bias(h, T.add(tb, pb)))
 
     h2 = T.silu(_conv(T.avg_pool2(h1), params, "den.down", 1, amap))
     m = _conv(h2, params, "den.mid", 1, amap)

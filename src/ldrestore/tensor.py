@@ -32,15 +32,18 @@ Convolution is one tape node per call, with inputs (x, k, A1, B1, ..., bias).
 to ``(c, n*hp*wp)`` plus a tail of zeros, so kernel tap (i, j) reads one
 contiguous slice at offset i*wp + j. The forward takes one product per tap:
 the tap's columns of the kernel, stacked with the rows of every low-rank
-delta's B, times the tap's slice, summed into a ``(rows, n*hp*wp)`` grid. With
-a single input channel that product is a broadcast multiply, as numpy's
-matmul with an inner dimension of 1 is several times slower. The forward
-then adds A @ (B @ patches) per delta and the bias, and crops each image's
-grid to (ho, wo). The node keeps x and, of each delta, B @ patches, which A's
-gradient needs. The backward works tap by tap on the grid as well, so no
-patch matrix is formed anywhere in the node. Grid positions outside the crop
-get zero gradient, and the bias gradient is the grid gradient summed over
-batch and space. ``im2col`` and ``fold_channels_last`` record the patch
+delta's B, times the tap's slice, summed into a ``(rows, n*hp*wp)`` grid.
+The forward then adds A @ (B @ patches) per delta and the bias, and crops
+each image's grid to (ho, wo). The node keeps x and, of each delta,
+B @ patches, which A's gradient needs. The backward works tap by tap on the
+grid as well; the weight gradients, whose inner dimension is the whole grid,
+take the grid in column blocks that stay in cache across the taps. So no
+patch matrix is formed anywhere in the node, except with a single input
+channel: there the ``(kh*kw, n*hp*wp)`` patch matrix is smaller than the
+output, and the forward and the weight gradient are one product with it
+instead of kh*kw products of inner dimension 1. Grid positions outside the
+crop get zero gradient, and the bias gradient is the grid gradient summed
+over batch and space. ``im2col`` and ``fold_channels_last`` record the patch
 matrix and the crop as tape ops of their own: tests compose them with
 ``channel_bias`` as the reference for the node, and the benchmark's tracer
 looks them up by name. This module is the only one that knows the layout.
@@ -68,6 +71,10 @@ _DTYPE = np.float32
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _TRIM_THRESHOLD = 256 << 20  # far above the heap a training step uses
 _MMAP_THRESHOLD = 32 << 20  # glibc's maximum on 64-bit
+
+# bytes of the padded grid one column block of a conv's weight gradient reads
+# (see _tap_matmul_t)
+_GRAD_BLOCK_BYTES = 256 << 10
 
 
 def _keep_heap_mapped():
@@ -532,25 +539,62 @@ def _tap_blocks(m, taps):
 def _tap_matmul(m, xp, kh, kw, wp, length, dtype):
     """m @ _patches(xp), as one product per tap with a slice of xp, summed: (rows, length).
 
-    With one input channel a tap's product is a broadcast multiply: numpy's
-    matmul with an inner dimension of 1 is several times slower.
+    With one input channel the (kh*kw, length) patch matrix is smaller than
+    the output, and one product with it replaces kh*kw broadcast
+    multiply-adds: enc.conv1 at the default config, 0.36-0.46 -> 0.05-0.07 ms.
     """
-    mt = _tap_blocks(m, kh * kw)
-    product = np.multiply if xp.shape[0] == 1 else np.matmul
     out = np.empty((m.shape[0], length), dtype=dtype)
+    if xp.shape[0] == 1:
+        return np.matmul(m, _patches(xp, kh, kw, wp, length), out=out)
+    mt = _tap_blocks(m, kh * kw)
     tmp = np.empty_like(out) if kh * kw > 1 else None
     for t, off in enumerate(_tap_offsets(kh, kw, wp)):
-        product(mt[t], xp[:, off : off + length], out=tmp if t else out)
+        np.matmul(mt[t], xp[:, off : off + length], out=tmp if t else out)
         if t:
             out += tmp
     return out
 
 
+def _grad_block(c, length, itemsize):
+    """Columns per block of _tap_matmul_t: the fewest equal blocks whose slice
+    of a c-channel grid stays within _GRAD_BLOCK_BYTES."""
+    blocks = -(-c * length * itemsize // _GRAD_BLOCK_BYTES)
+    return -(-length // blocks)
+
+
 def _tap_matmul_t(g, xp, kh, kw, wp, length):
-    """g @ _patches(xp).T, as one product per tap with a slice of xp: (rows, c*kh*kw)."""
-    out = np.empty((kh * kw, g.shape[0], xp.shape[0]), dtype=np.result_type(g, xp))
-    for t, off in enumerate(_tap_offsets(kh, kw, wp)):
-        np.matmul(g, xp[:, off : off + length].T, out=out[t])
+    """g @ _patches(xp).T, as one product per tap with a slice of xp: (rows, c*kh*kw).
+
+    Each product's inner dimension is the whole grid. The grid's columns are
+    split into blocks of _grad_block columns, and every tap runs on one
+    block before the next, so the kh*kw overlapping slices of a block are
+    read while they are in cache; the first block writes each tap's product
+    and later blocks add to it. The 256 KiB budget is measured (float32,
+    OpenBLAS on one thread, a 2-core Xeon with 2 MiB of L2 per core): one
+    block runs at 45-53 GFLOP/s up to a slice of 160 KiB, and falls to
+    22-35 GFLOP/s somewhere between 192 and 384 KiB depending on the shape,
+    where two blocks run at 45-73. Below 160 KiB a split costs 5-25%. At
+    the default config only den.up (c=40) and dec.conv2 (c=12), with slices
+    of about 410 and 440 KiB, split, into two blocks each. With one input
+    channel the patch matrix is smaller than g and the result is one
+    product with it.
+    """
+    c = xp.shape[0]
+    if c == 1:
+        return g @ _patches(xp, kh, kw, wp, length).T
+    dtype = np.result_type(g, xp)
+    out = np.empty((kh * kw, g.shape[0], c), dtype=dtype)
+    tmp = np.empty_like(out[0])
+    block = _grad_block(c, length, dtype.itemsize)
+    for lo in range(0, length, block):
+        hi = min(lo + block, length)
+        gb = g[:, lo:hi]
+        for t, off in enumerate(_tap_offsets(kh, kw, wp)):
+            xs = xp[:, off + lo : off + hi].T
+            if lo:
+                out[t] += np.matmul(gb, xs, out=tmp)
+            else:
+                np.matmul(gb, xs, out=out[t])
     return out.transpose(1, 2, 0).reshape(g.shape[0], -1)
 
 
@@ -638,10 +682,12 @@ def conv2d(x: Tensor, k: Tensor, padding: int = 0, deltas=(), bias=None) -> Tens
     added to the kernel's 2-D view as A @ B without forming that product.
     bias (co,), if given, is added to every output position. One tape node
     with inputs (x, k, A1, B1, ..., bias). Forward and backward work tap by
-    tap on the padded grid and form no patch matrix: the forward takes one
-    product per tap of the kernel stacked with every B; the node keeps x
-    and, of each delta, B @ patches, which A's gradient needs, and the
-    backward rebuilds the grid from x only when k or a B needs a gradient.
+    tap on the padded grid and form no patch matrix, except the
+    (kh*kw, n*hp*wp) one of a one-channel input, which is smaller than the
+    output: the forward takes one product per tap of the kernel stacked
+    with every B; the node keeps x and, of each delta, B @ patches, which
+    A's gradient needs, and the backward rebuilds the grid from x only when
+    k or a B needs a gradient.
     """
     n, c, _, _, co, kh, kw, ho, wo = _conv_geometry(x.shape, k.shape, padding)
     batched = n is not None

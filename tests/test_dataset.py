@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -177,5 +178,19 @@ def test_manifest_file_not_inside_its_directory_is_format_error(tmp_path, where)
     name = {"parent": "../outside.pgm", "absolute": str(tmp_path / "outside.pgm"), "dot": "."}[where]
     manifest = tmp_path / "data" / "manifest.json"
     manifest.write_text(json.dumps({"items": [{"file": name, "prompt": "disks"}]}))
+    with pytest.raises(FormatError):
+        read_manifest(manifest)
+
+
+@pytest.mark.skipif(not hasattr(os, "symlink"), reason="no os.symlink")
+def test_manifest_symlink_out_of_its_directory_is_format_error(tmp_path):
+    save_pnm(tmp_path / "outside.pgm", Image(np.zeros((1, 4, 4))))
+    (tmp_path / "data").mkdir()
+    try:
+        os.symlink(tmp_path / "outside.pgm", tmp_path / "data" / "link.pgm")
+    except OSError as e:  # e.g. no privilege to make links
+        pytest.skip(f"cannot make a symlink: {e}")
+    manifest = tmp_path / "data" / "manifest.json"
+    manifest.write_text(json.dumps({"items": [{"file": "link.pgm", "prompt": "disks"}]}))
     with pytest.raises(FormatError):
         read_manifest(manifest)

@@ -1,3 +1,4 @@
+import contextlib
 import os
 import platform
 import subprocess
@@ -207,19 +208,26 @@ def decomposed_conv2d(x, k, padding=0, deltas=(), bias=None):
     return y if bias is None else T.channel_bias(y, bias)
 
 
+# a conv whose weight gradient takes more than one column block of the padded
+# grid, the last one shorter, in float32 and float64: c=40, n*hp*wp = 5*19*19
+BLOCKED_X, BLOCKED_K = (5, 40, 17, 17), (16, 40, 3, 3)
+
+
 def test_conv2d_node_matches_decomposed_tape():
     rng = np.random.default_rng(12)
     # unbatched and batched inputs, padding 0 and 1, 3x3 and 1x1 kernels, one input channel,
-    # two deltas on one kernel, and a bias
+    # two deltas on one kernel, and a bias; the last case's weight gradients span several
+    # column blocks (see test_conv2d_weight_gradient_in_column_blocks)
     cases = [((2, 5, 6), (3, 2, 3, 3), 1), ((3, 2, 5, 6), (3, 2, 3, 3), 1), ((3, 2, 5, 6), (3, 2, 3, 3), 0),
              ((3, 1, 5, 6), (3, 1, 3, 3), 1),
-             ((2, 4, 5), (4, 2, 1, 1), 0), ((3, 2, 4, 5), (4, 2, 1, 1), 0), ((3, 2, 4, 5), (4, 2, 1, 1), 1)]
+             ((2, 4, 5), (4, 2, 1, 1), 0), ((3, 2, 4, 5), (4, 2, 1, 1), 0), ((3, 2, 4, 5), (4, 2, 1, 1), 1),
+             (BLOCKED_X, BLOCKED_K, 1)]
     with T.float64():
         for x_shape, k_shape, pad in cases:
             x0, k0 = rng.normal(size=x_shape), rng.normal(size=k_shape)
             ab0 = [(rng.normal(size=(k_shape[0], r)), rng.normal(size=(r, k0[0].size))) for r in (1, 2)]
             bias0 = rng.normal(size=k_shape[0])
-            w = rng.normal(size=conv2d_loops(x0, k0, pad).shape)
+            w = rng.normal(size=T.conv2d(T.Tensor(x0), T.Tensor(k0), pad).shape)
             results = []
             for conv in (T.conv2d, decomposed_conv2d):
                 x, k = T.Tensor(x0, requires_grad=True), T.Tensor(k0, requires_grad=True)
@@ -233,6 +241,27 @@ def test_conv2d_node_matches_decomposed_tape():
             for fused, ref in zip(*results):
                 assert fused.shape == ref.shape
                 assert np.allclose(fused, ref, rtol=1e-12, atol=1e-12)
+
+
+def test_conv2d_weight_gradient_in_column_blocks():
+    length = BLOCKED_X[0] * (BLOCKED_X[2] + 2) * (BLOCKED_X[3] + 2)
+    for itemsize in (4, 8):
+        block = T._grad_block(BLOCKED_X[1], length, itemsize)
+        assert block < length and length % block
+    rng = np.random.default_rng(14)
+    x0, k0 = rng.normal(size=BLOCKED_X), rng.normal(size=BLOCKED_K)
+    # scaled so that k.grad is O(1), like the outputs the float32 tolerances of
+    # test_conv2d_matches_loop_oracle are set for
+    w = rng.normal(size=(BLOCKED_X[0], BLOCKED_K[0]) + BLOCKED_X[2:]) / np.sqrt(length)
+    grads = []
+    for mode in (T.float64, contextlib.nullcontext):
+        with mode():
+            x, k = T.Tensor(x0, requires_grad=True), T.Tensor(k0, requires_grad=True)
+            T.backward(T.tsum(T.mul(T.conv2d(x, k, 1), T.Tensor(w))))
+            grads.append(k.grad)
+    want, got = grads
+    assert want.dtype == np.float64 and got.dtype == np.float32
+    assert np.allclose(got, want, rtol=1e-5, atol=1e-5)
 
 
 def test_conv_tape_keeps_no_patch_matrix():
