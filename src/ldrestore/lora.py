@@ -2,11 +2,12 @@
 
 An adapter holds A (d x r) and B (r x k) for a target weight viewed as a
 (d, k) matrix; the effective weight is W + A x B, never materialized during
-training (the forward adds x B^T A^T as two skinny products). A starts
-Gaussian with variance 1/r and B starts at zero, so the delta is exactly
-zero until the first update. Spatial conv kernels are adapted through their
-(out, in*kh*kw) 2-D view. There is no alpha/rank output scaling: the delta
-is A x B exactly as stored.
+training: ``network._apply_weight`` adds x B^T A^T to a dense weight's
+output as two skinny products, and ``tensor.conv2d`` takes (A, B) as a delta
+on a kernel's (out, in*kh*kw) 2-D view. A starts Gaussian with variance 1/r
+and B starts at zero, so the delta is exactly zero until the first update.
+Adapters are trained with ``optim.AdamW`` bound to each A and B. There is
+no alpha/rank output scaling: the delta is A x B exactly as stored.
 """
 
 import fnmatch
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigurationError, ContractViolation, DimensionError
+from .errors import ConfigurationError, ContractViolation
 from .rng import stream
 
 DEFAULT_TARGETS = ("den.temb.w", "den.pemb.w", "ctrl.zero.conv.w", "ctrl.zero.sft.w")
@@ -89,20 +90,6 @@ def attach(params, config: LoraConfig, seed: int) -> list:
     return adapters
 
 
-def effective_forward(x: T.Tensor, W: T.Tensor, adapter: LoraAdapter) -> T.Tensor:
-    """x @ (W + A B)^T without materializing the sum; W stays out of the tape."""
-    d, k = _matrix_view_shape(W, adapter.target)
-    if (d, k) != (adapter.d, adapter.k):
-        raise DimensionError(
-            f"adapter {adapter.target}: W viewed as ({d},{k}) vs A/B ({adapter.d},{adapter.k})"
-        )
-    w2d = W if W.ndim == 2 else T.reshape(W, (d, k))
-    base = T.linear(x, w2d)
-    if not adapter.enabled:
-        return base
-    return T.add(base, T.linear(T.linear(x, adapter.B), adapter.A))
-
-
 def reg_loss(adapters, lam: float) -> T.Tensor:
     """lam * sum of squared Frobenius norms of every A and B."""
     if lam < 0:
@@ -139,19 +126,6 @@ def unmerge(params, adapters) -> object:
         a._original = None
         a.enabled = True
     return params
-
-
-def lora_step(adapters, grads, lr: float):
-    """SGD update A -= lr*gA, B -= lr*gB; grads=None reads the .grad slots."""
-    if grads is None:
-        grads = [(a.A.grad, a.B.grad) for a in adapters]
-    if len(grads) != len(adapters):
-        raise ContractViolation(f"lora_step: {len(grads)} grads for {len(adapters)} adapters")
-    for a, (gA, gB) in zip(adapters, grads):
-        if gA is None or gB is None:
-            raise ContractViolation(f"lora_step: missing gradient for {a.target}")
-        a.A.data -= lr * np.asarray(gA)
-        a.B.data -= lr * np.asarray(gB)
 
 
 def trainable_param_count(adapters) -> int:

@@ -21,7 +21,13 @@ every convolution, its bias included, is one ``tensor.conv2d`` tape node,
 which takes the adapters' (A, B) pairs as deltas on the kernel's
 (out, in*kh*kw) view, and the two dense weights (``den.temb.w``,
 ``den.pemb.w``) go through ``_apply_weight``. Only ``tensor.py`` knows the
-convolution's layout. Inputs may carry a leading batch axis.
+convolution's layout.
+
+The tape's spatial ops take batches ``(n, c, h, w)`` only. ``encode``,
+``control_features``, ``denoise`` and ``decode_tensor`` also take a single
+item ``(c, h, w)``, with a 1-D prompt embedding and a scalar step: they make
+it a batch of one on the way in (``_add_batch``) and return a single item
+(``_drop_batch``).
 """
 
 import math
@@ -248,15 +254,26 @@ def _as_tensor_image(img) -> T.Tensor:
     return T.Tensor(img)
 
 
+def _add_batch(x: T.Tensor, single: bool) -> T.Tensor:
+    """x with a leading batch axis of one if single, else x itself."""
+    return T.reshape(x, (1,) + x.shape) if single else x
+
+
+def _drop_batch(y: T.Tensor, single: bool) -> T.Tensor:
+    """The one item of a batch-of-one output if single, else y itself."""
+    return T.reshape(y, y.shape[1:]) if single else y
+
+
 def encode(img, params: NetParams, adapters=()) -> T.Tensor:
     """Image (or (c,h,w)/(n,c,h,w) tensor) -> latent at half resolution."""
     x = _as_tensor_image(img)
     h, w = x.shape[-2], x.shape[-1]
     if h % DOWNSCALE or w % DOWNSCALE:
         raise ConfigurationError(f"encode: dims {h}x{w} not divisible by {DOWNSCALE}")
+    single = x.ndim == 3
     amap = _adapter_map(adapters)
-    h1 = T.silu(_conv(x, params, "enc.conv1", 1, amap))
-    return _conv(T.avg_pool2(h1), params, "enc.conv2", 1, amap)
+    h1 = T.silu(_conv(_add_batch(x, single), params, "enc.conv1", 1, amap))
+    return _drop_batch(_conv(T.avg_pool2(h1), params, "enc.conv2", 1, amap), single)
 
 
 def encode_array(params: NetParams, arr: np.ndarray) -> np.ndarray:
@@ -269,40 +286,38 @@ def control_features(z_enc: T.Tensor, prompt_emb: T.Tensor, params: NetParams,
                      adapters=(), include_zero: bool = True) -> T.Tensor:
     """z_lq = Conv(z_enc) + ZeroConv(z_enc ++ prompt); the zero path starts at 0.
 
-    ``include_zero=False`` drops the zero-initialized path entirely (used by
-    neutrality checks; at init the two variants agree bit-for-bit).
+    z_enc (n,c,h,w) takes prompt_emb (n, prompt_dim), and z_enc (c,h,w) a
+    1-D prompt_emb. ``include_zero=False`` drops the zero-initialized path
+    entirely (used by neutrality checks; at init the two variants agree
+    bit-for-bit).
     """
+    single = z_enc.ndim == 3
+    z, pemb = _add_batch(z_enc, single), _add_batch(prompt_emb, single)
     amap = _adapter_map(adapters)
-    plain = _conv(z_enc, params, "ctrl.conv", 1, amap)
+    plain = _conv(z, params, "ctrl.conv", 1, amap)
     if not include_zero:
-        return plain
-    hs, ws = z_enc.shape[-2], z_enc.shape[-1]
-    if z_enc.ndim == 4:
-        if prompt_emb.ndim != 2 or prompt_emb.shape[0] != z_enc.shape[0]:
-            raise DimensionError(f"control: prompt {prompt_emb.shape} vs batch {z_enc.shape}")
-    elif prompt_emb.ndim != 1:
-        raise DimensionError(f"control: prompt embedding must be 1-D, got {prompt_emb.shape}")
-    spread = T.broadcast_spatial(prompt_emb, hs, ws)
-    zc_in = T.concat_channels(z_enc, spread)
+        return _drop_batch(plain, single)
+    if pemb.ndim != 2 or pemb.shape[0] != z.shape[0]:
+        raise DimensionError(f"control: prompt embedding {prompt_emb.shape} vs latent {z_enc.shape}")
+    zc_in = T.concat_channels(z, T.broadcast_spatial(pemb, z.shape[2], z.shape[3]))
     zero = _conv(zc_in, params, "ctrl.zero.conv", 0, amap)
-    return T.add(plain, zero)
+    return _drop_batch(T.add(plain, zero), single)
 
 
 def denoise(z_t: T.Tensor, t, cond: ConditioningBundle, params: NetParams,
             adapters=(), include_zero: bool = True) -> T.Tensor:
     """Predicted noise for z_t at physical step(s) t, conditioned on cond.
 
-    t is a scalar for a single latent or a length-n array for a batch.
+    A single latent (c,h,w) takes a single z_lq, a 1-D prompt embedding and
+    a scalar t; a batch (n,c,h,w) takes batches of both and t a scalar or a
+    length-n array.
     """
     cfg = params.config
-    batched = z_t.ndim == 4
-    x = z_t if batched else T.reshape(z_t, (1,) + z_t.shape)
-    z_lq = cond.z_lq if cond.z_lq.ndim == 4 else T.reshape(cond.z_lq, (1,) + cond.z_lq.shape)
-    if x.shape[1] != cfg.c_lat or x.shape != z_lq.shape:
+    single = z_t.ndim == 3
+    x, z_lq = _add_batch(z_t, single), _add_batch(cond.z_lq, single)
+    if x.ndim != 4 or x.shape[1] != cfg.c_lat or x.shape != z_lq.shape:
         raise DimensionError(f"denoise: z_t {z_t.shape} vs z_lq {cond.z_lq.shape}")
-    pemb = cond.prompt_embedding
-    if pemb.ndim == 1:
-        pemb = T.reshape(pemb, (1, pemb.shape[0]))
+    pemb = _add_batch(cond.prompt_embedding, single)
     n = x.shape[0]
     if pemb.shape != (n, cfg.prompt_dim):
         raise DimensionError(f"denoise: prompt embedding {pemb.shape}, want ({n}, {cfg.prompt_dim})")
@@ -326,19 +341,20 @@ def denoise(z_t: T.Tensor, t, cond: ConditioningBundle, params: NetParams,
 
     cat = T.concat_channels(T.upsample2(h3), h1)
     h4 = T.silu(_conv(cat, params, "den.up", 1, amap))
-    out = _conv(h4, params, "den.conv_out", 1, amap)
-    return out if batched else T.reshape(out, z_t.shape)
+    return _drop_batch(_conv(h4, params, "den.conv_out", 1, amap), single)
 
 
 def decode_tensor(z: T.Tensor, params: NetParams, adapters=()) -> T.Tensor:
-    """Latent -> image tensor in [0,1] (sigmoid output), differentiable."""
+    """Latent (c,h,w) or (n,c,h,w) -> image tensor in [0,1] (sigmoid output), differentiable."""
     cfg = params.config
-    if z.shape[1 if z.ndim == 4 else 0] != cfg.c_lat:
+    single = z.ndim == 3
+    zb = _add_batch(z, single)
+    if zb.ndim != 4 or zb.shape[1] != cfg.c_lat:
         raise DimensionError(f"decode: latent {z.shape}, want {cfg.c_lat} channels")
     amap = _adapter_map(adapters)
-    h = T.silu(_conv(z, params, "dec.conv1", 1, amap))
+    h = T.silu(_conv(zb, params, "dec.conv1", 1, amap))
     h = T.silu(_conv(T.upsample2(h), params, "dec.conv2", 1, amap))
-    return T.sigmoid(_conv(h, params, "dec.out", 0, amap))
+    return _drop_batch(T.sigmoid(_conv(h, params, "dec.out", 0, amap)), single)
 
 
 def decode(z: T.Tensor, params: NetParams, adapters=()) -> Image:

@@ -22,10 +22,10 @@ gradient is never computed, so a frozen weight costs no gradient product.
 
 Shapes are explicit. There is no general broadcasting: mixed-shape
 combinations exist only as named ops (``channel_bias``, ``row_scale``,
-``broadcast_spatial``) with hand-written backward rules. Convolution and
-pooling accept either a single item ``(c, h, w)`` or a leading batch axis
-``(n, c, h, w)``; the batched form is the plain op applied per item with a
-shared kernel.
+``broadcast_spatial``) with hand-written backward rules. Every spatial op
+(convolution, pooling, resampling, channel concatenation and bias) takes a
+batch ``(n, c, h, w)`` only, and a 3-D input raises ``DimensionError``; a
+single item is a batch of one.
 
 Convolution is one tape node per call, with inputs (x, k, A1, B1, ..., bias).
 ``conv2d`` copies its input into a channel-major zero-padded grid, flattened
@@ -115,10 +115,6 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 @contextmanager
 def float64():
     """Compute in float64 inside the block (reference mode for gradient and oracle checks).
@@ -175,12 +171,6 @@ class Tensor:
             raise ContractViolation(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def zero_grad(self):
-        self.grad = None
-
     def _needs_grad(self):
         return self.requires_grad or self.node is not None
 
@@ -215,10 +205,6 @@ class Tensor:
         return scale(self, -1.0)
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _recording(inputs) -> bool:
     """Whether an op on these inputs records a tape node."""
     return _GRAD_ENABLED and any(t._needs_grad() for t in inputs)
@@ -247,6 +233,13 @@ def _pass(g):
 def _same_shape(a, b, op):
     if a.shape != b.shape:
         raise DimensionError(f"{op}: shape {a.shape} vs {b.shape}")
+
+
+def _batch_shape(shape, op):
+    """shape as (n, c, h, w), or DimensionError naming it: spatial ops take batches only."""
+    if len(shape) != 4:
+        raise DimensionError(f"{op}: need a batch (n, c, h, w), got shape {tuple(shape)}")
+    return tuple(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -362,32 +355,28 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate along the channel axis: axis 0 for (c,h,w), axis 1 for (n,c,h,w)."""
-    if a.ndim != b.ndim or a.ndim not in (3, 4):
-        raise DimensionError(f"concat_channels: ranks {a.ndim} vs {b.ndim}")
-    axis = 0 if a.ndim == 3 else 1
-    if a.shape[:axis] != b.shape[:axis] or a.shape[axis + 1 :] != b.shape[axis + 1 :]:
+    """Concatenate two (n, c, h, w) batches along the channel axis."""
+    _batch_shape(a.shape, "concat_channels")
+    _batch_shape(b.shape, "concat_channels")
+    if a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
         raise DimensionError(f"concat_channels: shape {a.shape} vs {b.shape}")
-    lead = (slice(None),) * axis
-    first, rest = lead + (slice(None, a.shape[axis]),), lead + (slice(a.shape[axis], None),)
+    ca = a.shape[1]
     return _make(
-        np.concatenate([a.data, b.data], axis=axis), "concat", (a, b),
-        (lambda g: np.ascontiguousarray(g[first]), lambda g: np.ascontiguousarray(g[rest])),
+        np.concatenate([a.data, b.data], axis=1), "concat", (a, b),
+        (lambda g: np.ascontiguousarray(g[:, :ca]), lambda g: np.ascontiguousarray(g[:, ca:])),
     )
 
 
 def channel_bias(x: Tensor, b: Tensor) -> Tensor:
     """Add a per-channel bias, constant over spatial positions.
 
-    x (c,h,w) with b (c,); x (n,c,h,w) with b (c,) shared or (n,c) per item.
+    x (n,c,h,w) with b (c,) shared or (n,c) per item.
     """
-    if x.ndim == 3 and b.shape == (x.shape[0],):
-        out = x.data + b.data[:, None, None]
-        back_b = lambda g: g.sum(axis=(1, 2))
-    elif x.ndim == 4 and b.shape == (x.shape[1],):
+    _batch_shape(x.shape, "channel_bias")
+    if b.shape == (x.shape[1],):
         out = x.data + b.data[None, :, None, None]
         back_b = lambda g: g.sum(axis=(0, 2, 3))
-    elif x.ndim == 4 and b.shape == x.shape[:2]:
+    elif b.shape == x.shape[:2]:
         out = x.data + b.data[:, :, None, None]
         back_b = lambda g: g.sum(axis=(2, 3))
     else:
@@ -396,17 +385,12 @@ def channel_bias(x: Tensor, b: Tensor) -> Tensor:
 
 
 def broadcast_spatial(v: Tensor, h: int, w: int) -> Tensor:
-    """Tile a channel vector over an h x w grid: (c,)->(c,h,w), (n,c)->(n,c,h,w)."""
-    if v.ndim == 1:
-        out = np.broadcast_to(v.data[:, None, None], (v.shape[0], h, w)).copy()
-        back = lambda g: g.sum(axis=(1, 2))
-    elif v.ndim == 2:
-        n, c = v.shape
-        out = np.broadcast_to(v.data[:, :, None, None], (n, c, h, w)).copy()
-        back = lambda g: g.sum(axis=(2, 3))
-    else:
-        raise DimensionError(f"broadcast_spatial: rank {v.ndim}")
-    return _make(out, "broadcast_spatial", (v,), (back,))
+    """Tile per-item channel vectors over an h x w grid: (n,c)->(n,c,h,w)."""
+    if v.ndim != 2:
+        raise DimensionError(f"broadcast_spatial: need (n, c), got shape {v.shape}")
+    n, c = v.shape
+    out = np.broadcast_to(v.data[:, :, None, None], (n, c, h, w)).copy()
+    return _make(out, "broadcast_spatial", (v,), (lambda g: g.sum(axis=(2, 3)),))
 
 
 def row_scale(x: Tensor, s: Tensor) -> Tensor:
@@ -472,13 +456,7 @@ def _conv_geometry(x_shape, k_shape, padding):
         raise ParameterError(f"conv2d: kernel dims must be odd, got {kh}x{kw}")
     if padding < 0:
         raise ParameterError(f"conv2d: padding must be >= 0, got {padding}")
-    if len(x_shape) == 3:
-        n = None
-        c, h, w = x_shape
-    elif len(x_shape) == 4:
-        n, c, h, w = x_shape
-    else:
-        raise DimensionError(f"conv2d: input must be 3-D or 4-D, got {x_shape}")
+    n, c, h, w = _batch_shape(x_shape, "conv2d")
     if c != ci:
         raise DimensionError(f"conv2d: input channels {c} vs kernel {ci} ({x_shape} with {k_shape})")
     ho = h + 2 * padding - kh + 1
@@ -610,27 +588,25 @@ def _tap_col2im(m, g, kh, kw, wp, length):
 
 
 def _unpad(gxp, x_shape, padding):
-    """Gradient on the (c, n*hp*wp) grid -> gradient of the input, of shape x_shape."""
-    batched = len(x_shape) == 4
-    n, c, h, w = x_shape if batched else (1,) + tuple(x_shape)
+    """Gradient on the (c, n*hp*wp) grid -> gradient of the (n, c, h, w) input."""
+    n, c, h, w = x_shape
     p = padding
-    gx = gxp.reshape(c, n, h + 2 * p, w + 2 * p)[:, :, p : p + h, p : p + w].transpose(1, 0, 2, 3)
-    return np.ascontiguousarray(gx if batched else gx[0])
+    gx = gxp.reshape(c, n, h + 2 * p, w + 2 * p)[:, :, p : p + h, p : p + w]
+    return np.ascontiguousarray(gx.transpose(1, 0, 2, 3))
 
 
-def _crop(y, n, hp, wp, ho, wo, batched):
-    """Grid product (co, n*hp*wp) -> (n, co, ho, wo), or (co, ho, wo) unbatched,
-    keeping the top-left (ho, wo) of each image's grid."""
+def _crop(y, n, hp, wp, ho, wo):
+    """Grid product (co, n*hp*wp) -> (n, co, ho, wo), keeping the top-left
+    (ho, wo) of each image's grid."""
     co = y.shape[0]
     v = y.reshape(co, n, hp, wp)[:, :, :ho, :wo]
-    return np.ascontiguousarray(v.transpose(1, 0, 2, 3) if batched else v[:, 0])
+    return np.ascontiguousarray(v.transpose(1, 0, 2, 3))
 
 
 def _uncrop(g, hp, wp):
     """Adjoint of _crop: the output gradient on the (co, n*hp*wp) grid, zero off the crop."""
-    gb = g if g.ndim == 4 else g[None]
-    n, co, ho, wo = gb.shape
-    gt = gb.transpose(1, 0, 2, 3)
+    n, co, ho, wo = g.shape
+    gt = g.transpose(1, 0, 2, 3)
     if (ho, wo) == (hp, wp):
         return np.ascontiguousarray(gt).reshape(co, n * hp * wp)
     gg = np.zeros((co, n, hp, wp), dtype=g.dtype)
@@ -641,42 +617,37 @@ def _uncrop(g, hp, wp):
 def im2col(x: Tensor, kh: int, kw: int, padding: int) -> Tensor:
     """Patch matrix of a (kh, kw) window over the zero-padded grid: (c*kh*kw, n*hp*wp).
 
-    Column (b, r, s) in (n, hp, wp) order, n = 1 for an unbatched input, and
+    x is an (n, c, h, w) batch. Column (b, r, s) in (n, hp, wp) order and
     row (ci, i, j), the order of a kernel's (co, ci*kh*kw) view, hold the
     padded input at (b, ci, r+i, s+j). Only columns with r <= hp-kh and
     s <= wp-kw are windows of the input; the others hold finite values that
     fold_channels_last crops away. conv2d forms no such matrix; this op is
     the reference that tests compose it against.
     """
-    batched = x.ndim == 4
-    xd = x.data if batched else x.data[None]
-    n, c, h, w = xd.shape
+    n, c, h, w = _batch_shape(x.shape, "im2col")
     hp, wp = h + 2 * padding, w + 2 * padding
     if hp < kh or wp < kw:
         raise DimensionError(f"im2col: window {kh}x{kw} larger than padded input {x.shape}")
     length = n * hp * wp
-    cols = _patches(_padded_grid(xd, kh, kw, padding), kh, kw, wp, length)
+    cols = _patches(_padded_grid(x.data, kh, kw, padding), kh, kw, wp, length)
     return _make(cols, "im2col", (x,), (lambda g: _unpad(_col2im(g, kh, kw, wp, length), x.shape, padding),))
 
 
 def fold_channels_last(y: Tensor, lead_shape, out_hw) -> Tensor:
-    """Grid product (co, prod(lead)) -> channel-first activations cropped to out_hw.
-
-    lead (hp, wp) gives (co, ho, wo) and lead (n, hp, wp) gives
-    (n, co, ho, wo), keeping the top-left (ho, wo) = out_hw of each grid.
+    """Grid product (co, n*hp*wp) -> (n, co, ho, wo) activations, lead (n, hp, wp),
+    keeping the top-left (ho, wo) = out_hw of each grid.
     """
-    if len(lead_shape) not in (2, 3):
-        raise DimensionError(f"fold_channels_last: lead shape {lead_shape}")
-    batched = len(lead_shape) == 3
-    n, hp, wp = lead_shape if batched else (1,) + tuple(lead_shape)
+    if len(lead_shape) != 3:
+        raise DimensionError(f"fold_channels_last: need lead (n, hp, wp), got {lead_shape}")
+    n, hp, wp = lead_shape
     ho, wo = out_hw
     if y.ndim != 2 or y.shape[1] != n * hp * wp or not (0 < ho <= hp and 0 < wo <= wp):
         raise DimensionError(f"fold_channels_last: {y.shape} with grid {lead_shape} cropped to {out_hw}")
-    return _make(_crop(y.data, n, hp, wp, ho, wo, batched), "fold", (y,), (lambda g: _uncrop(g, hp, wp),))
+    return _make(_crop(y.data, n, hp, wp, ho, wo), "fold", (y,), (lambda g: _uncrop(g, hp, wp),))
 
 
 def conv2d(x: Tensor, k: Tensor, padding: int = 0, deltas=(), bias=None) -> Tensor:
-    """Cross-correlation with zero padding; x (c,h,w) or (n,c,h,w), k (co,ci,kh,kw).
+    """Cross-correlation with zero padding; x (n,c,h,w), k (co,ci,kh,kw).
 
     deltas are low-rank (A, B) pairs, A (co, r) and B (r, ci*kh*kw), each
     added to the kernel's 2-D view as A @ B without forming that product.
@@ -690,7 +661,6 @@ def conv2d(x: Tensor, k: Tensor, padding: int = 0, deltas=(), bias=None) -> Tens
     k or a B needs a gradient.
     """
     n, c, _, _, co, kh, kw, ho, wo = _conv_geometry(x.shape, k.shape, padding)
-    batched = n is not None
     deltas = tuple(deltas)
     for A, B in deltas:
         if A.ndim != 2 or B.ndim != 2 or A.shape[0] != co or B.shape != (A.shape[1], c * kh * kw):
@@ -701,13 +671,11 @@ def conv2d(x: Tensor, k: Tensor, padding: int = 0, deltas=(), bias=None) -> Tens
         raise DimensionError(f"conv2d: bias {bias.shape} does not fit kernel {k.shape}; need ({co},)")
     inputs = (x, k) + tuple(t for d in deltas for t in d) + ((bias,) if bias is not None else ())
     dtype = np.result_type(*(t.data for t in inputs))
-    xd = x.data if batched else x.data[None]
-    n = xd.shape[0]
     hp, wp = ho + kh - 1, wo + kw - 1
     geom = (kh, kw, wp, n * hp * wp)
     # the kernel's rows and every B's rows in one product per tap
     m = np.concatenate([k.data.reshape(co, -1)] + [B.data for _, B in deltas])
-    prod = _tap_matmul(m, _padded_grid(xd, kh, kw, padding), *geom, dtype)
+    prod = _tap_matmul(m, _padded_grid(x.data, kh, kw, padding), *geom, dtype)
     y, kept, r = prod[:co], [], co
     for A, B in deltas:
         bc = prod[r : r + B.shape[0]].copy()  # a view would keep all of prod alive
@@ -716,13 +684,13 @@ def conv2d(x: Tensor, k: Tensor, padding: int = 0, deltas=(), bias=None) -> Tens
         kept.append(bc)
     if bias is not None:
         y += bias.data[:, None]
-    out = Tensor(_crop(y, n, hp, wp, ho, wo, batched))
+    out = Tensor(_crop(y, n, hp, wp, ho, wo))
     if not _recording(inputs):
         return out
 
     def backward(g):
         need = [t._needs_grad() for t in inputs]
-        grads = [None] * len(inputs)
+        grads = [None for _ in inputs]
         gg = _uncrop(g, hp, wp)
         # A^T g per delta, shared by the gradients of x and of B
         ag = [A.data.T @ gg if need[0] or need[3 + 2 * d] else None for d, (A, _) in enumerate(deltas)]
@@ -731,7 +699,7 @@ def conv2d(x: Tensor, k: Tensor, padding: int = 0, deltas=(), bias=None) -> Tens
             gm = np.concatenate([gg] + ag) if deltas else gg
             grads[0] = _unpad(_tap_col2im(m, gm, *geom), x.shape, padding)
         if need[1] or any(need[3::2]):
-            xp = _padded_grid(xd, kh, kw, padding)
+            xp = _padded_grid(x.data, kh, kw, padding)
             if need[1]:
                 grads[1] = _tap_matmul_t(gg, xp, *geom).reshape(k.shape)
         for d, bc in enumerate(kept):
@@ -745,15 +713,6 @@ def conv2d(x: Tensor, k: Tensor, padding: int = 0, deltas=(), bias=None) -> Tens
 
     out.node = TapeNode("conv2d", inputs, backward)
     return out
-
-
-def _spatial_split(x):
-    if x.ndim == 3:
-        c, h, w = x.shape
-        return None, c, h, w
-    if x.ndim == 4:
-        return x.shape
-    raise DimensionError(f"expected 3-D or 4-D tensor, got {x.shape}")
 
 
 def _quarter_sum(a):
@@ -770,7 +729,7 @@ def _quarter_sum(a):
 
 def avg_pool2(x: Tensor) -> Tensor:
     """2x2 average pooling; spatial dims must be even."""
-    n, c, h, w = _spatial_split(x)
+    _, _, h, w = _batch_shape(x.shape, "avg_pool2")
     if h % 2 or w % 2:
         raise DimensionError(f"avg_pool2: odd spatial dims {x.shape}")
     out = _quarter_sum(x.data)
@@ -784,7 +743,7 @@ def avg_pool2(x: Tensor) -> Tensor:
 
 def upsample2(x: Tensor) -> Tensor:
     """Nearest-neighbour 2x upsampling of the spatial dims."""
-    _spatial_split(x)
+    _batch_shape(x.shape, "upsample2")
     out = np.repeat(np.repeat(x.data, 2, axis=-1), 2, axis=-2)
     return _make(out, "upsample2", (x,), (_quarter_sum,))
 

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from ldrestore import tensor as T
-from ldrestore.errors import ConfigurationError, ContractViolation
+from ldrestore.errors import ConfigurationError, ContractViolation, DimensionError
 from ldrestore.lora import (
     LoraConfig,
     attach,
-    effective_forward,
-    lora_step,
     merge,
     reg_loss,
     trainable_param_count,
@@ -18,6 +16,8 @@ from ldrestore.network import (
     ConditioningBundle,
     NetConfig,
     NetParams,
+    _adapter_map,
+    _apply_weight,
     control_features,
     decode_tensor,
     denoise,
@@ -26,6 +26,7 @@ from ldrestore.network import (
     prompt_embedding,
     prompt_embedding_batch,
 )
+from ldrestore.optim import AdamW
 
 TINY = NetConfig(image_size=16, c_lat=3, c_enc=3, c_hid=4, c_mid=5, prompt_dim=4, temb_dim=4)
 
@@ -44,6 +45,16 @@ def tiny_net(seed=0):
 
 def matrix_params(d, k, name="w"):
     return NetParams(TINY, {name: T.Tensor(np.random.default_rng(0).normal(size=(d, k)), requires_grad=True)})
+
+
+def dense(x, params, adapters):
+    """The dense weight site "w" of params applied to x (n, k), with adapters."""
+    return _apply_weight(T.Tensor(x), params, "w", _adapter_map(adapters))
+
+
+def adapter_optimizer(adapters, lr):
+    """AdamW bound to every adapter's A and B, as a LoRA fine-tune binds them."""
+    return AdamW([(a.target + s, t) for a in adapters for s, t in ((".A", a.A), (".B", a.B))], lr=lr)
 
 
 def test_attach_neutrality_bit_exact_through_denoiser():
@@ -89,27 +100,38 @@ def test_attach_errors():
         attach(bias, LoraConfig(rank=1, targets=("b",)), seed=0)
 
 
-def test_effective_forward_matches_materialized():
+def test_apply_weight_matches_materialized():
     rng = np.random.default_rng(1)
     params = matrix_params(6, 5)
     adapters = attach(params, LoraConfig(rank=3, targets=("w",)), seed=2)
     a = adapters[0]
     a.B.data = rng.normal(size=a.B.shape)
     x = rng.normal(size=(7, 5))
-    out = effective_forward(T.Tensor(x), params["w"], a)
-    dense = x @ (params["w"].data + a.A.data @ a.B.data).T
-    assert np.allclose(out.data, dense, atol=1e-10)
+    out = dense(x, params, adapters)
+    want = x @ (params["w"].data + a.A.data @ a.B.data).T
+    assert np.allclose(out.data, want, atol=1e-10)
 
 
-def test_effective_forward_b_zero_is_base():
+def test_apply_weight_b_zero_is_base():
     params = matrix_params(6, 5)
     adapters = attach(params, LoraConfig(rank=2, targets=("w",)), seed=0)
     x = np.random.default_rng(2).normal(size=(4, 5))
-    out = effective_forward(T.Tensor(x), params["w"], adapters[0])
+    out = dense(x, params, adapters)
     assert np.allclose(out.data, x @ params["w"].data.T, atol=0)
 
 
-def test_effective_forward_gradients():
+def test_apply_weight_rejects_adapter_that_does_not_fit():
+    params = matrix_params(6, 5)
+    a = attach(params, LoraConfig(rank=2, targets=("w",)), seed=0)[0]
+    x = np.random.default_rng(2).normal(size=(4, 5))
+    # A with a row too many, B one column short, A and B of different ranks
+    for a_shape, b_shape in [((7, 2), (2, 5)), ((6, 2), (2, 4)), ((6, 3), (2, 5))]:
+        bad = type(a)(a.target, T.Tensor(np.ones(a_shape)), T.Tensor(np.ones(b_shape)), a.rank)
+        with pytest.raises(DimensionError):
+            dense(x, params, [bad])
+
+
+def test_apply_weight_gradients():
     rng = np.random.default_rng(3)
     params = matrix_params(5, 4)
     adapters = attach(params, LoraConfig(rank=2, targets=("w",)), seed=1)
@@ -120,17 +142,17 @@ def test_effective_forward_gradients():
 
     def loss_a(probe):
         ad = type(a)(a.target, probe, T.Tensor(a.B.data), a.rank)
-        return T.mse(effective_forward(T.Tensor(x), params["w"], ad), T.Tensor(tgt))
+        return T.mse(dense(x, params, [ad]), T.Tensor(tgt))
 
     def loss_b(probe):
         ad = type(a)(a.target, T.Tensor(a.A.data), probe, a.rank)
-        return T.mse(effective_forward(T.Tensor(x), params["w"], ad), T.Tensor(tgt))
+        return T.mse(dense(x, params, [ad]), T.Tensor(tgt))
 
     assert T.finite_diff_check(loss_a, a.A) < 1e-4
     assert T.finite_diff_check(loss_b, a.B) < 1e-4
 
     # frozen base: W receives no gradient
-    out = T.mse(effective_forward(T.Tensor(x), params["w"], a), T.Tensor(tgt))
+    out = T.mse(dense(x, params, adapters), T.Tensor(tgt))
     T.backward(out)
     assert params["w"].grad is None
 
@@ -163,7 +185,7 @@ def test_merge_equivalence_all_ranks():
             a = adapters[0]
             a.B.data = rng.normal(size=a.B.shape) * 0.2
             xs = rng.normal(size=(20, 1, 9))
-            runtime = [effective_forward(T.Tensor(x), params["w"], a).data.copy() for x in xs]
+            runtime = [dense(x, params, adapters).data.copy() for x in xs]
             merge(params, adapters)
             merged = [(x @ params["w"].data.T) for x in xs]
             for u, v in zip(runtime, merged):
@@ -278,22 +300,26 @@ def test_tape_and_gradients_follow_compute_dtype():
     assert T.Tensor(0.0).data.dtype == np.float32
 
 
-def test_lora_step_updates_and_contracts():
+def test_adamw_updates_adapters_and_contracts():
     params = matrix_params(4, 3)
     adapters = attach(params, LoraConfig(rank=2, targets=("w",)), seed=0)
     a = adapters[0]
-    a0 = a.A.data.copy()
+    a0, b0 = a.A.data.copy(), a.B.data.copy()
 
-    lora_step(adapters, [(np.zeros((4, 2)), np.zeros((2, 3)))], lr=0.5)
-    assert np.array_equal(a.A.data, a0)
+    adapter_optimizer(adapters, lr=0.5).step([np.zeros((4, 2)), np.zeros((2, 3))])
+    assert np.array_equal(a.A.data, a0) and np.array_equal(a.B.data, b0)
 
+    # a first AdamW step moves each entry by lr against the sign of its gradient
     g = np.full((4, 2), 2.0)
-    lora_step(adapters, [(g, np.zeros((2, 3)))], lr=0.1)
-    assert np.allclose(a.A.data, a0 - 0.2)
+    adapter_optimizer(adapters, lr=0.1).step([g, np.zeros((2, 3))])
+    assert np.allclose(a.A.data, a0 - 0.1, rtol=0, atol=1e-6)
+    assert np.array_equal(a.B.data, b0)
 
     zero_adapter_grads(adapters)
     with pytest.raises(ContractViolation):
-        lora_step(adapters, None, lr=0.1)
+        adapter_optimizer(adapters, lr=0.1).step()
+    with pytest.raises(ContractViolation):
+        adapter_optimizer(adapters, lr=0.1).step([g])
 
 
 def test_low_rank_regression_converges():
@@ -306,13 +332,12 @@ def test_low_rank_regression_converges():
     y = x @ (params["w"].data + true_a @ true_b).T
 
     adapters = attach(params, LoraConfig(rank=2, targets=("w",)), seed=8)
-    a = adapters[0]
+    opt = adapter_optimizer(adapters, lr=0.05)
     losses = []
     for _ in range(200):
         zero_adapter_grads(adapters)
-        out = effective_forward(T.Tensor(x), params["w"], a)
-        loss = T.mse(out, T.Tensor(y))
+        loss = T.mse(dense(x, params, adapters), T.Tensor(y))
         T.backward(loss)
         losses.append(loss.item())
-        lora_step(adapters, None, lr=0.2)
+        opt.step()
     assert losses[-1] < 0.1 * losses[0]

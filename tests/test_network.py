@@ -159,6 +159,42 @@ def test_denoise_batch_matches_per_item():
         assert np.allclose(out.data[i], out_i.data, rtol=1e-5, atol=1e-6)
 
 
+def test_single_item_equals_batch_of_one():
+    # a (c, h, w) item goes through the network as a batch of one: float32
+    # results agree bit for bit with those of the batch holding it
+    params, img = tiny_setup()
+    params["ctrl.zero.conv.w"].data[:] = 0.05  # so the prompt reaches z_lq
+    params["ctrl.zero.sft.w"].data[:] = 0.05
+    rng = np.random.default_rng(4)
+    z = encode(T.Tensor(img), params)
+    zb = encode(T.Tensor(img[None]), params)
+    assert z.data.dtype == np.float32 and z.shape == zb.shape[1:]
+    assert np.array_equal(z.data, zb.data[0])
+
+    pe = prompt_embedding(params, ["rings", "low-quality"])
+    z_lq = control_features(z, pe, params)
+    pe_b = T.Tensor(pe.data[None])
+    z_lq_b = control_features(zb, pe_b, params)
+    assert np.array_equal(z_lq.data, z_lq_b.data[0])
+
+    zt = rng.standard_normal(z.shape)
+    out = denoise(T.Tensor(zt), 7, ConditioningBundle(z_lq, None, pe), params)
+    out_b = denoise(T.Tensor(zt[None]), 7, ConditioningBundle(z_lq_b, None, pe_b), params)
+    assert np.array_equal(out.data, out_b.data[0])
+
+    x = decode_tensor(T.Tensor(zt), params)
+    x_b = decode_tensor(T.Tensor(zt[None]), params)
+    assert x.shape == img.shape and np.array_equal(x.data, x_b.data[0])
+
+    # a single latent takes a 1-D prompt embedding, a batch one row per item
+    with pytest.raises(DimensionError):
+        control_features(z, pe_b, params)
+    with pytest.raises(DimensionError):
+        control_features(zb, pe, params)
+    with pytest.raises(DimensionError):
+        denoise(T.Tensor(zt[None]), 7, ConditioningBundle(z_lq_b, None, pe), params)
+
+
 def test_decode_shape_range_determinism():
     params, img = tiny_setup()
     z = encode(T.Tensor(img), params)

@@ -93,10 +93,10 @@ def test_linear_matches_matmul_transpose():
 def test_conv2d_matches_loop_oracle():
     with T.float64():
         rng = np.random.default_rng(2)
-        # unbatched and batched inputs, 3x3 and 1x1 kernels, one input channel
-        for x_shape, k_shape in [((2, 5, 6), (3, 2, 3, 3)), ((3, 2, 5, 6), (3, 2, 3, 3)),
+        # batches of one and of three, 3x3 and 1x1 kernels, one input channel
+        for x_shape, k_shape in [((1, 2, 5, 6), (3, 2, 3, 3)), ((3, 2, 5, 6), (3, 2, 3, 3)),
                                  ((3, 1, 5, 6), (4, 1, 3, 3)),
-                                 ((2, 5, 6), (4, 2, 1, 1)), ((3, 2, 4, 5), (4, 2, 1, 1))]:
+                                 ((1, 2, 5, 6), (4, 2, 1, 1)), ((3, 2, 4, 5), (4, 2, 1, 1))]:
             x = rng.normal(size=x_shape)
             k = rng.normal(size=k_shape)
             for pad in (0, 1):
@@ -134,15 +134,15 @@ def test_conv2d_batched_equals_per_item():
     k = rng.normal(size=(3, 2, 3, 3))
     yb = T.conv2d(T.Tensor(xb), T.Tensor(k), padding=1)
     for i in range(4):
-        yi = T.conv2d(T.Tensor(xb[i]), T.Tensor(k), padding=1)
-        assert np.allclose(yb.data[i], yi.data, atol=1e-12)
+        yi = T.conv2d(T.Tensor(xb[i : i + 1]), T.Tensor(k), padding=1)
+        assert np.allclose(yb.data[i : i + 1], yi.data, atol=1e-12)
 
 
 def test_conv2d_gradients_match_numeric():
     rng = np.random.default_rng(4)
     # (input shape, kernel shape, padding, rank of a low-rank delta or 0, with a bias)
-    cases = [((2, 4, 4), (2, 2, 3, 3), 1, 0, False), ((2, 2, 4, 4), (2, 2, 3, 3), 1, 0, False),
-             ((2, 4, 5), (3, 2, 3, 3), 0, 0, False), ((2, 2, 3, 4), (3, 2, 1, 1), 0, 0, False),
+    cases = [((1, 2, 4, 4), (2, 2, 3, 3), 1, 0, False), ((2, 2, 4, 4), (2, 2, 3, 3), 1, 0, False),
+             ((1, 2, 4, 5), (3, 2, 3, 3), 0, 0, False), ((2, 2, 3, 4), (3, 2, 1, 1), 0, 0, False),
              ((2, 2, 4, 4), (2, 2, 3, 3), 1, 1, False), ((2, 1, 4, 4), (3, 1, 3, 3), 1, 1, True)]
     for x_shape, k_shape, pad, rank, with_bias in cases:
         x0 = rng.normal(size=x_shape)
@@ -176,8 +176,32 @@ def test_conv2d_gradients_match_numeric():
 
 def test_conv2d_channel_mismatch_names_shapes():
     with pytest.raises(DimensionError) as e:
-        T.conv2d(T.Tensor(np.zeros((3, 5, 5))), T.Tensor(np.zeros((2, 4, 3, 3))))
-    assert "(3, 5, 5)" in str(e.value) and "(2, 4, 3, 3)" in str(e.value)
+        T.conv2d(T.Tensor(np.zeros((1, 3, 5, 5))), T.Tensor(np.zeros((2, 4, 3, 3))))
+    assert "(1, 3, 5, 5)" in str(e.value) and "(2, 4, 3, 3)" in str(e.value)
+
+
+def test_spatial_ops_reject_a_single_item():
+    # spatial ops take (n, c, h, w) batches only; a (c, h, w) item raises, naming its shape
+    item = T.Tensor(np.zeros((2, 4, 4)))
+    calls = {
+        "conv2d": lambda: T.conv2d(item, T.Tensor(np.zeros((3, 2, 3, 3))), 1),
+        "im2col": lambda: T.im2col(item, 3, 3, 1),
+        "concat_channels": lambda: T.concat_channels(item, item),
+        "channel_bias": lambda: T.channel_bias(item, T.Tensor(np.zeros(2))),
+        "avg_pool2": lambda: T.avg_pool2(item),
+        "upsample2": lambda: T.upsample2(item),
+    }
+    for op, call in calls.items():
+        with pytest.raises(DimensionError) as e:
+            call()
+        assert op in str(e.value) and "(2, 4, 4)" in str(e.value), op
+    # the single-item forms of the grid crop and the channel tiling
+    with pytest.raises(DimensionError) as e:
+        T.fold_channels_last(T.Tensor(np.zeros((3, 36))), (6, 6), (4, 4))
+    assert "(6, 6)" in str(e.value)
+    with pytest.raises(DimensionError) as e:
+        T.broadcast_spatial(T.Tensor(np.zeros(2)), 4, 4)
+    assert "(2,)" in str(e.value)
 
 
 def test_conv2d_delta_shape_mismatch_names_shapes():
@@ -202,9 +226,9 @@ def decomposed_conv2d(x, k, padding=0, deltas=(), bias=None):
     y = T.matmul(T.reshape(k, (co, k.size // co)), cols)
     for A, B in deltas:
         y = T.add(y, T.matmul(A, T.matmul(B, cols)))
-    hp, wp = x.shape[-2] + 2 * padding, x.shape[-1] + 2 * padding
-    lead = (hp, wp) if x.ndim == 3 else (x.shape[0], hp, wp)
-    y = T.fold_channels_last(y, lead, (hp - kh + 1, wp - kw + 1))
+    n, _, h, w = x.shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    y = T.fold_channels_last(y, (n, hp, wp), (hp - kh + 1, wp - kw + 1))
     return y if bias is None else T.channel_bias(y, bias)
 
 
@@ -215,12 +239,12 @@ BLOCKED_X, BLOCKED_K = (5, 40, 17, 17), (16, 40, 3, 3)
 
 def test_conv2d_node_matches_decomposed_tape():
     rng = np.random.default_rng(12)
-    # unbatched and batched inputs, padding 0 and 1, 3x3 and 1x1 kernels, one input channel,
+    # batches of one and of three, padding 0 and 1, 3x3 and 1x1 kernels, one input channel,
     # two deltas on one kernel, and a bias; the last case's weight gradients span several
     # column blocks (see test_conv2d_weight_gradient_in_column_blocks)
-    cases = [((2, 5, 6), (3, 2, 3, 3), 1), ((3, 2, 5, 6), (3, 2, 3, 3), 1), ((3, 2, 5, 6), (3, 2, 3, 3), 0),
+    cases = [((1, 2, 5, 6), (3, 2, 3, 3), 1), ((3, 2, 5, 6), (3, 2, 3, 3), 1), ((3, 2, 5, 6), (3, 2, 3, 3), 0),
              ((3, 1, 5, 6), (3, 1, 3, 3), 1),
-             ((2, 4, 5), (4, 2, 1, 1), 0), ((3, 2, 4, 5), (4, 2, 1, 1), 0), ((3, 2, 4, 5), (4, 2, 1, 1), 1),
+             ((1, 2, 4, 5), (4, 2, 1, 1), 0), ((3, 2, 4, 5), (4, 2, 1, 1), 0), ((3, 2, 4, 5), (4, 2, 1, 1), 1),
              (BLOCKED_X, BLOCKED_K, 1)]
     with T.float64():
         for x_shape, k_shape, pad in cases:
@@ -442,16 +466,16 @@ def test_backward_returns_none_for_inputs_without_gradient():
     gx, gw = T.linear(x, T.Tensor(w.data.T)).node.backward(g)
     assert gw is None and np.allclose(gx, g @ w.data.T)
 
-    fm = rng.normal(size=(2, 3, 4))
+    fm = rng.normal(size=(1, 2, 3, 4))
     fm_req = T.Tensor(fm, requires_grad=True)
-    gm = rng.normal(size=(2, 3, 4))
+    gm = rng.normal(size=(1, 2, 3, 4))
     gx, gb = T.channel_bias(fm_req, T.Tensor(np.zeros(2))).node.backward(gm)
     assert gb is None and np.array_equal(gx, gm)
-    ga, gb = T.concat_channels(fm_req, T.Tensor(fm)).node.backward(np.concatenate([gm, gm]))
+    ga, gb = T.concat_channels(fm_req, T.Tensor(fm)).node.backward(np.concatenate([gm, gm], axis=1))
     assert gb is None and np.array_equal(ga, gm)
     ga, gb = T.mul(fm_req, T.Tensor(fm)).node.backward(gm)
     assert gb is None and np.allclose(ga, gm * fm)
-    gx, gs = T.row_scale(fm_req, T.Tensor(np.ones(2))).node.backward(gm)
+    gx, gs = T.row_scale(fm_req, T.Tensor(np.ones(1))).node.backward(gm)
     assert gs is None and np.allclose(gx, gm)
 
     # conv2d: a frozen kernel, B and bias get no gradient, x and A do
@@ -491,40 +515,40 @@ def test_frobenius_norm_sq():
 
 def test_reshape_and_concat_gradients():
     rng = np.random.default_rng(6)
-    a0 = rng.normal(size=(2, 3, 3))
-    b0 = rng.normal(size=(1, 3, 3))
-    wa = rng.normal(size=(3, 3, 3))
+    a0 = rng.normal(size=(1, 2, 3, 3))
+    b0 = rng.normal(size=(1, 1, 3, 3))
+    wa = rng.normal(size=(1, 3, 3, 3))
 
     a = T.Tensor(a0, requires_grad=True)
     b = T.Tensor(b0, requires_grad=True)
     y = T.concat_channels(a, b)
-    assert y.shape == (3, 3, 3)
+    assert y.shape == (1, 3, 3, 3)
     T.backward(T.tsum(T.mul(y, T.Tensor(wa))))
-    assert np.allclose(a.grad, wa[:2])
-    assert np.allclose(b.grad, wa[2:])
+    assert np.allclose(a.grad, wa[:, :2])
+    assert np.allclose(b.grad, wa[:, 2:])
 
     x = T.Tensor(a0, requires_grad=True)
     T.backward(T.tsum(T.mul(T.reshape(x, (3, 6)), T.Tensor(np.arange(18.0).reshape(3, 6)))))
-    assert np.allclose(x.grad, np.arange(18.0).reshape(2, 3, 3))
+    assert np.allclose(x.grad, np.arange(18.0).reshape(1, 2, 3, 3))
 
 
 def test_channel_bias_and_broadcast_spatial():
     rng = np.random.default_rng(7)
-    x0 = rng.normal(size=(2, 3, 3))
+    x0 = rng.normal(size=(1, 2, 3, 3))
     b0 = rng.normal(size=2)
-    w = rng.normal(size=(2, 3, 3))
+    w = rng.normal(size=(1, 2, 3, 3))
 
     x = T.Tensor(x0, requires_grad=True)
     b = T.Tensor(b0, requires_grad=True)
     T.backward(T.tsum(T.mul(T.channel_bias(x, b), T.Tensor(w))))
     assert np.allclose(x.grad, w)
-    assert np.allclose(b.grad, w.sum(axis=(1, 2)))
+    assert np.allclose(b.grad, w.sum(axis=(0, 2, 3)))
 
-    v = T.Tensor(b0, requires_grad=True)
+    v = T.Tensor(b0.reshape(1, 2), requires_grad=True)
     y = T.broadcast_spatial(v, 3, 3)
-    assert np.allclose(y.data, np.broadcast_to(b0[:, None, None], (2, 3, 3)))
+    assert np.allclose(y.data, np.broadcast_to(b0[None, :, None, None], (1, 2, 3, 3)))
     T.backward(T.tsum(T.mul(y, T.Tensor(w))))
-    assert np.allclose(v.grad, w.sum(axis=(1, 2)))
+    assert np.allclose(v.grad, w.sum(axis=(2, 3)))
 
 
 def test_row_scale_gradients():
@@ -552,26 +576,26 @@ def test_embedding_lookup_scatter_adds():
 
 
 def test_pool_and_upsample():
-    x0 = np.arange(16.0).reshape(1, 4, 4)
+    x0 = np.arange(16.0).reshape(1, 1, 4, 4)
     y = T.avg_pool2(T.Tensor(x0))
-    assert np.allclose(y.data, [[[2.5, 4.5], [10.5, 12.5]]])
+    assert np.allclose(y.data, [[[[2.5, 4.5], [10.5, 12.5]]]])
 
     x = T.Tensor(x0, requires_grad=True)
-    w = np.arange(4.0).reshape(1, 2, 2)
+    w = np.arange(4.0).reshape(1, 1, 2, 2)
     T.backward(T.tsum(T.mul(T.avg_pool2(x), T.Tensor(w))))
-    assert np.allclose(x.grad, np.repeat(np.repeat(w, 2, axis=1), 2, axis=2) * 0.25)
+    assert np.allclose(x.grad, np.repeat(np.repeat(w, 2, axis=2), 2, axis=3) * 0.25)
 
-    u = T.upsample2(T.Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]])))
-    assert np.allclose(u.data, [[[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]]])
+    u = T.upsample2(T.Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]])))
+    assert np.allclose(u.data, [[[[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]]]])
 
-    v = T.Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]]), requires_grad=True)
+    v = T.Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]), requires_grad=True)
     T.backward(T.tsum(T.upsample2(v)))
-    assert np.allclose(v.grad, np.full((1, 2, 2), 4.0))
+    assert np.allclose(v.grad, np.full((1, 1, 2, 2), 4.0))
 
 
 def test_linearity_of_linear_ops():
     rng = np.random.default_rng(9)
-    x0 = rng.normal(size=(2, 6, 6))
+    x0 = rng.normal(size=(1, 2, 6, 6))
     k = T.Tensor(rng.normal(size=(3, 2, 3, 3)))
     for alpha in (-2.0, 0.5, 3.0):
         ya = T.conv2d(T.Tensor(alpha * x0), k, padding=1)
@@ -589,12 +613,12 @@ def test_no_grad_suppresses_tape():
 def test_finite_diff_check_passes_on_smooth_composite():
     rng = np.random.default_rng(10)
     k = T.Tensor(rng.normal(size=(2, 1, 3, 3)))
-    tgt = T.Tensor(rng.normal(size=(2, 4, 4)))
+    tgt = T.Tensor(rng.normal(size=(1, 2, 4, 4)))
 
     def f(x):
         return T.mse(T.silu(T.conv2d(x, k, padding=1)), tgt)
 
-    err = T.finite_diff_check(f, T.Tensor(rng.normal(size=(1, 4, 4))))
+    err = T.finite_diff_check(f, T.Tensor(rng.normal(size=(1, 1, 4, 4))))
     assert err < 1e-4
 
 
