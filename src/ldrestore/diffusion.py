@@ -1,12 +1,15 @@
 """Noise schedules, forward diffusion, the latent noise-prediction loss, and
-reverse sampling.
+ancestral reverse sampling (DDPM, Ho et al., arXiv 2006.11239).
 
 The forward process q(x_t | x_{t-1}) = N(sqrt(alpha_t) x_{t-1}, (1-alpha_t) I)
 is used in its closed marginal form x_t = sqrt(ab_t) x0 + sqrt(1-ab_t) eps
-where ab is the cumulative product of alpha. The reverse step predicts the
-injected noise and forms the posterior mean
-mu = (z_t - beta_t / sqrt(1-ab_t) * eps_hat) / sqrt(alpha_t) with the fixed
-posterior variance sigma_t^2 = beta_t (1-ab_{t-1}) / (1-ab_t), sigma_0 = 0.
+where ab is the cumulative product of alpha. It runs on a batch, with one
+step index per item (``forward_diffuse_batch``), and the loss
+(``ldm_loss_batch``) is the mean squared error of the predicted noise on
+such a batch. The reverse step predicts the injected noise and forms the
+posterior mean mu = (z_t - beta_t / sqrt(1-ab_t) * eps_hat) / sqrt(alpha_t);
+``sample`` adds sigma_t times fresh seeded noise at every step t > 0, with
+the fixed posterior variance sigma_t^2 = beta_t (1-ab_{t-1}) / (1-ab_t).
 
 A denoiser is any callable net(z_t, t, cond) -> Tensor of z_t's shape, where
 t is an index into the schedule. Respaced sub-schedules keep ``base_t``, the
@@ -91,38 +94,26 @@ def respace(sched: NoiseSchedule, steps: int) -> NoiseSchedule:
     return sub
 
 
-def _check_t(sched: NoiseSchedule, t: int):
-    if not 0 <= t < sched.T:
+def _check_t(sched: NoiseSchedule, t):
+    """Reject any step index, scalar or per item, outside [0, T)."""
+    t = np.asarray(t)
+    if np.any((t < 0) | (t >= sched.T)):
         raise ContractViolation(f"step index {t} outside [0, {sched.T})")
 
 
-def forward_diffuse(x0: T.Tensor, t: int, eps: T.Tensor, sched: NoiseSchedule) -> T.Tensor:
-    """x_t = sqrt(ab_t) x0 + sqrt(1 - ab_t) eps; differentiable through x0."""
-    _check_t(sched, t)
-    if x0.shape != eps.shape:
-        raise DimensionError(f"forward_diffuse: x0 {x0.shape} vs eps {eps.shape}")
-    ab = float(sched.alpha_bar[t])
-    return T.add(T.scale(x0, math.sqrt(ab)), T.scale(eps, math.sqrt(1.0 - ab)))
-
-
 def forward_diffuse_batch(x0: T.Tensor, t, eps: T.Tensor, sched: NoiseSchedule) -> T.Tensor:
-    """Batched marginal with a per-item step index array t of length x0.shape[0]."""
+    """x_t = sqrt(ab_t) x0 + sqrt(1 - ab_t) eps per item, with one step index
+    per item in t (length x0.shape[0]); differentiable through x0."""
     t = np.asarray(t, dtype=np.int64)
     if x0.shape != eps.shape:
         raise DimensionError(f"forward_diffuse_batch: x0 {x0.shape} vs eps {eps.shape}")
     if t.ndim != 1 or t.shape[0] != x0.shape[0]:
         raise DimensionError(f"forward_diffuse_batch: t {t.shape} vs batch {x0.shape[0]}")
-    if np.any(t < 0) or np.any(t >= sched.T):
-        raise ContractViolation(f"step indices outside [0, {sched.T})")
+    _check_t(sched, t)
     ab = sched.alpha_bar[t]
     a = T.row_scale(x0, T.Tensor(np.sqrt(ab)))
     b = T.row_scale(eps, T.Tensor(np.sqrt(1.0 - ab)))
     return T.add(a, b)
-
-
-def ldm_loss(net, x0_latent: T.Tensor, t: int, eps: T.Tensor, cond, sched: NoiseSchedule) -> T.Tensor:
-    z_t = forward_diffuse(x0_latent, t, eps, sched)
-    return T.mse(eps, net(z_t, t, cond))
 
 
 def ldm_loss_batch(net, x0_latent: T.Tensor, t, eps: T.Tensor, cond, sched: NoiseSchedule) -> T.Tensor:
@@ -130,32 +121,29 @@ def ldm_loss_batch(net, x0_latent: T.Tensor, t, eps: T.Tensor, cond, sched: Nois
     return T.mse(eps, net(z_t, t, cond))
 
 
-def reverse_step(net, z_t: T.Tensor, t: int, cond, sched: NoiseSchedule,
-                 noise=None, deterministic=None) -> T.Tensor:
-    """One posterior step z_t -> z_{t-1}; ancestral if noise given, else sigma=0."""
+def reverse_step(net, z_t: T.Tensor, t: int, cond, sched: NoiseSchedule, noise=None) -> T.Tensor:
+    """One posterior step z_t -> z_{t-1}: the mean, plus sigma_t * noise when
+    noise is given and t > 0."""
     _check_t(sched, t)
-    if deterministic is None:
-        deterministic = noise is None
-    if not deterministic and t > 0 and noise is None:
-        raise ContractViolation("ancestral reverse_step at t > 0 requires a noise tensor")
     eps_hat = net(z_t, t, cond)
     coef = float(sched.beta[t] / math.sqrt(1.0 - sched.alpha_bar[t]))
     mu = T.scale(T.add(z_t, T.scale(eps_hat, -coef)), 1.0 / math.sqrt(float(sched.alpha[t])))
-    if deterministic or t == 0:
+    if noise is None or t == 0:
         return mu
     if noise.shape != z_t.shape:
         raise DimensionError(f"reverse_step: noise {noise.shape} vs z_t {z_t.shape}")
     return T.add(mu, T.scale(noise, float(sched.sigma[t])))
 
 
-def sample(net, shape, cond, sched: NoiseSchedule, seed: int, deterministic: bool = False) -> T.Tensor:
-    """Run the reverse chain from seeded unit Gaussian noise down to z_0."""
+def sample(net, shape, cond, sched: NoiseSchedule, seed: int) -> T.Tensor:
+    """Ancestral sampling: the reverse chain from seeded unit Gaussian noise
+    down to z_0, with fresh seeded noise at every step t > 0."""
     shape = tuple(int(s) for s in shape)
     with T.no_grad():
         z = T.Tensor(stream(seed, "sample.init").standard_normal(shape))
         for t in range(sched.T - 1, -1, -1):
             noise = None
-            if not deterministic and t > 0:
+            if t > 0:
                 noise = T.Tensor(stream(seed, "sample.noise", t).standard_normal(shape))
-            z = reverse_step(net, z, t, cond, sched, noise, deterministic=deterministic)
+            z = reverse_step(net, z, t, cond, sched, noise)
     return z

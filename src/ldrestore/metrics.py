@@ -65,25 +65,16 @@ def ssim(a: Image, b: Image) -> float:
     return float(np.mean(vals))
 
 
-def _normalized_features(params, arr: np.ndarray) -> np.ndarray:
+def perceptual_proxy(a: Image, b: Image, params) -> float:
     from .network import encode_array
 
-    feat = encode_array(params, arr)
-    norm = np.sqrt(np.sum(feat * feat, axis=0, keepdims=True) + 1e-10)
-    return feat / norm
-
-
-def perceptual_proxy(a: Image, b: Image, params) -> float:
     if a.data.shape != b.data.shape:
         raise DimensionError(f"pproxy: image shapes differ, {a.data.shape} vs {b.data.shape}")
-
-    def dist(xa, xb):
-        fa = _normalized_features(params, xa)
-        fb = _normalized_features(params, xb)
-        return float(np.mean((fa - fb) ** 2))
-
-    d = dist(a.data, b.data)
-    d_flip = dist(a.data[:, :, ::-1].copy(), b.data[:, :, ::-1].copy())
+    # one batch: the pair, then its mirror images
+    feat = encode_array(params, np.stack([a.data, b.data, a.data[:, :, ::-1], b.data[:, :, ::-1]]))
+    feat = feat / np.sqrt(np.sum(feat * feat, axis=1, keepdims=True) + 1e-10)
+    d = float(np.mean((feat[0] - feat[1]) ** 2))
+    d_flip = float(np.mean((feat[2] - feat[3]) ** 2))
     return 0.5 * (d + d_flip)
 
 

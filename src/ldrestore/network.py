@@ -141,15 +141,6 @@ class NetParams:
         for t in self._tensors.values():
             t.grad = None
 
-    def param_count(self) -> int:
-        return sum(t.size for t in self._tensors.values())
-
-    def detach_copy(self) -> "NetParams":
-        return NetParams(
-            self.config,
-            {k: T.Tensor(v.data.copy(), requires_grad=True) for k, v in self.items()},
-        )
-
 
 def init_params(cfg: NetConfig, seed: int) -> NetParams:
     rng = stream(seed, "init")

@@ -65,19 +65,28 @@ class AdamW:
         }
 
     def load_state_dict(self, state: dict):
-        for n, tensor in self.named:
-            if n not in state["m"]:
-                raise ContractViolation(f"AdamW: state missing moments for {n}")
-            m, v = np.asarray(state["m"][n]), np.asarray(state["v"][n])
-            if m.shape != tensor.data.shape or v.shape != tensor.data.shape:
-                raise ContractViolation(
-                    f"AdamW: state shape {m.shape} vs parameter {n} {tensor.data.shape}"
-                )
-            # in the parameter's dtype: a checkpoint stores the moments widened to float64
-            self.m[n] = m.astype(tensor.data.dtype)
-            self.v[n] = v.astype(tensor.data.dtype)
-        self.t = int(state["t"])
-        self.lr = float(state["lr"])
-        self.beta1, self.beta2 = (float(b) for b in state["betas"])
-        self.eps = float(state["eps"])
-        self.weight_decay = float(state["weight_decay"])
+        """Restore a ``state_dict``. Every field is read and checked before any
+        is assigned, so a state that lacks one or whose moments do not fit
+        raises ContractViolation and leaves the optimizer unchanged."""
+        for key in ("t", "lr", "betas", "eps", "weight_decay", "m", "v"):
+            if key not in state:
+                raise ContractViolation(f"AdamW: state missing {key!r}")
+        moments = {"m": {}, "v": {}}
+        for key, loaded in moments.items():
+            for n, tensor in self.named:
+                if n not in state[key]:
+                    raise ContractViolation(f"AdamW: state missing {key}[{n!r}]")
+                x = np.asarray(state[key][n])
+                if x.shape != tensor.data.shape:
+                    raise ContractViolation(
+                        f"AdamW: state {key} shape {x.shape} vs parameter {n} {tensor.data.shape}"
+                    )
+                # in the parameter's dtype: a checkpoint stores the moments widened to float64
+                loaded[n] = x.astype(tensor.data.dtype)
+        t, lr, eps = int(state["t"]), float(state["lr"]), float(state["eps"])
+        weight_decay = float(state["weight_decay"])
+        beta1, beta2 = (float(b) for b in state["betas"])
+        self.m.update(moments["m"])
+        self.v.update(moments["v"])
+        self.t, self.lr, self.eps, self.weight_decay = t, lr, eps, weight_decay
+        self.beta1, self.beta2 = beta1, beta2

@@ -5,15 +5,14 @@ import pytest
 
 from ldrestore import tensor as T
 from ldrestore.diffusion import (
-    forward_diffuse,
     forward_diffuse_batch,
-    ldm_loss,
+    ldm_loss_batch,
     make_schedule,
     respace,
     reverse_step,
     sample,
 )
-from ldrestore.errors import ConfigurationError, ContractViolation
+from ldrestore.errors import ConfigurationError, ContractViolation, DimensionError
 
 
 def test_schedule_single_step():
@@ -77,18 +76,18 @@ def test_forward_diffuse_values():
     s = make_schedule(1, 0.75, 0.75)
     x0 = T.Tensor([[2.0, -4.0]])
     eps = T.Tensor([[0.0, 0.0]])
-    out = forward_diffuse(x0, 0, eps, s)
+    out = forward_diffuse_batch(x0, [0], eps, s)
     assert np.allclose(out.data, [[1.0, -2.0]])  # 0.5 * x0
 
     eps2 = T.Tensor([[1.0, 1.0]])
-    out2 = forward_diffuse(x0, 0, eps2, s)
+    out2 = forward_diffuse_batch(x0, [0], eps2, s)
     assert np.allclose(out2.data, 0.5 * x0.data + math.sqrt(0.75))
 
 
 def test_forward_diffuse_nearly_identity_at_tiny_beta():
     s = make_schedule(1, 1e-12, 1e-12)
     x0 = T.Tensor([[1.0, 2.0, 3.0]])
-    out = forward_diffuse(x0, 0, T.Tensor(np.zeros((1, 3))), s)
+    out = forward_diffuse_batch(x0, [0], T.Tensor(np.zeros((1, 3))), s)
     assert np.allclose(out.data, x0.data, atol=1e-12)
 
 
@@ -98,10 +97,10 @@ def test_forward_diffuse_monte_carlo_moments():
     x0_val = 0.8
     rng = np.random.default_rng(0)
     n = 10_000
-    draws = np.empty(n)
-    for i in range(n):
-        eps = T.Tensor(rng.standard_normal((1, 1, 1)))
-        draws[i] = forward_diffuse(T.Tensor(np.full((1, 1, 1), x0_val)), t, eps, s).data[0, 0, 0]
+    # one row per draw: the same numbers as n draws of one
+    eps = T.Tensor(rng.standard_normal((n, 1, 1)))
+    out = forward_diffuse_batch(T.Tensor(np.full((n, 1, 1), x0_val)), np.full(n, t), eps, s)
+    draws = out.data[:, 0, 0].astype(np.float64)
     ab = s.alpha_bar[t]
     se_mean = math.sqrt(1 - ab) / math.sqrt(n)
     assert abs(draws.mean() - math.sqrt(ab) * x0_val) < 3 * se_mean
@@ -136,10 +135,24 @@ def test_forward_diffuse_batch_matches_single():
     x0 = rng.normal(size=(3, 2, 4, 4))
     eps = rng.normal(size=(3, 2, 4, 4))
     ts = np.array([0, 7, 19])
-    batched = forward_diffuse_batch(T.Tensor(x0), ts, T.Tensor(eps), s)
+    with T.float64():
+        batched = forward_diffuse_batch(T.Tensor(x0), ts, T.Tensor(eps), s)
     for i, t in enumerate(ts):
-        single = forward_diffuse(T.Tensor(x0[i]), int(t), T.Tensor(eps[i]), s)
-        assert np.allclose(batched.data[i], single.data, atol=1e-12)
+        ab = s.alpha_bar[t]
+        assert np.allclose(batched.data[i], math.sqrt(ab) * x0[i] + math.sqrt(1 - ab) * eps[i], atol=1e-12)
+
+
+def test_forward_diffuse_batch_rejects_bad_steps_and_shapes():
+    s = make_schedule(5, 0.05, 0.2)
+    x0 = T.Tensor(np.zeros((2, 3)))
+    with pytest.raises(ContractViolation):
+        forward_diffuse_batch(x0, [0, 5], x0, s)
+    with pytest.raises(ContractViolation):
+        forward_diffuse_batch(x0, [-1, 0], x0, s)
+    with pytest.raises(DimensionError):
+        forward_diffuse_batch(x0, [0], x0, s)
+    with pytest.raises(DimensionError):
+        forward_diffuse_batch(x0, [0, 1], T.Tensor(np.zeros((2, 4))), s)
 
 
 def test_ldm_loss_oracle_denoisers():
@@ -150,10 +163,10 @@ def test_ldm_loss_oracle_denoisers():
     eps = T.Tensor(eps_arr)
 
     perfect = lambda z, t, cond: T.Tensor(eps_arr)
-    assert ldm_loss(perfect, x0, 4, eps, None, s).item() == 0.0
+    assert ldm_loss_batch(perfect, x0, [4, 4], eps, None, s).item() == 0.0
 
     zero = lambda z, t, cond: T.Tensor(np.zeros_like(eps_arr))
-    assert np.isclose(ldm_loss(zero, x0, 4, eps, None, s).item(), np.mean(eps_arr**2))
+    assert np.isclose(ldm_loss_batch(zero, x0, [4, 4], eps, None, s).item(), np.mean(eps_arr**2))
 
 
 def test_ldm_loss_differentiable_through_net_params():
@@ -165,7 +178,7 @@ def test_ldm_loss_differentiable_through_net_params():
 
     def f(w):
         net = lambda z, t, cond: T.mul(z, w)
-        return ldm_loss(net, x0, 5, eps, None, s)
+        return ldm_loss_batch(net, x0, [5], eps, None, s)
 
     err = T.finite_diff_check(f, T.Tensor(w0))
     assert err < 1e-4
@@ -189,7 +202,7 @@ def test_reverse_step_perfect_oracle_recovers_posterior_mean():
     x0 = rng.normal(size=(1, 2, 2))
     eps = rng.normal(size=(1, 2, 2))
     t = 5
-    z_t = forward_diffuse(T.Tensor(x0), t, T.Tensor(eps), s)
+    z_t = forward_diffuse_batch(T.Tensor(x0), [t], T.Tensor(eps), s)
     net = lambda zt, tt, cond: T.Tensor(eps)
     out = reverse_step(net, z_t, t, None, s)
     mu = (z_t.data - s.beta[t] / math.sqrt(1 - s.alpha_bar[t]) * eps) / math.sqrt(s.alpha[t])
@@ -208,24 +221,32 @@ def test_reverse_step_ancestral_adds_sigma_noise():
     assert np.allclose(anc.data - det.data, s.sigma[t] * noise, atol=1e-12)
 
 
-def test_reverse_step_missing_noise_contract():
+def test_reverse_step_rejects_bad_t():
     s = make_schedule(5, 0.05, 0.2)
     z = T.Tensor(np.zeros((1, 2, 2)))
     net = lambda zt, t, cond: T.Tensor(np.zeros((1, 2, 2)))
-    with pytest.raises(ContractViolation):
-        reverse_step(net, z, 2, None, s, None, deterministic=False)
-    # t=0 never needs noise
-    reverse_step(net, z, 0, None, s, None, deterministic=False)
+    for t in (-1, 5):
+        with pytest.raises(ContractViolation):
+            reverse_step(net, z, t, None, s)
 
 
-def test_sample_deterministic_reproducible():
+def test_reverse_step_ignores_noise_at_t0():
+    s = make_schedule(5, 0.05, 0.2)
+    rng = np.random.default_rng(9)
+    z = T.Tensor(rng.normal(size=(1, 2, 2)))
+    net = lambda zt, t, cond: T.Tensor(np.zeros((1, 2, 2)))
+    noise = T.Tensor(rng.normal(size=(1, 2, 2)))
+    assert np.array_equal(reverse_step(net, z, 0, None, s, noise).data, reverse_step(net, z, 0, None, s).data)
+
+
+def test_sample_reproducible_per_seed():
     s = make_schedule(6, 0.05, 0.2)
     rng = np.random.default_rng(8)
     w = rng.normal(size=(2, 3, 3)) * 0.1
     net = lambda z, t, cond: T.mul(z, T.Tensor(w))
-    a = sample(net, (2, 3, 3), None, s, seed=13, deterministic=True)
-    b = sample(net, (2, 3, 3), None, s, seed=13, deterministic=True)
-    c = sample(net, (2, 3, 3), None, s, seed=14, deterministic=True)
+    a = sample(net, (2, 3, 3), None, s, seed=13)
+    b = sample(net, (2, 3, 3), None, s, seed=13)
+    c = sample(net, (2, 3, 3), None, s, seed=14)
     assert np.array_equal(a.data, b.data)
     assert not np.array_equal(a.data, c.data)
     assert a.node is None  # sampling records no tape
@@ -234,7 +255,7 @@ def test_sample_deterministic_reproducible():
 def test_sample_single_step_schedule():
     s = make_schedule(1, 0.3, 0.3)
     net = lambda z, t, cond: T.Tensor(np.zeros(z.shape))
-    out = sample(net, (1, 2, 2), None, s, seed=0, deterministic=True)
+    out = sample(net, (1, 2, 2), None, s, seed=0)
     init = np.random.default_rng(
         [__import__("zlib").crc32(b"sample.init"), 0]
     ).standard_normal((1, 2, 2))

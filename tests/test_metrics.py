@@ -7,7 +7,7 @@ from scipy.ndimage import gaussian_filter
 from ldrestore import tensor as T
 from ldrestore.images import Image
 from ldrestore.metrics import SSIM_C1, SSIM_C2, SSIM_SIGMA, SSIM_WINDOW, perceptual_proxy, psnr, ssim
-from ldrestore.network import NetConfig, init_params
+from ldrestore.network import NetConfig, encode_array, init_params
 
 TINY = NetConfig(image_size=16, c_lat=3, c_enc=3, c_hid=4, c_mid=5, prompt_dim=4, temb_dim=4)
 
@@ -72,3 +72,15 @@ def test_perceptual_proxy_symmetric_and_flip_invariant():
     with T.float64():
         d64 = perceptual_proxy(a, b, init_params(TINY, 4))
     assert d == pytest.approx(d64, rel=1e-5)
+
+
+def test_perceptual_proxy_matches_four_separate_encodings():
+    # the four images are encoded as one batch; each alone gives the same features
+    params = init_params(TINY, 6)
+    a, b = image_pair((1, 16, 16), 7)
+    feats = []
+    for x in (a.data, b.data, a.data[:, :, ::-1], b.data[:, :, ::-1]):
+        f = encode_array(params, x.copy())
+        feats.append(f / np.sqrt(np.sum(f * f, axis=0, keepdims=True) + 1e-10))
+    want = 0.5 * (float(np.mean((feats[0] - feats[1]) ** 2)) + float(np.mean((feats[2] - feats[3]) ** 2)))
+    assert perceptual_proxy(a, b, params) == pytest.approx(want, rel=1e-6)

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from ldrestore import tensor as T
+from ldrestore.errors import ContractViolation
 from ldrestore.optim import AdamW
 
 
@@ -59,3 +61,28 @@ def test_adamw_state_dict_round_trip_continues_bit_exactly():
     for (n, t), (_, t_ref) in zip(resumed_named, ref_named):
         assert np.array_equal(t.data, t_ref.data)
         assert np.array_equal(resumed.m[n], ref.m[n]) and np.array_equal(resumed.v[n], ref.v[n])
+
+
+def test_adamw_load_state_dict_rejects_incomplete_state_unchanged():
+    def bound(lr, weight_decay, steps):
+        named = [("a", T.Tensor(np.ones((2, 2)), requires_grad=True)), ("b", T.Tensor(np.ones(3)))]
+        opt = AdamW(named, lr=lr, weight_decay=weight_decay)
+        for k in range(steps):
+            opt.step([np.full((2, 2), 0.5 + k), np.full(3, -0.5)])
+        return opt
+
+    opt = bound(0.1, 0.0, 1)
+    before = opt.state_dict()
+    new = bound(0.3, 0.2, 2).state_dict()
+    without_v_b = dict(new, v={"a": new["v"]["a"]})
+    without_t = {k: x for k, x in new.items() if k != "t"}
+    misfit_m_b = dict(new, m=dict(new["m"], b=np.zeros(4)))
+    for bad in (without_v_b, without_t, misfit_m_b):
+        with pytest.raises(ContractViolation):
+            opt.load_state_dict(bad)
+        after = opt.state_dict()
+        for key, value in before.items():
+            if key in ("m", "v"):
+                assert all(np.array_equal(after[key][n], value[n]) for n in ("a", "b"))
+            else:
+                assert after[key] == value
