@@ -37,6 +37,7 @@ import numpy as np
 
 from . import tensor as T
 from .dataset import FAMILIES
+from .diffusion import _check_t
 from .errors import ConfigurationError, DimensionError, ParameterError
 from .images import Image
 from .rng import stream
@@ -232,6 +233,14 @@ def time_embedding(t, dim: int) -> T.Tensor:
 
 @dataclass
 class ConditioningBundle:
+    """What ``denoise`` is conditioned on, with the shape of the latent it goes with.
+
+    A single latent z_t (c, h, w) takes a z_lq of the same shape and a 1-D
+    ``(prompt_dim,)`` embedding. A batched z_t (n, c, h, w) takes batched
+    conditioning: a z_lq of the same shape and an ``(n, prompt_dim)``
+    embedding, one row per item (``prompt_embedding_batch``).
+    """
+
     z_lq: T.Tensor
     prompt: object = None  # token or list of tokens, kept for provenance
     prompt_embedding: T.Tensor = None
@@ -349,21 +358,22 @@ def decode_tensor(z: T.Tensor, params: NetParams, adapters=()) -> T.Tensor:
 
 
 def decode(z: T.Tensor, params: NetParams, adapters=()) -> Image:
-    with T.no_grad():
-        out = decode_tensor(z, params, adapters)
-    if out.ndim != 3:
+    if z.ndim != 3:
         raise DimensionError(f"decode: expected a single latent, got {z.shape}")
-    return Image(out.data)
+    with T.no_grad():
+        return Image(decode_tensor(z, params, adapters).data)
 
 
 def make_denoiser(params: NetParams, sched, adapters=()):
-    """Denoiser callable net(z_t, t, cond) with t an index into ``sched``.
+    """Denoiser callable net(z_t, t, cond) with t an index into ``sched``;
+    an index outside [0, sched.T) raises ContractViolation.
 
     Maps schedule indices to physical timesteps via sched.base_t so respaced
     sampling sees the same embeddings as training.
     """
 
     def net(z_t, t, cond):
+        _check_t(sched, t)
         t_phys = sched.base_t[np.asarray(t, dtype=np.int64)]
         return denoise(z_t, t_phys, cond, params, adapters)
 

@@ -28,25 +28,31 @@ batch ``(n, c, h, w)`` only, and a 3-D input raises ``DimensionError``; a
 single item is a batch of one.
 
 Convolution is one tape node per call, with inputs (x, k, A1, B1, ..., bias).
-``conv2d`` copies its input into a channel-major zero-padded grid, flattened
-to ``(c, n*hp*wp)`` plus a tail of zeros, so kernel tap (i, j) reads one
-contiguous slice at offset i*wp + j. The forward takes one product per tap:
-the tap's columns of the kernel, stacked with the rows of every low-rank
-delta's B, times the tap's slice, summed into a ``(rows, n*hp*wp)`` grid.
-The forward then adds A @ (B @ patches) per delta and the bias, and crops
-each image's grid to (ho, wo). The node keeps x and, of each delta,
-B @ patches, which A's gradient needs. The backward works tap by tap on the
-grid as well; the weight gradients, whose inner dimension is the whole grid,
-take the grid in column blocks that stay in cache across the taps. So no
-patch matrix is formed anywhere in the node, except with a single input
-channel: there the ``(kh*kw, n*hp*wp)`` patch matrix is smaller than the
-output, and the forward and the weight gradient are one product with it
-instead of kh*kw products of inner dimension 1. Grid positions outside the
-crop get zero gradient, and the bias gradient is the grid gradient summed
-over batch and space. ``im2col`` and ``fold_channels_last`` record the patch
-matrix and the crop as tape ops of their own: tests compose them with
-``channel_bias`` as the reference for the node, and the benchmark's tracer
-looks them up by name. This module is the only one that knows the layout.
+It works on a channel-major grid: ``_to_grid`` copies an (n, c, h, w) batch
+into zeros of shape (c, head + n*hp*wp + tail), each image at an offset of
+its own (hp, wp) grid, and its adjoint ``_from_grid`` reads each image's
+window back out. With x at offset ``padding`` and a tail of (kh-1)*wp + kw-1
+zeros, kernel tap (i, j) reads one contiguous slice at offset i*wp + j. The
+forward takes one product per tap: the tap's (rows, c) block of the kernel,
+stacked with the rows of every low-rank delta's B, times the tap's slice,
+summed into a ``(rows, n*hp*wp)`` grid (``_tap_matmul``). It then adds
+A @ (B @ patches) per delta and the bias, and reads each image's (ho, wo)
+window out. The input gradient is the transposed convolution, which is a
+direct convolution with the flipped kernel over the zero-extended output
+gradient (Dumoulin & Visin, arXiv 1603.07285). So the backward puts the
+output gradient on the grid after the same number of leading zeros, and
+runs ``_tap_matmul`` with the per-tap blocks in reverse order and
+transposed. The weight gradients, whose inner dimension is the whole grid,
+take the grid in column blocks that stay in cache across the taps. No patch
+matrix is formed anywhere in the node, except with a single channel on the
+product's input side: there the ``(kh*kw, n*hp*wp)`` patch matrix is smaller
+than the output, and one product with it replaces kh*kw products of inner
+dimension 1. Grid positions outside the crop get zero gradient, and the bias
+gradient is the grid gradient summed over batch and space. ``im2col`` and
+``fold_channels_last`` record the patch matrix and the crop as tape ops of
+their own, on the same grid pair: tests compose them with ``channel_bias``
+as the reference for the node, and the benchmark's tracer looks them up by
+name. This module is the only one that knows the layout.
 
 Importing this module fixes glibc's heap thresholds (``_keep_heap_mapped``).
 With no patch matrix, every temporary of a training step is below about
@@ -440,22 +446,30 @@ def _conv_geometry(x_shape, k_shape, padding):
     return n, c, h, w, co, kh, kw, ho, wo
 
 
-def _padded_grid(xd, kh, kw, padding):
-    """xd (n, c, h, w) as a channel-major zero-padded grid, flattened: (c, n*hp*wp + tail).
+def _to_grid(a, hp, wp, at, head=0, tail=0):
+    """(n, c, h, w) batch -> zeroed channel-major grid (c, head + n*hp*wp + tail).
 
-    The tail of (kh-1)*wp + kw-1 zeros lets every tap read a full-length
-    slice. A 1x1 window without padding reads the input itself,
-    with only the (c, n) swap, which is a view when n = 1.
+    Image b fills rows and columns at..at+h-1 and at..at+w-1 of the b-th
+    (hp, wp) grid, which starts at column head + b*hp*wp. A batch that fills
+    its grids, with no head or tail, is only swapped to (c, n) order, which
+    is a view when n = 1.
     """
-    n, c, h, w = xd.shape
-    xt = xd.transpose(1, 0, 2, 3)
-    if padding == 0 and kh == kw == 1:
-        return xt.reshape(c, n * h * w)
-    hp, wp = h + 2 * padding, w + 2 * padding
+    n, c, h, w = a.shape
+    swapped = a.transpose(1, 0, 2, 3)
+    if (h, w) == (hp, wp) and head == tail == 0:
+        return np.ascontiguousarray(swapped).reshape(c, n * hp * wp)
     length = n * hp * wp
-    xp = np.zeros((c, length + (kh - 1) * wp + kw - 1), dtype=xd.dtype)
-    xp[:, :length].reshape(c, n, hp, wp)[:, :, padding : padding + h, padding : padding + w] = xt
-    return xp
+    grid = np.zeros((c, head + length + tail), dtype=a.dtype)
+    grid[:, head : head + length].reshape(c, n, hp, wp)[:, :, at : at + h, at : at + w] = swapped
+    return grid
+
+
+def _from_grid(grid, n, hp, wp, at, h, w):
+    """Adjoint of _to_grid without head or tail: (c, n*hp*wp) -> (n, c, h, w),
+    the (h, w) window at offset (at, at) of each image's grid."""
+    c = grid.shape[0]
+    v = grid.reshape(c, n, hp, wp)[:, :, at : at + h, at : at + w]
+    return np.ascontiguousarray(v.transpose(1, 0, 2, 3))
 
 
 def _tap_offsets(kh, kw, wp):
@@ -483,22 +497,16 @@ def _col2im(gcols, kh, kw, wp, length):
     return gxp
 
 
-def _tap_blocks(m, taps):
-    """(rows, c*taps) in the kernel's (ci, kh, kw) column order -> (taps, rows, c), contiguous."""
-    return np.ascontiguousarray(m.reshape(m.shape[0], -1, taps).transpose(2, 0, 1))
-
-
-def _tap_matmul(m, xp, kh, kw, wp, length, dtype):
-    """m @ _patches(xp), as one product per tap with a slice of xp, summed: (rows, length).
+def _tap_matmul(mt, xp, kh, kw, wp, length, dtype):
+    """sum over taps t of mt[t] @ xp[:, off_t:][:, :length], mt (kh*kw, rows, c): (rows, length).
 
     With one input channel the (kh*kw, length) patch matrix is smaller than
     the output, and one product with it replaces kh*kw broadcast
     multiply-adds: enc.conv1 at the default config, 0.36-0.46 -> 0.05-0.07 ms.
     """
-    out = np.empty((m.shape[0], length), dtype=dtype)
+    out = np.empty((mt.shape[1], length), dtype=dtype)
     if xp.shape[0] == 1:
-        return np.matmul(m, _patches(xp, kh, kw, wp, length), out=out)
-    mt = _tap_blocks(m, kh * kw)
+        return np.matmul(mt[:, :, 0].T, _patches(xp, kh, kw, wp, length), out=out)
     tmp = np.empty_like(out) if kh * kw > 1 else None
     for t, off in enumerate(_tap_offsets(kh, kw, wp)):
         np.matmul(mt[t], xp[:, off : off + length], out=tmp if t else out)
@@ -550,44 +558,6 @@ def _tap_matmul_t(g, xp, kh, kw, wp, length):
     return out.transpose(1, 2, 0).reshape(g.shape[0], -1)
 
 
-def _tap_col2im(m, g, kh, kw, wp, length):
-    """_col2im(m.T @ g), as one product per tap added into a slice of the grid: (c, length)."""
-    mt = _tap_blocks(m, kh * kw)
-    gxp = mt[0].T @ g
-    tmp = np.empty_like(gxp)
-    for t, off in enumerate(_tap_offsets(kh, kw, wp)[1:], 1):
-        np.matmul(mt[t].T, g[:, : length - off], out=tmp[:, : length - off])
-        gxp[:, off:] += tmp[:, : length - off]
-    return gxp
-
-
-def _unpad(gxp, x_shape, padding):
-    """Gradient on the (c, n*hp*wp) grid -> gradient of the (n, c, h, w) input."""
-    n, c, h, w = x_shape
-    p = padding
-    gx = gxp.reshape(c, n, h + 2 * p, w + 2 * p)[:, :, p : p + h, p : p + w]
-    return np.ascontiguousarray(gx.transpose(1, 0, 2, 3))
-
-
-def _crop(y, n, hp, wp, ho, wo):
-    """Grid product (co, n*hp*wp) -> (n, co, ho, wo), keeping the top-left
-    (ho, wo) of each image's grid."""
-    co = y.shape[0]
-    v = y.reshape(co, n, hp, wp)[:, :, :ho, :wo]
-    return np.ascontiguousarray(v.transpose(1, 0, 2, 3))
-
-
-def _uncrop(g, hp, wp):
-    """Adjoint of _crop: the output gradient on the (co, n*hp*wp) grid, zero off the crop."""
-    n, co, ho, wo = g.shape
-    gt = g.transpose(1, 0, 2, 3)
-    if (ho, wo) == (hp, wp):
-        return np.ascontiguousarray(gt).reshape(co, n * hp * wp)
-    gg = np.zeros((co, n, hp, wp), dtype=g.dtype)
-    gg[:, :, :ho, :wo] = gt
-    return gg.reshape(co, n * hp * wp)
-
-
 def im2col(x: Tensor, kh: int, kw: int, padding: int) -> Tensor:
     """Patch matrix of a (kh, kw) window over the zero-padded grid: (c*kh*kw, n*hp*wp).
 
@@ -603,8 +573,11 @@ def im2col(x: Tensor, kh: int, kw: int, padding: int) -> Tensor:
     if hp < kh or wp < kw:
         raise DimensionError(f"im2col: window {kh}x{kw} larger than padded input {x.shape}")
     length = n * hp * wp
-    cols = _patches(_padded_grid(x.data, kh, kw, padding), kh, kw, wp, length)
-    return _make(cols, "im2col", (x,), (lambda g: _unpad(_col2im(g, kh, kw, wp, length), x.shape, padding),))
+    cols = _patches(_to_grid(x.data, hp, wp, padding, tail=(kh - 1) * wp + kw - 1), kh, kw, wp, length)
+    return _make(
+        cols, "im2col", (x,),
+        (lambda g: _from_grid(_col2im(g, kh, kw, wp, length), n, hp, wp, padding, h, w),),
+    )
 
 
 def fold_channels_last(y: Tensor, lead_shape, out_hw) -> Tensor:
@@ -617,7 +590,7 @@ def fold_channels_last(y: Tensor, lead_shape, out_hw) -> Tensor:
     ho, wo = out_hw
     if y.ndim != 2 or y.shape[1] != n * hp * wp or not (0 < ho <= hp and 0 < wo <= wp):
         raise DimensionError(f"fold_channels_last: {y.shape} with grid {lead_shape} cropped to {out_hw}")
-    return _make(_crop(y.data, n, hp, wp, ho, wo), "fold", (y,), (lambda g: _uncrop(g, hp, wp),))
+    return _make(_from_grid(y.data, n, hp, wp, 0, ho, wo), "fold", (y,), (lambda g: _to_grid(g, hp, wp, 0),))
 
 
 def conv2d(x: Tensor, k: Tensor, padding: int = 0, deltas=(), bias=None) -> Tensor:
@@ -626,15 +599,18 @@ def conv2d(x: Tensor, k: Tensor, padding: int = 0, deltas=(), bias=None) -> Tens
     deltas are low-rank (A, B) pairs, A (co, r) and B (r, ci*kh*kw), each
     added to the kernel's 2-D view as A @ B without forming that product.
     bias (co,), if given, is added to every output position. One tape node
-    with inputs (x, k, A1, B1, ..., bias). Forward and backward work tap by
-    tap on the padded grid and form no patch matrix, except the
-    (kh*kw, n*hp*wp) one of a one-channel input, which is smaller than the
-    output: the forward takes one product per tap of the kernel stacked
-    with every B; the node keeps x and, of each delta, B @ patches, which
-    A's gradient needs, and the backward rebuilds the grid from x only when
-    k or a B needs a gradient.
+    with inputs (x, k, A1, B1, ..., bias).
+
+    The forward puts x on the padded grid with _to_grid and takes one
+    product per tap of the kernel stacked with every B (_tap_matmul). The
+    node keeps those per-tap blocks and, of each delta, B @ patches, which
+    A's gradient needs. The backward puts the output gradient on the grid
+    after span = (kh-1)*wp + kw-1 zeros, the last tap's offset. The input
+    gradient is then the same _tap_matmul with the blocks in reverse tap
+    order and transposed, read back with _from_grid. The grid of x is
+    rebuilt only when k or a B needs a gradient.
     """
-    n, c, _, _, co, kh, kw, ho, wo = _conv_geometry(x.shape, k.shape, padding)
+    n, c, h, w, co, kh, kw, ho, wo = _conv_geometry(x.shape, k.shape, padding)
     deltas = tuple(deltas)
     for A, B in deltas:
         if A.ndim != 2 or B.ndim != 2 or A.shape[0] != co or B.shape != (A.shape[1], c * kh * kw):
@@ -646,10 +622,12 @@ def conv2d(x: Tensor, k: Tensor, padding: int = 0, deltas=(), bias=None) -> Tens
     inputs = (x, k) + tuple(t for d in deltas for t in d) + ((bias,) if bias is not None else ())
     dtype = np.result_type(*(t.data for t in inputs))
     hp, wp = ho + kh - 1, wo + kw - 1
+    span = (kh - 1) * wp + kw - 1  # offset of the last tap
     geom = (kh, kw, wp, n * hp * wp)
-    # the kernel's rows and every B's rows in one product per tap
+    # the kernel's rows and every B's rows, as one contiguous (rows, c) block per tap
     m = np.concatenate([k.data.reshape(co, -1)] + [B.data for _, B in deltas])
-    prod = _tap_matmul(m, _padded_grid(x.data, kh, kw, padding), *geom, dtype)
+    mt = np.ascontiguousarray(m.reshape(m.shape[0], c, kh * kw).transpose(2, 0, 1))
+    prod = _tap_matmul(mt, _to_grid(x.data, hp, wp, padding, tail=span), *geom, dtype)
     y, kept, r = prod[:co], [], co
     for A, B in deltas:
         bc = prod[r : r + B.shape[0]].copy()  # a view would keep all of prod alive
@@ -658,29 +636,34 @@ def conv2d(x: Tensor, k: Tensor, padding: int = 0, deltas=(), bias=None) -> Tens
         kept.append(bc)
     if bias is not None:
         y += bias.data[:, None]
-    out = Tensor(_crop(y, n, hp, wp, ho, wo))
+    out = Tensor(_from_grid(y, n, hp, wp, 0, ho, wo))
     if not _recording(inputs):
         return out
 
     def backward(g):
         need = [t._needs_grad() for t in inputs]
         grads = [None for _ in inputs]
-        gg = _uncrop(g, hp, wp)
+        # tap t of the input gradient reads the output gradient span - off_t
+        # columns back, which the leading zeros keep inside the grid
+        gh = _to_grid(g, hp, wp, 0, head=span)
+        gg = gh[:, span:]
         # A^T g per delta, shared by the gradients of x and of B
-        ag = [A.data.T @ gg if need[0] or need[3 + 2 * d] else None for d, (A, _) in enumerate(deltas)]
+        ag = [A.data.T @ gh if need[0] or need[3 + 2 * d] else None for d, (A, _) in enumerate(deltas)]
         if need[0]:
-            # col2im of W^T g + sum B^T A^T g, as one product of the stacked rows
-            gm = np.concatenate([gg] + ag) if deltas else gg
-            grads[0] = _unpad(_tap_col2im(m, gm, *geom), x.shape, padding)
+            # the transposed conv of W^T g + sum B^T A^T g: the forward's taps reversed and transposed
+            gm = np.concatenate([gh] + ag) if deltas else gh
+            gxp = _tap_matmul(mt[::-1].transpose(0, 2, 1), gm, *geom, np.result_type(mt, gm))
+            grads[0] = _from_grid(gxp, n, hp, wp, padding, h, w)
+            del gxp, gm  # before the grid of x is built
         if need[1] or any(need[3::2]):
-            xp = _padded_grid(x.data, kh, kw, padding)
+            xp = _to_grid(x.data, hp, wp, padding, tail=span)
             if need[1]:
                 grads[1] = _tap_matmul_t(gg, xp, *geom).reshape(k.shape)
         for d, bc in enumerate(kept):
             if need[2 + 2 * d]:
                 grads[2 + 2 * d] = gg @ bc.T
             if need[3 + 2 * d]:
-                grads[3 + 2 * d] = _tap_matmul_t(ag[d], xp, *geom)
+                grads[3 + 2 * d] = _tap_matmul_t(ag[d][:, span:], xp, *geom)
         if bias is not None and need[-1]:
             grads[-1] = gg.sum(axis=1)
         return tuple(grads)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from ldrestore import network
 from ldrestore import tensor as T
 from ldrestore.dataset import synth_dataset
-from ldrestore.diffusion import ldm_loss_batch, make_schedule
-from ldrestore.errors import ConfigurationError, DimensionError, ParameterError
+from ldrestore.diffusion import ldm_loss_batch, make_schedule, respace
+from ldrestore.errors import ConfigurationError, ContractViolation, DimensionError, ParameterError
 from ldrestore.images import Image
 from ldrestore.network import (
     PROMPT_VOCAB,
@@ -17,6 +18,7 @@ from ldrestore.network import (
     denoise,
     encode,
     init_params,
+    make_denoiser,
     parameter_plan,
     prompt_embedding,
     prompt_embedding_batch,
@@ -203,6 +205,32 @@ def test_decode_shape_range_determinism():
     assert out.data.min() >= 0.0 and out.data.max() <= 1.0
     out2 = decode(z, params)
     assert np.array_equal(out.data, out2.data)
+
+
+def test_decode_rejects_a_batch_before_decoding(monkeypatch):
+    params, img = tiny_setup()
+    zb = encode(T.Tensor(img[None]), params)
+
+    def decode_tensor_not_called(*args, **kwargs):
+        raise AssertionError("decode decoded a batch before rejecting it")
+
+    monkeypatch.setattr(network, "decode_tensor", decode_tensor_not_called)
+    with pytest.raises(DimensionError) as e:
+        decode(zb, params)
+    assert str(zb.shape) in str(e.value)
+
+
+def test_make_denoiser_checks_step_index():
+    params, img = tiny_setup()
+    z = encode(T.Tensor(img), params)
+    cond = make_cond(params, z)
+    sched = respace(make_schedule(100, 1e-4, 0.02), 10)
+    net = make_denoiser(params, sched)
+    # an index into the respaced schedule runs the denoiser at its physical step
+    assert np.array_equal(net(z, 3, cond).data, denoise(z, sched.base_t[3], cond, params).data)
+    for t in (-1, sched.T):
+        with pytest.raises(ContractViolation):
+            net(z, t, cond)
 
 
 def test_shape_closure_all_sizes():

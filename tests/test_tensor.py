@@ -144,6 +144,12 @@ def test_conv2d_gradients_match_numeric():
     cases = [((1, 2, 4, 4), (2, 2, 3, 3), 1, 0, False), ((2, 2, 4, 4), (2, 2, 3, 3), 1, 0, False),
              ((1, 2, 4, 5), (3, 2, 3, 3), 0, 0, False), ((2, 2, 3, 4), (3, 2, 1, 1), 0, 0, False),
              ((2, 2, 4, 4), (2, 2, 3, 3), 1, 1, False), ((2, 1, 4, 4), (3, 1, 3, 3), 1, 1, True)]
+    # kernels that are not square, where the input gradient's tap order is
+    # flipped along each axis separately
+    cases += [((2, 2, 4, 5), (2, 2) + hw, pad, 1, True) for hw in ((3, 1), (1, 3), (3, 5)) for pad in (0, 1, 2)]
+    # one output channel and no delta: the input gradient's product has one
+    # row on its input side, so it takes the one-channel patch-matrix product
+    cases += [((2, 2, 4, 4), (1, 2, 3, 3), 1, 0, False)]
     for x_shape, k_shape, pad, rank, with_bias in cases:
         x0 = rng.normal(size=x_shape)
         k0 = rng.normal(size=k_shape)
@@ -246,6 +252,7 @@ def test_conv2d_node_matches_decomposed_tape():
              ((3, 1, 5, 6), (3, 1, 3, 3), 1),
              ((1, 2, 4, 5), (4, 2, 1, 1), 0), ((3, 2, 4, 5), (4, 2, 1, 1), 0), ((3, 2, 4, 5), (4, 2, 1, 1), 1),
              (BLOCKED_X, BLOCKED_K, 1)]
+    cases += [((3, 2, 4, 5), (3, 2) + hw, pad) for hw in ((3, 1), (1, 3), (3, 5)) for pad in (0, 1, 2)]
     with T.float64():
         for x_shape, k_shape, pad in cases:
             x0, k0 = rng.normal(size=x_shape), rng.normal(size=k_shape)
@@ -290,22 +297,31 @@ def test_conv2d_weight_gradient_in_column_blocks():
 
 def test_conv_tape_keeps_no_patch_matrix():
     # bytes a recorded conv allocates and holds until backward, and the most
-    # it has allocated at once during the forward, against one
-    # (c*kh*kw, n*ho*wo) patch matrix of the input
+    # it has allocated at once during the forward and during the backward,
+    # against one (c*kh*kw, n*ho*wo) patch matrix of the input
     rng = np.random.default_rng(13)
     x = T.Tensor(rng.normal(size=(8, 40, 16, 16)), requires_grad=True)
     patch_bytes = 40 * 9 * 8 * 16 * 16 * x.data.itemsize
     for k_trainable in (False, True):
         k = T.Tensor(rng.normal(size=(16, 40, 3, 3)), requires_grad=k_trainable)
+        loss_weight = T.Tensor(rng.normal(size=(8, 16, 16, 16)))
+        x.grad = None
         tracemalloc.start()
         try:
             y = T.conv2d(x, k, 1)
             held, peak = tracemalloc.get_traced_memory()
+            loss = T.tsum(T.mul(y, loss_weight))
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            T.backward(loss)
+            _, backward_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert y.node is not None
         assert held < patch_bytes, (k_trainable, held, patch_bytes)
         assert peak < patch_bytes, (k_trainable, peak, patch_bytes)
+        assert x.grad is not None and (k.grad is not None) == k_trainable
+        assert backward_peak - before < patch_bytes, (k_trainable, backward_peak - before, patch_bytes)
 
 
 # A LoRA fine-tune loop: default config, batch 8, rank-4 adapters on the default
