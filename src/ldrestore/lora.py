@@ -117,11 +117,15 @@ def merge(params, adapters) -> object:
 
 
 def unmerge(params, adapters) -> object:
-    """Restore the stored pre-merge weights bit-exactly; adapters re-enable."""
+    """Restore the stored pre-merge weights bit-exactly; adapters re-enable.
+
+    Adapters are restored in reverse merge order, so two that share a target
+    give it back the weight it had before either was merged.
+    """
     for a in adapters:
         if a.enabled or a._original is None:
             raise ContractViolation(f"adapter {a.target} is not merged")
-    for a in adapters:
+    for a in reversed(adapters):
         params[a.target].data = a._original
         a._original = None
         a.enabled = True

@@ -23,15 +23,14 @@ which takes the adapters' (A, B) pairs as deltas on the kernel's
 ``den.pemb.w``) go through ``_apply_weight``. Only ``tensor.py`` knows the
 convolution's layout.
 
-The tape's spatial ops take batches ``(n, c, h, w)`` only. ``encode``,
-``control_features``, ``denoise`` and ``decode_tensor`` also take a single
-item ``(c, h, w)``, with a 1-D prompt embedding and a scalar step: they make
-it a batch of one on the way in (``_add_batch``) and return a single item
-(``_drop_batch``).
+Every latent is a batch ``(n, c, h, w)``, the one spatial shape of the
+tape, with one prompt-embedding row and one step per item. An ``Image`` is a
+batch of one at the two ends: ``encode`` takes it as such, and ``decode``
+turns a batch of one back into an ``Image``.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -59,6 +58,12 @@ class NetConfig:
     temb_dim: int = 8
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+                raise ConfigurationError(f"NetConfig.{f.name} must be an integer >= 1, got {v!r}")
+        if self.channels not in (1, 3):
+            raise ConfigurationError(f"NetConfig.channels must be 1 or 3, got {self.channels}")
         if self.image_size % DOWNSCALE:
             raise ConfigurationError(f"image_size {self.image_size} not divisible by {DOWNSCALE}")
         if self.temb_dim % 2:
@@ -73,6 +78,9 @@ class NetConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "NetConfig":
+        unknown = sorted(map(str, set(d) - {f.name for f in fields(NetConfig)}))
+        if unknown:
+            raise ConfigurationError(f"NetConfig: unknown field(s) {', '.join(unknown)}")
         return NetConfig(**d)
 
 
@@ -203,8 +211,9 @@ def prompt_ids(prompts) -> list:
 
 
 def prompt_embedding(params: NetParams, prompts) -> T.Tensor:
-    """Mean of the table rows named by ``prompts`` (a token or list of tokens)."""
-    return T.reshape(prompt_embedding_batch(params, [prompts]), (params.config.prompt_dim,))
+    """(1, prompt_dim): the mean of the table rows named by ``prompts`` (a
+    token or list of tokens), the embedding of a batch of one."""
+    return prompt_embedding_batch(params, [prompts])
 
 
 def prompt_embedding_batch(params: NetParams, prompt_lists) -> T.Tensor:
@@ -233,92 +242,55 @@ def time_embedding(t, dim: int) -> T.Tensor:
 
 @dataclass
 class ConditioningBundle:
-    """What ``denoise`` is conditioned on, with the shape of the latent it goes with.
-
-    A single latent z_t (c, h, w) takes a z_lq of the same shape and a 1-D
-    ``(prompt_dim,)`` embedding. A batched z_t (n, c, h, w) takes batched
-    conditioning: a z_lq of the same shape and an ``(n, prompt_dim)``
-    embedding, one row per item (``prompt_embedding_batch``).
-    """
+    """What ``denoise`` is conditioned on, for a latent batch z_t (n, c, h, w):
+    a z_lq of the same shape and an ``(n, prompt_dim)`` embedding, one row
+    per item (``prompt_embedding_batch``)."""
 
     z_lq: T.Tensor
     prompt: object = None  # token or list of tokens, kept for provenance
     prompt_embedding: T.Tensor = None
 
 
-def _as_tensor_image(img) -> T.Tensor:
-    if isinstance(img, Image):
-        return T.Tensor(img.data)
-    if isinstance(img, T.Tensor):
-        return img
-    return T.Tensor(img)
-
-
-def _add_batch(x: T.Tensor, single: bool) -> T.Tensor:
-    """x with a leading batch axis of one if single, else x itself."""
-    return T.reshape(x, (1,) + x.shape) if single else x
-
-
-def _drop_batch(y: T.Tensor, single: bool) -> T.Tensor:
-    """The one item of a batch-of-one output if single, else y itself."""
-    return T.reshape(y, y.shape[1:]) if single else y
-
-
-def encode(img, params: NetParams, adapters=()) -> T.Tensor:
-    """Image (or (c,h,w)/(n,c,h,w) tensor) -> latent at half resolution."""
-    x = _as_tensor_image(img)
+def encode(x, params: NetParams, adapters=()) -> T.Tensor:
+    """(n, c, h, w) tensor, or an Image as a batch of one -> latent at half resolution."""
+    if isinstance(x, Image):
+        x = T.Tensor(x.data[None])
     h, w = x.shape[-2], x.shape[-1]
     if h % DOWNSCALE or w % DOWNSCALE:
         raise ConfigurationError(f"encode: dims {h}x{w} not divisible by {DOWNSCALE}")
-    single = x.ndim == 3
     amap = _adapter_map(adapters)
-    h1 = T.silu(_conv(_add_batch(x, single), params, "enc.conv1", 1, amap))
-    return _drop_batch(_conv(T.avg_pool2(h1), params, "enc.conv2", 1, amap), single)
+    h1 = T.silu(_conv(x, params, "enc.conv1", 1, amap))
+    return _conv(T.avg_pool2(h1), params, "enc.conv2", 1, amap)
 
 
 def encode_array(params: NetParams, arr: np.ndarray) -> np.ndarray:
-    """Latent features as a plain array, no tape (metrics back end)."""
+    """Latent features of an (n, c, h, w) array as a plain array, no tape (metrics back end)."""
     with T.no_grad():
         return encode(T.Tensor(arr), params).data
 
 
-def control_features(z_enc: T.Tensor, prompt_emb: T.Tensor, params: NetParams,
-                     adapters=(), include_zero: bool = True) -> T.Tensor:
+def control_features(z_enc: T.Tensor, prompt_emb: T.Tensor, params: NetParams, adapters=()) -> T.Tensor:
     """z_lq = Conv(z_enc) + ZeroConv(z_enc ++ prompt); the zero path starts at 0.
 
-    z_enc (n,c,h,w) takes prompt_emb (n, prompt_dim), and z_enc (c,h,w) a
-    1-D prompt_emb. ``include_zero=False`` drops the zero-initialized path
-    entirely (used by neutrality checks; at init the two variants agree
-    bit-for-bit).
+    z_enc (n, c, h, w) takes prompt_emb (n, prompt_dim), one row per item.
     """
-    single = z_enc.ndim == 3
-    z, pemb = _add_batch(z_enc, single), _add_batch(prompt_emb, single)
     amap = _adapter_map(adapters)
-    plain = _conv(z, params, "ctrl.conv", 1, amap)
-    if not include_zero:
-        return _drop_batch(plain, single)
-    if pemb.ndim != 2 or pemb.shape[0] != z.shape[0]:
+    plain = _conv(z_enc, params, "ctrl.conv", 1, amap)
+    n, _, h, w = z_enc.shape
+    if prompt_emb.shape != (n, params.config.prompt_dim):
         raise DimensionError(f"control: prompt embedding {prompt_emb.shape} vs latent {z_enc.shape}")
-    zc_in = T.concat_channels(z, T.broadcast_spatial(pemb, z.shape[2], z.shape[3]))
-    zero = _conv(zc_in, params, "ctrl.zero.conv", 0, amap)
-    return _drop_batch(T.add(plain, zero), single)
+    zc_in = T.concat_channels(z_enc, T.broadcast_spatial(prompt_emb, h, w))
+    return T.add(plain, _conv(zc_in, params, "ctrl.zero.conv", 0, amap))
 
 
-def denoise(z_t: T.Tensor, t, cond: ConditioningBundle, params: NetParams,
-            adapters=(), include_zero: bool = True) -> T.Tensor:
-    """Predicted noise for z_t at physical step(s) t, conditioned on cond.
-
-    A single latent (c,h,w) takes a single z_lq, a 1-D prompt embedding and
-    a scalar t; a batch (n,c,h,w) takes batches of both and t a scalar or a
-    length-n array.
-    """
+def denoise(z_t: T.Tensor, t, cond: ConditioningBundle, params: NetParams, adapters=()) -> T.Tensor:
+    """Predicted noise for the batch z_t (n, c, h, w) at physical step(s) t,
+    a scalar or a length-n array, conditioned on cond (``ConditioningBundle``)."""
     cfg = params.config
-    single = z_t.ndim == 3
-    x, z_lq = _add_batch(z_t, single), _add_batch(cond.z_lq, single)
-    if x.ndim != 4 or x.shape[1] != cfg.c_lat or x.shape != z_lq.shape:
-        raise DimensionError(f"denoise: z_t {z_t.shape} vs z_lq {cond.z_lq.shape}")
-    pemb = _add_batch(cond.prompt_embedding, single)
-    n = x.shape[0]
+    z_lq, pemb = cond.z_lq, cond.prompt_embedding
+    if z_t.ndim != 4 or z_t.shape[1] != cfg.c_lat or z_t.shape != z_lq.shape:
+        raise DimensionError(f"denoise: z_t {z_t.shape} vs z_lq {z_lq.shape}")
+    n = z_t.shape[0]
     if pemb.shape != (n, cfg.prompt_dim):
         raise DimensionError(f"denoise: prompt embedding {pemb.shape}, want ({n}, {cfg.prompt_dim})")
     tv = np.atleast_1d(np.asarray(t, dtype=np.int64))
@@ -328,40 +300,34 @@ def denoise(z_t: T.Tensor, t, cond: ConditioningBundle, params: NetParams,
         raise DimensionError(f"denoise: t has shape {tv.shape}, want ({n},)")
 
     amap = _adapter_map(adapters)
-    h = _conv(T.concat_channels(x, z_lq), params, "den.conv_in", 1, amap)
+    h = _conv(T.concat_channels(z_t, z_lq), params, "den.conv_in", 1, amap)
     tb = _apply_weight(time_embedding(tv, cfg.temb_dim), params, "den.temb.w", amap)
     pb = _apply_weight(pemb, params, "den.pemb.w", amap)
     h1 = T.silu(T.channel_bias(h, T.add(tb, pb)))
 
     h2 = T.silu(_conv(T.avg_pool2(h1), params, "den.down", 1, amap))
     m = _conv(h2, params, "den.mid", 1, amap)
-    if include_zero:
-        m = T.add(m, _conv(T.avg_pool2(z_lq), params, "ctrl.zero.sft", 0, amap))
-    h3 = T.silu(m)
+    h3 = T.silu(T.add(m, _conv(T.avg_pool2(z_lq), params, "ctrl.zero.sft", 0, amap)))
 
     cat = T.concat_channels(T.upsample2(h3), h1)
     h4 = T.silu(_conv(cat, params, "den.up", 1, amap))
-    return _drop_batch(_conv(h4, params, "den.conv_out", 1, amap), single)
+    return _conv(h4, params, "den.conv_out", 1, amap)
 
 
 def decode_tensor(z: T.Tensor, params: NetParams, adapters=()) -> T.Tensor:
-    """Latent (c,h,w) or (n,c,h,w) -> image tensor in [0,1] (sigmoid output), differentiable."""
-    cfg = params.config
-    single = z.ndim == 3
-    zb = _add_batch(z, single)
-    if zb.ndim != 4 or zb.shape[1] != cfg.c_lat:
-        raise DimensionError(f"decode: latent {z.shape}, want {cfg.c_lat} channels")
+    """Latent (n, c, h, w) -> image tensor in [0,1] (sigmoid output), differentiable."""
     amap = _adapter_map(adapters)
-    h = T.silu(_conv(zb, params, "dec.conv1", 1, amap))
+    h = T.silu(_conv(z, params, "dec.conv1", 1, amap))
     h = T.silu(_conv(T.upsample2(h), params, "dec.conv2", 1, amap))
-    return _drop_batch(T.sigmoid(_conv(h, params, "dec.out", 0, amap)), single)
+    return T.sigmoid(_conv(h, params, "dec.out", 0, amap))
 
 
 def decode(z: T.Tensor, params: NetParams, adapters=()) -> Image:
-    if z.ndim != 3:
-        raise DimensionError(f"decode: expected a single latent, got {z.shape}")
+    """A batch of one latent (1, c, h, w) -> its Image."""
+    if z.ndim != 4 or z.shape[0] != 1:
+        raise DimensionError(f"decode: expected a batch of one latent (1, c, h, w), got {z.shape}")
     with T.no_grad():
-        return Image(decode_tensor(z, params, adapters).data)
+        return Image(decode_tensor(z, params, adapters).data[0])
 
 
 def make_denoiser(params: NetParams, sched, adapters=()):

@@ -34,7 +34,7 @@ TINY = NetConfig(image_size=16, c_lat=3, c_enc=3, c_hid=4, c_mid=5, prompt_dim=4
 def tiny_net(seed=0):
     params = init_params(TINY, seed)
     rng = np.random.default_rng(seed + 50)
-    img = rng.uniform(0.1, 0.9, size=(1, 16, 16))
+    img = rng.uniform(0.1, 0.9, size=(1, 1, 16, 16))
     z = encode(T.Tensor(img), params)
     pe = prompt_embedding(params, ["gradient", "high-quality"])
     z_lq = control_features(z, pe, params)
@@ -230,15 +230,15 @@ def tiny_net_batch(n=3, seed=0):
     params = init_params(TINY, seed)
     rng = np.random.default_rng(seed + 60)
     z = encode(T.Tensor(rng.uniform(0.1, 0.9, size=(n, 1, 16, 16))), params)
-    pe = T.Tensor(np.stack([prompt_embedding(params, ["gradient", "high-quality"]).data] * n))
+    pe = T.Tensor(np.concatenate([prompt_embedding(params, ["gradient", "high-quality"]).data] * n))
     cond = ConditioningBundle(control_features(z, pe, params), None, pe)
     return params, cond, T.Tensor(rng.standard_normal(z.shape))
 
 
 def test_merge_on_conv_kernel_view():
     with T.float64():
-        # a 1x1 target on one latent, and a 3x3 target on a batch, where a patch
-        # row order other than the kernel's (ci, kh, kw) would disagree with merge
+        # a 1x1 target on a batch of one, and a 3x3 target on a batch of three, where
+        # a patch row order other than the kernel's (ci, kh, kw) would disagree with merge
         for target, (params, cond, zt), t in [("ctrl.zero.sft.w", tiny_net(), 2),
                                               ("den.mid.w", tiny_net_batch(), [2, 5, 9])]:
             adapters = attach(params, LoraConfig(rank=2, targets=(target,)), seed=6)
@@ -250,6 +250,24 @@ def test_merge_on_conv_kernel_view():
             assert np.allclose(runtime, merged, atol=1e-9)
             unmerge(params, adapters)
             assert not np.allclose(runtime, denoise(zt, t, cond, params).data, atol=1e-6)
+
+
+def test_unmerge_restores_weights_shared_by_two_adapters():
+    # two attach calls on the same weights, as the two LoRA modules of a fine-tune
+    with T.float64():
+        params, cond, zt = tiny_net_batch()
+        w0 = {name: w.data.copy() for name, w in params.items()}
+        cfg = LoraConfig(rank=2, targets=("den.mid.w", "den.temb.w"))
+        adapters = attach(params, cfg, seed=6) + attach(params, cfg, seed=7)
+        for k, a in enumerate(adapters):
+            a.B.data = np.random.default_rng(k).normal(size=a.B.shape) * 0.1
+        t = [2, 5, 9]
+        runtime = denoise(zt, t, cond, params, adapters=adapters).data.copy()
+        merge(params, adapters)
+        assert np.allclose(runtime, denoise(zt, t, cond, params).data, atol=1e-9)
+        unmerge(params, adapters)
+        for name, w in params.items():
+            assert np.array_equal(w.data, w0[name]), name
 
 
 def lora_tape_dtypes():

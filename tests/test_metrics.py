@@ -80,7 +80,7 @@ def test_perceptual_proxy_matches_four_separate_encodings():
     a, b = image_pair((1, 16, 16), 7)
     feats = []
     for x in (a.data, b.data, a.data[:, :, ::-1], b.data[:, :, ::-1]):
-        f = encode_array(params, x.copy())
+        f = encode_array(params, x.copy()[None])[0]
         feats.append(f / np.sqrt(np.sum(f * f, axis=0, keepdims=True) + 1e-10))
     want = 0.5 * (float(np.mean((feats[0] - feats[1]) ** 2)) + float(np.mean((feats[2] - feats[3]) ** 2)))
     assert perceptual_proxy(a, b, params) == pytest.approx(want, rel=1e-6)

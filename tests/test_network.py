@@ -4,7 +4,7 @@ import pytest
 from ldrestore import network
 from ldrestore import tensor as T
 from ldrestore.dataset import synth_dataset
-from ldrestore.diffusion import ldm_loss_batch, make_schedule, respace
+from ldrestore.diffusion import ldm_loss_batch, make_schedule, respace, sample
 from ldrestore.errors import ConfigurationError, ContractViolation, DimensionError, ParameterError
 from ldrestore.images import Image
 from ldrestore.network import (
@@ -66,33 +66,49 @@ def test_init_deterministic_and_zero_branch_zero():
     assert any(not np.array_equal(a[n].data, c[n].data) for n in a.names())
 
 
+def test_netconfig_rejects_sizes_it_cannot_build():
+    bad = [("image_size", 0), ("c_lat", 0), ("c_lat", -1), ("prompt_dim", 0), ("c_hid", True),
+           ("temb_dim", 4.0), ("image_size", "32"), ("channels", 2)]
+    for name, value in bad:
+        with pytest.raises(ConfigurationError, match=name):
+            NetConfig(**{name: value})
+        with pytest.raises(ConfigurationError, match=name):
+            NetConfig.from_dict(dict(NetConfig().to_dict(), **{name: value}))
+    with pytest.raises(ConfigurationError, match="width"):
+        NetConfig.from_dict(dict(NetConfig().to_dict(), width=32))
+    assert NetConfig.from_dict(TINY.to_dict()) == TINY
+    assert NetConfig(channels=3).channels == 3
+
+
 def test_encode_shape_and_determinism():
     params = init_params(NetConfig(), 0)
     img = Image(np.random.default_rng(0).uniform(size=(1, 32, 32)))
     z1 = encode(img, params)
     z2 = encode(img, params)
-    assert z1.shape == (8, 16, 16)
+    assert z1.shape == (1, 8, 16, 16)  # an Image is a batch of one
     assert np.array_equal(z1.data, z2.data)
 
 
 def test_encode_rejects_odd_dims():
     params = init_params(NetConfig(), 0)
     with pytest.raises(ConfigurationError):
-        encode(T.Tensor(np.zeros((1, 15, 16))), params)
+        encode(T.Tensor(np.zeros((1, 1, 15, 16))), params)
 
 
 def test_control_zero_branch_neutral_at_init():
+    # the zero conv outputs exact zeros, so z_lq is the plain conv bit for bit
     params, img = tiny_setup()
-    z = encode(T.Tensor(img), params)
+    z = encode(T.Tensor(img[None]), params)
     pe = prompt_embedding(params, ["gradient"])
-    with_zero = control_features(z, pe, params)
-    without = control_features(z, pe, params, include_zero=False)
-    assert np.array_equal(with_zero.data, without.data)  # bit-exact
+    zc_in = T.concat_channels(z, T.broadcast_spatial(pe, z.shape[2], z.shape[3]))
+    assert np.all(network._conv(zc_in, params, "ctrl.zero.conv", 0, {}).data == 0.0)
+    plain = T.conv2d(z, params["ctrl.conv.w"], 1, bias=params["ctrl.conv.b"])
+    assert np.array_equal(control_features(z, pe, params).data, plain.data)
 
 
 def test_control_prompt_enters_only_through_zero_branch():
     params, img = tiny_setup()
-    z = encode(T.Tensor(img), params)
+    z = encode(T.Tensor(img[None]), params)
     pe1 = prompt_embedding(params, ["gradient"])
     pe2 = prompt_embedding(params, ["rings"])
     # zero branch still zero: prompt cannot influence anything
@@ -108,18 +124,19 @@ def test_control_prompt_enters_only_through_zero_branch():
 
 def test_denoise_shape_and_zero_sft_neutral_at_init():
     params, img = tiny_setup()
-    z = encode(T.Tensor(img), params)
+    z = encode(T.Tensor(img[None]), params)
     cond = make_cond(params, z)
     zt = T.Tensor(np.random.default_rng(1).standard_normal(z.shape))
     out = denoise(zt, 3, cond, params)
     assert out.shape == zt.shape
-    out_nz = denoise(zt, 3, cond, params, include_zero=False)
-    assert np.array_equal(out.data, out_nz.data)
+    # the bottleneck skip adds exact zeros
+    sft = network._conv(T.avg_pool2(cond.z_lq), params, "ctrl.zero.sft", 0, {})
+    assert np.all(sft.data == 0.0)
 
 
 def test_denoise_sensitive_to_t():
     params, img = tiny_setup()
-    z = encode(T.Tensor(img), params)
+    z = encode(T.Tensor(img[None]), params)
     cond = make_cond(params, z)
     zt = T.Tensor(np.random.default_rng(2).standard_normal(z.shape))
     T_steps = 200
@@ -142,11 +159,9 @@ def test_denoise_batch_matches_per_item():
         out = denoise(zt, ts, ConditioningBundle(z_lq, None, pe), params)
         for i in range(3):
             pe_i = prompt_embedding_batch(params, [[["gradient"], ["rings"], ["cross"]][i][0]])
-            cond_i = ConditioningBundle(
-                T.Tensor(z_lq.data[i]), None, T.Tensor(pe_i.data[0])
-            )
-            out_i = denoise(T.Tensor(zt.data[i]), int(ts[i]), cond_i, params)
-            assert np.allclose(out.data[i], out_i.data, atol=1e-10)
+            cond_i = ConditioningBundle(T.Tensor(z_lq.data[i : i + 1]), None, pe_i)
+            out_i = denoise(T.Tensor(zt.data[i : i + 1]), int(ts[i]), cond_i, params)
+            assert np.allclose(out.data[i], out_i.data[0], atol=1e-10)
     # float32, the default compute dtype: batched and per-item GEMMs round differently
     params, _ = tiny_setup()
     z = encode(T.Tensor(imgs), params)
@@ -156,50 +171,30 @@ def test_denoise_batch_matches_per_item():
     out = denoise(zt, ts, ConditioningBundle(z_lq, None, pe), params)
     assert out.data.dtype == np.float32
     for i in range(3):
-        cond_i = ConditioningBundle(T.Tensor(z_lq.data[i]), None, T.Tensor(pe.data[i]))
-        out_i = denoise(T.Tensor(zt.data[i]), int(ts[i]), cond_i, params)
-        assert np.allclose(out.data[i], out_i.data, rtol=1e-5, atol=1e-6)
+        cond_i = ConditioningBundle(T.Tensor(z_lq.data[i : i + 1]), None, T.Tensor(pe.data[i : i + 1]))
+        out_i = denoise(T.Tensor(zt.data[i : i + 1]), int(ts[i]), cond_i, params)
+        assert np.allclose(out.data[i], out_i.data[0], rtol=1e-5, atol=1e-6)
 
 
-def test_single_item_equals_batch_of_one():
-    # a (c, h, w) item goes through the network as a batch of one: float32
-    # results agree bit for bit with those of the batch holding it
+def test_prompt_embedding_rows_must_match_the_batch():
+    # a batch of n latents takes an (n, prompt_dim) embedding, one row per item
     params, img = tiny_setup()
-    params["ctrl.zero.conv.w"].data[:] = 0.05  # so the prompt reaches z_lq
-    params["ctrl.zero.sft.w"].data[:] = 0.05
-    rng = np.random.default_rng(4)
-    z = encode(T.Tensor(img), params)
-    zb = encode(T.Tensor(img[None]), params)
-    assert z.data.dtype == np.float32 and z.shape == zb.shape[1:]
-    assert np.array_equal(z.data, zb.data[0])
-
+    zb = encode(T.Tensor(np.stack([img, img])), params)
     pe = prompt_embedding(params, ["rings", "low-quality"])
-    z_lq = control_features(z, pe, params)
-    pe_b = T.Tensor(pe.data[None])
-    z_lq_b = control_features(zb, pe_b, params)
-    assert np.array_equal(z_lq.data, z_lq_b.data[0])
-
-    zt = rng.standard_normal(z.shape)
-    out = denoise(T.Tensor(zt), 7, ConditioningBundle(z_lq, None, pe), params)
-    out_b = denoise(T.Tensor(zt[None]), 7, ConditioningBundle(z_lq_b, None, pe_b), params)
-    assert np.array_equal(out.data, out_b.data[0])
-
-    x = decode_tensor(T.Tensor(zt), params)
-    x_b = decode_tensor(T.Tensor(zt[None]), params)
-    assert x.shape == img.shape and np.array_equal(x.data, x_b.data[0])
-
-    # a single latent takes a 1-D prompt embedding, a batch one row per item
-    with pytest.raises(DimensionError):
-        control_features(z, pe_b, params)
+    pe3 = prompt_embedding_batch(params, [["rings"]] * 3)
     with pytest.raises(DimensionError):
         control_features(zb, pe, params)
     with pytest.raises(DimensionError):
-        denoise(T.Tensor(zt[None]), 7, ConditioningBundle(z_lq_b, None, pe), params)
+        control_features(zb, pe3, params)
+    z_lq = control_features(zb, prompt_embedding_batch(params, [["rings"]] * 2), params)
+    zt = T.Tensor(np.random.default_rng(4).standard_normal(zb.shape))
+    with pytest.raises(DimensionError):
+        denoise(zt, 7, ConditioningBundle(z_lq, None, pe), params)
 
 
 def test_decode_shape_range_determinism():
     params, img = tiny_setup()
-    z = encode(T.Tensor(img), params)
+    z = encode(T.Tensor(img[None]), params)
     out = decode(z, params)
     assert out.data.shape == (1, 16, 16)
     assert out.data.min() >= 0.0 and out.data.max() <= 1.0
@@ -209,20 +204,21 @@ def test_decode_shape_range_determinism():
 
 def test_decode_rejects_a_batch_before_decoding(monkeypatch):
     params, img = tiny_setup()
-    zb = encode(T.Tensor(img[None]), params)
+    zb = encode(T.Tensor(np.stack([img, img])), params)
 
     def decode_tensor_not_called(*args, **kwargs):
         raise AssertionError("decode decoded a batch before rejecting it")
 
     monkeypatch.setattr(network, "decode_tensor", decode_tensor_not_called)
-    with pytest.raises(DimensionError) as e:
-        decode(zb, params)
-    assert str(zb.shape) in str(e.value)
+    for z in (zb, T.Tensor(zb.data[0])):
+        with pytest.raises(DimensionError) as e:
+            decode(z, params)
+        assert str(z.shape) in str(e.value)
 
 
 def test_make_denoiser_checks_step_index():
     params, img = tiny_setup()
-    z = encode(T.Tensor(img), params)
+    z = encode(T.Tensor(img[None]), params)
     cond = make_cond(params, z)
     sched = respace(make_schedule(100, 1e-4, 0.02), 10)
     net = make_denoiser(params, sched)
@@ -238,8 +234,8 @@ def test_shape_closure_all_sizes():
         cfg = NetConfig(image_size=size, c_lat=4, c_enc=4, c_hid=4, c_mid=4, prompt_dim=4, temb_dim=4)
         params = init_params(cfg, 0)
         img = np.random.default_rng(0).uniform(size=(1, size, size))
-        z = encode(T.Tensor(img), params)
-        assert z.shape == (4, size // 2, size // 2)
+        z = encode(T.Tensor(img[None]), params)
+        assert z.shape == (1, 4, size // 2, size // 2)
         cond = make_cond(params, z)
         eps = denoise(T.Tensor(np.zeros(z.shape)), 0, cond, params)
         assert eps.shape == z.shape
@@ -247,10 +243,32 @@ def test_shape_closure_all_sizes():
         assert out.data.shape == (1, size, size)
 
 
+def restore(params, lq: Image, seed: int) -> Image:
+    """encode -> prompt -> control -> 3 ancestral steps of the real denoiser -> decode."""
+    sched = respace(make_schedule(100, 1e-4, 0.02), 3)
+    with T.no_grad():
+        z_enc = encode(lq, params)
+        pe = prompt_embedding(params, ["gradient", "high-quality"])
+        cond = ConditioningBundle(control_features(z_enc, pe, params), None, pe)
+        z0 = sample(make_denoiser(params, sched), z_enc.shape, cond, sched, seed)
+    return decode(z0, params)
+
+
+def test_restore_chain_on_tiny():
+    params, img = tiny_setup()
+    lq = Image(img)
+    out = restore(params, lq, 1)
+    assert isinstance(out, Image) and out.data.shape == lq.data.shape
+    assert out.data.min() >= 0.0 and out.data.max() <= 1.0
+    assert np.array_equal(out.data, restore(params, lq, 1).data)
+    assert not np.array_equal(out.data, restore(params, lq, 2).data)
+
+
 def test_prompt_embedding_is_mean_of_rows():
     params, _ = tiny_setup()
     table = params["prompt.table.w"].data
     pe = prompt_embedding(params, ["gradient", "high-quality"])
+    assert pe.shape == (1, TINY.prompt_dim)  # the embedding of a batch of one
     assert np.allclose(pe.data, (table[0] + table[8]) / 2, atol=1e-12)
     single = prompt_embedding(params, "rings")
     assert np.allclose(single.data, table[4], atol=1e-12)
