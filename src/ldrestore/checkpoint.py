@@ -117,10 +117,14 @@ def _checked_entries(header, offset) -> list:
     entries = header.get("tensors")
     if not isinstance(entries, list):
         raise FormatError("checkpoint header has no 'tensors' list", offset=offset)
+    names = set()
     for i, entry in enumerate(entries):
         if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
                 and isinstance(entry.get("shape"), list)):
             raise FormatError(f"tensor entry {i} needs a string 'name' and a list 'shape'", offset=offset)
+        if entry["name"] in names:
+            raise FormatError(f"tensor entry {i} repeats the name {entry['name']!r}", offset=offset)
+        names.add(entry["name"])
         # bool is an int subclass, so test the type exactly
         if not all(type(d) is int and d >= 0 for d in entry["shape"]):
             raise FormatError(

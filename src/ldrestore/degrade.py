@@ -2,10 +2,14 @@
 
 A degradation is an ordered list of steps with a canonical string form
 ``step("+"step)*`` where step is ``blur:<float>``, ``sr:<int>`` or
-``noise:<float>``. Noise sigma is quoted on the 0-255 byte scale and divided
-by 255 internally; noise step i of a spec draws from stream
-``("degrade.noise", i)`` of the seed. All operators keep images inside [0,1]
-and are deterministic given (spec, image, seed).
+``noise:<float>``. Each kind is one class (``Blur``, ``Downsample``,
+``Noise``) that holds its argument check, its canonical form (``str``) and
+its operator ``step(data, seed, i)`` on a (c, h, w) pixel array; ``parse``
+looks the kind up in one table and ``apply`` calls the steps in turn. Noise
+sigma is quoted on the 0-255 byte scale and divided by 255 internally; noise
+step i of a spec draws from stream ``("degrade.noise", i)`` of the seed. All
+operators keep images inside [0,1] and are deterministic given (spec, image,
+seed).
 
 The two linear steps act on each image axis separately, so each is a small
 per-axis matrix: ``out = M_h @ x @ M_w.T``. The matrices depend only on the
@@ -81,69 +85,84 @@ def _box_operator(factor: int, n: int) -> np.ndarray:
     return op
 
 
-def blur(img: Image, sigma: float) -> Image:
-    """Reflect-padded Gaussian blur, as one cached matrix per axis: the kernel is separable."""
-    k = 2 * _radius(sigma) + 1
-    _, h, w = img.data.shape
-    if k > 2 * w or k > 2 * h:
-        raise ParameterError(f"blur: kernel {k}x{k} wider than twice image {h}x{w}")
-    out = _blur_operator(sigma, h) @ img.data @ _blur_operator(sigma, w).T
-    return Image(np.clip(out, 0.0, 1.0))
-
-
-def downsample_up(img: Image, factor: int) -> Image:
-    """Box-average pool by ``factor``, then replicate each low-res pixel back up.
-
-    Replication (rather than interpolating) keeps block-constant images fixed
-    and models the blocky look of naive super-resolution input.
-    """
-    factor = int(factor)
-    if factor < 1:
-        raise ParameterError(f"downsample_up: factor must be >= 1, got {factor}")
-    if factor == 1:
-        return Image(img.data.copy())
-    _, h, w = img.data.shape
-    if h % factor or w % factor:
-        raise ParameterError(f"downsample_up: {h}x{w} not divisible by factor {factor}")
-    low = _box_operator(factor, h) @ img.data @ _box_operator(factor, w).T
-    up = np.repeat(np.repeat(low, factor, axis=1), factor, axis=2)
-    return Image(up)
-
-
-def add_noise(img: Image, sigma255: float, seed: int) -> Image:
-    """The one-step spec ``noise:<sigma255>``: the same image as ``apply`` gives it."""
-    return apply(DegradationSpec((Noise(sigma255),)), img, seed)
-
-
 @dataclass(frozen=True)
 class Blur:
+    """``blur:<sigma>``: reflect-padded Gaussian blur, one matrix per axis (the kernel is separable)."""
+
     sigma: float
 
     def __post_init__(self):
         if not (self.sigma > 0 and math.isfinite(self.sigma)):
             raise ParameterError(f"Blur: sigma must be finite and > 0, got {self.sigma}")
 
+    def __str__(self):
+        return f"blur:{self.sigma:g}"
+
+    def __call__(self, data: np.ndarray, seed: int, i: int) -> np.ndarray:
+        k = 2 * _radius(self.sigma) + 1
+        _, h, w = data.shape
+        if k > 2 * w or k > 2 * h:
+            raise ParameterError(f"blur: kernel {k}x{k} wider than twice image {h}x{w}")
+        out = _blur_operator(self.sigma, h) @ data @ _blur_operator(self.sigma, w).T
+        return np.clip(out, 0.0, 1.0)
+
 
 @dataclass(frozen=True)
 class Downsample:
+    """``sr:<factor>``: box-average pool by ``factor``, then replicate each
+    low-res pixel back up.
+
+    Replication (rather than interpolating) keeps block-constant images fixed
+    and models the blocky look of naive super-resolution input.
+    """
+
     factor: int
 
     def __post_init__(self):
         if self.factor < 2:
             raise ParameterError(f"Downsample: factor must be >= 2, got {self.factor}")
 
+    def __str__(self):
+        return f"sr:{self.factor}"
+
+    def __call__(self, data: np.ndarray, seed: int, i: int) -> np.ndarray:
+        f = self.factor
+        _, h, w = data.shape
+        if h % f or w % f:
+            raise ParameterError(f"downsample: {h}x{w} not divisible by factor {f}")
+        low = _box_operator(f, h) @ data @ _box_operator(f, w).T
+        return np.repeat(np.repeat(low, f, axis=1), f, axis=2)
+
 
 @dataclass(frozen=True)
 class Noise:
+    """``noise:<sigma255>``: additive Gaussian noise; step i draws from ``("degrade.noise", i)``."""
+
     sigma255: float
 
     def __post_init__(self):
         if not (self.sigma255 >= 0 and math.isfinite(self.sigma255)):
             raise ParameterError(f"Noise: sigma255 must be finite and >= 0, got {self.sigma255}")
 
+    def __str__(self):
+        return f"noise:{self.sigma255:g}"
+
+    def __call__(self, data: np.ndarray, seed: int, i: int) -> np.ndarray:
+        if self.sigma255 == 0:
+            return data
+        rng = stream(seed, "degrade.noise", i)
+        return np.clip(data + rng.normal(0.0, self.sigma255 / 255.0, size=data.shape), 0.0, 1.0)
+
 
 _FLOAT_RE = re.compile(r"^[0-9]+(\.[0-9]+)?$")
 _INT_RE = re.compile(r"^[0-9]+$")
+
+# step kind -> (class, argument grammar, argument type)
+_STEP_KINDS = {
+    "blur": (Blur, _FLOAT_RE, float),
+    "sr": (Downsample, _INT_RE, int),
+    "noise": (Noise, _FLOAT_RE, float),
+}
 
 
 @dataclass(frozen=True)
@@ -161,63 +180,33 @@ class DegradationSpec:
             if ":" not in part:
                 raise FormatError(f"degradation step {part!r} missing ':'")
             kind, _, arg = part.partition(":")
+            if kind not in _STEP_KINDS:
+                raise FormatError(f"unknown degradation step kind {kind!r}")
+            cls, grammar, typ = _STEP_KINDS[kind]
+            if not grammar.match(arg):
+                raise FormatError(f"bad {kind} argument {arg!r}")
             try:
-                if kind == "blur":
-                    if not _FLOAT_RE.match(arg):
-                        raise FormatError(f"bad blur sigma {arg!r}")
-                    steps.append(Blur(float(arg)))
-                elif kind == "sr":
-                    if not _INT_RE.match(arg):
-                        raise FormatError(f"bad sr factor {arg!r}")
-                    steps.append(Downsample(int(arg)))
-                elif kind == "noise":
-                    if not _FLOAT_RE.match(arg):
-                        raise FormatError(f"bad noise sigma {arg!r}")
-                    steps.append(Noise(float(arg)))
-                else:
-                    raise FormatError(f"unknown degradation step kind {kind!r}")
+                steps.append(cls(typ(arg)))
             except ParameterError as e:
                 raise FormatError(f"degradation step {part!r}: {e}") from e
         return DegradationSpec(tuple(steps))
 
     def canonical(self) -> str:
-        parts = []
-        for s in self.steps:
-            if isinstance(s, Blur):
-                parts.append(f"blur:{s.sigma:g}")
-            elif isinstance(s, Downsample):
-                parts.append(f"sr:{s.factor}")
-            elif isinstance(s, Noise):
-                parts.append(f"noise:{s.sigma255:g}")
-            else:
-                raise ParameterError(f"unknown step type {type(s).__name__}")
-        return "+".join(parts)
+        return "+".join(map(str, self.steps))
 
     def __str__(self):
         return self.canonical()
 
 
 def apply(spec: DegradationSpec, img: Image, seed: int) -> Image:
-    """Run steps in order; noise step i draws from stream ``("degrade.noise", i)`` of ``seed``."""
-    out = img
+    """Run steps in order on a copy of ``img``; step i is called as ``step(data, seed, i)``."""
+    data = img.data
     for i, step in enumerate(spec.steps):
         try:
-            if isinstance(step, Blur):
-                out = blur(out, step.sigma)
-            elif isinstance(step, Downsample):
-                out = downsample_up(out, step.factor)
-            elif isinstance(step, Noise):
-                if step.sigma255 > 0:
-                    rng = stream(seed, "degrade.noise", i)
-                    noisy = out.data + rng.normal(0.0, step.sigma255 / 255.0, size=out.data.shape)
-                    out = Image(np.clip(noisy, 0.0, 1.0))
-            else:
-                raise ParameterError(f"unknown step type {type(step).__name__}")
+            data = step(data, seed, i)
         except ParameterError as e:
             raise ParameterError(f"step {i} ({type(step).__name__}): {e}") from e
-    if out is img:
-        out = Image(img.data.copy())
-    return out
+    return Image(data.copy() if data is img.data else data)
 
 
 # the four benchmark recipes, in severity-table order

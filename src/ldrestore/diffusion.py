@@ -1,13 +1,19 @@
 """Noise schedules, forward diffusion, the latent noise-prediction loss, and
 ancestral reverse sampling (DDPM, Ho et al., arXiv 2006.11239).
 
+A schedule is its cumulative signal fraction ``alpha_bar`` (ab):
+``NoiseSchedule(alpha_bar, base_t=None)`` derives alpha_t = ab_t / ab_{t-1},
+beta_t = 1 - alpha_t and the posterior std sigma_t once, at construction,
+and rejects any ab that is not strictly decreasing inside (0, 1).
+``make_schedule`` is the linear-beta schedule ab = cumprod(1 - beta), and
+``respace`` keeps a subset of its ab values.
+
 The forward process q(x_t | x_{t-1}) = N(sqrt(alpha_t) x_{t-1}, (1-alpha_t) I)
-is used in its closed marginal form x_t = sqrt(ab_t) x0 + sqrt(1-ab_t) eps
-where ab is the cumulative product of alpha. It runs on a batch, with one
-step index per item (``forward_diffuse_batch``), and the loss
-(``ldm_loss_batch``) is the mean squared error of the predicted noise on
-such a batch. The reverse step predicts the injected noise and forms the
-posterior mean mu = (z_t - beta_t / sqrt(1-ab_t) * eps_hat) / sqrt(alpha_t);
+is used in its closed marginal form x_t = sqrt(ab_t) x0 + sqrt(1-ab_t) eps.
+It runs on a batch, with one step index per item (``forward_diffuse_batch``),
+and the loss (``ldm_loss_batch``) is the mean squared error of the predicted
+noise on such a batch. The reverse step predicts the injected noise and forms
+the posterior mean mu = (z_t - beta_t / sqrt(1-ab_t) * eps_hat) / sqrt(alpha_t);
 ``sample`` adds sigma_t times fresh seeded noise at every step t > 0, with
 the fixed posterior variance sigma_t^2 = beta_t (1-ab_{t-1}) / (1-ab_t).
 
@@ -28,54 +34,42 @@ from .rng import stream
 
 @dataclass
 class NoiseSchedule:
-    beta: np.ndarray
-    alpha: np.ndarray
+    """A schedule is its alpha_bar; alpha, beta and sigma are derived from it."""
+
     alpha_bar: np.ndarray
-    sigma: np.ndarray
-    base_t: np.ndarray = field(default=None)
+    base_t: np.ndarray = None
+    alpha: np.ndarray = field(init=False, repr=False)
+    beta: np.ndarray = field(init=False, repr=False)
+    sigma: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.base_t is None:
-            self.base_t = np.arange(len(self.beta))
+        ab = self.alpha_bar = np.asarray(self.alpha_bar, dtype=np.float64)
+        # (0, 1) and strictly decreasing is exactly beta_t in (0, 1) for every t
+        if not (ab.ndim == 1 and ab.size and np.all((ab > 0) & (ab < 1)) and np.all(np.diff(ab) < 0)):
+            raise ConfigurationError("schedule: alpha_bar must be non-empty, 1-D, strictly decreasing, inside (0, 1)")
+        self.base_t = np.arange(len(ab)) if self.base_t is None else np.asarray(self.base_t)
+        if self.base_t.shape != ab.shape:
+            raise ConfigurationError(f"schedule: base_t {self.base_t.shape} vs alpha_bar {ab.shape}")
+        prev = np.concatenate([[1.0], ab[:-1]])
+        self.alpha = ab / prev
+        self.beta = 1.0 - self.alpha
+        # posterior std sigma_t^2 = beta_t (1 - ab_{t-1}) / (1 - ab_t); sigma_0 = 0
+        self.sigma = np.sqrt(self.beta * (1.0 - prev) / (1.0 - ab))
 
     @property
     def T(self) -> int:
-        return len(self.beta)
-
-    def validate(self):
-        b, ab = self.beta, self.alpha_bar
-        if np.any(b <= 0) or np.any(b >= 1):
-            raise ConfigurationError("schedule: beta outside (0,1)")
-        if not np.allclose(self.alpha, 1.0 - b):
-            raise ConfigurationError("schedule: alpha != 1 - beta")
-        if np.any(ab <= 0) or np.any(ab > 1):
-            raise ConfigurationError("schedule: alpha_bar outside (0,1]")
-        if np.any(np.diff(ab) >= 0):
-            raise ConfigurationError("schedule: alpha_bar not strictly decreasing")
-        if self.sigma[0] != 0.0:
-            raise ConfigurationError("schedule: sigma[0] must be 0")
-
-
-def _sigmas(beta, alpha_bar):
-    sig = np.zeros_like(beta)
-    if len(beta) > 1:
-        sig[1:] = np.sqrt(beta[1:] * (1.0 - alpha_bar[:-1]) / (1.0 - alpha_bar[1:]))
-    return sig
+        return len(self.alpha_bar)
 
 
 def make_schedule(T_steps: int, beta_start: float, beta_end: float) -> NoiseSchedule:
+    """Linear beta from beta_start to beta_end over T_steps steps."""
     if T_steps < 1:
         raise ConfigurationError(f"make_schedule: T must be >= 1, got {T_steps}")
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ConfigurationError(
             f"make_schedule: need 0 < beta_start <= beta_end < 1, got [{beta_start}, {beta_end}]"
         )
-    beta = np.linspace(beta_start, beta_end, T_steps)
-    alpha = 1.0 - beta
-    alpha_bar = np.cumprod(alpha)
-    sched = NoiseSchedule(beta, alpha, alpha_bar, _sigmas(beta, alpha_bar))
-    sched.validate()
-    return sched
+    return NoiseSchedule(np.cumprod(1.0 - np.linspace(beta_start, beta_end, T_steps)))
 
 
 def respace(sched: NoiseSchedule, steps: int) -> NoiseSchedule:
@@ -85,13 +79,7 @@ def respace(sched: NoiseSchedule, steps: int) -> NoiseSchedule:
     if steps == sched.T:
         return sched
     idx = np.unique(np.round(np.linspace(0, sched.T - 1, steps)).astype(np.int64))
-    ab = sched.alpha_bar[idx]
-    prev = np.concatenate([[1.0], ab[:-1]])
-    alpha = ab / prev
-    beta = 1.0 - alpha
-    sub = NoiseSchedule(beta, alpha, ab, _sigmas(beta, ab), base_t=sched.base_t[idx])
-    sub.validate()
-    return sub
+    return NoiseSchedule(sched.alpha_bar[idx], sched.base_t[idx])
 
 
 def _check_t(sched: NoiseSchedule, t):

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigurationError, ContractViolation
+from .network import PROMPT_TABLE
 from .rng import stream
 
 DEFAULT_TARGETS = ("den.temb.w", "den.pemb.w", "ctrl.zero.conv.w", "ctrl.zero.sft.w")
@@ -68,25 +69,25 @@ def _matrix_view_shape(w: T.Tensor, name: str):
 
 
 def attach(params, config: LoraConfig, seed: int) -> list:
-    """One adapter per matched parameter; matched base weights are frozen."""
-    matched = []
-    for name in params.names():
-        if any(fnmatch.fnmatch(name, pat) for pat in config.targets):
-            matched.append(name)
+    """One adapter per matched parameter; matched base weights are frozen,
+    once every match has been checked."""
+    matched = [name for name in params.names() if any(fnmatch.fnmatch(name, pat) for pat in config.targets)]
     if not matched:
         raise ConfigurationError(f"lora targets {config.targets} match no parameters")
     adapters = []
     for i, name in enumerate(matched):
-        w = params[name]
-        d, k = _matrix_view_shape(w, name)
+        if name == PROMPT_TABLE:
+            raise ConfigurationError(f"lora target {name!r} is a lookup table; no adapter applies to it")
+        d, k = _matrix_view_shape(params[name], name)
         r = config.rank
         if r > min(d, k):
             raise ConfigurationError(f"lora rank {r} exceeds min dim of {name} ({d}x{k})")
         rng = stream(seed, "lora.init", i)
         A = T.Tensor(rng.normal(0.0, math.sqrt(1.0 / r), size=(d, r)), requires_grad=True)
         B = T.Tensor(np.zeros((r, k)), requires_grad=True)
-        w.requires_grad = False
         adapters.append(LoraAdapter(name, A, B, r))
+    for a in adapters:
+        params[a.target].requires_grad = False
     return adapters
 
 
@@ -104,13 +105,17 @@ def reg_loss(adapters, lam: float) -> T.Tensor:
 
 
 def merge(params, adapters) -> object:
-    """Fold each delta into its target in place; adapters become disabled."""
+    """Fold each delta into its target in place; adapters become disabled.
+    The adapters on one target share one copy of its pre-merge weight."""
     for a in adapters:
         if not a.enabled:
             raise ContractViolation(f"adapter {a.target} already merged or disabled")
+    originals = {}
     for a in adapters:
         w = params[a.target]
-        a._original = w.data.copy()
+        if a.target not in originals:
+            originals[a.target] = w.data.copy()
+        a._original = originals[a.target]
         w.data = w.data + a.delta().reshape(w.shape)
         a.enabled = False
     return params

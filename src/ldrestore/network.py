@@ -43,6 +43,8 @@ from .rng import stream
 
 QUALITY_TOKENS = ("high-quality", "low-quality")
 PROMPT_VOCAB = FAMILIES + QUALITY_TOKENS
+# read by row in prompt_embedding_batch, so it is the one weight no adapter applies to
+PROMPT_TABLE = "prompt.table.w"
 DOWNSCALE = 2
 
 
@@ -117,7 +119,7 @@ def parameter_plan(cfg: NetConfig) -> list:
         ("dec.conv2.b", (c.c_enc,), "zero"),
         ("dec.out.w", (c.channels, c.c_enc, 1, 1), "gauss"),
         ("dec.out.b", (c.channels,), "zero"),
-        ("prompt.table.w", (len(PROMPT_VOCAB), c.prompt_dim), "unit"),
+        (PROMPT_TABLE, (len(PROMPT_VOCAB), c.prompt_dim), "unit"),
     ]
 
 
@@ -218,7 +220,7 @@ def prompt_embedding(params: NetParams, prompts) -> T.Tensor:
 
 def prompt_embedding_batch(params: NetParams, prompt_lists) -> T.Tensor:
     """(n, prompt_dim) embeddings, row i the mean embedding of prompt_lists[i]."""
-    table = params["prompt.table.w"]
+    table = params[PROMPT_TABLE]
     weights = np.zeros((len(prompt_lists), table.shape[0]))
     for i, prompts in enumerate(prompt_lists):
         ids = prompt_ids(prompts)
@@ -247,8 +249,8 @@ class ConditioningBundle:
     per item (``prompt_embedding_batch``)."""
 
     z_lq: T.Tensor
-    prompt: object = None  # token or list of tokens, kept for provenance
-    prompt_embedding: T.Tensor = None
+    prompt: object  # token or list of tokens, kept for provenance; may be None
+    prompt_embedding: T.Tensor
 
 
 def encode(x, params: NetParams, adapters=()) -> T.Tensor:

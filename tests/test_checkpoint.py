@@ -88,6 +88,14 @@ def test_negative_or_non_integer_dimension(tmp_path):
         assert e.value.offset == HEADER_OFFSET
 
 
+def test_repeated_tensor_name_raises_format_error(tmp_path):
+    path = tmp_path / "dup.ldrs"
+    save_checkpoint(path, "base", {}, {}, [("a", np.zeros(2)), ("a", np.ones(3))], {})
+    with pytest.raises(FormatError, match="repeats the name 'a'") as e:
+        load_checkpoint(path)
+    assert e.value.offset == HEADER_OFFSET
+
+
 def test_zero_d_array_round_trips_as_scalar(tmp_path):
     path = tmp_path / "s.ldrs"
     save_checkpoint(path, "base", {}, {}, [("s", np.array(1.5))], {})

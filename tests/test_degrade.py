@@ -12,11 +12,8 @@ from ldrestore.degrade import (
     Noise,
     _blur_operator,
     _box_operator,
-    add_noise,
     apply,
     benchmark_specs,
-    blur,
-    downsample_up,
     gaussian_kernel,
 )
 from ldrestore.dataset import synth_dataset
@@ -24,6 +21,11 @@ from ldrestore.errors import FormatError, ParameterError
 from ldrestore.images import Image
 from ldrestore.metrics import psnr  # noqa: F401  (imported late in file tests)
 from ldrestore.rng import stream
+
+
+def one(step, img, seed=0):
+    """``img`` through the one-step spec of ``step``."""
+    return apply(DegradationSpec((step,)), img, seed)
 
 
 def test_kernel_size_and_normalization():
@@ -57,7 +59,7 @@ def test_kernel_rejects_nonpositive_sigma():
 
 def test_blur_constant_unchanged():
     img = Image(np.full((1, 16, 16), 0.37))
-    out = blur(img, 2.0)
+    out = one(Blur(2.0), img)
     assert np.allclose(out.data, 0.37, atol=1e-12)
 
 
@@ -67,7 +69,7 @@ def test_blur_impulse_response_matches_kernel():
     r = k.shape[0] // 2
     arr = np.zeros((1, 17, 17))
     arr[0, 8, 8] = 1.0
-    out = blur(Image(arr), sigma)
+    out = one(Blur(sigma), Image(arr))
     assert np.allclose(out.data[0, 8 - r : 8 + r + 1, 8 - r : 8 + r + 1], k, atol=1e-12)
 
 
@@ -80,20 +82,20 @@ def test_separable_blur_matches_2d_kernel_oracle():
         pad = np.pad(arr, ((0, 0), (r, r), (r, r)), mode="reflect")
         win = np.lib.stride_tricks.sliding_window_view(pad, k.shape, axis=(1, 2))
         want = np.clip(np.einsum("chwij,ij->chw", win, k), 0.0, 1.0)
-        assert np.allclose(blur(Image(arr), sigma).data, want, rtol=0, atol=1e-12)
+        assert np.allclose(Blur(sigma)(arr, 0, 0), want, rtol=0, atol=1e-12)
 
 
 def test_blur_preserves_mean_of_interior_supported_image():
     arr = np.zeros((1, 32, 32))
     arr[0, 12:20, 12:20] = 0.5  # support far from borders relative to kernel radius
     img = Image(arr)
-    out = blur(img, 1.0)
+    out = one(Blur(1.0), img)
     assert abs(out.data.mean() - img.data.mean()) < 1e-6
 
 
 def test_blur_kernel_too_wide_rejected():
     with pytest.raises(ParameterError):
-        blur(Image(np.zeros((1, 16, 16))), 6.0)  # k=37 > 32
+        one(Blur(6.0), Image(np.zeros((1, 16, 16))))  # k=37 > 32
 
 
 def test_blur_width_checked_before_any_kernel():
@@ -101,7 +103,7 @@ def test_blur_width_checked_before_any_kernel():
     tracemalloc.start()
     try:
         with pytest.raises(ParameterError):
-            blur(img, 1e5)
+            Blur(1e5)(img.data, 0, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -118,8 +120,8 @@ def test_operators_are_cached_and_read_only():
         with pytest.raises(ValueError):
             op[0, 0] = 1.0
     img = Image(np.random.default_rng(5).uniform(size=(1, 32, 32)))
-    assert np.array_equal(blur(img, 2.0).data, blur(img, 2.0).data)
-    assert np.array_equal(downsample_up(img, 4).data, downsample_up(img, 4).data)
+    for step in (Blur(2.0), Downsample(4)):
+        assert np.array_equal(one(step, img).data, one(step, img).data)
 
 
 def _reference_apply(spec, data, seed):
@@ -152,53 +154,45 @@ def test_apply_matches_reference_formulas():
         assert np.allclose(got, _reference_apply(spec, arr, 9), rtol=0, atol=1e-12), text
 
 
-def test_downsample_constant_and_identity():
+def test_downsample_constant_unchanged():
     img = Image(np.full((1, 16, 16), 0.42))
-    assert np.allclose(downsample_up(img, 4).data, 0.42)
-    out1 = downsample_up(img, 1)
-    assert np.array_equal(out1.data, img.data)
-    assert out1.data is not img.data
+    assert np.allclose(one(Downsample(4), img).data, 0.42)
 
 
 def test_downsample_block_constant_unchanged():
     blocks = np.array([[0.2, 0.8], [0.6, 0.4]])
     arr = np.repeat(np.repeat(blocks, 2, axis=0), 2, axis=1)[None]
-    out = downsample_up(Image(arr), 2)
+    out = one(Downsample(2), Image(arr))
     assert np.array_equal(out.data, arr)
 
 
 def test_downsample_box_average_values():
     arr = np.arange(16.0).reshape(1, 4, 4) / 16.0
-    out = downsample_up(Image(arr), 2)
+    out = one(Downsample(2), Image(arr))
     # top-left 2x2 block mean = (0+1+4+5)/4/16
     assert np.allclose(out.data[0, :2, :2], (0 + 1 + 4 + 5) / 4 / 16.0)
 
 
 def test_downsample_nondivisible_rejected():
     with pytest.raises(ParameterError):
-        downsample_up(Image(np.zeros((1, 10, 10))), 4)
+        one(Downsample(4), Image(np.zeros((1, 10, 10))))
 
 
 def test_noise_zero_sigma_identity_and_determinism():
     img = Image(np.full((1, 8, 8), 0.5))
-    assert np.array_equal(add_noise(img, 0.0, seed=1).data, img.data)
-    a = add_noise(img, 10.0, seed=3)
-    b = add_noise(img, 10.0, seed=3)
-    c = add_noise(img, 10.0, seed=4)
+    out0 = one(Noise(0.0), img, seed=1)
+    assert np.array_equal(out0.data, img.data)
+    assert out0.data is not img.data
+    a = one(Noise(10.0), img, seed=3)
+    b = one(Noise(10.0), img, seed=3)
+    c = one(Noise(10.0), img, seed=4)
     assert np.array_equal(a.data, b.data)
     assert not np.array_equal(a.data, c.data)
 
 
-def test_add_noise_is_the_one_step_spec():
-    img = Image(np.random.default_rng(8).uniform(size=(3, 8, 8)))
-    for s in (0.0, 10.0, 30.0):
-        want = apply(DegradationSpec.parse(f"noise:{s}"), img, seed=6)
-        assert np.array_equal(add_noise(img, s, seed=6).data, want.data)
-
-
 def test_noise_std_monte_carlo():
     img = Image(np.full((1, 100, 100), 0.5))
-    out = add_noise(img, 20.0, seed=0)
+    out = one(Noise(20.0), img, seed=0)
     resid = out.data - 0.5
     assert abs(resid.std() - 20.0 / 255.0) / (20.0 / 255.0) < 0.03
 
@@ -206,7 +200,7 @@ def test_noise_std_monte_carlo():
 def test_all_ops_stay_in_unit_range():
     rng = np.random.default_rng(0)
     img = Image(rng.uniform(0, 1, size=(1, 32, 32)))
-    for out in (blur(img, 2.0), downsample_up(img, 4), add_noise(img, 50.0, seed=2)):
+    for out in (one(Blur(2.0), img), one(Downsample(4), img), one(Noise(50.0), img, seed=2)):
         assert out.data.min() >= 0.0 and out.data.max() <= 1.0
 
 
@@ -215,6 +209,23 @@ def test_spec_parse_canonical_roundtrip():
     assert s.steps == (Blur(2.0), Downsample(4), Noise(1.0))
     assert s.canonical() == "blur:2+sr:4+noise:1"
     assert DegradationSpec.parse(s.canonical()) == s
+
+
+def test_steps_own_their_canonical_form():
+    steps = (Blur(2.5), Downsample(4), Noise(30.0), Noise(0.0))
+    assert [str(s) for s in steps] == ["blur:2.5", "sr:4", "noise:30", "noise:0"]
+    spec = DegradationSpec(steps)
+    assert str(spec) == spec.canonical() == "blur:2.5+sr:4+noise:30+noise:0"
+    assert DegradationSpec.parse(str(spec)) == spec
+    assert str(DegradationSpec(())) == ""
+
+
+def test_noise_step_draws_from_its_index_stream():
+    data = np.full((1, 8, 8), 0.5)
+    for i in (0, 2):
+        want = np.clip(data + stream(4, "degrade.noise", i).normal(0.0, 10.0 / 255.0, size=data.shape), 0.0, 1.0)
+        assert np.array_equal(Noise(10.0)(data, 4, i), want)
+    assert not np.array_equal(Noise(10.0)(data, 4, 0), Noise(10.0)(data, 4, 1))
 
 
 def test_spec_parse_errors():
@@ -244,7 +255,7 @@ def test_apply_matches_manual_composition():
     img = synth_dataset(0, 1, 32)[0].clean
     spec = DegradationSpec.parse("blur:2.0+sr:4")
     auto = apply(spec, img, seed=5)
-    manual = downsample_up(blur(img, 2.0), 4)
+    manual = Downsample(4)(Blur(2.0)(img.data, 5, 0), 5, 1)
     assert np.array_equal(auto.data, manual.data)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from ldrestore import tensor as T
 from ldrestore.diffusion import (
+    NoiseSchedule,
     forward_diffuse_batch,
     ldm_loss_batch,
     make_schedule,
@@ -51,6 +52,36 @@ def test_schedule_rejects_bad_params():
         make_schedule(10, 0.5, 1.0)
 
 
+def test_schedule_derives_alpha_beta_sigma_from_alpha_bar():
+    ab = np.array([0.9, 0.72, 0.36])
+    s = NoiseSchedule(ab)
+    assert s.T == 3 and np.array_equal(s.base_t, [0, 1, 2])
+    assert np.allclose(s.alpha, [0.9, 0.8, 0.5], rtol=1e-15)
+    assert np.allclose(s.beta, [0.1, 0.2, 0.5], rtol=1e-14)
+    assert np.allclose(s.sigma, [0.0, math.sqrt(0.2 * 0.1 / 0.28), math.sqrt(0.5 * 0.28 / 0.64)], rtol=1e-14)
+    # the linear-beta schedule: beta back from alpha_bar, to rounding
+    lin = make_schedule(1000, 1e-4, 0.02)
+    assert np.allclose(lin.beta, np.linspace(1e-4, 0.02, 1000), rtol=1e-11, atol=0)
+
+
+def test_schedule_rejects_alpha_bar_outside_unit_interval_or_not_decreasing():
+    bad = (
+        [0.9, 0.9],  # flat: beta_1 = 0
+        [0.5, 0.7],  # increasing
+        [1.0, 0.5],  # beta_0 = 0
+        [0.9, 0.0],  # beta_1 = 1
+        [0.9, -0.1],
+        [0.9, float("nan")],
+        [],
+        [[0.9, 0.5]],  # not 1-D
+    )
+    for ab in bad:
+        with pytest.raises(ConfigurationError):
+            NoiseSchedule(np.array(ab))
+    with pytest.raises(ConfigurationError):
+        NoiseSchedule(np.array([0.9, 0.5]), base_t=np.array([0]))
+
+
 def test_respace_keeps_marginals_and_base_t():
     s = make_schedule(200, 1e-4, 0.02)
     sub = respace(s, 50)
@@ -59,7 +90,6 @@ def test_respace_keeps_marginals_and_base_t():
     assert sub.base_t[0] == 0 and sub.base_t[-1] == 199
     # product structure: cumprod of sub alphas equals kept alpha_bar values
     assert np.allclose(np.cumprod(sub.alpha), sub.alpha_bar, rtol=1e-12)
-    sub.validate()
 
 
 def test_respace_identity_and_errors():

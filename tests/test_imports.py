@@ -1,0 +1,27 @@
+import ast
+import sys
+from pathlib import Path
+
+ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ldrestore"
+
+
+def imported_roots(tree):
+    """Top-level names of every absolute import in a module; relative ones are the package's own."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_library_imports_only_stdlib_and_numpy():
+    files = sorted(PACKAGE.glob("*.py"))
+    assert files
+    outside = {
+        (f.name, root)
+        for f in files
+        for root in imported_roots(ast.parse(f.read_text(encoding="utf-8"), filename=str(f)))
+        if root not in ALLOWED
+    }
+    assert not outside, f"imports outside the standard library and numpy: {sorted(outside)}"

@@ -100,6 +100,23 @@ def test_attach_errors():
         attach(bias, LoraConfig(rank=1, targets=("b",)), seed=0)
 
 
+def test_attach_checks_every_target_before_freezing_any():
+    params = init_params(TINY, 0)
+    # dec.out.w is (1, c_enc, 1, 1): rank 2 does not fit, and den.pemb.w comes first
+    with pytest.raises(ConfigurationError, match="dec.out.w"):
+        attach(params, LoraConfig(rank=2, targets=("den.pemb.w", "dec.out.w")), seed=0)
+    assert all(w.requires_grad for w in params.tensors())
+
+
+def test_attach_rejects_the_prompt_table():
+    params = init_params(TINY, 0)
+    with pytest.raises(ConfigurationError, match="prompt.table.w"):
+        attach(params, LoraConfig(rank=2, targets=("prompt.table.w",)), seed=0)
+    with pytest.raises(ConfigurationError, match="prompt.table.w"):
+        attach(params, LoraConfig(rank=1, targets=("*.w",)), seed=0)
+    assert all(w.requires_grad for w in params.tensors())
+
+
 def test_apply_weight_matches_materialized():
     rng = np.random.default_rng(1)
     params = matrix_params(6, 5)
@@ -268,6 +285,20 @@ def test_unmerge_restores_weights_shared_by_two_adapters():
         unmerge(params, adapters)
         for name, w in params.items():
             assert np.array_equal(w.data, w0[name]), name
+
+
+def test_merge_keeps_one_weight_copy_per_target():
+    params = init_params(TINY, 0)
+    cfg = LoraConfig(rank=2, targets=("den.mid.w", "den.temb.w"))
+    first, second = attach(params, cfg, seed=6), attach(params, cfg, seed=7)
+    w0 = {a.target: params[a.target].data.copy() for a in first}
+    merge(params, first + second)
+    for a, b in zip(first, second):
+        assert a.target == b.target and a._original is b._original
+        assert np.array_equal(a._original, w0[a.target])
+    assert first[0]._original is not first[1]._original
+    unmerge(params, first + second)
+    assert all(np.array_equal(params[t].data, w) for t, w in w0.items())
 
 
 def lora_tape_dtypes():

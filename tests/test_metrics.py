@@ -6,7 +6,17 @@ from scipy.ndimage import gaussian_filter
 
 from ldrestore import tensor as T
 from ldrestore.images import Image
-from ldrestore.metrics import SSIM_C1, SSIM_C2, SSIM_SIGMA, SSIM_WINDOW, perceptual_proxy, psnr, ssim
+from ldrestore.metrics import (
+    SSIM_C1,
+    SSIM_C2,
+    SSIM_SIGMA,
+    SSIM_WINDOW,
+    MetricReport,
+    MetricRow,
+    perceptual_proxy,
+    psnr,
+    ssim,
+)
 from ldrestore.network import NetConfig, encode_array, init_params
 
 TINY = NetConfig(image_size=16, c_lat=3, c_enc=3, c_hid=4, c_mid=5, prompt_dim=4, temb_dim=4)
@@ -84,3 +94,25 @@ def test_perceptual_proxy_matches_four_separate_encodings():
         feats.append(f / np.sqrt(np.sum(f * f, axis=0, keepdims=True) + 1e-10))
     want = 0.5 * (float(np.mean((feats[0] - feats[1]) ** 2)) + float(np.mean((feats[2] - feats[3]) ** 2)))
     assert perceptual_proxy(a, b, params) == pytest.approx(want, rel=1e-6)
+
+
+def test_metric_report_csv_rows_mean_and_inf(tmp_path):
+    report = MetricReport(
+        [
+            MetricRow("p0", "sr:4", 21.123456, 0.5, 0.0125, 3.0),
+            MetricRow("p1", "blur:3+noise:30", math.inf, 1.0, 0.0, 5.5),
+        ]
+    )
+    text = report.to_csv()
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    assert text.splitlines() == [
+        "id,spec,psnr_db,ssim,pproxy,wall_ms",
+        "p0,sr:4,21.1235,0.500000,0.012500,3.000",
+        "p1,blur:3+noise:30,inf,1.000000,0.000000,5.500",
+        "MEAN,,inf,0.750000,0.006250,4.250",
+    ]
+    neg = MetricReport([MetricRow("p", "", -math.inf, 0.0, 0.0, 0.0)]).to_csv()
+    assert neg.splitlines()[1] == "p,,-inf,0.000000,0.000000,0.000"
+    path = tmp_path / "report.csv"
+    report.write_csv(path)
+    assert path.read_bytes() == text.encode("utf-8")

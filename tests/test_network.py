@@ -134,6 +134,15 @@ def test_denoise_shape_and_zero_sft_neutral_at_init():
     assert np.all(sft.data == 0.0)
 
 
+def test_conditioning_bundle_requires_prompt_and_embedding():
+    params, img = tiny_setup()
+    z = encode(T.Tensor(img[None]), params)
+    with pytest.raises(TypeError):
+        ConditioningBundle(z)
+    with pytest.raises(TypeError):
+        ConditioningBundle(z, None)
+
+
 def test_denoise_sensitive_to_t():
     params, img = tiny_setup()
     z = encode(T.Tensor(img[None]), params)
