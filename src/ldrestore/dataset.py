@@ -16,17 +16,6 @@ from .errors import ConfigurationError, FormatError, ParameterError
 from .images import Image, load_pnm, save_pnm
 from .rng import stream
 
-FAMILIES = (
-    "gradient",
-    "checkerboard",
-    "blobs",
-    "stripes",
-    "rings",
-    "texture",
-    "disks",
-    "cross",
-)
-
 VALID_SIZES = (16, 32, 64)
 
 
@@ -134,6 +123,7 @@ _GENERATORS = {
     "disks": _disks,
     "cross": _cross,
 }
+FAMILIES = tuple(_GENERATORS)
 
 
 def synth_item(seed: int, index: int, size: int) -> DatasetItem:

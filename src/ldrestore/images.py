@@ -70,11 +70,14 @@ def _read_token(buf: bytes, pos: int):
 
 
 def _read_int(buf: bytes, pos: int, what: str):
+    """Next header token as an ASCII decimal integer ``[0-9]+``; returns (value, end)."""
     tok, end = _read_token(buf, pos)
     try:
-        val = int(tok)
-    except ValueError:
-        raise FormatError(f"bad {what} {tok!r}", offset=pos) from None
+        val = int(tok) if tok.isdigit() else None
+    except ValueError:  # more digits than int() converts
+        val = None
+    if val is None:
+        raise FormatError(f"bad {what} {tok!r}", offset=end - len(tok))
     return val, end
 
 

@@ -8,17 +8,21 @@ on a kernel's (out, in*kh*kw) 2-D view. A starts Gaussian with variance 1/r
 and B starts at zero, so the delta is exactly zero until the first update.
 Adapters are trained with ``optim.AdamW`` bound to each A and B. There is
 no alpha/rank output scaling: the delta is A x B exactly as stored.
+
+An adapter is plain data (target, A, B) with no mode. For inference,
+``merge`` returns new weights with every delta folded in, so a merged
+adapter costs nothing per call; the weights it was given are not modified.
 """
 
 import fnmatch
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigurationError, ContractViolation
-from .network import PROMPT_TABLE
+from .errors import ConfigurationError
+from .network import PROMPT_TABLE, NetParams
 from .rng import stream
 
 DEFAULT_TARGETS = ("den.temb.w", "den.pemb.w", "ctrl.zero.conv.w", "ctrl.zero.sft.w")
@@ -44,20 +48,6 @@ class LoraAdapter:
     target: str
     A: T.Tensor
     B: T.Tensor
-    rank: int
-    enabled: bool = True
-    _original: np.ndarray = field(default=None, repr=False)
-
-    @property
-    def d(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.B.shape[1]
-
-    def delta(self) -> np.ndarray:
-        return self.A.data @ self.B.data
 
 
 def _matrix_view_shape(w: T.Tensor, name: str):
@@ -85,7 +75,7 @@ def attach(params, config: LoraConfig, seed: int) -> list:
         rng = stream(seed, "lora.init", i)
         A = T.Tensor(rng.normal(0.0, math.sqrt(1.0 / r), size=(d, r)), requires_grad=True)
         B = T.Tensor(np.zeros((r, k)), requires_grad=True)
-        adapters.append(LoraAdapter(name, A, B, r))
+        adapters.append(LoraAdapter(name, A, B))
     for a in adapters:
         params[a.target].requires_grad = False
     return adapters
@@ -104,41 +94,23 @@ def reg_loss(adapters, lam: float) -> T.Tensor:
     return T.scale(total, lam)
 
 
-def merge(params, adapters) -> object:
-    """Fold each delta into its target in place; adapters become disabled.
-    The adapters on one target share one copy of its pre-merge weight."""
-    for a in adapters:
-        if not a.enabled:
-            raise ContractViolation(f"adapter {a.target} already merged or disabled")
-    originals = {}
-    for a in adapters:
-        w = params[a.target]
-        if a.target not in originals:
-            originals[a.target] = w.data.copy()
-        a._original = originals[a.target]
-        w.data = w.data + a.delta().reshape(w.shape)
-        a.enabled = False
-    return params
+def merge(params: NetParams, adapters) -> NetParams:
+    """New weights with each adapter's delta A x B added to its target, in list
+    order; every other weight is the same ``Tensor`` object as in ``params``.
 
-
-def unmerge(params, adapters) -> object:
-    """Restore the stored pre-merge weights bit-exactly; adapters re-enable.
-
-    Adapters are restored in reverse merge order, so two that share a target
-    give it back the weight it had before either was merged.
+    ``params`` and the adapters are left unchanged. The result replaces the
+    pair ``(params, adapters)``: pass it with no adapters, or each delta counts
+    twice.
     """
+    tensors = dict(params.items())
     for a in adapters:
-        if a.enabled or a._original is None:
-            raise ContractViolation(f"adapter {a.target} is not merged")
-    for a in reversed(adapters):
-        params[a.target].data = a._original
-        a._original = None
-        a.enabled = True
-    return params
+        shape = params[a.target].shape  # ParameterError for a target params lacks
+        tensors[a.target] = T.Tensor(tensors[a.target].data + (a.A.data @ a.B.data).reshape(shape))
+    return NetParams(params.config, tensors)
 
 
 def trainable_param_count(adapters) -> int:
-    return sum(a.rank * (a.d + a.k) for a in adapters)
+    return sum(a.A.size + a.B.size for a in adapters)
 
 
 def zero_adapter_grads(adapters):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .degrade import gaussian_kernel
 from .errors import DimensionError, ParameterError
 from .images import Image
 
@@ -32,21 +33,13 @@ def psnr(a: Image, b: Image) -> float:
     return 10.0 * math.log10(1.0 / err)
 
 
-def _ssim_window() -> np.ndarray:
-    r = SSIM_WINDOW // 2
-    ax = np.arange(-r, r + 1, dtype=np.float64)
-    g = np.exp(-(ax * ax) / (2.0 * SSIM_SIGMA * SSIM_SIGMA))
-    w = np.outer(g, g)
-    return w / w.sum()
-
-
 def ssim(a: Image, b: Image) -> float:
     if a.data.shape != b.data.shape:
         raise DimensionError(f"ssim: image shapes differ, {a.data.shape} vs {b.data.shape}")
     c, h, wd = a.data.shape
     if h < SSIM_WINDOW or wd < SSIM_WINDOW:
         raise ParameterError(f"ssim: image {h}x{wd} smaller than {SSIM_WINDOW}x{SSIM_WINDOW} window")
-    w = _ssim_window()
+    w = gaussian_kernel(SSIM_SIGMA)
 
     def wmean(x):
         win = np.lib.stride_tricks.sliding_window_view(x, (SSIM_WINDOW, SSIM_WINDOW))

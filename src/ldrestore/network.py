@@ -174,25 +174,20 @@ def init_params(cfg: NetConfig, seed: int) -> NetParams:
 # adapter routing: weights are applied by _apply_weight (dense) and _conv
 
 
-def _adapter_map(adapters) -> dict:
-    by_target = {}
-    for a in adapters or ():
-        if a.enabled:
-            by_target.setdefault(a.target, []).append(a)
-    return by_target
-
-
-def _apply_weight(x2d: T.Tensor, params: NetParams, name: str, adapters: dict) -> T.Tensor:
-    """y = x @ W.T for a 2-D weight, plus any attached low-rank deltas x @ (A B).T."""
+def _apply_weight(x2d: T.Tensor, params: NetParams, name: str, adapters) -> T.Tensor:
+    """y = x @ W.T for a 2-D weight, plus the low-rank deltas x @ (A B).T of the
+    adapters that target it."""
     y = T.linear(x2d, params[name])
-    for a in adapters.get(name, ()):
-        y = T.add(y, T.linear(T.linear(x2d, a.B), a.A))
+    for a in adapters:
+        if a.target == name:
+            y = T.add(y, T.linear(T.linear(x2d, a.B), a.A))
     return y
 
 
-def _conv(x: T.Tensor, params: NetParams, base: str, padding: int, adapters: dict) -> T.Tensor:
-    deltas = [(a.A, a.B) for a in adapters.get(base + ".w", ())]
-    return T.conv2d(x, params[base + ".w"], padding, deltas, params[base + ".b"])
+def _conv(x: T.Tensor, params: NetParams, base: str, padding: int, adapters) -> T.Tensor:
+    name = base + ".w"
+    deltas = [(a.A, a.B) for a in adapters if a.target == name]
+    return T.conv2d(x, params[name], padding, deltas, params[base + ".b"])
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +255,8 @@ def encode(x, params: NetParams, adapters=()) -> T.Tensor:
     h, w = x.shape[-2], x.shape[-1]
     if h % DOWNSCALE or w % DOWNSCALE:
         raise ConfigurationError(f"encode: dims {h}x{w} not divisible by {DOWNSCALE}")
-    amap = _adapter_map(adapters)
-    h1 = T.silu(_conv(x, params, "enc.conv1", 1, amap))
-    return _conv(T.avg_pool2(h1), params, "enc.conv2", 1, amap)
+    h1 = T.silu(_conv(x, params, "enc.conv1", 1, adapters))
+    return _conv(T.avg_pool2(h1), params, "enc.conv2", 1, adapters)
 
 
 def encode_array(params: NetParams, arr: np.ndarray) -> np.ndarray:
@@ -276,13 +270,12 @@ def control_features(z_enc: T.Tensor, prompt_emb: T.Tensor, params: NetParams, a
 
     z_enc (n, c, h, w) takes prompt_emb (n, prompt_dim), one row per item.
     """
-    amap = _adapter_map(adapters)
-    plain = _conv(z_enc, params, "ctrl.conv", 1, amap)
+    plain = _conv(z_enc, params, "ctrl.conv", 1, adapters)
     n, _, h, w = z_enc.shape
     if prompt_emb.shape != (n, params.config.prompt_dim):
         raise DimensionError(f"control: prompt embedding {prompt_emb.shape} vs latent {z_enc.shape}")
     zc_in = T.concat_channels(z_enc, T.broadcast_spatial(prompt_emb, h, w))
-    return T.add(plain, _conv(zc_in, params, "ctrl.zero.conv", 0, amap))
+    return T.add(plain, _conv(zc_in, params, "ctrl.zero.conv", 0, adapters))
 
 
 def denoise(z_t: T.Tensor, t, cond: ConditioningBundle, params: NetParams, adapters=()) -> T.Tensor:
@@ -301,27 +294,25 @@ def denoise(z_t: T.Tensor, t, cond: ConditioningBundle, params: NetParams, adapt
     if tv.shape != (n,):
         raise DimensionError(f"denoise: t has shape {tv.shape}, want ({n},)")
 
-    amap = _adapter_map(adapters)
-    h = _conv(T.concat_channels(z_t, z_lq), params, "den.conv_in", 1, amap)
-    tb = _apply_weight(time_embedding(tv, cfg.temb_dim), params, "den.temb.w", amap)
-    pb = _apply_weight(pemb, params, "den.pemb.w", amap)
+    h = _conv(T.concat_channels(z_t, z_lq), params, "den.conv_in", 1, adapters)
+    tb = _apply_weight(time_embedding(tv, cfg.temb_dim), params, "den.temb.w", adapters)
+    pb = _apply_weight(pemb, params, "den.pemb.w", adapters)
     h1 = T.silu(T.channel_bias(h, T.add(tb, pb)))
 
-    h2 = T.silu(_conv(T.avg_pool2(h1), params, "den.down", 1, amap))
-    m = _conv(h2, params, "den.mid", 1, amap)
-    h3 = T.silu(T.add(m, _conv(T.avg_pool2(z_lq), params, "ctrl.zero.sft", 0, amap)))
+    h2 = T.silu(_conv(T.avg_pool2(h1), params, "den.down", 1, adapters))
+    m = _conv(h2, params, "den.mid", 1, adapters)
+    h3 = T.silu(T.add(m, _conv(T.avg_pool2(z_lq), params, "ctrl.zero.sft", 0, adapters)))
 
     cat = T.concat_channels(T.upsample2(h3), h1)
-    h4 = T.silu(_conv(cat, params, "den.up", 1, amap))
-    return _conv(h4, params, "den.conv_out", 1, amap)
+    h4 = T.silu(_conv(cat, params, "den.up", 1, adapters))
+    return _conv(h4, params, "den.conv_out", 1, adapters)
 
 
 def decode_tensor(z: T.Tensor, params: NetParams, adapters=()) -> T.Tensor:
     """Latent (n, c, h, w) -> image tensor in [0,1] (sigmoid output), differentiable."""
-    amap = _adapter_map(adapters)
-    h = T.silu(_conv(z, params, "dec.conv1", 1, amap))
-    h = T.silu(_conv(T.upsample2(h), params, "dec.conv2", 1, amap))
-    return T.sigmoid(_conv(h, params, "dec.out", 0, amap))
+    h = T.silu(_conv(z, params, "dec.conv1", 1, adapters))
+    h = T.silu(_conv(T.upsample2(h), params, "dec.conv2", 1, adapters))
+    return T.sigmoid(_conv(h, params, "dec.out", 0, adapters))
 
 
 def decode(z: T.Tensor, params: NetParams, adapters=()) -> Image:

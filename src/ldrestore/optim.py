@@ -6,6 +6,9 @@ tensors' .grad slots unless an explicit list is given. State round-trips
 through plain dicts for checkpointing.
 """
 
+import math
+from collections.abc import Mapping
+
 import numpy as np
 
 from .errors import ContractViolation
@@ -65,28 +68,40 @@ class AdamW:
         }
 
     def load_state_dict(self, state: dict):
-        """Restore a ``state_dict``. Every field is read and checked before any
-        is assigned, so a state that lacks one or whose moments do not fit
-        raises ContractViolation and leaves the optimizer unchanged."""
+        """Restore a ``state_dict``. Every field is converted and checked before
+        any is assigned, so a state that lacks a field, holds one of the wrong
+        type or value, or whose moments do not fit raises ContractViolation and
+        leaves the optimizer unchanged."""
         for key in ("t", "lr", "betas", "eps", "weight_decay", "m", "v"):
             if key not in state:
                 raise ContractViolation(f"AdamW: state missing {key!r}")
+        try:
+            t = int(state["t"])
+            lr, eps, weight_decay = (float(state[key]) for key in ("lr", "eps", "weight_decay"))
+            betas = [float(b) for b in state["betas"]]
+        except (TypeError, ValueError) as e:
+            raise ContractViolation(f"AdamW: state holds a non-number: {e}") from None
+        if t < 0 or t != state["t"]:
+            raise ContractViolation(f"AdamW: state t must be a non-negative integer, got {state['t']!r}")
+        if len(betas) != 2:
+            raise ContractViolation(f"AdamW: state betas must hold 2 values, got {len(betas)}")
+        if not all(math.isfinite(x) for x in (lr, eps, weight_decay, *betas)):
+            raise ContractViolation("AdamW: state hyperparameters must be finite")
         moments = {"m": {}, "v": {}}
         for key, loaded in moments.items():
+            if not isinstance(state[key], Mapping):
+                raise ContractViolation(f"AdamW: state {key} must map names to arrays, got {type(state[key]).__name__}")
             for n, tensor in self.named:
                 if n not in state[key]:
                     raise ContractViolation(f"AdamW: state missing {key}[{n!r}]")
                 x = np.asarray(state[key][n])
-                if x.shape != tensor.data.shape:
+                if x.shape != tensor.data.shape or x.dtype.kind not in "biuf":
                     raise ContractViolation(
-                        f"AdamW: state {key} shape {x.shape} vs parameter {n} {tensor.data.shape}"
+                        f"AdamW: state {key} {x.dtype} {x.shape} vs parameter {n} {tensor.data.shape}"
                     )
                 # in the parameter's dtype: a checkpoint stores the moments widened to float64
                 loaded[n] = x.astype(tensor.data.dtype)
-        t, lr, eps = int(state["t"]), float(state["lr"]), float(state["eps"])
-        weight_decay = float(state["weight_decay"])
-        beta1, beta2 = (float(b) for b in state["betas"])
         self.m.update(moments["m"])
         self.v.update(moments["v"])
         self.t, self.lr, self.eps, self.weight_decay = t, lr, eps, weight_decay
-        self.beta1, self.beta2 = beta1, beta2
+        self.beta1, self.beta2 = betas

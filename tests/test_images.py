@@ -88,6 +88,17 @@ def test_nonnumeric_header_rejected():
     assert "width" in str(e.value)
 
 
+def test_header_integers_are_ascii_digits_only():
+    # int() would take these; the header grammar is [0-9]+
+    for header, what, offset in [(b"P5 1_0 1 255\n", "width", 3), (b"P5 10 +1 255\n", "height", 6),
+                                 (b"P5 10  -1 255\n", "height", 7), (b"P5 10 1 255\x0b\n", "maxval", 8),
+                                 (b"P5 10 1 " + b"9" * 5000 + b"\n", "maxval", 8)]:
+        with pytest.raises(FormatError, match=what) as e:
+            decode_pnm(header + bytes(10))
+        assert e.value.offset == offset, header
+    assert decode_pnm(b"P5 010 1 255\n" + bytes(10)).width == 10
+
+
 def test_empty_and_tiny_buffers():
     with pytest.raises(FormatError):
         decode_pnm(b"")

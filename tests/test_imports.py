@@ -25,3 +25,11 @@ def test_library_imports_only_stdlib_and_numpy():
         if root not in ALLOWED
     }
     assert not outside, f"imports outside the standard library and numpy: {sorted(outside)}"
+
+
+def test_every_module_has_a_test_file():
+    tests = Path(__file__).resolve().parent
+    modules = [f.stem for f in sorted(PACKAGE.glob("*.py")) if f.stem != "__init__"]
+    assert modules
+    untested = [m for m in modules if not (tests / f"test_{m}.py").is_file()]
+    assert not untested, f"modules without a tests/test_<module>.py: {untested}"

@@ -2,21 +2,19 @@ import numpy as np
 import pytest
 
 from ldrestore import tensor as T
-from ldrestore.errors import ConfigurationError, ContractViolation, DimensionError
+from ldrestore.errors import ConfigurationError, ContractViolation, DimensionError, ParameterError
 from ldrestore.lora import (
     LoraConfig,
     attach,
     merge,
     reg_loss,
     trainable_param_count,
-    unmerge,
     zero_adapter_grads,
 )
 from ldrestore.network import (
     ConditioningBundle,
     NetConfig,
     NetParams,
-    _adapter_map,
     _apply_weight,
     control_features,
     decode_tensor,
@@ -49,7 +47,7 @@ def matrix_params(d, k, name="w"):
 
 def dense(x, params, adapters):
     """The dense weight site "w" of params applied to x (n, k), with adapters."""
-    return _apply_weight(T.Tensor(x), params, "w", _adapter_map(adapters))
+    return _apply_weight(T.Tensor(x), params, "w", adapters)
 
 
 def adapter_optimizer(adapters, lr):
@@ -143,7 +141,7 @@ def test_apply_weight_rejects_adapter_that_does_not_fit():
     x = np.random.default_rng(2).normal(size=(4, 5))
     # A with a row too many, B one column short, A and B of different ranks
     for a_shape, b_shape in [((7, 2), (2, 5)), ((6, 2), (2, 4)), ((6, 3), (2, 5))]:
-        bad = type(a)(a.target, T.Tensor(np.ones(a_shape)), T.Tensor(np.ones(b_shape)), a.rank)
+        bad = type(a)(a.target, T.Tensor(np.ones(a_shape)), T.Tensor(np.ones(b_shape)))
         with pytest.raises(DimensionError):
             dense(x, params, [bad])
 
@@ -158,11 +156,11 @@ def test_apply_weight_gradients():
     tgt = rng.normal(size=(6, 5))
 
     def loss_a(probe):
-        ad = type(a)(a.target, probe, T.Tensor(a.B.data), a.rank)
+        ad = type(a)(a.target, probe, T.Tensor(a.B.data))
         return T.mse(dense(x, params, [ad]), T.Tensor(tgt))
 
     def loss_b(probe):
-        ad = type(a)(a.target, T.Tensor(a.A.data), probe, a.rank)
+        ad = type(a)(a.target, T.Tensor(a.A.data), probe)
         return T.mse(dense(x, params, [ad]), T.Tensor(tgt))
 
     assert T.finite_diff_check(loss_a, a.A) < 1e-4
@@ -184,7 +182,7 @@ def test_reg_loss_values_and_gradient():
     assert np.isclose(reg_loss(adapters, 1.0).item(), 4.0)
 
     def f(probe):
-        ad = type(a)(a.target, probe, T.Tensor(a.B.data), a.rank)
+        ad = type(a)(a.target, probe, T.Tensor(a.B.data))
         return reg_loss([ad], 0.7)
 
     assert T.finite_diff_check(f, a.A) < 1e-4
@@ -202,44 +200,28 @@ def test_merge_equivalence_all_ranks():
             a = adapters[0]
             a.B.data = rng.normal(size=a.B.shape) * 0.2
             xs = rng.normal(size=(20, 1, 9))
-            runtime = [dense(x, params, adapters).data.copy() for x in xs]
-            merge(params, adapters)
-            merged = [(x @ params["w"].data.T) for x in xs]
-            for u, v in zip(runtime, merged):
-                assert np.allclose(u, v, atol=1e-9)
-            unmerge(params, adapters)
+            runtime = [dense(x, params, adapters).data for x in xs]
+            w = merge(params, adapters)["w"].data
+            for x, u in zip(xs, runtime):
+                assert np.allclose(u, x @ w.T, atol=1e-9)
 
 
 def test_merge_with_zero_b_keeps_params():
     params = matrix_params(6, 5)
     w0 = params["w"].data.copy()
     adapters = attach(params, LoraConfig(rank=2, targets=("w",)), seed=0)
-    merge(params, adapters)
-    assert np.array_equal(params["w"].data, w0)
+    assert np.array_equal(merge(params, adapters)["w"].data, w0)
 
 
 def test_merge_unmerge_roundtrip_bit_exact():
+    # merge returns new weights, so unmerging is dropping them: params stay bit-exact
     rng = np.random.default_rng(5)
     params = matrix_params(6, 5)
     w0 = params["w"].data.copy()
     adapters = attach(params, LoraConfig(rank=2, targets=("w",)), seed=0)
     adapters[0].B.data = rng.normal(size=adapters[0].B.shape)
-    merge(params, adapters)
-    assert not np.array_equal(params["w"].data, w0)
-    unmerge(params, adapters)
+    assert not np.array_equal(merge(params, adapters)["w"].data, w0)
     assert np.array_equal(params["w"].data, w0)
-    assert adapters[0].enabled
-
-
-def test_double_merge_rejected():
-    params = matrix_params(6, 5)
-    adapters = attach(params, LoraConfig(rank=2, targets=("w",)), seed=0)
-    merge(params, adapters)
-    with pytest.raises(ContractViolation):
-        merge(params, adapters)
-    unmerge(params, adapters)
-    with pytest.raises(ContractViolation):
-        unmerge(params, adapters)
 
 
 def tiny_net_batch(n=3, seed=0):
@@ -261,16 +243,15 @@ def test_merge_on_conv_kernel_view():
             adapters = attach(params, LoraConfig(rank=2, targets=(target,)), seed=6)
             a = adapters[0]
             a.B.data = np.random.default_rng(6).normal(size=a.B.shape) * 0.1
-            runtime = denoise(zt, t, cond, params, adapters=adapters).data.copy()
-            merge(params, adapters)
-            merged = denoise(zt, t, cond, params).data
+            runtime = denoise(zt, t, cond, params, adapters=adapters).data
+            merged = denoise(zt, t, cond, merge(params, adapters)).data
             assert np.allclose(runtime, merged, atol=1e-9)
-            unmerge(params, adapters)
             assert not np.allclose(runtime, denoise(zt, t, cond, params).data, atol=1e-6)
 
 
 def test_unmerge_restores_weights_shared_by_two_adapters():
-    # two attach calls on the same weights, as the two LoRA modules of a fine-tune
+    # two attach calls on the same weights, as the two LoRA modules of a fine-tune;
+    # merge is pure, so the weights it leaves behind are the pre-merge ones
     with T.float64():
         params, cond, zt = tiny_net_batch()
         w0 = {name: w.data.copy() for name, w in params.items()}
@@ -278,27 +259,19 @@ def test_unmerge_restores_weights_shared_by_two_adapters():
         adapters = attach(params, cfg, seed=6) + attach(params, cfg, seed=7)
         for k, a in enumerate(adapters):
             a.B.data = np.random.default_rng(k).normal(size=a.B.shape) * 0.1
+        ab0 = [(a.A.data.copy(), a.B.data.copy()) for a in adapters]
         t = [2, 5, 9]
-        runtime = denoise(zt, t, cond, params, adapters=adapters).data.copy()
-        merge(params, adapters)
-        assert np.allclose(runtime, denoise(zt, t, cond, params).data, atol=1e-9)
-        unmerge(params, adapters)
+        runtime = denoise(zt, t, cond, params, adapters=adapters).data
+        merged = merge(params, adapters)
+        assert merged.config is params.config and merged.names() == params.names()
+        assert np.allclose(runtime, denoise(zt, t, cond, merged).data, atol=1e-9)
         for name, w in params.items():
             assert np.array_equal(w.data, w0[name]), name
-
-
-def test_merge_keeps_one_weight_copy_per_target():
-    params = init_params(TINY, 0)
-    cfg = LoraConfig(rank=2, targets=("den.mid.w", "den.temb.w"))
-    first, second = attach(params, cfg, seed=6), attach(params, cfg, seed=7)
-    w0 = {a.target: params[a.target].data.copy() for a in first}
-    merge(params, first + second)
-    for a, b in zip(first, second):
-        assert a.target == b.target and a._original is b._original
-        assert np.array_equal(a._original, w0[a.target])
-    assert first[0]._original is not first[1]._original
-    unmerge(params, first + second)
-    assert all(np.array_equal(params[t].data, w) for t, w in w0.items())
+            assert (merged[name] is w) == (name not in cfg.targets), name
+        for a, (A, B) in zip(adapters, ab0):
+            assert np.array_equal(a.A.data, A) and np.array_equal(a.B.data, B)
+    with pytest.raises(ParameterError, match="nope.w"):
+        merge(params, [type(a)("nope.w", a.A, a.B)])
 
 
 def lora_tape_dtypes():

@@ -63,21 +63,17 @@ def test_adamw_state_dict_round_trip_continues_bit_exactly():
         assert np.array_equal(resumed.m[n], ref.m[n]) and np.array_equal(resumed.v[n], ref.v[n])
 
 
-def test_adamw_load_state_dict_rejects_incomplete_state_unchanged():
-    def bound(lr, weight_decay, steps):
-        named = [("a", T.Tensor(np.ones((2, 2)), requires_grad=True)), ("b", T.Tensor(np.ones(3)))]
-        opt = AdamW(named, lr=lr, weight_decay=weight_decay)
-        for k in range(steps):
-            opt.step([np.full((2, 2), 0.5 + k), np.full(3, -0.5)])
-        return opt
+def stepped_adamw(lr, weight_decay, steps):
+    named = [("a", T.Tensor(np.ones((2, 2)), requires_grad=True)), ("b", T.Tensor(np.ones(3)))]
+    opt = AdamW(named, lr=lr, weight_decay=weight_decay)
+    for k in range(steps):
+        opt.step([np.full((2, 2), 0.5 + k), np.full(3, -0.5)])
+    return opt
 
-    opt = bound(0.1, 0.0, 1)
+
+def assert_each_rejected_unchanged(opt, bad_states):
     before = opt.state_dict()
-    new = bound(0.3, 0.2, 2).state_dict()
-    without_v_b = dict(new, v={"a": new["v"]["a"]})
-    without_t = {k: x for k, x in new.items() if k != "t"}
-    misfit_m_b = dict(new, m=dict(new["m"], b=np.zeros(4)))
-    for bad in (without_v_b, without_t, misfit_m_b):
+    for bad in bad_states:
         with pytest.raises(ContractViolation):
             opt.load_state_dict(bad)
         after = opt.state_dict()
@@ -86,3 +82,23 @@ def test_adamw_load_state_dict_rejects_incomplete_state_unchanged():
                 assert all(np.array_equal(after[key][n], value[n]) for n in ("a", "b"))
             else:
                 assert after[key] == value
+
+
+def test_adamw_load_state_dict_rejects_incomplete_state_unchanged():
+    opt = stepped_adamw(0.1, 0.0, 1)
+    new = stepped_adamw(0.3, 0.2, 2).state_dict()
+    without_v_b = dict(new, v={"a": new["v"]["a"]})
+    without_t = {k: x for k, x in new.items() if k != "t"}
+    misfit_m_b = dict(new, m=dict(new["m"], b=np.zeros(4)))
+    assert_each_rejected_unchanged(opt, (without_v_b, without_t, misfit_m_b))
+
+
+def test_adamw_load_state_dict_rejects_bad_fields_unchanged():
+    opt = stepped_adamw(0.1, 0.0, 1)
+    new = stepped_adamw(0.3, 0.2, 2).state_dict()
+    bad_fields = [("betas", [0.9]), ("betas", [0.9, 0.99, 0.999]), ("betas", 0.9), ("lr", "x"), ("lr", None),
+                  ("eps", float("inf")), ("weight_decay", float("nan")), ("t", 1.5), ("t", -1), ("t", "2"),
+                  ("m", 5), ("v", [new["v"]["a"], new["v"]["b"]]), ("m", dict(new["m"], b=np.array(["x"] * 3)))]
+    assert_each_rejected_unchanged(opt, [dict(new, **{key: value}) for key, value in bad_fields])
+    opt.load_state_dict(new)
+    assert opt.t == 2 and opt.lr == 0.3 and opt.weight_decay == 0.2
