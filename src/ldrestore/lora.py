@@ -1,31 +1,44 @@
-"""Low-rank adaptation: rank-r deltas on selected weight matrices.
+"""Low-rank adaptation: rank-r updates A x B on selected weight matrices.
 
 An adapter holds A (d x r) and B (r x k) for a target weight viewed as a
-(d, k) matrix; the effective weight is W + A x B, never materialized during
-training: ``network._apply_weight`` adds x B^T A^T to a dense weight's
-output as two skinny products, and ``tensor.conv2d`` takes (A, B) as a delta
-on a kernel's (out, in*kh*kw) 2-D view. A starts Gaussian with variance 1/r
-and B starts at zero, so the delta is exactly zero until the first update.
-Adapters are trained with ``optim.AdamW`` bound to each A and B. There is
-no alpha/rank output scaling: the delta is A x B exactly as stored.
+(d, k) matrix, a conv kernel as (out, in*kh*kw). The effective weight is
+W + A x B, formed on the tape at every call by ``network.adapted_weight``:
+one (d, k) product per adapter, added to W, which every weight site then
+uses as a plain weight. A starts Gaussian with variance 1/r and B starts at
+zero, so A x B is exactly zero until the first update. Adapters are trained
+with ``optim.AdamW`` bound to each A and B. There is no alpha/rank output
+scaling: the update is A x B exactly as stored.
 
 An adapter is plain data (target, A, B) with no mode. For inference,
-``merge`` returns new weights with every delta folded in, so a merged
-adapter costs nothing per call; the weights it was given are not modified.
+``merge`` runs the same ``adapted_weight`` without a tape and returns new
+weights, so a merged adapter costs nothing per call and gives the adapter
+forward bit for bit; the weights it was given are not modified.
+
+The conv sees only the adapted kernel, so its backward forms the whole
+kernel gradient, which the tape passes on to A and B. For the default
+targets, two dense weights and two 1x1 convs, that is no dearer. A 3x3
+target pays: with adapters on all five 3x3 ``den.*`` convs a LoRA step took
+10.4 ms, against 10.1 ms when the conv took A and B as inputs of its own
+(medians of six 140-step runs, batch 8, 2-core Xeon VM, one BLAS thread).
 """
 
 import fnmatch
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ConfigurationError
-from .network import PROMPT_TABLE, NetParams
+from .network import NetParams, adapted_weight, matrix_view_shape
 from .rng import stream
 
 DEFAULT_TARGETS = ("den.temb.w", "den.pemb.w", "ctrl.zero.conv.w", "ctrl.zero.sft.w")
+
+
+def _finite_non_negative(v) -> bool:
+    return isinstance(v, numbers.Real) and math.isfinite(v) and v >= 0
 
 
 @dataclass
@@ -36,10 +49,12 @@ class LoraConfig:
     lr: float = 1e-3
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ConfigurationError(f"lora rank must be >= 1, got {self.rank}")
-        if self.reg_lambda < 0:
-            raise ConfigurationError(f"reg_lambda must be >= 0, got {self.reg_lambda}")
+        if isinstance(self.rank, bool) or not isinstance(self.rank, int) or self.rank < 1:
+            raise ConfigurationError(f"LoraConfig.rank must be an integer >= 1, got {self.rank!r}")
+        if not _finite_non_negative(self.reg_lambda):
+            raise ConfigurationError(f"LoraConfig.reg_lambda must be finite and >= 0, got {self.reg_lambda!r}")
+        if isinstance(self.targets, str):
+            raise ConfigurationError(f"LoraConfig.targets must be a sequence of patterns, got a str {self.targets!r}")
         self.targets = tuple(self.targets)
 
 
@@ -50,14 +65,6 @@ class LoraAdapter:
     B: T.Tensor
 
 
-def _matrix_view_shape(w: T.Tensor, name: str):
-    if w.ndim == 2:
-        return w.shape
-    if w.ndim == 4:
-        return (w.shape[0], w.size // w.shape[0])
-    raise ConfigurationError(f"lora target {name!r} has rank {w.ndim}; need a 2-D (or conv) weight")
-
-
 def attach(params, config: LoraConfig, seed: int) -> list:
     """One adapter per matched parameter; matched base weights are frozen,
     once every match has been checked."""
@@ -66,9 +73,7 @@ def attach(params, config: LoraConfig, seed: int) -> list:
         raise ConfigurationError(f"lora targets {config.targets} match no parameters")
     adapters = []
     for i, name in enumerate(matched):
-        if name == PROMPT_TABLE:
-            raise ConfigurationError(f"lora target {name!r} is a lookup table; no adapter applies to it")
-        d, k = _matrix_view_shape(params[name], name)
+        d, k = matrix_view_shape(params[name], name)
         r = config.rank
         if r > min(d, k):
             raise ConfigurationError(f"lora rank {r} exceeds min dim of {name} ({d}x{k})")
@@ -83,8 +88,8 @@ def attach(params, config: LoraConfig, seed: int) -> list:
 
 def reg_loss(adapters, lam: float) -> T.Tensor:
     """lam * sum of squared Frobenius norms of every A and B."""
-    if lam < 0:
-        raise ConfigurationError(f"reg lambda must be >= 0, got {lam}")
+    if not _finite_non_negative(lam):
+        raise ConfigurationError(f"reg lambda must be finite and >= 0, got {lam!r}")
     if lam == 0 or not adapters:
         return T.Tensor(0.0)
     total = None
@@ -95,17 +100,18 @@ def reg_loss(adapters, lam: float) -> T.Tensor:
 
 
 def merge(params: NetParams, adapters) -> NetParams:
-    """New weights with each adapter's delta A x B added to its target, in list
-    order; every other weight is the same ``Tensor`` object as in ``params``.
+    """New weights with each adapter's A x B added to its target in list order,
+    by ``network.adapted_weight`` without a tape; every other weight is the
+    same ``Tensor`` object as in ``params``.
 
     ``params`` and the adapters are left unchanged. The result replaces the
-    pair ``(params, adapters)``: pass it with no adapters, or each delta counts
-    twice.
+    pair ``(params, adapters)``: pass it with no adapters, or each update
+    counts twice.
     """
     tensors = dict(params.items())
-    for a in adapters:
-        shape = params[a.target].shape  # ParameterError for a target params lacks
-        tensors[a.target] = T.Tensor(tensors[a.target].data + (a.A.data @ a.B.data).reshape(shape))
+    with T.no_grad():
+        for name in dict.fromkeys(a.target for a in adapters):
+            tensors[name] = adapted_weight(params, name, adapters)
     return NetParams(params.config, tensors)
 
 

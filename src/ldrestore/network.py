@@ -16,12 +16,12 @@ Every parameter under "ctrl.zero." starts at exactly zero, so at
 initialization the control conditioning and the bottleneck skip contribute
 nothing and the network behaves as if those paths were absent.
 
-Weights are applied at two sites, and low-rank adapters hook in at both:
-every convolution, its bias included, is one ``tensor.conv2d`` tape node,
-which takes the adapters' (A, B) pairs as deltas on the kernel's
-(out, in*kh*kw) view, and the two dense weights (``den.temb.w``,
-``den.pemb.w``) go through ``_apply_weight``. Only ``tensor.py`` knows the
-convolution's layout.
+Weights are applied at two sites, every convolution (one ``tensor.conv2d``
+node, its bias included) and the two dense weights ``den.temb.w`` and
+``den.pemb.w`` (``tensor.linear``), and both take their weight from
+``adapted_weight``: W plus each low-rank adapter's A @ B, on the tape.
+``lora.merge`` runs the same function without a tape, so a merged weight is
+the one training used. Only ``tensor.py`` knows the convolution's layout.
 
 Every latent is a batch ``(n, c, h, w)``, the one spatial shape of the
 tape, with one prompt-embedding row and one step per item. An ``Image`` is a
@@ -43,7 +43,8 @@ from .rng import stream
 
 QUALITY_TOKENS = ("high-quality", "low-quality")
 PROMPT_VOCAB = FAMILIES + QUALITY_TOKENS
-# read by row in prompt_embedding_batch, so it is the one weight no adapter applies to
+# read by row in prompt_embedding_batch, so it is the one weight no adapter applies to,
+# and matrix_view_shape rejects it
 PROMPT_TABLE = "prompt.table.w"
 DOWNSCALE = 2
 
@@ -171,23 +172,37 @@ def init_params(cfg: NetConfig, seed: int) -> NetParams:
 
 
 # ---------------------------------------------------------------------------
-# adapter routing: weights are applied by _apply_weight (dense) and _conv
+# adapted weights: every weight site, training and lora.merge take them here
 
 
-def _apply_weight(x2d: T.Tensor, params: NetParams, name: str, adapters) -> T.Tensor:
-    """y = x @ W.T for a 2-D weight, plus the low-rank deltas x @ (A B).T of the
-    adapters that target it."""
-    y = T.linear(x2d, params[name])
+def matrix_view_shape(w: T.Tensor, name: str):
+    """(d, k) of the 2-D view an adapter's A @ B is added to: a dense weight
+    itself, a conv kernel as (out, in*kh*kw)."""
+    if name == PROMPT_TABLE:
+        raise ConfigurationError(f"lora target {name!r} is a lookup table; no adapter applies to it")
+    if w.ndim == 2:
+        return w.shape
+    if w.ndim == 4:
+        return (w.shape[0], w.size // w.shape[0])
+    raise ConfigurationError(f"lora target {name!r} has rank {w.ndim}; need a 2-D (or conv) weight")
+
+
+def adapted_weight(params: NetParams, name: str, adapters) -> T.Tensor:
+    """params[name] plus A @ B of each adapter on it, in list order, as tape
+    ops; ``DimensionError`` unless A is (d, r) and B (r, k) for its (d, k) view."""
+    w = params[name]
     for a in adapters:
         if a.target == name:
-            y = T.add(y, T.linear(T.linear(x2d, a.B), a.A))
-    return y
+            d, k = matrix_view_shape(w, name)
+            if a.A.ndim != 2 or a.B.ndim != 2 or a.A.shape[0] != d or a.B.shape != (a.A.shape[1], k):
+                raise DimensionError(f"adapter on {name!r}: A {a.A.shape} and B {a.B.shape} do not fit its"
+                                     f" ({d}, {k}) view; need A ({d}, r) and B (r, {k})")
+            w = T.add(w, T.reshape(T.matmul(a.A, a.B), w.shape))
+    return w
 
 
 def _conv(x: T.Tensor, params: NetParams, base: str, padding: int, adapters) -> T.Tensor:
-    name = base + ".w"
-    deltas = [(a.A, a.B) for a in adapters if a.target == name]
-    return T.conv2d(x, params[name], padding, deltas, params[base + ".b"])
+    return T.conv2d(x, adapted_weight(params, base + ".w", adapters), padding, params[base + ".b"])
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +310,8 @@ def denoise(z_t: T.Tensor, t, cond: ConditioningBundle, params: NetParams, adapt
         raise DimensionError(f"denoise: t has shape {tv.shape}, want ({n},)")
 
     h = _conv(T.concat_channels(z_t, z_lq), params, "den.conv_in", 1, adapters)
-    tb = _apply_weight(time_embedding(tv, cfg.temb_dim), params, "den.temb.w", adapters)
-    pb = _apply_weight(pemb, params, "den.pemb.w", adapters)
+    tb = T.linear(time_embedding(tv, cfg.temb_dim), adapted_weight(params, "den.temb.w", adapters))
+    pb = T.linear(pemb, adapted_weight(params, "den.pemb.w", adapters))
     h1 = T.silu(T.channel_bias(h, T.add(tb, pb)))
 
     h2 = T.silu(_conv(T.avg_pool2(h1), params, "den.down", 1, adapters))

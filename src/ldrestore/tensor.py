@@ -27,32 +27,33 @@ combinations exist only as named ops (``channel_bias``, ``row_scale``,
 batch ``(n, c, h, w)`` only, and a 3-D input raises ``DimensionError``; a
 single item is a batch of one.
 
-Convolution is one tape node per call, with inputs (x, k, A1, B1, ..., bias).
+Convolution is one tape node per call, with inputs (x, k) or (x, k, bias).
 It works on a channel-major grid: ``_to_grid`` copies an (n, c, h, w) batch
 into zeros of shape (c, head + n*hp*wp + tail), each image at an offset of
 its own (hp, wp) grid, and its adjoint ``_from_grid`` reads each image's
 window back out. With x at offset ``padding`` and a tail of (kh-1)*wp + kw-1
 zeros, kernel tap (i, j) reads one contiguous slice at offset i*wp + j. The
-forward takes one product per tap: the tap's (rows, c) block of the kernel,
-stacked with the rows of every low-rank delta's B, times the tap's slice,
-summed into a ``(rows, n*hp*wp)`` grid (``_tap_matmul``). It then adds
-A @ (B @ patches) per delta and the bias, and reads each image's (ho, wo)
-window out. The input gradient is the transposed convolution, which is a
-direct convolution with the flipped kernel over the zero-extended output
-gradient (Dumoulin & Visin, arXiv 1603.07285). So the backward puts the
-output gradient on the grid after the same number of leading zeros, and
-runs ``_tap_matmul`` with the per-tap blocks in reverse order and
-transposed. The weight gradients, whose inner dimension is the whole grid,
-take the grid in column blocks that stay in cache across the taps. No patch
-matrix is formed anywhere in the node, except with a single channel on the
-product's input side: there the ``(kh*kw, n*hp*wp)`` patch matrix is smaller
-than the output, and one product with it replaces kh*kw products of inner
-dimension 1. Grid positions outside the crop get zero gradient, and the bias
-gradient is the grid gradient summed over batch and space. ``im2col`` and
-``fold_channels_last`` record the patch matrix and the crop as tape ops of
-their own, on the same grid pair: tests compose them with ``channel_bias``
-as the reference for the node, and the benchmark's tracer looks them up by
-name. This module is the only one that knows the layout.
+forward takes one product per tap, the tap's (co, c) block of the kernel
+times the tap's slice, summed into a ``(co, n*hp*wp)`` grid
+(``_tap_matmul``). It then adds the bias and reads each image's (ho, wo)
+window out. A low-rank adapter reaches the node only through its kernel
+(``network.adapted_weight``). The input gradient is the transposed
+convolution, which is a direct convolution with the flipped kernel over the
+zero-extended output gradient (Dumoulin & Visin, arXiv 1603.07285). So the
+backward puts the output gradient on the grid after the same number of
+leading zeros, and runs ``_tap_matmul`` with the per-tap blocks in reverse
+order and transposed. The kernel gradient, whose inner dimension is the
+whole grid, takes the grid in column blocks that stay in cache across the
+taps. No patch matrix is formed anywhere in the node, except with a single
+channel on the product's input side: there the ``(kh*kw, n*hp*wp)`` patch
+matrix is smaller than the output, and one product with it replaces kh*kw
+products of inner dimension 1. Grid positions outside the crop get zero
+gradient, and the bias gradient is the grid gradient summed over batch and
+space. ``im2col`` and ``fold_channels_last`` record the patch matrix and the
+crop as tape ops of their own, on the same grid pair: tests compose them
+with ``channel_bias`` as the reference for the node, and the benchmark's
+tracer looks them up by name. This module is the only one that knows the
+layout.
 
 Importing this module fixes glibc's heap thresholds (``_keep_heap_mapped``).
 With no patch matrix, every temporary of a training step is below about
@@ -593,47 +594,31 @@ def fold_channels_last(y: Tensor, lead_shape, out_hw) -> Tensor:
     return _make(_from_grid(y.data, n, hp, wp, 0, ho, wo), "fold", (y,), (lambda g: _to_grid(g, hp, wp, 0),))
 
 
-def conv2d(x: Tensor, k: Tensor, padding: int = 0, deltas=(), bias=None) -> Tensor:
+def conv2d(x: Tensor, k: Tensor, padding: int = 0, bias=None) -> Tensor:
     """Cross-correlation with zero padding; x (n,c,h,w), k (co,ci,kh,kw).
 
-    deltas are low-rank (A, B) pairs, A (co, r) and B (r, ci*kh*kw), each
-    added to the kernel's 2-D view as A @ B without forming that product.
     bias (co,), if given, is added to every output position. One tape node
-    with inputs (x, k, A1, B1, ..., bias).
+    with inputs (x, k) or (x, k, bias).
 
     The forward puts x on the padded grid with _to_grid and takes one
-    product per tap of the kernel stacked with every B (_tap_matmul). The
-    node keeps those per-tap blocks and, of each delta, B @ patches, which
-    A's gradient needs. The backward puts the output gradient on the grid
-    after span = (kh-1)*wp + kw-1 zeros, the last tap's offset. The input
-    gradient is then the same _tap_matmul with the blocks in reverse tap
-    order and transposed, read back with _from_grid. The grid of x is
-    rebuilt only when k or a B needs a gradient.
+    product per tap of the kernel (_tap_matmul). The backward puts the
+    output gradient on the grid after span = (kh-1)*wp + kw-1 zeros, the
+    last tap's offset. The input gradient is then the same _tap_matmul with
+    the kernel's per-tap blocks in reverse tap order and transposed, read
+    back with _from_grid. The grid of x is rebuilt only when k needs a
+    gradient.
     """
     n, c, h, w, co, kh, kw, ho, wo = _conv_geometry(x.shape, k.shape, padding)
-    deltas = tuple(deltas)
-    for A, B in deltas:
-        if A.ndim != 2 or B.ndim != 2 or A.shape[0] != co or B.shape != (A.shape[1], c * kh * kw):
-            raise DimensionError(
-                f"conv2d: delta A {A.shape}, B {B.shape} do not fit kernel {k.shape}; need A (co, r), B (r, ci*kh*kw)"
-            )
     if bias is not None and bias.shape != (co,):
         raise DimensionError(f"conv2d: bias {bias.shape} does not fit kernel {k.shape}; need ({co},)")
-    inputs = (x, k) + tuple(t for d in deltas for t in d) + ((bias,) if bias is not None else ())
+    inputs = (x, k) + ((bias,) if bias is not None else ())
     dtype = np.result_type(*(t.data for t in inputs))
     hp, wp = ho + kh - 1, wo + kw - 1
     span = (kh - 1) * wp + kw - 1  # offset of the last tap
     geom = (kh, kw, wp, n * hp * wp)
-    # the kernel's rows and every B's rows, as one contiguous (rows, c) block per tap
-    m = np.concatenate([k.data.reshape(co, -1)] + [B.data for _, B in deltas])
-    mt = np.ascontiguousarray(m.reshape(m.shape[0], c, kh * kw).transpose(2, 0, 1))
-    prod = _tap_matmul(mt, _to_grid(x.data, hp, wp, padding, tail=span), *geom, dtype)
-    y, kept, r = prod[:co], [], co
-    for A, B in deltas:
-        bc = prod[r : r + B.shape[0]].copy()  # a view would keep all of prod alive
-        r += B.shape[0]
-        y += A.data @ bc
-        kept.append(bc)
+    # the kernel as one contiguous (co, c) block per tap
+    mt = np.ascontiguousarray(k.data.reshape(co, c, kh * kw).transpose(2, 0, 1))
+    y = _tap_matmul(mt, _to_grid(x.data, hp, wp, padding, tail=span), *geom, dtype)
     if bias is not None:
         y += bias.data[:, None]
     out = Tensor(_from_grid(y, n, hp, wp, 0, ho, wo))
@@ -647,25 +632,16 @@ def conv2d(x: Tensor, k: Tensor, padding: int = 0, deltas=(), bias=None) -> Tens
         # columns back, which the leading zeros keep inside the grid
         gh = _to_grid(g, hp, wp, 0, head=span)
         gg = gh[:, span:]
-        # A^T g per delta, shared by the gradients of x and of B
-        ag = [A.data.T @ gh if need[0] or need[3 + 2 * d] else None for d, (A, _) in enumerate(deltas)]
         if need[0]:
-            # the transposed conv of W^T g + sum B^T A^T g: the forward's taps reversed and transposed
-            gm = np.concatenate([gh] + ag) if deltas else gh
-            gxp = _tap_matmul(mt[::-1].transpose(0, 2, 1), gm, *geom, np.result_type(mt, gm))
+            # the transposed conv of g: the forward's taps reversed and transposed
+            gxp = _tap_matmul(mt[::-1].transpose(0, 2, 1), gh, *geom, np.result_type(mt, gh))
             grads[0] = _from_grid(gxp, n, hp, wp, padding, h, w)
-            del gxp, gm  # before the grid of x is built
-        if need[1] or any(need[3::2]):
+            del gxp  # before the grid of x is built
+        if need[1]:
             xp = _to_grid(x.data, hp, wp, padding, tail=span)
-            if need[1]:
-                grads[1] = _tap_matmul_t(gg, xp, *geom).reshape(k.shape)
-        for d, bc in enumerate(kept):
-            if need[2 + 2 * d]:
-                grads[2 + 2 * d] = gg @ bc.T
-            if need[3 + 2 * d]:
-                grads[3 + 2 * d] = _tap_matmul_t(ag[d][:, span:], xp, *geom)
-        if bias is not None and need[-1]:
-            grads[-1] = gg.sum(axis=1)
+            grads[1] = _tap_matmul_t(gg, xp, *geom).reshape(k.shape)
+        if bias is not None and need[2]:
+            grads[2] = gg.sum(axis=1)
         return tuple(grads)
 
     out.node = TapeNode("conv2d", inputs, backward)

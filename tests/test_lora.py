@@ -1,9 +1,14 @@
+import contextlib
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from ldrestore import tensor as T
 from ldrestore.errors import ConfigurationError, ContractViolation, DimensionError, ParameterError
 from ldrestore.lora import (
+    DEFAULT_TARGETS,
+    LoraAdapter,
     LoraConfig,
     attach,
     merge,
@@ -15,7 +20,9 @@ from ldrestore.network import (
     ConditioningBundle,
     NetConfig,
     NetParams,
-    _apply_weight,
+    _conv,
+    adapted_weight,
+    matrix_view_shape,
     control_features,
     decode_tensor,
     denoise,
@@ -26,6 +33,8 @@ from ldrestore.network import (
 )
 from ldrestore.optim import AdamW
 
+# float32, the default, and float64, the reference mode
+COMPUTE_MODES = (contextlib.nullcontext, T.float64)
 TINY = NetConfig(image_size=16, c_lat=3, c_enc=3, c_hid=4, c_mid=5, prompt_dim=4, temb_dim=4)
 
 
@@ -47,7 +56,7 @@ def matrix_params(d, k, name="w"):
 
 def dense(x, params, adapters):
     """The dense weight site "w" of params applied to x (n, k), with adapters."""
-    return _apply_weight(T.Tensor(x), params, "w", adapters)
+    return T.linear(T.Tensor(x), adapted_weight(params, "w", adapters))
 
 
 def adapter_optimizer(adapters, lr):
@@ -113,6 +122,10 @@ def test_attach_rejects_the_prompt_table():
     with pytest.raises(ConfigurationError, match="prompt.table.w"):
         attach(params, LoraConfig(rank=1, targets=("*.w",)), seed=0)
     assert all(w.requires_grad for w in params.tensors())
+    # the forward never adds an adapter to the table, so merge may not either
+    d, k = params["prompt.table.w"].shape
+    with pytest.raises(ConfigurationError, match="prompt.table.w"):
+        merge(params, [LoraAdapter("prompt.table.w", T.Tensor(np.ones((d, 1))), T.Tensor(np.ones((1, k))))])
 
 
 def test_apply_weight_matches_materialized():
@@ -135,15 +148,25 @@ def test_apply_weight_b_zero_is_base():
     assert np.allclose(out.data, x @ params["w"].data.T, atol=0)
 
 
-def test_apply_weight_rejects_adapter_that_does_not_fit():
-    params = matrix_params(6, 5)
-    a = attach(params, LoraConfig(rank=2, targets=("w",)), seed=0)[0]
+def test_adapter_that_does_not_fit_raises_in_forward_and_merge():
+    # a dense (6, 5) target and den.mid.w, a 3x3 conv with a (5, 45) view; per target:
+    # A with a row too many or one row (which would broadcast), B a column short,
+    # A and B of different ranks, a 1-D A, and A @ B with the view's element count
+    dense_cases = [((7, 2), (2, 5)), ((6, 2), (2, 4)), ((6, 3), (2, 5)), ((6,), (1, 5)), ((10, 1), (1, 3))]
+    conv_cases = [((1, 2), (2, 45)), ((5, 2), (2, 44)), ((5, 2), (3, 45)), ((5,), (1, 45)),
+                  ((9, 1), (1, 25)), ((45, 2), (2, 5))]
     x = np.random.default_rng(2).normal(size=(4, 5))
-    # A with a row too many, B one column short, A and B of different ranks
-    for a_shape, b_shape in [((7, 2), (2, 5)), ((6, 2), (2, 4)), ((6, 3), (2, 5))]:
-        bad = type(a)(a.target, T.Tensor(np.ones(a_shape)), T.Tensor(np.ones(b_shape)))
-        with pytest.raises(DimensionError):
-            dense(x, params, [bad])
+    params, cond, zt = tiny_net()
+    targets = [(matrix_params(6, 5), "w", "(6, 5)", dense_cases, lambda p, ads: dense(x, p, ads)),
+               (params, "den.mid.w", "(5, 45)", conv_cases, lambda p, ads: denoise(zt, 3, cond, p, ads))]
+    for params, target, view, cases, forward in targets:
+        for a_shape, b_shape in cases:
+            bad = [LoraAdapter(target, T.Tensor(np.ones(a_shape)), T.Tensor(np.ones(b_shape)))]
+            for run in (lambda: forward(params, bad), lambda: merge(params, bad)):
+                with pytest.raises(DimensionError) as e:
+                    run()
+                msg = str(e.value)
+                assert str(a_shape) in msg and str(b_shape) in msg and view in msg and target in msg
 
 
 def test_apply_weight_gradients():
@@ -172,6 +195,40 @@ def test_apply_weight_gradients():
     assert params["w"].grad is None
 
 
+def test_lora_config_rejects_bad_fields():
+    # the default's fields are what a benchmark profile records
+    assert asdict(LoraConfig()) == {"rank": 4, "targets": DEFAULT_TARGETS, "reg_lambda": 1e-4, "lr": 1e-3}
+    bad = [("rank", 0), ("rank", 2.5), ("rank", True), ("rank", "2"),
+           ("reg_lambda", -1e-4), ("reg_lambda", float("nan")), ("reg_lambda", float("inf")), ("reg_lambda", "0"),
+           ("targets", "den.*")]
+    for field, value in bad:
+        with pytest.raises(ConfigurationError, match=f"LoraConfig.{field}"):
+            LoraConfig(**{field: value})
+    params = matrix_params(2, 2)
+    adapters = attach(params, LoraConfig(rank=1, targets=("w",)), seed=0)
+    for lam in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError, match="lambda"):
+            reg_loss(adapters, lam)
+
+
+def test_conv_site_adapter_gradients():
+    # A and B through a conv site: den.mid (3x3, padding 1) on a batch of three,
+    # and ctrl.zero.sft (1x1, padding 0), whose kernel starts at zero
+    rng = np.random.default_rng(9)
+    with T.float64():
+        params = init_params(TINY, 0)
+        for base, x_shape, pad in [("den.mid", (3, 5, 4, 4), 1), ("ctrl.zero.sft", (3, 3, 4, 4), 0)]:
+            co, k = matrix_view_shape(params[base + ".w"], base)
+            A0, B0 = T.Tensor(rng.normal(size=(co, 2))), T.Tensor(rng.normal(size=(2, k)) * 0.3)
+            x, w = T.Tensor(rng.normal(size=x_shape)), T.Tensor(rng.normal(size=(3, co, 4, 4)))
+
+            def loss(A, B):
+                return T.tsum(T.mul(_conv(x, params, base, pad, [LoraAdapter(base + ".w", A, B)]), w))
+
+            assert T.finite_diff_check(lambda probe: loss(probe, B0), A0) < 1e-6
+            assert T.finite_diff_check(lambda probe: loss(A0, probe), B0) < 1e-6
+
+
 def test_reg_loss_values_and_gradient():
     params = matrix_params(2, 2)
     adapters = attach(params, LoraConfig(rank=1, targets=("w",)), seed=0)
@@ -192,18 +249,20 @@ def test_reg_loss_values_and_gradient():
 
 
 def test_merge_equivalence_all_ranks():
-    with T.float64():
-        rng = np.random.default_rng(4)
-        for r in (1, 2, 4, 8):
-            params = NetParams(TINY, {"w": T.Tensor(rng.normal(size=(10, 9)), requires_grad=True)})
-            adapters = attach(params, LoraConfig(rank=r, targets=("w",)), seed=r)
-            a = adapters[0]
-            a.B.data = rng.normal(size=a.B.shape) * 0.2
-            xs = rng.normal(size=(20, 1, 9))
-            runtime = [dense(x, params, adapters).data for x in xs]
-            w = merge(params, adapters)["w"].data
-            for x, u in zip(xs, runtime):
-                assert np.allclose(u, x @ w.T, atol=1e-9)
+    # merge forms W + A @ B with the forward's own ops, so the outputs agree bit for bit
+    for mode in COMPUTE_MODES:
+        with mode():
+            rng = np.random.default_rng(4)
+            for r in (1, 2, 4, 8):
+                params = NetParams(TINY, {"w": T.Tensor(rng.normal(size=(10, 9)), requires_grad=True)})
+                adapters = attach(params, LoraConfig(rank=r, targets=("w",)), seed=r)
+                a = adapters[0]
+                a.B.data = T.Tensor(rng.normal(size=a.B.shape) * 0.2).data
+                xs = rng.normal(size=(20, 1, 9))
+                runtime = [dense(x, params, adapters).data for x in xs]
+                merged = merge(params, adapters)
+                for x, u in zip(xs, runtime):
+                    assert np.array_equal(u, dense(x, merged, ()).data)
 
 
 def test_merge_with_zero_b_keeps_params():
@@ -235,41 +294,44 @@ def tiny_net_batch(n=3, seed=0):
 
 
 def test_merge_on_conv_kernel_view():
-    with T.float64():
-        # a 1x1 target on a batch of one, and a 3x3 target on a batch of three, where
-        # a patch row order other than the kernel's (ci, kh, kw) would disagree with merge
-        for target, (params, cond, zt), t in [("ctrl.zero.sft.w", tiny_net(), 2),
-                                              ("den.mid.w", tiny_net_batch(), [2, 5, 9])]:
-            adapters = attach(params, LoraConfig(rank=2, targets=(target,)), seed=6)
-            a = adapters[0]
-            a.B.data = np.random.default_rng(6).normal(size=a.B.shape) * 0.1
-            runtime = denoise(zt, t, cond, params, adapters=adapters).data
-            merged = denoise(zt, t, cond, merge(params, adapters)).data
-            assert np.allclose(runtime, merged, atol=1e-9)
-            assert not np.allclose(runtime, denoise(zt, t, cond, params).data, atol=1e-6)
+    for mode in COMPUTE_MODES:
+        with mode():
+            # a 1x1 target on a batch of one, and a 3x3 target on a batch of three, where
+            # a patch row order other than the kernel's (ci, kh, kw) would disagree with merge
+            for target, (params, cond, zt), t in [("ctrl.zero.sft.w", tiny_net(), 2),
+                                                  ("den.mid.w", tiny_net_batch(), [2, 5, 9])]:
+                adapters = attach(params, LoraConfig(rank=2, targets=(target,)), seed=6)
+                a = adapters[0]
+                a.B.data = T.Tensor(np.random.default_rng(6).normal(size=a.B.shape) * 0.1).data
+                runtime = denoise(zt, t, cond, params, adapters=adapters).data
+                merged = denoise(zt, t, cond, merge(params, adapters)).data
+                assert np.array_equal(runtime, merged)
+                assert not np.allclose(runtime, denoise(zt, t, cond, params).data, atol=1e-6)
 
 
 def test_unmerge_restores_weights_shared_by_two_adapters():
-    # two attach calls on the same weights, as the two LoRA modules of a fine-tune;
-    # merge is pure, so the weights it leaves behind are the pre-merge ones
-    with T.float64():
-        params, cond, zt = tiny_net_batch()
-        w0 = {name: w.data.copy() for name, w in params.items()}
-        cfg = LoraConfig(rank=2, targets=("den.mid.w", "den.temb.w"))
-        adapters = attach(params, cfg, seed=6) + attach(params, cfg, seed=7)
-        for k, a in enumerate(adapters):
-            a.B.data = np.random.default_rng(k).normal(size=a.B.shape) * 0.1
-        ab0 = [(a.A.data.copy(), a.B.data.copy()) for a in adapters]
-        t = [2, 5, 9]
-        runtime = denoise(zt, t, cond, params, adapters=adapters).data
-        merged = merge(params, adapters)
-        assert merged.config is params.config and merged.names() == params.names()
-        assert np.allclose(runtime, denoise(zt, t, cond, merged).data, atol=1e-9)
-        for name, w in params.items():
-            assert np.array_equal(w.data, w0[name]), name
-            assert (merged[name] is w) == (name not in cfg.targets), name
-        for a, (A, B) in zip(adapters, ab0):
-            assert np.array_equal(a.A.data, A) and np.array_equal(a.B.data, B)
+    # two attach calls on the same weights, as the two LoRA modules of a fine-tune,
+    # on a 3x3 conv and a dense weight; merge is pure, so the weights it leaves
+    # behind are the pre-merge ones
+    for mode in COMPUTE_MODES:
+        with mode():
+            params, cond, zt = tiny_net_batch()
+            w0 = {name: w.data.copy() for name, w in params.items()}
+            cfg = LoraConfig(rank=2, targets=("den.mid.w", "den.temb.w"))
+            adapters = attach(params, cfg, seed=6) + attach(params, cfg, seed=7)
+            for k, a in enumerate(adapters):
+                a.B.data = T.Tensor(np.random.default_rng(k).normal(size=a.B.shape) * 0.1).data
+            ab0 = [(a.A.data.copy(), a.B.data.copy()) for a in adapters]
+            t = [2, 5, 9]
+            runtime = denoise(zt, t, cond, params, adapters=adapters).data
+            merged = merge(params, adapters)
+            assert merged.config is params.config and merged.names() == params.names()
+            assert np.array_equal(runtime, denoise(zt, t, cond, merged).data)
+            for name, w in params.items():
+                assert np.array_equal(w.data, w0[name]), name
+                assert (merged[name] is w) == (name not in cfg.targets), name
+            for a, (A, B) in zip(adapters, ab0):
+                assert np.array_equal(a.A.data, A) and np.array_equal(a.B.data, B)
     with pytest.raises(ParameterError, match="nope.w"):
         merge(params, [type(a)("nope.w", a.A, a.B)])
 

@@ -9,8 +9,10 @@ import warnings
 import numpy as np
 import pytest
 
+from ldrestore import network
 from ldrestore import tensor as T
 from ldrestore.errors import ContractViolation, DimensionError, OracleError
+from ldrestore.lora import LoraAdapter
 
 
 def conv2d_loops(x, k, padding=0):
@@ -102,13 +104,14 @@ def test_conv2d_matches_loop_oracle():
             for pad in (0, 1):
                 y = T.conv2d(T.Tensor(x), T.Tensor(k), padding=pad)
                 assert np.allclose(y.data, conv2d_loops(x, k, pad), atol=1e-12)
-        # a low-rank delta acts as kernel + (A @ B) in the kernel's (co, ci*kh*kw) view
-        A, B = rng.normal(size=(4, 2)), rng.normal(size=(2, 2))
-        y = T.conv2d(T.Tensor(x), T.Tensor(k), 1, [(T.Tensor(A), T.Tensor(B))])
-        assert np.allclose(y.data, conv2d_loops(x, k + (A @ B).reshape(k.shape), 1), atol=1e-12)
         # a bias is added to every output position of its channel
         b = rng.normal(size=4)
-        y = T.conv2d(T.Tensor(x), T.Tensor(k), 1, [(T.Tensor(A), T.Tensor(B))], T.Tensor(b))
+        y = T.conv2d(T.Tensor(x), T.Tensor(k), 1, T.Tensor(b))
+        assert np.allclose(y.data, conv2d_loops(x, k, 1) + b[:, None, None], atol=1e-12)
+        # at a conv site, a low-rank adapter acts as kernel + (A @ B) in the kernel's (co, ci*kh*kw) view
+        A, B = rng.normal(size=(4, 2)), rng.normal(size=(2, 2))
+        params = network.NetParams(network.NetConfig(), {"s.w": T.Tensor(k), "s.b": T.Tensor(b)})
+        y = network._conv(T.Tensor(x), params, "s", 1, [LoraAdapter("s.w", T.Tensor(A), T.Tensor(B))])
         assert np.allclose(y.data, conv2d_loops(x, k + (A @ B).reshape(k.shape), 1) + b[:, None, None], atol=1e-12)
     # float32, the default compute dtype: within float32 rounding of the float64 oracle
     for x_shape, k_shape in [((3, 2, 5, 6), (3, 2, 3, 3)), ((3, 1, 5, 6), (4, 1, 3, 3)), ((3, 2, 4, 5), (4, 2, 1, 1))]:
@@ -122,7 +125,7 @@ def test_conv2d_matches_loop_oracle():
     x32 = T.Tensor(x)
     with T.float64():
         k64, b64 = T.Tensor(k), T.Tensor(rng.normal(size=k.shape[0]))
-        y = T.conv2d(x32, k64, 1, (), b64)
+        y = T.conv2d(x32, k64, 1, b64)
     want = conv2d_loops(x32.data.astype(np.float64), k, 1) + b64.data[:, None, None]
     assert y.data.dtype == np.float64
     assert np.allclose(y.data, want, rtol=1e-12, atol=1e-12)
@@ -140,44 +143,33 @@ def test_conv2d_batched_equals_per_item():
 
 def test_conv2d_gradients_match_numeric():
     rng = np.random.default_rng(4)
-    # (input shape, kernel shape, padding, rank of a low-rank delta or 0, with a bias)
-    cases = [((1, 2, 4, 4), (2, 2, 3, 3), 1, 0, False), ((2, 2, 4, 4), (2, 2, 3, 3), 1, 0, False),
-             ((1, 2, 4, 5), (3, 2, 3, 3), 0, 0, False), ((2, 2, 3, 4), (3, 2, 1, 1), 0, 0, False),
-             ((2, 2, 4, 4), (2, 2, 3, 3), 1, 1, False), ((2, 1, 4, 4), (3, 1, 3, 3), 1, 1, True)]
+    # (input shape, kernel shape, padding, with a bias)
+    cases = [((1, 2, 4, 4), (2, 2, 3, 3), 1, False), ((2, 2, 4, 4), (2, 2, 3, 3), 1, False),
+             ((1, 2, 4, 5), (3, 2, 3, 3), 0, False), ((2, 2, 3, 4), (3, 2, 1, 1), 0, False),
+             ((2, 1, 4, 4), (3, 1, 3, 3), 1, True)]
     # kernels that are not square, where the input gradient's tap order is
     # flipped along each axis separately
-    cases += [((2, 2, 4, 5), (2, 2) + hw, pad, 1, True) for hw in ((3, 1), (1, 3), (3, 5)) for pad in (0, 1, 2)]
-    # one output channel and no delta: the input gradient's product has one
-    # row on its input side, so it takes the one-channel patch-matrix product
-    cases += [((2, 2, 4, 4), (1, 2, 3, 3), 1, 0, False)]
-    for x_shape, k_shape, pad, rank, with_bias in cases:
+    cases += [((2, 2, 4, 5), (2, 2) + hw, pad, True) for hw in ((3, 1), (1, 3), (3, 5)) for pad in (0, 1, 2)]
+    # one output channel: the input gradient's product has one row on its
+    # input side, so it takes the one-channel patch-matrix product
+    cases += [((2, 2, 4, 4), (1, 2, 3, 3), 1, False)]
+    for x_shape, k_shape, pad, with_bias in cases:
         x0 = rng.normal(size=x_shape)
         k0 = rng.normal(size=k_shape)
         w = rng.normal(size=conv2d_loops(x0, k0, pad).shape)
 
         x = T.Tensor(x0, requires_grad=True)
         k = T.Tensor(k0, requires_grad=True)
-        deltas = []
-        if rank:
-            a0 = rng.normal(size=(k_shape[0], rank))
-            b0 = rng.normal(size=(rank, k0[0].size))
-            deltas = [(T.Tensor(a0, requires_grad=True), T.Tensor(b0, requires_grad=True))]
         bias = T.Tensor(rng.normal(size=k_shape[0]), requires_grad=True) if with_bias else None
-        kd = k0 + (a0 @ b0).reshape(k_shape) if rank else k0
-        loss = T.tsum(T.mul(T.conv2d(x, k, pad, deltas, bias), T.Tensor(w)))
+        loss = T.tsum(T.mul(T.conv2d(x, k, pad, bias), T.Tensor(w)))
         T.backward(loss)
         if with_bias:  # the loss is linear in the bias
             assert np.allclose(bias.grad, w.sum(axis=(0, 2, 3)), atol=1e-5)
 
-        nx = numeric_grad(lambda v: np.sum(conv2d_loops(v, kd, pad) * w), x0)
+        nx = numeric_grad(lambda v: np.sum(conv2d_loops(v, k0, pad) * w), x0)
         nk = numeric_grad(lambda v: np.sum(conv2d_loops(x0, v, pad) * w), k0)
         assert np.allclose(x.grad, nx, atol=1e-5)
         assert np.allclose(k.grad, nk, atol=1e-5)
-        if rank:
-            na = numeric_grad(lambda v: np.sum(conv2d_loops(x0, k0 + (v @ b0).reshape(k_shape), pad) * w), a0)
-            nb = numeric_grad(lambda v: np.sum(conv2d_loops(x0, k0 + (a0 @ v).reshape(k_shape), pad) * w), b0)
-            assert np.allclose(deltas[0][0].grad, na, atol=1e-5)
-            assert np.allclose(deltas[0][1].grad, nb, atol=1e-5)
 
 
 def test_conv2d_channel_mismatch_names_shapes():
@@ -210,28 +202,20 @@ def test_spatial_ops_reject_a_single_item():
     assert "(2,)" in str(e.value)
 
 
-def test_conv2d_delta_shape_mismatch_names_shapes():
+def test_conv2d_bias_shape_mismatch_names_shapes():
     x, k = T.Tensor(np.zeros((2, 3, 5, 5))), T.Tensor(np.zeros((4, 3, 3, 3)))
-    # an A with one row would broadcast over co; a B with the wrong inner size
-    for a_shape, b_shape in [((1, 2), (2, 27)), ((4, 2), (2, 26)), ((4, 2), (3, 27)), ((4,), (1, 27))]:
-        with pytest.raises(DimensionError) as e:
-            T.conv2d(x, k, 1, [(T.Tensor(np.zeros(a_shape)), T.Tensor(np.zeros(b_shape)))])
-        assert str(a_shape) in str(e.value) and str(b_shape) in str(e.value)
     # a bias needs one entry per output channel
     for b_shape in [(3,), (1, 4)]:
         with pytest.raises(DimensionError) as e:
-            T.conv2d(x, k, 1, (), T.Tensor(np.zeros(b_shape)))
+            T.conv2d(x, k, 1, T.Tensor(np.zeros(b_shape)))
         assert str(b_shape) in str(e.value) and str(k.shape) in str(e.value)
 
 
-def decomposed_conv2d(x, k, padding=0, deltas=(), bias=None):
-    """conv2d recorded as separate tape ops: im2col, one matmul per product,
+def decomposed_conv2d(x, k, padding=0, bias=None):
+    """conv2d recorded as separate tape ops: im2col, one matmul,
     fold_channels_last, channel_bias."""
     co, _, kh, kw = k.shape
-    cols = T.im2col(x, kh, kw, padding)
-    y = T.matmul(T.reshape(k, (co, k.size // co)), cols)
-    for A, B in deltas:
-        y = T.add(y, T.matmul(A, T.matmul(B, cols)))
+    y = T.matmul(T.reshape(k, (co, k.size // co)), T.im2col(x, kh, kw, padding))
     n, _, h, w = x.shape
     hp, wp = h + 2 * padding, w + 2 * padding
     y = T.fold_channels_last(y, (n, hp, wp), (hp - kh + 1, wp - kw + 1))
@@ -246,8 +230,8 @@ BLOCKED_X, BLOCKED_K = (5, 40, 17, 17), (16, 40, 3, 3)
 def test_conv2d_node_matches_decomposed_tape():
     rng = np.random.default_rng(12)
     # batches of one and of three, padding 0 and 1, 3x3 and 1x1 kernels, one input channel,
-    # two deltas on one kernel, and a bias; the last case's weight gradients span several
-    # column blocks (see test_conv2d_weight_gradient_in_column_blocks)
+    # and a bias; the last case's kernel gradient spans several column blocks
+    # (see test_conv2d_weight_gradient_in_column_blocks)
     cases = [((1, 2, 5, 6), (3, 2, 3, 3), 1), ((3, 2, 5, 6), (3, 2, 3, 3), 1), ((3, 2, 5, 6), (3, 2, 3, 3), 0),
              ((3, 1, 5, 6), (3, 1, 3, 3), 1),
              ((1, 2, 4, 5), (4, 2, 1, 1), 0), ((3, 2, 4, 5), (4, 2, 1, 1), 0), ((3, 2, 4, 5), (4, 2, 1, 1), 1),
@@ -256,19 +240,17 @@ def test_conv2d_node_matches_decomposed_tape():
     with T.float64():
         for x_shape, k_shape, pad in cases:
             x0, k0 = rng.normal(size=x_shape), rng.normal(size=k_shape)
-            ab0 = [(rng.normal(size=(k_shape[0], r)), rng.normal(size=(r, k0[0].size))) for r in (1, 2)]
             bias0 = rng.normal(size=k_shape[0])
             w = rng.normal(size=T.conv2d(T.Tensor(x0), T.Tensor(k0), pad).shape)
             results = []
             for conv in (T.conv2d, decomposed_conv2d):
                 x, k = T.Tensor(x0, requires_grad=True), T.Tensor(k0, requires_grad=True)
-                deltas = [(T.Tensor(a, requires_grad=True), T.Tensor(b, requires_grad=True)) for a, b in ab0]
                 bias = T.Tensor(bias0, requires_grad=True)
-                y = conv(x, k, pad, deltas, bias)
+                y = conv(x, k, pad, bias)
                 T.backward(T.tsum(T.mul(y, T.Tensor(w))))
-                results.append([y.data, x.grad, k.grad] + [t.grad for d in deltas for t in d] + [bias.grad])
+                results.append([y.data, x.grad, k.grad, bias.grad])
                 if conv is T.conv2d:
-                    assert y.node.op == "conv2d" and len(y.node.inputs) == 7
+                    assert y.node.op == "conv2d" and y.node.inputs == (x, k, bias)
             for fused, ref in zip(*results):
                 assert fused.shape == ref.shape
                 assert np.allclose(fused, ref, rtol=1e-12, atol=1e-12)
@@ -494,18 +476,24 @@ def test_backward_returns_none_for_inputs_without_gradient():
     gx, gs = T.row_scale(fm_req, T.Tensor(np.ones(1))).node.backward(gm)
     assert gs is None and np.allclose(gx, gm)
 
-    # conv2d: a frozen kernel, B and bias get no gradient, x and A do
+    # conv2d: a frozen kernel and bias get no gradient, x does
     xc = T.Tensor(rng.normal(size=(2, 3, 5, 5)), requires_grad=True)
     kc = T.Tensor(rng.normal(size=(4, 3, 3, 3)))
-    A = T.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-    B = T.Tensor(rng.normal(size=(2, 27)))
     bc = T.Tensor(rng.normal(size=4))
-    y = T.conv2d(xc, kc, 1, [(A, B)], bc)
-    gx, gk, gA, gB, gb = y.node.backward(rng.normal(size=y.shape))
-    assert gk is None and gB is None and gb is None and gx.shape == xc.shape and gA.shape == A.shape
-    T.backward(T.tsum(T.conv2d(xc, kc, 1, [(A, B)], bc)))
-    assert kc.grad is None and B.grad is None and bc.grad is None
-    assert xc.grad is not None and A.grad is not None
+    y = T.conv2d(xc, kc, 1, bc)
+    gx, gk, gb = y.node.backward(rng.normal(size=y.shape))
+    assert gk is None and gb is None and gx.shape == xc.shape
+    # a conv site with an adapter: the adapted kernel gets a gradient, which reaches
+    # A and B, while the frozen kernel and bias keep .grad None
+    A = T.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    B = T.Tensor(rng.normal(size=(2, 27)), requires_grad=True)
+    params = network.NetParams(network.NetConfig(), {"s.w": kc, "s.b": bc})
+    y = network._conv(xc, params, "s", 1, [LoraAdapter("s.w", A, B)])
+    gx, gk, gb = y.node.backward(rng.normal(size=y.shape))
+    assert gb is None and gx.shape == xc.shape and gk.shape == kc.shape
+    T.backward(T.tsum(y))
+    assert kc.grad is None and bc.grad is None
+    assert xc.grad is not None and A.grad is not None and B.grad is not None
 
 
 def test_mse_value_and_gradient():
