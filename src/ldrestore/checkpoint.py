@@ -4,10 +4,13 @@ Layout: magic "LDRS", u32 little-endian format version, u64 little-endian
 header length, JSON header (UTF-8, sorted keys, compact separators), then
 the raw float64 little-endian payload of every tensor in header order.
 
-The header carries kind ("base" or "lora"), the network/schedule/meta dicts,
-and a "tensors" list of {name, shape} describing the payload. Writing the
-same state twice produces byte-identical files. Loading treats the file as
-untrusted: any malformed content raises FormatError with a byte offset.
+The header carries a kind (one of ``KINDS``; ``save_checkpoint`` refuses any
+other), the network/schedule/meta dicts, and a "tensors" list of {name, shape}
+describing the payload. Writing the same state twice produces byte-identical
+files. Loading treats the file as untrusted: any malformed content, a header
+nested too deep or holding too long an integer included, raises FormatError
+with a byte offset. Every version but ``VERSION`` is rejected, so a loaded
+``Checkpoint`` records none.
 """
 
 import json
@@ -17,15 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ContractViolation, FormatError
 
 MAGIC = b"LDRS"
 VERSION = 1
+KINDS = ("base", "lora")
 
 
 @dataclass
 class Checkpoint:
-    version: int
     kind: str
     config: dict
     schedule: dict
@@ -37,6 +40,8 @@ class Checkpoint:
 
 def save_checkpoint(path, kind: str, config: dict, schedule: dict, named_arrays, meta: dict):
     """named_arrays: iterable of (name, ndarray); order defines the payload."""
+    if kind not in KINDS:
+        raise ContractViolation(f"checkpoint kind must be one of {KINDS}, got {kind!r}")
     entries = []
     blobs = []
     for name, arr in named_arrays:
@@ -76,7 +81,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError("truncated checkpoint header", offset=len(buf))
     try:
         header = json.loads(buf[pos : pos + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON, an integer too long, nesting too deep
         raise FormatError(f"corrupt checkpoint header: {e}", offset=pos) from None
     entries = _checked_entries(header, pos)
     pos += hlen
@@ -96,7 +101,6 @@ def load_checkpoint(path) -> Checkpoint:
     if pos != len(buf):
         raise FormatError(f"{len(buf) - pos} trailing bytes after payload", offset=pos)
     return Checkpoint(
-        version=version,
         kind=header["kind"],
         config=header.get("config", {}),
         schedule=header.get("schedule", {}),
@@ -109,8 +113,8 @@ def _checked_entries(header, offset) -> list:
     """The header's tensor entries, after checking every field load reads."""
     if not isinstance(header, dict):
         raise FormatError(f"checkpoint header is a JSON {type(header).__name__}, not an object", offset=offset)
-    if not isinstance(header.get("kind"), str):
-        raise FormatError("checkpoint header has no 'kind' string", offset=offset)
+    if header.get("kind") not in KINDS:
+        raise FormatError(f"checkpoint kind must be one of {KINDS}, got {header.get('kind')!r}", offset=offset)
     for key in ("config", "schedule", "meta"):
         if not isinstance(header.get(key, {}), dict):
             raise FormatError(f"checkpoint header field {key!r} is not an object", offset=offset)

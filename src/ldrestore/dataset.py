@@ -187,7 +187,7 @@ def read_manifest(path) -> list:
         raw = f.read()
     try:
         doc = json.loads(raw)
-    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
+    except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON, an integer too long, nesting too deep
         raise FormatError(f"manifest {path}: not valid JSON: {e}") from None
     entries = doc.get("items") if isinstance(doc, dict) else None
     if not isinstance(entries, list):

@@ -37,7 +37,7 @@ _OPERATOR_CACHE_SIZE = 16
 def _radius(sigma: float) -> int:
     """Kernel radius r = ceil(3*sigma); the kernel has k = 2r+1 taps."""
     if not (sigma > 0 and math.isfinite(3.0 * sigma)):
-        raise ParameterError(f"gaussian_kernel: sigma must be finite and > 0, got {sigma}")
+        raise ParameterError(f"blur sigma must be > 0 with 3*sigma finite, got {sigma}")
     return math.ceil(3.0 * sigma)
 
 
@@ -92,8 +92,7 @@ class Blur:
     sigma: float
 
     def __post_init__(self):
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise ParameterError(f"Blur: sigma must be finite and > 0, got {self.sigma}")
+        _radius(self.sigma)
 
     def __str__(self):
         return f"blur:{self.sigma:g}"

@@ -1,10 +1,11 @@
 """In-memory image type and binary PNM (P5/P6) codec.
 
-Images are float64 arrays shaped (channels, height, width) with channels 1
-(grey) or 3 (rgb). Values are nominally in [0, 1] but the container does not
-clamp: degradation noise may push samples outside the range and only encoding
-to bytes clips. Byte conversion rounds half up: byte = floor(255*v + 0.5)
-after clamping v to [0, 1].
+An ``Image`` is only its ``data``: a float64 array shaped (channels, height,
+width) with channels 1 (grey) or 3 (rgb), read off ``data.shape``. Values are
+nominally in [0, 1] but the container does not clamp: degradation noise may
+push samples outside the range and only encoding to bytes clips. Byte
+conversion rounds half up: byte = floor(255*v + 0.5) after clamping v to
+[0, 1].
 """
 
 from dataclasses import dataclass
@@ -23,21 +24,6 @@ class Image:
         if arr.ndim != 3 or arr.shape[0] not in (1, 3):
             raise DimensionError(f"Image expects (c,h,w) with c in {{1,3}}, got {arr.shape}")
         self.data = np.ascontiguousarray(arr)
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[2]
-
-    def clamped(self) -> "Image":
-        return Image(np.clip(self.data, 0.0, 1.0))
 
     def to_bytes(self) -> np.ndarray:
         """Quantize to uint8, clamping then rounding half up."""

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor as T
 from .degrade import gaussian_kernel
 from .errors import DimensionError, ParameterError
 from .images import Image
@@ -59,12 +60,14 @@ def ssim(a: Image, b: Image) -> float:
 
 
 def perceptual_proxy(a: Image, b: Image, params) -> float:
-    from .network import encode_array
+    from .network import encode
 
     if a.data.shape != b.data.shape:
         raise DimensionError(f"pproxy: image shapes differ, {a.data.shape} vs {b.data.shape}")
     # one batch: the pair, then its mirror images
-    feat = encode_array(params, np.stack([a.data, b.data, a.data[:, :, ::-1], b.data[:, :, ::-1]]))
+    batch = np.stack([a.data, b.data, a.data[:, :, ::-1], b.data[:, :, ::-1]])
+    with T.no_grad():
+        feat = encode(T.Tensor(batch), params).data
     feat = feat / np.sqrt(np.sum(feat * feat, axis=1, keepdims=True) + 1e-10)
     d = float(np.mean((feat[0] - feat[1]) ** 2))
     d_flip = float(np.mean((feat[2] - feat[3]) ** 2))

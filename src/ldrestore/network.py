@@ -43,8 +43,8 @@ from .rng import stream
 
 QUALITY_TOKENS = ("high-quality", "low-quality")
 PROMPT_VOCAB = FAMILIES + QUALITY_TOKENS
-# read by row in prompt_embedding_batch, so it is the one weight no adapter applies to,
-# and matrix_view_shape rejects it
+# prompt_embedding_batch takes no adapters, so this is the one weight no adapter
+# applies to, and matrix_view_shape rejects it
 PROMPT_TABLE = "prompt.table.w"
 DOWNSCALE = 2
 
@@ -137,17 +137,11 @@ class NetParams:
         except KeyError:
             raise ParameterError(f"unknown parameter {name!r}") from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
     def names(self) -> list:
         return list(self._tensors.keys())
 
     def items(self):
         return self._tensors.items()
-
-    def tensors(self) -> list:
-        return list(self._tensors.values())
 
     def zero_grads(self):
         for t in self._tensors.values():
@@ -163,10 +157,8 @@ def init_params(cfg: NetConfig, seed: int) -> NetParams:
         elif kind == "gauss":
             fan_in = int(np.prod(shape[1:]))
             data = rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=shape)
-        elif kind == "unit":
+        else:  # "unit"
             data = rng.normal(0.0, 1.0, size=shape)
-        else:
-            raise ConfigurationError(f"unknown init kind {kind!r}")
         tensors[name] = T.Tensor(data, requires_grad=True)
     return NetParams(cfg, tensors)
 
@@ -272,12 +264,6 @@ def encode(x, params: NetParams, adapters=()) -> T.Tensor:
         raise ConfigurationError(f"encode: dims {h}x{w} not divisible by {DOWNSCALE}")
     h1 = T.silu(_conv(x, params, "enc.conv1", 1, adapters))
     return _conv(T.avg_pool2(h1), params, "enc.conv2", 1, adapters)
-
-
-def encode_array(params: NetParams, arr: np.ndarray) -> np.ndarray:
-    """Latent features of an (n, c, h, w) array as a plain array, no tape (metrics back end)."""
-    with T.no_grad():
-        return encode(T.Tensor(arr), params).data
 
 
 def control_features(z_enc: T.Tensor, prompt_emb: T.Tensor, params: NetParams, adapters=()) -> T.Tensor:

@@ -1,9 +1,9 @@
 """AdamW with decoupled weight decay and bias correction.
 
 The optimizer binds to an ordered list of (name, Tensor) pairs; moment
-buffers mirror each tensor's shape. ``step`` reads gradients from the
-tensors' .grad slots unless an explicit list is given. State round-trips
-through plain dicts for checkpointing.
+buffers mirror each tensor's shape. ``step`` reads each tensor's .grad and
+checks all of them before it changes anything. State round-trips through
+plain dicts for checkpointing.
 """
 
 import math
@@ -27,24 +27,22 @@ class AdamW:
         self.m = {n: np.zeros_like(t.data) for n, t in self.named}
         self.v = {n: np.zeros_like(t.data) for n, t in self.named}
 
-    def step(self, grads=None):
-        """One update; grads is a list aligned with the bound tensors, or None
-        to read each tensor's .grad."""
-        if grads is None:
-            grads = [t.grad for _, t in self.named]
-        if len(grads) != len(self.named):
-            raise ContractViolation(f"AdamW: {len(grads)} grads for {len(self.named)} parameters")
+    def step(self):
+        """One update from each bound tensor's .grad. Every gradient is checked
+        first, so a missing or misshapen one raises ContractViolation and leaves
+        the optimizer and its tensors unchanged."""
+        grads = []
+        for name, tensor in self.named:
+            if tensor.grad is None:
+                raise ContractViolation(f"AdamW: missing gradient for {name}")
+            g = np.asarray(tensor.grad)
+            if g.shape != tensor.data.shape:
+                raise ContractViolation(f"AdamW: grad shape {g.shape} vs parameter {name} {tensor.data.shape}")
+            grads.append(g)
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
         for (name, tensor), g in zip(self.named, grads):
-            if g is None:
-                raise ContractViolation(f"AdamW: missing gradient for {name}")
-            g = np.asarray(g)
-            if g.shape != tensor.data.shape:
-                raise ContractViolation(
-                    f"AdamW: grad shape {g.shape} vs parameter {name} {tensor.data.shape}"
-                )
             m = self.m[name]
             v = self.v[name]
             m *= self.beta1

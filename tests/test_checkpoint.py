@@ -6,7 +6,7 @@ import pytest
 
 from ldrestore import tensor as T
 from ldrestore.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
-from ldrestore.errors import FormatError
+from ldrestore.errors import ContractViolation, FormatError
 from ldrestore.lora import DEFAULT_TARGETS, LoraConfig, attach, reg_loss, zero_adapter_grads
 from ldrestore.network import (
     ConditioningBundle,
@@ -26,8 +26,8 @@ HEADER_OFFSET = 16  # magic, version, header length
 
 
 def write_raw(path, header, payload=b""):
-    """A checkpoint file with an arbitrary JSON header and payload."""
-    head = json.dumps(header).encode("utf-8")
+    """A checkpoint file with an arbitrary header (JSON-encoded unless given as bytes) and payload."""
+    head = header if isinstance(header, bytes) else json.dumps(header).encode("utf-8")
     path.write_bytes(MAGIC + struct.pack("<I", VERSION) + struct.pack("<Q", len(head)) + head + payload)
     return path
 
@@ -62,14 +62,25 @@ def test_valid_file_round_trips_byte_for_byte(tmp_path):
         [1, 2, 3],  # JSON list
         {"tensors": []},  # no kind
         dict(valid_header(), meta=[1]),  # meta not an object
+        dict(valid_header(), kind="zzz"),  # neither "base" nor "lora"
+        b"[" * 200_000,  # nested deeper than the parser recurses
+        b'{"kind":"base","tensors":[],"meta":{"n":' + b"9" * 5000 + b"}}",  # beyond int()'s digit limit
     ],
-    ids=["no-tensors", "list", "no-kind", "meta-list"],
+    ids=["no-tensors", "list", "no-kind", "meta-list", "unknown-kind", "deep-nesting", "5000-digit-integer"],
 )
 def test_malformed_header_raises_format_error(tmp_path, header):
     path = write_raw(tmp_path / "bad.ldrs", header)
     with pytest.raises(FormatError) as e:
         load_checkpoint(path)
     assert e.value.offset == HEADER_OFFSET
+
+
+def test_save_rejects_a_kind_load_would_reject(tmp_path):
+    path = tmp_path / "k.ldrs"
+    for kind in ("zzz", "Base", None):
+        with pytest.raises(ContractViolation, match="kind"):
+            save_checkpoint(path, kind, {}, {}, [("w", np.zeros(2))], {})
+        assert not path.exists()
 
 
 def test_tensor_entry_without_name_or_shape(tmp_path):

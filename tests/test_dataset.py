@@ -142,7 +142,7 @@ def test_manifest_roundtrip(tmp_path):
 
 
 def test_manifest_that_is_not_json_is_format_error(tmp_path):
-    for raw in (b'{"items": [', b"\xff\xfe not utf-8"):
+    for raw in (b'{"items": [', b"\xff\xfe not utf-8", b"[" * 200_000):
         (tmp_path / "manifest.json").write_bytes(raw)
         with pytest.raises(FormatError):
             read_manifest(tmp_path / "manifest.json")

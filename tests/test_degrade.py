@@ -236,7 +236,9 @@ def test_spec_parse_errors():
 
 def test_spec_out_of_range_values_are_format_errors():
     huge = "9" * 400  # matches the number grammar, but float() gives inf
-    for bad in ("sr:1", "sr:0", "blur:0", f"blur:{huge}", f"noise:{huge}", "blur:1.0+sr:1"):
+    # finite, but 3*sigma, the kernel radius, overflows
+    wide = "9" * 308 + ".0"
+    for bad in ("sr:1", "sr:0", "blur:0", f"blur:{huge}", f"blur:{wide}", f"noise:{huge}", "blur:1.0+sr:1"):
         with pytest.raises(FormatError) as e:
             DegradationSpec.parse(bad)
         assert bad.split("+")[-1][:8] in str(e.value)
@@ -245,6 +247,8 @@ def test_spec_out_of_range_values_are_format_errors():
 def test_spec_invariants():
     with pytest.raises(ParameterError):
         Blur(0.0)
+    with pytest.raises(ParameterError, match="blur sigma"):
+        Blur(1e308)
     with pytest.raises(ParameterError):
         Downsample(1)
     with pytest.raises(ParameterError):

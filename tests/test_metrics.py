@@ -17,7 +17,7 @@ from ldrestore.metrics import (
     psnr,
     ssim,
 )
-from ldrestore.network import NetConfig, encode_array, init_params
+from ldrestore.network import NetConfig, encode, init_params
 
 TINY = NetConfig(image_size=16, c_lat=3, c_enc=3, c_hid=4, c_mid=5, prompt_dim=4, temb_dim=4)
 
@@ -90,7 +90,8 @@ def test_perceptual_proxy_matches_four_separate_encodings():
     a, b = image_pair((1, 16, 16), 7)
     feats = []
     for x in (a.data, b.data, a.data[:, :, ::-1], b.data[:, :, ::-1]):
-        f = encode_array(params, x.copy()[None])[0]
+        with T.no_grad():
+            f = encode(T.Tensor(x.copy()[None]), params).data[0]
         feats.append(f / np.sqrt(np.sum(f * f, axis=0, keepdims=True) + 1e-10))
     want = 0.5 * (float(np.mean((feats[0] - feats[1]) ** 2)) + float(np.mean((feats[2] - feats[3]) ** 2)))
     assert perceptual_proxy(a, b, params) == pytest.approx(want, rel=1e-6)

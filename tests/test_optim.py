@@ -6,6 +6,13 @@ from ldrestore.errors import ContractViolation
 from ldrestore.optim import AdamW
 
 
+def step_with(opt, grads):
+    """Set each bound tensor's .grad, in binding order, and step."""
+    for (_, t), g in zip(opt.named, grads, strict=True):
+        t.grad = g
+    opt.step()
+
+
 def test_adamw_steps_match_hand_computed_moments():
     with T.float64():
         p0 = np.array([0.5, -1.0, 2.0])
@@ -16,7 +23,8 @@ def test_adamw_steps_match_hand_computed_moments():
             p = T.Tensor(p0.copy(), requires_grad=True)
             opt = AdamW([("p", p)], lr=lr, betas=(0.9, 0.999), eps=eps, weight_decay=wd)
 
-            opt.step([g1])
+            p.grad = g1
+            opt.step()
             m1, v1 = 0.1 * g1, 0.001 * g1 * g1
             # bias correction divides by 1 - beta**1, so the first update is g / (|g| + eps)
             p1 = p0 - lr * wd * p0 - lr * (m1 / 0.1) / (np.sqrt(v1 / 0.001) + eps)
@@ -44,18 +52,18 @@ def test_adamw_state_dict_round_trip_continues_bit_exactly():
 
     ref_named, ref = bound()
     for g in grads:
-        ref.step(g)
+        step_with(ref, g)
 
     named, first = bound()
     for g in grads[:2]:
-        first.step(g)
+        step_with(first, g)
     state = first.state_dict()
     first.m["a"] += 1.0  # the saved state is a copy
     resumed_named = [(n, T.Tensor(t.data.copy(), requires_grad=True)) for n, t in named]
     resumed = AdamW(resumed_named, lr=1.0)  # hyperparameters come from the state
     resumed.load_state_dict(state)
     for g in grads[2:]:
-        resumed.step(g)
+        step_with(resumed, g)
 
     assert resumed.t == ref.t == 5
     for (n, t), (_, t_ref) in zip(resumed_named, ref_named):
@@ -67,8 +75,16 @@ def stepped_adamw(lr, weight_decay, steps):
     named = [("a", T.Tensor(np.ones((2, 2)), requires_grad=True)), ("b", T.Tensor(np.ones(3)))]
     opt = AdamW(named, lr=lr, weight_decay=weight_decay)
     for k in range(steps):
-        opt.step([np.full((2, 2), 0.5 + k), np.full(3, -0.5)])
+        step_with(opt, [np.full((2, 2), 0.5 + k), np.full(3, -0.5)])
     return opt
+
+
+def assert_same_state(before, after):
+    for key, value in before.items():
+        if key in ("m", "v"):
+            assert all(np.array_equal(after[key][n], value[n]) for n in ("a", "b"))
+        else:
+            assert after[key] == value
 
 
 def assert_each_rejected_unchanged(opt, bad_states):
@@ -76,12 +92,7 @@ def assert_each_rejected_unchanged(opt, bad_states):
     for bad in bad_states:
         with pytest.raises(ContractViolation):
             opt.load_state_dict(bad)
-        after = opt.state_dict()
-        for key, value in before.items():
-            if key in ("m", "v"):
-                assert all(np.array_equal(after[key][n], value[n]) for n in ("a", "b"))
-            else:
-                assert after[key] == value
+        assert_same_state(before, opt.state_dict())
 
 
 def test_adamw_load_state_dict_rejects_incomplete_state_unchanged():
@@ -102,3 +113,26 @@ def test_adamw_load_state_dict_rejects_bad_fields_unchanged():
     assert_each_rejected_unchanged(opt, [dict(new, **{key: value}) for key, value in bad_fields])
     opt.load_state_dict(new)
     assert opt.t == 2 and opt.lr == 0.3 and opt.weight_decay == 0.2
+
+
+def test_adamw_failed_step_changes_nothing():
+    opt = stepped_adamw(0.1, 0.01, 2)
+    a, b = (t for _, t in opt.named)
+    before = opt.state_dict()
+    data = [a.data.copy(), b.data.copy()]
+    # b's gradient missing, then the wrong shape; a's is fine and comes first
+    for b_grad, match in ((None, "missing gradient for b"), (np.zeros(4), "grad shape")):
+        a.grad, b.grad = np.full((2, 2), 3.0), b_grad
+        with pytest.raises(ContractViolation, match=match):
+            opt.step()
+        assert_same_state(before, opt.state_dict())
+        assert np.array_equal(a.data, data[0]) and np.array_equal(b.data, data[1])
+    # a retry once b has its gradient is the one update an untouched optimizer makes
+    ref = stepped_adamw(0.1, 0.01, 2)
+    step_with(ref, [np.full((2, 2), 3.0), np.full(3, 1.0)])
+    b.grad = np.full(3, 1.0)
+    opt.step()
+    assert opt.t == ref.t == 3
+    for (n, t), (_, t_ref) in zip(opt.named, ref.named):
+        assert np.array_equal(t.data, t_ref.data)
+        assert np.array_equal(opt.m[n], ref.m[n]) and np.array_equal(opt.v[n], ref.v[n])
