@@ -200,8 +200,8 @@ def _manifest_item(base, entry, where) -> DatasetItem:
     if not isinstance(entry, dict):
         raise FormatError(f"{where}: not an object")
     name, prompt, tags = entry.get("file"), entry.get("prompt"), entry.get("tags", [])
-    if not isinstance(name, str):
-        raise FormatError(f"{where}: 'file' must be a string")
+    if not isinstance(name, str) or "\0" in name:
+        raise FormatError(f"{where}: 'file' must be a string with no NUL byte")
     if not isinstance(prompt, str):
         raise FormatError(f"{where}: 'prompt' must be a string")
     if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):

@@ -15,7 +15,8 @@ The two linear steps act on each image axis separately, so each is a small
 per-axis matrix: ``out = M_h @ x @ M_w.T``. The matrices depend only on the
 step's parameter and the axis length, and the library's images come in a few
 sizes (``dataset.VALID_SIZES``: 16, 32, 64 px), so each one is built once and
-cached, read-only.
+cached, read-only. The Gaussian's matrix (``blur_operator``) serves both the
+blur and ``metrics.ssim``, whose window means are its interior rows.
 """
 
 import functools
@@ -30,7 +31,7 @@ from .images import Image
 from .rng import stream
 
 # (sigma or factor, axis length) pairs kept per operator kind; an entry is an
-# (n, n) matrix, as large as one image plane. The benchmark recipes need three.
+# (n, n) matrix, as large as one image plane. The benchmark recipes and SSIM need four.
 _OPERATOR_CACHE_SIZE = 16
 
 
@@ -48,22 +49,14 @@ def _gaussian_1d(sigma: float) -> np.ndarray:
     return g / g.sum()
 
 
-def gaussian_kernel(sigma: float) -> np.ndarray:
-    """Square normalized Gaussian, size k = 2*ceil(3*sigma)+1."""
-    r = _radius(sigma)
-    ax = np.arange(-r, r + 1, dtype=np.float64)
-    dx, dy = np.meshgrid(ax, ax, indexing="ij")
-    k = np.exp(-(dx * dx + dy * dy) / (2.0 * sigma * sigma))
-    return k / k.sum()
-
-
 @functools.lru_cache(maxsize=_OPERATOR_CACHE_SIZE)
-def _blur_operator(sigma: float, n: int) -> np.ndarray:
+def blur_operator(sigma: float, n: int) -> np.ndarray:
     """(n, n) matrix of the 1-D Gaussian pass with numpy's ``reflect`` padding.
 
     Row i holds the taps around i; a tap that falls off an edge at i+t is
     folded onto the mirrored index. The caller ensures r <= n-1, so one fold
-    lands every tap inside [0, n).
+    lands every tap inside [0, n). Rows r..n-1-r fold no tap: each is the
+    Gaussian mean over a window that lies inside the axis.
     """
     g = _gaussian_1d(sigma)
     r = g.size // 2
@@ -102,7 +95,7 @@ class Blur:
         _, h, w = data.shape
         if k > 2 * w or k > 2 * h:
             raise ParameterError(f"blur: kernel {k}x{k} wider than twice image {h}x{w}")
-        out = _blur_operator(self.sigma, h) @ data @ _blur_operator(self.sigma, w).T
+        out = blur_operator(self.sigma, h) @ data @ blur_operator(self.sigma, w).T
         return np.clip(out, 0.0, 1.0)
 
 
@@ -186,7 +179,7 @@ class DegradationSpec:
                 raise FormatError(f"bad {kind} argument {arg!r}")
             try:
                 steps.append(cls(typ(arg)))
-            except ParameterError as e:
+            except (ParameterError, ValueError) as e:  # out of range, or an integer too long to convert
                 raise FormatError(f"degradation step {part!r}: {e}") from e
         return DegradationSpec(tuple(steps))
 

@@ -82,7 +82,7 @@ def respace(sched: NoiseSchedule, steps: int) -> NoiseSchedule:
     return NoiseSchedule(sched.alpha_bar[idx], sched.base_t[idx])
 
 
-def _check_t(sched: NoiseSchedule, t):
+def check_step(sched: NoiseSchedule, t):
     """Reject any step index, scalar or per item, outside [0, T)."""
     t = np.asarray(t)
     if np.any((t < 0) | (t >= sched.T)):
@@ -97,7 +97,7 @@ def forward_diffuse_batch(x0: T.Tensor, t, eps: T.Tensor, sched: NoiseSchedule) 
         raise DimensionError(f"forward_diffuse_batch: x0 {x0.shape} vs eps {eps.shape}")
     if t.ndim != 1 or t.shape[0] != x0.shape[0]:
         raise DimensionError(f"forward_diffuse_batch: t {t.shape} vs batch {x0.shape[0]}")
-    _check_t(sched, t)
+    check_step(sched, t)
     ab = sched.alpha_bar[t]
     a = T.row_scale(x0, T.Tensor(np.sqrt(ab)))
     b = T.row_scale(eps, T.Tensor(np.sqrt(1.0 - ab)))
@@ -112,7 +112,7 @@ def ldm_loss_batch(net, x0_latent: T.Tensor, t, eps: T.Tensor, cond, sched: Nois
 def reverse_step(net, z_t: T.Tensor, t: int, cond, sched: NoiseSchedule, noise=None) -> T.Tensor:
     """One posterior step z_t -> z_{t-1}: the mean, plus sigma_t * noise when
     noise is given and t > 0."""
-    _check_t(sched, t)
+    check_step(sched, t)
     eps_hat = net(z_t, t, cond)
     coef = float(sched.beta[t] / math.sqrt(1.0 - sched.alpha_bar[t]))
     mu = T.scale(T.add(z_t, T.scale(eps_hat, -coef)), 1.0 / math.sqrt(float(sched.alpha[t])))

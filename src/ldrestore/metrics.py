@@ -2,27 +2,33 @@
 
 PSNR uses peak 1.0 so dB values match the usual 255-scale convention.
 SSIM is single-scale with an 11x11 Gaussian window (sigma 1.5) evaluated at
-fully valid window positions only, channels averaged. ``pproxy`` is a
-deterministic perceptual-distance stand-in: mean squared distance between
-channel-unit-normalized encoder feature maps, averaged over both horizontal
-orientations so the score does not depend on left-right orientation. It is
-NOT comparable to published LPIPS numbers and is labeled pproxy everywhere.
+fully valid window positions only, channels averaged; those window means are
+the interior rows of the blur's per-axis matrix ``degrade.blur_operator``.
+``pproxy`` is a deterministic perceptual-distance stand-in: mean squared
+distance between channel-unit-normalized feature maps of one fixed-weight
+encoder per ``NetConfig`` (seed ``PPROXY_SEED``, whatever model is evaluated;
+random-weight features are an LPIPS baseline, arXiv 1801.03924), averaged
+over both horizontal orientations. It is NOT comparable to published LPIPS
+numbers and is labeled pproxy everywhere.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .degrade import gaussian_kernel
+from .degrade import blur_operator
 from .errors import DimensionError, ParameterError
 from .images import Image
+from .network import encode, init_params
 
-SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
+SSIM_WINDOW = 2 * math.ceil(3.0 * SSIM_SIGMA) + 1  # the blur's kernel size at this sigma: 11
 SSIM_C1 = 0.01**2
 SSIM_C2 = 0.03**2
+PPROXY_SEED = 0  # init seed of the fixed-weight pproxy encoder
 
 
 def psnr(a: Image, b: Image) -> float:
@@ -37,37 +43,37 @@ def psnr(a: Image, b: Image) -> float:
 def ssim(a: Image, b: Image) -> float:
     if a.data.shape != b.data.shape:
         raise DimensionError(f"ssim: image shapes differ, {a.data.shape} vs {b.data.shape}")
-    c, h, wd = a.data.shape
+    _, h, wd = a.data.shape
     if h < SSIM_WINDOW or wd < SSIM_WINDOW:
         raise ParameterError(f"ssim: image {h}x{wd} smaller than {SSIM_WINDOW}x{SSIM_WINDOW} window")
-    w = gaussian_kernel(SSIM_SIGMA)
+    r = SSIM_WINDOW // 2
+    # window means at the fully valid positions, all channels at once
+    mh, mw = blur_operator(SSIM_SIGMA, h)[r : h - r], blur_operator(SSIM_SIGMA, wd)[r : wd - r]
+    wmean = lambda x: mh @ x @ mw.T
+    xa, xb = a.data, b.data
+    mu_a, mu_b = wmean(xa), wmean(xb)
+    var_a = wmean(xa * xa) - mu_a * mu_a
+    var_b = wmean(xb * xb) - mu_b * mu_b
+    cov = wmean(xa * xb) - mu_a * mu_b
+    num = (2 * mu_a * mu_b + SSIM_C1) * (2 * cov + SSIM_C2)
+    den = (mu_a * mu_a + mu_b * mu_b + SSIM_C1) * (var_a + var_b + SSIM_C2)
+    return float(np.mean(np.mean(num / den, axis=(1, 2))))
 
-    def wmean(x):
-        win = np.lib.stride_tricks.sliding_window_view(x, (SSIM_WINDOW, SSIM_WINDOW))
-        return np.einsum("hwij,ij->hw", win, w)
 
-    vals = []
-    for ch in range(c):
-        xa, xb = a.data[ch], b.data[ch]
-        mu_a, mu_b = wmean(xa), wmean(xb)
-        var_a = wmean(xa * xa) - mu_a * mu_a
-        var_b = wmean(xb * xb) - mu_b * mu_b
-        cov = wmean(xa * xb) - mu_a * mu_b
-        num = (2 * mu_a * mu_b + SSIM_C1) * (2 * cov + SSIM_C2)
-        den = (mu_a * mu_a + mu_b * mu_b + SSIM_C1) * (var_a + var_b + SSIM_C2)
-        vals.append(np.mean(num / den))
-    return float(np.mean(vals))
+@functools.lru_cache(maxsize=8)
+def _pproxy_encoder(config, dtype):
+    """The fixed ruler's weights for one config, built once per compute dtype."""
+    return init_params(config, PPROXY_SEED)
 
 
 def perceptual_proxy(a: Image, b: Image, params) -> float:
-    from .network import encode
-
+    """pproxy distance of a and b; ``params`` gives only the architecture (its config)."""
     if a.data.shape != b.data.shape:
         raise DimensionError(f"pproxy: image shapes differ, {a.data.shape} vs {b.data.shape}")
     # one batch: the pair, then its mirror images
-    batch = np.stack([a.data, b.data, a.data[:, :, ::-1], b.data[:, :, ::-1]])
+    x = T.Tensor(np.stack([a.data, b.data, a.data[:, :, ::-1], b.data[:, :, ::-1]]))
     with T.no_grad():
-        feat = encode(T.Tensor(batch), params).data
+        feat = encode(x, _pproxy_encoder(params.config, x.data.dtype)).data
     feat = feat / np.sqrt(np.sum(feat * feat, axis=1, keepdims=True) + 1e-10)
     d = float(np.mean((feat[0] - feat[1]) ** 2))
     d_flip = float(np.mean((feat[2] - feat[3]) ** 2))

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import tensor as T
 from .dataset import FAMILIES
-from .diffusion import _check_t
+from .diffusion import check_step
 from .errors import ConfigurationError, DimensionError, ParameterError
 from .images import Image
 from .rng import stream
@@ -333,7 +333,7 @@ def make_denoiser(params: NetParams, sched, adapters=()):
     """
 
     def net(z_t, t, cond):
-        _check_t(sched, t)
+        check_step(sched, t)
         t_phys = sched.base_t[np.asarray(t, dtype=np.int64)]
         return denoise(z_t, t_phys, cond, params, adapters)
 

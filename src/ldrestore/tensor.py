@@ -51,7 +51,8 @@ products of inner dimension 1. Grid positions outside the crop get zero
 gradient, and the bias gradient is the grid gradient summed over batch and
 space. ``im2col`` and ``fold_channels_last`` record the patch matrix and the
 crop as tape ops of their own, on the same grid pair: tests compose them
-with ``channel_bias`` as the reference for the node, and the benchmark's
+with ``channel_bias``, which takes one bias row per item (the conv bias
+tiled over the batch), as the reference for the node, and the benchmark's
 tracer looks them up by name. This module is the only one that knows the
 layout.
 
@@ -349,20 +350,13 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
 
 
 def channel_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Add a per-channel bias, constant over spatial positions.
-
-    x (n,c,h,w) with b (c,) shared or (n,c) per item.
-    """
+    """Add a per-channel bias, constant over spatial positions: x (n,c,h,w)
+    with b (n,c), one row per item."""
     _batch_shape(x.shape, "channel_bias")
-    if b.shape == (x.shape[1],):
-        out = x.data + b.data[None, :, None, None]
-        back_b = lambda g: g.sum(axis=(0, 2, 3))
-    elif b.shape == x.shape[:2]:
-        out = x.data + b.data[:, :, None, None]
-        back_b = lambda g: g.sum(axis=(2, 3))
-    else:
-        raise DimensionError(f"channel_bias: x {x.shape} vs b {b.shape}")
-    return _make(out, "channel_bias", (x, b), (_pass, back_b))
+    if b.shape != x.shape[:2]:
+        raise DimensionError(f"channel_bias: x {x.shape} vs b {b.shape}; need b {x.shape[:2]}")
+    out = x.data + b.data[:, :, None, None]
+    return _make(out, "channel_bias", (x, b), (_pass, lambda g: g.sum(axis=(2, 3))))
 
 
 def broadcast_spatial(v: Tensor, h: int, w: int) -> Tensor:

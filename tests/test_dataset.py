@@ -159,9 +159,10 @@ def test_manifest_that_is_not_json_is_format_error(tmp_path):
         {"items": [{"file": 3, "prompt": "disks"}]},
         {"items": [{"file": "a.pgm"}]},
         {"items": [{"file": "a.pgm", "prompt": "disks", "tags": "high-quality"}]},
+        {"items": [{"file": "a\u0000b.pgm", "prompt": "disks"}]},
     ],
     ids=["not-object", "no-items", "items-not-list", "entry-not-object", "no-file", "file-not-string",
-         "no-prompt", "tags-not-list"],
+         "no-prompt", "tags-not-list", "file-with-nul"],
 )
 def test_manifest_missing_or_ill_typed_field_is_format_error(tmp_path, doc):
     save_pnm(tmp_path / "a.pgm", Image(np.zeros((1, 4, 4))))

@@ -33,3 +33,17 @@ def test_every_module_has_a_test_file():
     assert modules
     untested = [m for m in modules if not (tests / f"test_{m}.py").is_file()]
     assert not untested, f"modules without a tests/test_<module>.py: {untested}"
+
+
+def test_library_imports_no_private_name_of_another_module():
+    files = sorted(PACKAGE.glob("*.py"))
+    assert files
+    private = [
+        (f.name, node.module, alias.name)
+        for f in files
+        for node in ast.walk(ast.parse(f.read_text(encoding="utf-8"), filename=str(f)))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, f"library modules import private names of other modules: {private}"

@@ -7,6 +7,7 @@ from scipy.ndimage import gaussian_filter
 from ldrestore import tensor as T
 from ldrestore.images import Image
 from ldrestore.metrics import (
+    PPROXY_SEED,
     SSIM_C1,
     SSIM_C2,
     SSIM_SIGMA,
@@ -85,16 +86,29 @@ def test_perceptual_proxy_symmetric_and_flip_invariant():
 
 
 def test_perceptual_proxy_matches_four_separate_encodings():
-    # the four images are encoded as one batch; each alone gives the same features
+    # the four images are encoded as one batch by the fixed encoder; each alone gives the same features
     params = init_params(TINY, 6)
+    ruler = init_params(TINY, PPROXY_SEED)
     a, b = image_pair((1, 16, 16), 7)
     feats = []
     for x in (a.data, b.data, a.data[:, :, ::-1], b.data[:, :, ::-1]):
         with T.no_grad():
-            f = encode(T.Tensor(x.copy()[None]), params).data[0]
+            f = encode(T.Tensor(x.copy()[None]), ruler).data[0]
         feats.append(f / np.sqrt(np.sum(f * f, axis=0, keepdims=True) + 1e-10))
     want = 0.5 * (float(np.mean((feats[0] - feats[1]) ** 2)) + float(np.mean((feats[2] - feats[3]) ** 2)))
     assert perceptual_proxy(a, b, params) == pytest.approx(want, rel=1e-6)
+
+
+def test_perceptual_proxy_measures_every_model_of_a_config_with_one_encoder():
+    a, b = image_pair((1, 16, 16), 8)
+    d = perceptual_proxy(a, b, init_params(TINY, 1))
+    assert d > 0.0
+    assert perceptual_proxy(a, b, init_params(TINY, 2)) == d
+    # a model whose own encoder outputs a constant does not score a perfect 0
+    const = init_params(TINY, 3)
+    const["enc.conv2.w"].data[...] = 0.0
+    const["enc.conv2.b"].data[...] = 1.0
+    assert perceptual_proxy(a, b, const) == d
 
 
 def test_metric_report_csv_rows_mean_and_inf(tmp_path):

@@ -185,7 +185,7 @@ def test_spatial_ops_reject_a_single_item():
         "conv2d": lambda: T.conv2d(item, T.Tensor(np.zeros((3, 2, 3, 3))), 1),
         "im2col": lambda: T.im2col(item, 3, 3, 1),
         "concat_channels": lambda: T.concat_channels(item, item),
-        "channel_bias": lambda: T.channel_bias(item, T.Tensor(np.zeros(2))),
+        "channel_bias": lambda: T.channel_bias(item, T.Tensor(np.zeros((1, 2)))),
         "avg_pool2": lambda: T.avg_pool2(item),
         "upsample2": lambda: T.upsample2(item),
     }
@@ -213,13 +213,15 @@ def test_conv2d_bias_shape_mismatch_names_shapes():
 
 def decomposed_conv2d(x, k, padding=0, bias=None):
     """conv2d recorded as separate tape ops: im2col, one matmul,
-    fold_channels_last, channel_bias."""
+    fold_channels_last, channel_bias with the bias tiled to one row per item."""
     co, _, kh, kw = k.shape
     y = T.matmul(T.reshape(k, (co, k.size // co)), T.im2col(x, kh, kw, padding))
     n, _, h, w = x.shape
     hp, wp = h + 2 * padding, w + 2 * padding
     y = T.fold_channels_last(y, (n, hp, wp), (hp - kh + 1, wp - kw + 1))
-    return y if bias is None else T.channel_bias(y, bias)
+    if bias is None:
+        return y
+    return T.channel_bias(y, T.matmul(T.Tensor(np.ones((n, 1))), T.reshape(bias, (1, co))))
 
 
 # a conv whose weight gradient takes more than one column block of the padded
@@ -467,7 +469,7 @@ def test_backward_returns_none_for_inputs_without_gradient():
     fm = rng.normal(size=(1, 2, 3, 4))
     fm_req = T.Tensor(fm, requires_grad=True)
     gm = rng.normal(size=(1, 2, 3, 4))
-    gx, gb = T.channel_bias(fm_req, T.Tensor(np.zeros(2))).node.backward(gm)
+    gx, gb = T.channel_bias(fm_req, T.Tensor(np.zeros((1, 2)))).node.backward(gm)
     assert gb is None and np.array_equal(gx, gm)
     ga, gb = T.concat_channels(fm_req, T.Tensor(fm)).node.backward(np.concatenate([gm, gm], axis=1))
     assert gb is None and np.array_equal(ga, gm)
@@ -543,10 +545,19 @@ def test_channel_bias_and_broadcast_spatial():
     w = rng.normal(size=(1, 2, 3, 3))
 
     x = T.Tensor(x0, requires_grad=True)
-    b = T.Tensor(b0, requires_grad=True)
-    T.backward(T.tsum(T.mul(T.channel_bias(x, b), T.Tensor(w))))
+    b = T.Tensor(b0.reshape(1, 2), requires_grad=True)
+    y = T.channel_bias(x, b)
+    assert np.allclose(y.data, x0 + b0[None, :, None, None])
+    T.backward(T.tsum(T.mul(y, T.Tensor(w))))
     assert np.allclose(x.grad, w)
-    assert np.allclose(b.grad, w.sum(axis=(0, 2, 3)))
+    assert np.allclose(b.grad, w.sum(axis=(2, 3)))
+    # each item of a batch gets its own row
+    x2, b2 = rng.normal(size=(2, 2, 3, 3)), rng.normal(size=(2, 2))
+    assert np.allclose(T.channel_bias(T.Tensor(x2), T.Tensor(b2)).data, x2 + b2[:, :, None, None])
+    # a bias shared by all items, (c,), is not a per-item row
+    with pytest.raises(DimensionError) as e:
+        T.channel_bias(T.Tensor(x2), T.Tensor(b0))
+    assert "(2,)" in str(e.value)
 
     v = T.Tensor(b0.reshape(1, 2), requires_grad=True)
     y = T.broadcast_spatial(v, 3, 3)
