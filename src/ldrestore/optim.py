@@ -1,9 +1,12 @@
 """AdamW with decoupled weight decay and bias correction.
 
-The optimizer binds to an ordered list of (name, Tensor) pairs; moment
-buffers mirror each tensor's shape. ``step`` reads each tensor's .grad and
-checks all of them before it changes anything. State round-trips through
-plain dicts for checkpointing.
+The optimizer binds to an ordered list of (name, Tensor) pairs. The
+moments of all tensors of one dtype live in one flat buffer per moment, so
+a step runs the moment and update arithmetic once per dtype rather than
+once per tensor; ``m[name]`` and ``v[name]`` are views of each tensor's
+slice in its shape. ``step`` reads each tensor's .grad and checks all of
+them before it changes anything. State round-trips through plain dicts for
+checkpointing.
 """
 
 import math
@@ -24,35 +27,49 @@ class AdamW:
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.t = 0
-        self.m = {n: np.zeros_like(t.data) for n, t in self.named}
-        self.v = {n: np.zeros_like(t.data) for n, t in self.named}
+        by_dtype = {}
+        for n, t in self.named:
+            by_dtype.setdefault(t.data.dtype, []).append((n, t))
+        # (flat m, flat v, tensors in buffer order) per dtype
+        self._groups = []
+        self.m, self.v = {}, {}
+        for dtype, members in by_dtype.items():
+            m, v = (np.zeros(sum(t.data.size for _, t in members), dtype=dtype) for _ in range(2))
+            lo = 0
+            for n, t in members:
+                hi = lo + t.data.size
+                self.m[n], self.v[n] = m[lo:hi].reshape(t.data.shape), v[lo:hi].reshape(t.data.shape)
+                lo = hi
+            self._groups.append((m, v, [t for _, t in members]))
 
     def step(self):
         """One update from each bound tensor's .grad. Every gradient is checked
         first, so a missing or misshapen one raises ContractViolation and leaves
         the optimizer and its tensors unchanged."""
-        grads = []
         for name, tensor in self.named:
             if tensor.grad is None:
                 raise ContractViolation(f"AdamW: missing gradient for {name}")
-            g = np.asarray(tensor.grad)
-            if g.shape != tensor.data.shape:
-                raise ContractViolation(f"AdamW: grad shape {g.shape} vs parameter {name} {tensor.data.shape}")
-            grads.append(g)
+            shape = np.shape(tensor.grad)
+            if shape != tensor.data.shape:
+                raise ContractViolation(f"AdamW: grad shape {shape} vs parameter {name} {tensor.data.shape}")
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for (name, tensor), g in zip(self.named, grads):
-            m = self.m[name]
-            v = self.v[name]
+        for m, v, tensors in self._groups:
+            g = np.concatenate([np.ravel(t.grad) for t in tensors])
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
             update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.weight_decay:
-                tensor.data -= self.lr * self.weight_decay * tensor.data
-            tensor.data -= self.lr * update
+            update *= self.lr
+            lo = 0
+            for tensor in tensors:
+                hi = lo + tensor.data.size
+                if self.weight_decay:
+                    tensor.data -= self.lr * self.weight_decay * tensor.data
+                tensor.data -= update[lo:hi].reshape(tensor.data.shape)
+                lo = hi
 
     def state_dict(self) -> dict:
         return {
@@ -99,7 +116,9 @@ class AdamW:
                     )
                 # in the parameter's dtype: a checkpoint stores the moments widened to float64
                 loaded[n] = x.astype(tensor.data.dtype)
-        self.m.update(moments["m"])
-        self.v.update(moments["v"])
+        # copied into the views, which assigning new arrays would detach from the flat buffers
+        for n, _ in self.named:
+            np.copyto(self.m[n], moments["m"][n])
+            np.copyto(self.v[n], moments["v"][n])
         self.t, self.lr, self.eps, self.weight_decay = t, lr, eps, weight_decay
         self.beta1, self.beta2 = betas

@@ -29,10 +29,16 @@ single item is a batch of one.
 
 Convolution is one tape node per call, with inputs (x, k) or (x, k, bias).
 It works on a channel-major grid: ``_to_grid`` copies an (n, c, h, w) batch
-into zeros of shape (c, head + n*hp*wp + tail), each image at an offset of
-its own (hp, wp) grid, and its adjoint ``_from_grid`` reads each image's
-window back out. With x at offset ``padding`` and a tail of (kh-1)*wp + kw-1
-zeros, kernel tap (i, j) reads one contiguous slice at offset i*wp + j. The
+into zeros of shape (c, head + n*hp*wp + tail), each image in a slot of its
+own (hp, wp) grid, and its adjoint ``_from_grid`` reads each image's window
+back out. The conv's slot is hp, wp = max(h + padding, ho), max(w +
+padding, wo): the image at its top left, then at least ``padding`` zero rows
+and columns. On the flattened grid those zeros are also the bottom border
+of one image and the top border of the next, and the right border of one
+row and the left border of the next, so neighbours share a single border;
+head = padding*wp + padding zeros give the first image its top and left
+border. With enough tail zeros that the last tap stays inside the grid,
+kernel tap (i, j) reads one contiguous slice at offset i*wp + j. The
 forward takes one product per tap, the tap's (co, c) block of the kernel
 times the tap's slice, summed into a ``(co, n*hp*wp)`` grid
 (``_tap_matmul``). It then adds the bias and reads each image's (ho, wo)
@@ -253,23 +259,25 @@ def relu(a: Tensor) -> Tensor:
 
 
 def _logistic(x):
-    """1 / (1 + exp(-x)) as exp(min(x, 0)) / (1 + exp(-|x|)), where no exp overflows.
+    """1 / (1 + exp(-x)), with one exp, computed in place in one buffer.
 
-    Computed in place: a temporary costs about as much as a pass over the
-    data here, which is also why this form is used rather than np.where.
+    A temporary costs about as much as a pass over the data here. Where
+    exp(-x) overflows, 1 + inf is inf and the result is exactly 0; the
+    overflow is expected, so its warning is silenced for this call only.
     Results below the smallest normal number are flushed to zero. float32
-    reaches subnormals for x below about -87, which sampling produces, and a
-    GEMM that reads them runs tens of times slower on x86.
+    reaches them for x below about -87, which sampling produces, and a GEMM
+    that reads subnormals runs tens of times slower on x86. The flush costs
+    a masked pass, so it runs only when the smallest result needs it.
     """
-    num = np.minimum(x, 0.0)
-    np.exp(num, out=num)
-    den = np.abs(x)
-    np.negative(den, out=den)
-    np.exp(den, out=den)
-    den += 1.0
-    num /= den
-    np.copyto(num, 0.0, where=num < np.finfo(num.dtype).tiny)
-    return num
+    s = np.negative(x)
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
+    s += 1.0
+    np.divide(1.0, s, out=s)
+    tiny = np.finfo(s.dtype).tiny
+    if s.size and s.min() < tiny:
+        np.copyto(s, 0.0, where=s < tiny)
+    return s
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -438,16 +446,20 @@ def _conv_geometry(x_shape, k_shape, padding):
     wo = w + 2 * padding - kw + 1
     if ho < 1 or wo < 1:
         raise DimensionError(f"conv2d: kernel {k_shape} larger than padded input {x_shape}")
-    return n, c, h, w, co, kh, kw, ho, wo
+    # each image's grid slot: the image, then padding zero rows and columns
+    # that also pad the next image's top and the next row's left, and room
+    # for the (ho, wo) output window
+    hp, wp = max(h + padding, ho), max(w + padding, wo)
+    return n, c, h, w, co, kh, kw, ho, wo, hp, wp
 
 
 def _to_grid(a, hp, wp, at, head=0, tail=0):
     """(n, c, h, w) batch -> zeroed channel-major grid (c, head + n*hp*wp + tail).
 
     Image b fills rows and columns at..at+h-1 and at..at+w-1 of the b-th
-    (hp, wp) grid, which starts at column head + b*hp*wp. A batch that fills
-    its grids, with no head or tail, is only swapped to (c, n) order, which
-    is a view when n = 1.
+    (hp, wp) grid, which starts at column head + b*hp*wp; everything else
+    is zero. A batch that fills its grids, with no head or tail, is only
+    swapped to (c, n) order, which is a view when n = 1.
     """
     n, c, h, w = a.shape
     swapped = a.transpose(1, 0, 2, 3)
@@ -530,9 +542,9 @@ def _tap_matmul_t(g, xp, kh, kw, wp, length):
     22-35 GFLOP/s somewhere between 192 and 384 KiB depending on the shape,
     where two blocks run at 45-73. Below 160 KiB a split costs 5-25%. At
     the default config only den.up (c=40) and dec.conv2 (c=12), with slices
-    of about 410 and 440 KiB, split, into two blocks each. With one input
-    channel the patch matrix is smaller than g and the result is one
-    product with it.
+    of about 361 and 408 KiB, split, into two blocks each; the next largest
+    slice, den.conv_in's, is 145 KiB. With one input channel the patch
+    matrix is smaller than g and the result is one product with it.
     """
     c = xp.shape[0]
     if c == 1:
@@ -594,25 +606,29 @@ def conv2d(x: Tensor, k: Tensor, padding: int = 0, bias=None) -> Tensor:
     bias (co,), if given, is added to every output position. One tape node
     with inputs (x, k) or (x, k, bias).
 
-    The forward puts x on the padded grid with _to_grid and takes one
-    product per tap of the kernel (_tap_matmul). The backward puts the
+    The forward puts x on the grid with _to_grid, each image at the top
+    left of its (hp, wp) slot after head zeros, so that neighbouring images
+    and rows share one zero border (see the module docstring), and takes
+    one product per tap of the kernel (_tap_matmul). The backward puts the
     output gradient on the grid after span = (kh-1)*wp + kw-1 zeros, the
     last tap's offset. The input gradient is then the same _tap_matmul with
-    the kernel's per-tap blocks in reverse tap order and transposed, read
-    back with _from_grid. The grid of x is rebuilt only when k needs a
-    gradient.
+    the kernel's per-tap blocks in reverse tap order and transposed; on
+    that grid image b's pixel (r, s) sits at row r + padding, column
+    s + padding of slot b, where _from_grid reads it back. The grid of x is
+    rebuilt only when k needs a gradient.
     """
-    n, c, h, w, co, kh, kw, ho, wo = _conv_geometry(x.shape, k.shape, padding)
+    n, c, h, w, co, kh, kw, ho, wo, hp, wp = _conv_geometry(x.shape, k.shape, padding)
     if bias is not None and bias.shape != (co,):
         raise DimensionError(f"conv2d: bias {bias.shape} does not fit kernel {k.shape}; need ({co},)")
     inputs = (x, k) + ((bias,) if bias is not None else ())
     dtype = np.result_type(*(t.data for t in inputs))
-    hp, wp = ho + kh - 1, wo + kw - 1
     span = (kh - 1) * wp + kw - 1  # offset of the last tap
+    head = padding * wp + padding  # the first image's top and left border
+    tail = max(0, span - head)  # so that the last tap stays inside the grid
     geom = (kh, kw, wp, n * hp * wp)
     # the kernel as one contiguous (co, c) block per tap
     mt = np.ascontiguousarray(k.data.reshape(co, c, kh * kw).transpose(2, 0, 1))
-    y = _tap_matmul(mt, _to_grid(x.data, hp, wp, padding, tail=span), *geom, dtype)
+    y = _tap_matmul(mt, _to_grid(x.data, hp, wp, 0, head, tail), *geom, dtype)
     if bias is not None:
         y += bias.data[:, None]
     out = Tensor(_from_grid(y, n, hp, wp, 0, ho, wo))
@@ -632,7 +648,7 @@ def conv2d(x: Tensor, k: Tensor, padding: int = 0, bias=None) -> Tensor:
             grads[0] = _from_grid(gxp, n, hp, wp, padding, h, w)
             del gxp  # before the grid of x is built
         if need[1]:
-            xp = _to_grid(x.data, hp, wp, padding, tail=span)
+            xp = _to_grid(x.data, hp, wp, 0, head, tail)
             grads[1] = _tap_matmul_t(gg, xp, *geom).reshape(k.shape)
         if bias is not None and need[2]:
             grads[2] = gg.sum(axis=1)

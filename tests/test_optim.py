@@ -71,6 +71,31 @@ def test_adamw_state_dict_round_trip_continues_bit_exactly():
         assert np.array_equal(resumed.m[n], ref.m[n]) and np.array_equal(resumed.v[n], ref.v[n])
 
 
+def test_adamw_keeps_each_dtype_and_matches_per_tensor_arithmetic():
+    rng = np.random.default_rng(1)
+    p32 = T.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    with T.float64():
+        p64 = T.Tensor(rng.normal(size=4), requires_grad=True)
+    lr, beta1, beta2, eps, wd = 0.05, 0.8, 0.99, 1e-6, 0.01
+    opt = AdamW([("a", p32), ("b", p64)], lr=lr, betas=(beta1, beta2), eps=eps, weight_decay=wd)
+    ref = {n: [t.data.copy(), np.zeros_like(t.data), np.zeros_like(t.data)] for n, t in opt.named}
+    for step in range(1, 4):
+        grads = [rng.normal(size=(3, 2)).astype(np.float32), rng.normal(size=4)]
+        step_with(opt, grads)
+        bc1, bc2 = 1.0 - beta1**step, 1.0 - beta2**step
+        for (n, t), g in zip(opt.named, grads):
+            p, m, v = ref[n]
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * (g * g)
+            p -= lr * wd * p
+            p -= lr * ((m / bc1) / (np.sqrt(v / bc2) + eps))
+            assert opt.m[n].dtype == opt.v[n].dtype == t.data.dtype == p.dtype
+            assert np.array_equal(t.data, p) and np.array_equal(opt.m[n], m) and np.array_equal(opt.v[n], v)
+    assert p32.data.dtype == np.float32 and p64.data.dtype == np.float64
+
+
 def stepped_adamw(lr, weight_decay, steps):
     named = [("a", T.Tensor(np.ones((2, 2)), requires_grad=True)), ("b", T.Tensor(np.ones(3)))]
     opt = AdamW(named, lr=lr, weight_decay=weight_decay)

@@ -132,13 +132,28 @@ def test_conv2d_matches_loop_oracle():
 
 
 def test_conv2d_batched_equals_per_item():
+    # neighbouring images share zero border rows on the grid, so a wrong
+    # offset or slot size would leak one image into the next
     rng = np.random.default_rng(3)
-    xb = rng.normal(size=(4, 2, 6, 6))
-    k = rng.normal(size=(3, 2, 3, 3))
-    yb = T.conv2d(T.Tensor(xb), T.Tensor(k), padding=1)
-    for i in range(4):
-        yi = T.conv2d(T.Tensor(xb[i : i + 1]), T.Tensor(k), padding=1)
-        assert np.allclose(yb.data[i : i + 1], yi.data, atol=1e-12)
+    xb = rng.normal(size=(4, 2, 6, 5))
+    with T.float64():
+        for hw in ((3, 3), (1, 3), (3, 1), (1, 1)):
+            k0 = rng.normal(size=(3, 2) + hw)
+            for pad in (0, 1, 2):
+                x, k = T.Tensor(xb, requires_grad=True), T.Tensor(k0, requires_grad=True)
+                yb = T.conv2d(x, k, pad)
+                w = rng.normal(size=yb.shape)
+                T.backward(T.tsum(T.mul(yb, T.Tensor(w))))
+                gk = np.zeros_like(k0)
+                for i in range(4):
+                    xi, ki = T.Tensor(xb[i : i + 1], requires_grad=True), T.Tensor(k0, requires_grad=True)
+                    yi = T.conv2d(xi, ki, pad)
+                    T.backward(T.tsum(T.mul(yi, T.Tensor(w[i : i + 1]))))
+                    assert np.allclose(yb.data[i : i + 1], yi.data, rtol=0, atol=1e-12), (hw, pad)
+                    assert np.allclose(x.grad[i : i + 1], xi.grad, rtol=0, atol=1e-12), (hw, pad)
+                    gk += ki.grad
+                # the batch's kernel gradient is the sum of the items'
+                assert np.allclose(k.grad, gk, rtol=0, atol=1e-12), (hw, pad)
 
 
 def test_conv2d_gradients_match_numeric():
@@ -226,7 +241,7 @@ def decomposed_conv2d(x, k, padding=0, bias=None):
 
 # a conv whose weight gradient takes more than one column block of the padded
 # grid, the last one shorter, in float32 and float64: c=40, n*hp*wp = 5*19*19
-BLOCKED_X, BLOCKED_K = (5, 40, 17, 17), (16, 40, 3, 3)
+BLOCKED_X, BLOCKED_K = (5, 40, 18, 18), (16, 40, 3, 3)
 
 
 def test_conv2d_node_matches_decomposed_tape():
@@ -259,9 +274,10 @@ def test_conv2d_node_matches_decomposed_tape():
 
 
 def test_conv2d_weight_gradient_in_column_blocks():
-    length = BLOCKED_X[0] * (BLOCKED_X[2] + 2) * (BLOCKED_X[3] + 2)
+    n, c, *_, hp, wp = T._conv_geometry(BLOCKED_X, BLOCKED_K, 1)
+    length = n * hp * wp
     for itemsize in (4, 8):
-        block = T._grad_block(BLOCKED_X[1], length, itemsize)
+        block = T._grad_block(c, length, itemsize)
         assert block < length and length % block
     rng = np.random.default_rng(14)
     x0, k0 = rng.normal(size=BLOCKED_X), rng.normal(size=BLOCKED_K)
@@ -441,6 +457,19 @@ def test_sigmoid_and_silu_stable_at_extremes():
         T.backward(T.tsum(y))
         assert np.allclose(y.data, want, rtol=1e-5, atol=1e-6)
         assert np.allclose(x.grad, dwant, rtol=1e-5, atol=1e-6)
+
+
+def test_sigmoid_and_silu_float32_precision_over_the_finite_range():
+    # float32 on a dense grid, against 1 / (1 + exp(-x)) in float64; at the
+    # low end the sigmoid is near the smallest normal float32
+    x = np.linspace(-87.0, 88.0, 200_001, dtype=np.float32)
+    s = 1.0 / (1.0 + np.exp(-x.astype(np.float64)))
+    before = np.geterr()
+    for op, want in ((T.sigmoid, s), (T.silu, x * s)):
+        y = op(T.Tensor(x)).data
+        assert np.geterr() == before
+        assert y.dtype == np.float32
+        assert np.allclose(y, want, rtol=4e-7, atol=0)
 
 
 def test_sigmoid_and_silu_outputs_have_no_subnormals():
