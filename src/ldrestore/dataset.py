@@ -159,13 +159,13 @@ def epoch_batches(data: list, batch: int, seed: int, epoch: int = 0) -> list:
     return [[data[i] for i in order[lo : lo + batch]] for lo in range(0, len(data), batch)]
 
 
-def write_dataset(items: list, outdir, prefix: str = "img") -> str:
+def write_dataset(items: list, outdir) -> str:
     """Save items as PGM files plus a JSON manifest; returns the manifest path."""
     os.makedirs(outdir, exist_ok=True)
     entries = []
     width = max(4, len(str(len(items) - 1)))
     for i, item in enumerate(items):
-        name = f"{prefix}_{i:0{width}d}.pgm"
+        name = f"img_{i:0{width}d}.pgm"
         save_pnm(os.path.join(outdir, name), item.clean)
         entries.append({"file": name, "prompt": item.prompt, "tags": list(item.tags)})
     manifest = os.path.join(outdir, "manifest.json")

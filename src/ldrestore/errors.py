@@ -31,10 +31,6 @@ class FormatError(LdrError):
         self.offset = offset
 
 
-class OracleError(LdrError):
-    """A validation oracle detected an inconsistency (e.g. non-deterministic f)."""
-
-
 class TrainingError(LdrError):
     """Training aborted; carries diagnostic context."""
 

@@ -22,7 +22,6 @@ target pays: with adapters on all five 3x3 ``den.*`` convs a LoRA step took
 (medians of six 140-step runs, batch 8, 2-core Xeon VM, one BLAS thread).
 """
 
-import fnmatch
 import math
 import numbers
 from dataclasses import dataclass
@@ -54,8 +53,10 @@ class LoraConfig:
         if not _finite_non_negative(self.reg_lambda):
             raise ConfigurationError(f"LoraConfig.reg_lambda must be finite and >= 0, got {self.reg_lambda!r}")
         if isinstance(self.targets, str):
-            raise ConfigurationError(f"LoraConfig.targets must be a sequence of patterns, got a str {self.targets!r}")
+            raise ConfigurationError(f"LoraConfig.targets must be a sequence of parameter names, got a str {self.targets!r}")
         self.targets = tuple(self.targets)
+        if not self.targets:
+            raise ConfigurationError("LoraConfig.targets must name at least one parameter")
 
 
 @dataclass
@@ -66,11 +67,13 @@ class LoraAdapter:
 
 
 def attach(params, config: LoraConfig, seed: int) -> list:
-    """One adapter per matched parameter; matched base weights are frozen,
-    once every match has been checked."""
-    matched = [name for name in params.names() if any(fnmatch.fnmatch(name, pat) for pat in config.targets)]
-    if not matched:
-        raise ConfigurationError(f"lora targets {config.targets} match no parameters")
+    """One adapter per target, each an exact parameter name, in ``params.names()``
+    order; the targets' base weights are frozen once every target has been checked."""
+    names = params.names()
+    unknown = sorted(set(config.targets).difference(names))
+    if unknown:
+        raise ConfigurationError(f"lora targets {unknown} name no parameter")
+    matched = [name for name in names if name in config.targets]
     adapters = []
     for i, name in enumerate(matched):
         d, k = matrix_view_shape(params[name], name)
@@ -113,10 +116,6 @@ def merge(params: NetParams, adapters) -> NetParams:
         for name in dict.fromkeys(a.target for a in adapters):
             tensors[name] = adapted_weight(params, name, adapters)
     return NetParams(params.config, tensors)
-
-
-def trainable_param_count(adapters) -> int:
-    return sum(a.A.size + a.B.size for a in adapters)
 
 
 def zero_adapter_grads(adapters):

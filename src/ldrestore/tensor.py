@@ -6,9 +6,9 @@ float64 inside a ``float64()`` block, which is the only way to change it.
 allocates (the padded grid, a conv's grid product, a reduction's
 gradient, the backward seed) takes its dtype from the op's operands, so a
 float32 tape stays float32 through the backward pass. float64 is the
-reference mode: ``finite_diff_check`` enters it itself, and tests that
-compare against a float64 oracle run under it. Arrays that leave the tape
-for images, metrics or checkpoints are widened to float64, which is exact.
+reference mode: tests that compare against a float64 oracle run under it.
+Arrays that leave the tape for images, metrics or checkpoints are widened
+to float64, which is exact.
 
 Every differentiable operation records a tape node holding its inputs and a
 backward closure; calling ``backward`` on a scalar loss walks the tape once
@@ -76,7 +76,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ContractViolation, DimensionError, OracleError, ParameterError
+from .errors import ContractViolation, DimensionError, ParameterError
 
 _GRAD_ENABLED = True
 _DTYPE = np.float32
@@ -382,12 +382,8 @@ def row_scale(x: Tensor, s: Tensor) -> Tensor:
         raise DimensionError(f"row_scale: x {x.shape} vs s {s.shape}")
     shape = (s.shape[0],) + (1,) * (x.ndim - 1)
     sb = s.data.reshape(shape)
-    axes = tuple(range(1, x.ndim))
-
-    def back_s(g):
-        return (g * x.data).sum(axis=axes) if axes else g * x.data
-
-    return _make(x.data * sb, "row_scale", (x, s), (lambda g: g * sb, back_s))
+    axes = tuple(range(1, x.ndim))  # empty for a 1-D x, where the sum is the identity
+    return _make(x.data * sb, "row_scale", (x, s), (lambda g: g * sb, lambda g: (g * x.data).sum(axis=axes)))
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -737,43 +733,3 @@ def backward(loss: Tensor):
                 else:
                     grads[key] = gi
 
-
-def finite_diff_check(f, x: Tensor, eps: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients of f at x.
-
-    f must be a deterministic scalar-valued function of a single tensor; the
-    relative error at each coordinate is |analytic - numeric| divided by
-    max(1e-8, |analytic| + |numeric|). Both gradients are computed in
-    float64 whatever the caller's compute dtype, so float32 rounding does
-    not swamp the differences; tensors f closes over take part at the
-    values they hold.
-    """
-    if eps <= 0:
-        raise ParameterError(f"finite_diff_check: eps must be > 0, got {eps}")
-    with float64():
-        x = Tensor(x.data)
-        probe = Tensor(x.data.copy(), requires_grad=True)
-        out1 = f(probe)
-        out2 = f(Tensor(x.data.copy(), requires_grad=True))
-        if out1.data.shape != () or out2.data.shape != ():
-            raise ContractViolation("finite_diff_check: f must return a scalar")
-        if not np.array_equal(out1.data, out2.data):
-            raise OracleError("finite_diff_check: f is not deterministic")
-
-        backward(out1)
-        analytic = probe.grad if probe.grad is not None else np.zeros_like(x.data)
-
-        flat = x.data.reshape(-1)
-        numeric = np.zeros_like(flat)
-        with no_grad():
-            for i in range(flat.size):
-                bump = flat.copy()
-                bump[i] += eps
-                hi = f(Tensor(bump.reshape(x.shape))).item()
-                bump[i] = flat[i] - eps
-                lo = f(Tensor(bump.reshape(x.shape))).item()
-                numeric[i] = (hi - lo) / (2.0 * eps)
-
-        an = analytic.reshape(-1)
-        denom = np.maximum(1e-8, np.abs(an) + np.abs(numeric))
-        return float(np.max(np.abs(an - numeric) / denom))

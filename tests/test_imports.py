@@ -1,6 +1,9 @@
 import ast
+import importlib.util
 import sys
 from pathlib import Path
+
+from ldrestore import tensor as T
 
 ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ldrestore"
@@ -47,3 +50,16 @@ def test_library_imports_no_private_name_of_another_module():
         if alias.name.startswith("_")
     ]
     assert not private, f"library modules import private names of other modules: {private}"
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # the tracer swaps library functions for timed wrappers by name, so a renamed
+    # or deleted one fails here with an AttributeError that names it
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    linear = T.linear
+    with tracer.Tracer().installed():
+        assert T.linear is not linear
+    assert T.linear is linear

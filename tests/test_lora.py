@@ -13,7 +13,6 @@ from ldrestore.lora import (
     attach,
     merge,
     reg_loss,
-    trainable_param_count,
     zero_adapter_grads,
 )
 from ldrestore.network import (
@@ -32,6 +31,8 @@ from ldrestore.network import (
     prompt_embedding_batch,
 )
 from ldrestore.optim import AdamW
+
+from gradcheck import grad_error
 
 # float32, the default, and float64, the reference mode
 COMPUTE_MODES = (contextlib.nullcontext, T.float64)
@@ -75,7 +76,7 @@ def test_attach_neutrality_bit_exact_through_denoiser():
 def test_attach_param_count_64x64_r4():
     params = matrix_params(64, 64)
     adapters = attach(params, LoraConfig(rank=4, targets=("w",)), seed=0)
-    assert trainable_param_count(adapters) == 512
+    assert adapters[0].A.shape == (64, 4) and adapters[0].B.shape == (4, 64)
     assert params["w"].size == 4096
     assert params["w"].requires_grad is False
 
@@ -115,12 +116,17 @@ def test_attach_checks_every_target_before_freezing_any():
     assert all(w.requires_grad for _, w in params.items())
 
 
+def test_attach_refuses_a_partly_misspelt_target_list():
+    params = init_params(TINY, 0)
+    with pytest.raises(ConfigurationError, match="den.mdi.w"):
+        attach(params, LoraConfig(rank=2, targets=("den.mid.w", "den.mdi.w")), seed=0)
+    assert all(w.requires_grad for _, w in params.items())
+
+
 def test_attach_rejects_the_prompt_table():
     params = init_params(TINY, 0)
     with pytest.raises(ConfigurationError, match="prompt.table.w"):
         attach(params, LoraConfig(rank=2, targets=("prompt.table.w",)), seed=0)
-    with pytest.raises(ConfigurationError, match="prompt.table.w"):
-        attach(params, LoraConfig(rank=1, targets=("*.w",)), seed=0)
     assert all(w.requires_grad for _, w in params.items())
     # the forward never adds an adapter to the table, so merge may not either
     d, k = params["prompt.table.w"].shape
@@ -186,8 +192,8 @@ def test_apply_weight_gradients():
         ad = type(a)(a.target, T.Tensor(a.A.data), probe)
         return T.mse(dense(x, params, [ad]), T.Tensor(tgt))
 
-    assert T.finite_diff_check(loss_a, a.A) < 1e-4
-    assert T.finite_diff_check(loss_b, a.B) < 1e-4
+    assert grad_error(loss_a, a.A) < 1e-4
+    assert grad_error(loss_b, a.B) < 1e-4
 
     # frozen base: W receives no gradient
     out = T.mse(dense(x, params, adapters), T.Tensor(tgt))
@@ -200,7 +206,7 @@ def test_lora_config_rejects_bad_fields():
     assert asdict(LoraConfig()) == {"rank": 4, "targets": DEFAULT_TARGETS, "reg_lambda": 1e-4, "lr": 1e-3}
     bad = [("rank", 0), ("rank", 2.5), ("rank", True), ("rank", "2"),
            ("reg_lambda", -1e-4), ("reg_lambda", float("nan")), ("reg_lambda", float("inf")), ("reg_lambda", "0"),
-           ("targets", "den.*")]
+           ("targets", "den.*"), ("targets", ())]
     for field, value in bad:
         with pytest.raises(ConfigurationError, match=f"LoraConfig.{field}"):
             LoraConfig(**{field: value})
@@ -225,8 +231,8 @@ def test_conv_site_adapter_gradients():
             def loss(A, B):
                 return T.tsum(T.mul(_conv(x, params, base, pad, [LoraAdapter(base + ".w", A, B)]), w))
 
-            assert T.finite_diff_check(lambda probe: loss(probe, B0), A0) < 1e-6
-            assert T.finite_diff_check(lambda probe: loss(A0, probe), B0) < 1e-6
+            assert grad_error(lambda probe: loss(probe, B0), A0) < 1e-6
+            assert grad_error(lambda probe: loss(A0, probe), B0) < 1e-6
 
 
 def test_reg_loss_values_and_gradient():
@@ -242,7 +248,7 @@ def test_reg_loss_values_and_gradient():
         ad = type(a)(a.target, probe, T.Tensor(a.B.data))
         return reg_loss([ad], 0.7)
 
-    assert T.finite_diff_check(f, a.A) < 1e-4
+    assert grad_error(f, a.A) < 1e-4
     loss = reg_loss(adapters, 0.7)
     T.backward(loss)
     assert np.allclose(a.A.grad, 2 * 0.7 * a.A.data)

@@ -25,6 +25,8 @@ from ldrestore.network import (
     time_embedding,
 )
 
+from gradcheck import grad_error
+
 TINY = NetConfig(image_size=16, c_lat=3, c_enc=3, c_hid=4, c_mid=5, prompt_dim=4, temb_dim=4)
 
 
@@ -345,7 +347,7 @@ def test_denoiser_gradients_match_finite_differences():
         return T.add(l, T.scale(T.mse(decode_tensor(z0, p2), T.Tensor(clean)), 0.1))
 
     for name in ("den.mid.w", "ctrl.zero.conv.w", "den.temb.w", "enc.conv1.w", "prompt.table.w"):
-        err = T.finite_diff_check(lambda w: loss_with(name, w), params[name])
+        err = grad_error(lambda w: loss_with(name, w), params[name])
         assert err < 1e-4, f"{name}: rel err {err}"
 
 

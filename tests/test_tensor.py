@@ -11,8 +11,10 @@ import pytest
 
 from ldrestore import network
 from ldrestore import tensor as T
-from ldrestore.errors import ContractViolation, DimensionError, OracleError
+from ldrestore.errors import ContractViolation, DimensionError
 from ldrestore.lora import LoraAdapter
+
+from gradcheck import grad_error, numeric_grad
 
 
 def conv2d_loops(x, k, padding=0):
@@ -36,21 +38,6 @@ def conv2d_loops(x, k, padding=0):
                             acc += xp[ch, i + a, j + b] * k[o, ch, a, b]
                 y[o, i, j] = acc
     return y
-
-
-def numeric_grad(f, x, eps=1e-6):
-    """Central differences over every coordinate of x."""
-    g = np.zeros_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
-        xp = x.copy()
-        xp[idx] += eps
-        xm = x.copy()
-        xm[idx] -= eps
-        g[idx] = (f(xp) - f(xm)) / (2 * eps)
-        it.iternext()
-    return g
 
 
 def test_matmul_hand_oracle():
@@ -607,6 +594,13 @@ def test_row_scale_gradients():
     assert np.allclose(x.grad, w * s0[:, None, None, None])
     assert np.allclose(s.grad, (w * x0).sum(axis=(1, 2, 3)))
 
+    # a 1-D x: each element is its own slice, and the sum over no axes is the identity
+    x1 = T.Tensor(x0[:, 0, 0, 0], requires_grad=True)
+    s1 = T.Tensor(s0, requires_grad=True)
+    T.backward(T.tsum(T.mul(T.row_scale(x1, s1), T.Tensor(w[:, 0, 0, 0]))))
+    assert np.allclose(x1.grad, w[:, 0, 0, 0] * s0)
+    assert np.allclose(s1.grad, w[:, 0, 0, 0] * x0[:, 0, 0, 0])
+
 
 def test_embedding_lookup_scatter_adds():
     tab = T.Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
@@ -662,7 +656,7 @@ def test_finite_diff_check_passes_on_smooth_composite():
     def f(x):
         return T.mse(T.silu(T.conv2d(x, k, padding=1)), tgt)
 
-    err = T.finite_diff_check(f, T.Tensor(rng.normal(size=(1, 1, 4, 4))))
+    err = grad_error(f, T.Tensor(rng.normal(size=(1, 1, 4, 4))))
     assert err < 1e-4
 
 
@@ -673,8 +667,8 @@ def test_finite_diff_check_rejects_nondeterministic():
         state["n"] += 1
         return T.tsum(T.scale(x, float(state["n"])))
 
-    with pytest.raises(OracleError):
-        T.finite_diff_check(f, T.Tensor([1.0, 2.0]))
+    with pytest.raises(AssertionError, match="not deterministic"):
+        grad_error(f, T.Tensor([1.0, 2.0]))
 
 
 def test_finite_diff_check_flags_wrong_gradient():
@@ -687,5 +681,5 @@ def test_finite_diff_check_flags_wrong_gradient():
         out.node = T.TapeNode("bad", (x,), lambda g: (3.0 * x.data * float(g),))
         return out
 
-    err = T.finite_diff_check(f, T.Tensor([1.0, 2.0, -1.5]))
+    err = grad_error(f, T.Tensor([1.0, 2.0, -1.5]))
     assert err > 1e-2
