@@ -17,11 +17,12 @@ initialization the control conditioning and the bottleneck skip contribute
 nothing and the network behaves as if those paths were absent.
 
 Weights are applied at two sites, every convolution (one ``tensor.conv2d``
-node, its bias included) and the two dense weights ``den.temb.w`` and
-``den.pemb.w`` (``tensor.linear``), and both take their weight from
-``adapted_weight``: W plus each low-rank adapter's A @ B, on the tape.
-``lora.merge`` runs the same function without a tape, so a merged weight is
-the one training used. Only ``tensor.py`` knows the convolution's layout.
+node, its bias included; 3x3 or 1x1, same-padded, so it keeps its input's
+size) and the two dense weights ``den.temb.w`` and ``den.pemb.w``
+(``tensor.linear``), and both take their weight from ``adapted_weight``: W
+plus each low-rank adapter's A @ B, on the tape. ``lora.merge`` runs the
+same function without a tape, so a merged weight is the one training used.
+Only ``tensor.py`` knows the convolution's layout.
 
 Every latent is a batch ``(n, c, h, w)``, the one spatial shape of the
 tape, with one prompt-embedding row and one step per item. An ``Image`` is a
@@ -193,8 +194,8 @@ def adapted_weight(params: NetParams, name: str, adapters) -> T.Tensor:
     return w
 
 
-def _conv(x: T.Tensor, params: NetParams, base: str, padding: int, adapters) -> T.Tensor:
-    return T.conv2d(x, adapted_weight(params, base + ".w", adapters), padding, params[base + ".b"])
+def _conv(x: T.Tensor, params: NetParams, base: str, adapters) -> T.Tensor:
+    return T.conv2d(x, adapted_weight(params, base + ".w", adapters), params[base + ".b"])
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +263,8 @@ def encode(x, params: NetParams, adapters=()) -> T.Tensor:
     h, w = x.shape[-2], x.shape[-1]
     if h % DOWNSCALE or w % DOWNSCALE:
         raise ConfigurationError(f"encode: dims {h}x{w} not divisible by {DOWNSCALE}")
-    h1 = T.silu(_conv(x, params, "enc.conv1", 1, adapters))
-    return _conv(T.avg_pool2(h1), params, "enc.conv2", 1, adapters)
+    h1 = T.silu(_conv(x, params, "enc.conv1", adapters))
+    return _conv(T.avg_pool2(h1), params, "enc.conv2", adapters)
 
 
 def control_features(z_enc: T.Tensor, prompt_emb: T.Tensor, params: NetParams, adapters=()) -> T.Tensor:
@@ -271,12 +272,12 @@ def control_features(z_enc: T.Tensor, prompt_emb: T.Tensor, params: NetParams, a
 
     z_enc (n, c, h, w) takes prompt_emb (n, prompt_dim), one row per item.
     """
-    plain = _conv(z_enc, params, "ctrl.conv", 1, adapters)
+    plain = _conv(z_enc, params, "ctrl.conv", adapters)
     n, _, h, w = z_enc.shape
     if prompt_emb.shape != (n, params.config.prompt_dim):
         raise DimensionError(f"control: prompt embedding {prompt_emb.shape} vs latent {z_enc.shape}")
     zc_in = T.concat_channels(z_enc, T.broadcast_spatial(prompt_emb, h, w))
-    return T.add(plain, _conv(zc_in, params, "ctrl.zero.conv", 0, adapters))
+    return T.add(plain, _conv(zc_in, params, "ctrl.zero.conv", adapters))
 
 
 def denoise(z_t: T.Tensor, t, cond: ConditioningBundle, params: NetParams, adapters=()) -> T.Tensor:
@@ -295,25 +296,25 @@ def denoise(z_t: T.Tensor, t, cond: ConditioningBundle, params: NetParams, adapt
     if tv.shape != (n,):
         raise DimensionError(f"denoise: t has shape {tv.shape}, want ({n},)")
 
-    h = _conv(T.concat_channels(z_t, z_lq), params, "den.conv_in", 1, adapters)
+    h = _conv(T.concat_channels(z_t, z_lq), params, "den.conv_in", adapters)
     tb = T.linear(time_embedding(tv, cfg.temb_dim), adapted_weight(params, "den.temb.w", adapters))
     pb = T.linear(pemb, adapted_weight(params, "den.pemb.w", adapters))
     h1 = T.silu(T.channel_bias(h, T.add(tb, pb)))
 
-    h2 = T.silu(_conv(T.avg_pool2(h1), params, "den.down", 1, adapters))
-    m = _conv(h2, params, "den.mid", 1, adapters)
-    h3 = T.silu(T.add(m, _conv(T.avg_pool2(z_lq), params, "ctrl.zero.sft", 0, adapters)))
+    h2 = T.silu(_conv(T.avg_pool2(h1), params, "den.down", adapters))
+    m = _conv(h2, params, "den.mid", adapters)
+    h3 = T.silu(T.add(m, _conv(T.avg_pool2(z_lq), params, "ctrl.zero.sft", adapters)))
 
     cat = T.concat_channels(T.upsample2(h3), h1)
-    h4 = T.silu(_conv(cat, params, "den.up", 1, adapters))
-    return _conv(h4, params, "den.conv_out", 1, adapters)
+    h4 = T.silu(_conv(cat, params, "den.up", adapters))
+    return _conv(h4, params, "den.conv_out", adapters)
 
 
 def decode_tensor(z: T.Tensor, params: NetParams, adapters=()) -> T.Tensor:
     """Latent (n, c, h, w) -> image tensor in [0,1] (sigmoid output), differentiable."""
-    h = T.silu(_conv(z, params, "dec.conv1", 1, adapters))
-    h = T.silu(_conv(T.upsample2(h), params, "dec.conv2", 1, adapters))
-    return T.sigmoid(_conv(h, params, "dec.out", 0, adapters))
+    h = T.silu(_conv(z, params, "dec.conv1", adapters))
+    h = T.silu(_conv(T.upsample2(h), params, "dec.conv2", adapters))
+    return T.sigmoid(_conv(h, params, "dec.out", adapters))
 
 
 def decode(z: T.Tensor, params: NetParams, adapters=()) -> Image:

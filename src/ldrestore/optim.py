@@ -1,10 +1,11 @@
 """AdamW with decoupled weight decay and bias correction.
 
-The optimizer binds to an ordered list of (name, Tensor) pairs. The
-moments of all tensors of one dtype live in one flat buffer per moment, so
-a step runs the moment and update arithmetic once per dtype rather than
-once per tensor; ``m[name]`` and ``v[name]`` are views of each tensor's
-slice in its shape. ``step`` reads each tensor's .grad and checks all of
+The optimizer binds to an ordered list of (name, Tensor) pairs whose names
+are distinct, since the moments are kept and saved by name. The moments of
+all tensors of one dtype live in one flat buffer per moment, so a step runs
+the moment and update arithmetic once per dtype rather than once per
+tensor; ``m[name]`` and ``v[name]`` are views of each tensor's slice in its
+shape. ``step`` reads each tensor's .grad and checks all of
 them before it changes anything. State round-trips through plain dicts for
 checkpointing.
 """
@@ -22,6 +23,11 @@ class AdamW:
         self.named = [(str(n), t) for n, t in named_tensors]
         if not self.named:
             raise ContractViolation("AdamW: no parameters to optimize")
+        seen = set()
+        for n, _ in self.named:
+            if n in seen:
+                raise ContractViolation(f"AdamW: name {n!r} is bound twice; the moments are keyed by name")
+            seen.add(n)
         self.lr = float(lr)
         self.beta1, self.beta2 = float(betas[0]), float(betas[1])
         self.eps = float(eps)

@@ -27,40 +27,40 @@ combinations exist only as named ops (``channel_bias``, ``row_scale``,
 batch ``(n, c, h, w)`` only, and a 3-D input raises ``DimensionError``; a
 single item is a batch of one.
 
-Convolution is one tape node per call, with inputs (x, k) or (x, k, bias).
-It works on a channel-major grid: ``_to_grid`` copies an (n, c, h, w) batch
-into zeros of shape (c, head + n*hp*wp + tail), each image in a slot of its
-own (hp, wp) grid, and its adjoint ``_from_grid`` reads each image's window
-back out. The conv's slot is hp, wp = max(h + padding, ho), max(w +
-padding, wo): the image at its top left, then at least ``padding`` zero rows
-and columns. On the flattened grid those zeros are also the bottom border
-of one image and the top border of the next, and the right border of one
-row and the left border of the next, so neighbours share a single border;
-head = padding*wp + padding zeros give the first image its top and left
-border. With enough tail zeros that the last tap stays inside the grid,
-kernel tap (i, j) reads one contiguous slice at offset i*wp + j. The
+Convolution is one tape node per call, with inputs (x, k, bias). The kernel
+is square with an odd side k, and the input is zero-padded by p = k // 2 on
+every side, so the output keeps the input's (h, w) ("same" padding,
+Dumoulin & Visin, arXiv 1603.07285). It works on one channel-major grid:
+``_to_grid`` copies an (n, c, h, w) batch into zeros of shape (c, head +
+n*hp*wp + head), each image at the top left of a slot of its own (hp, wp) =
+(h + p, w + p), and its adjoint ``_from_grid`` reads each image's (h, w)
+back out. On the flattened grid the p zero rows and columns after an image
+are also the bottom border of that image and the top border of the next,
+and the right border of one row and the left border of the next, so
+neighbours share a single border. The head = p*wp + p zeros before the
+first slot give the first image its top and left border. Kernel tap (i, j)
+then reads one contiguous slice at offset i*wp + j, and the head zeros
+after the last slot keep the last tap, at 2*head, inside the grid. The
 forward takes one product per tap, the tap's (co, c) block of the kernel
 times the tap's slice, summed into a ``(co, n*hp*wp)`` grid
-(``_tap_matmul``). It then adds the bias and reads each image's (ho, wo)
-window out. A low-rank adapter reaches the node only through its kernel
+(``_tap_matmul``). It then adds the bias and reads each image's (h, w) out.
+A low-rank adapter reaches the node only through its kernel
 (``network.adapted_weight``). The input gradient is the transposed
 convolution, which is a direct convolution with the flipped kernel over the
-zero-extended output gradient (Dumoulin & Visin, arXiv 1603.07285). So the
-backward puts the output gradient on the grid after the same number of
-leading zeros, and runs ``_tap_matmul`` with the per-tap blocks in reverse
+zero-extended output gradient. So the backward puts the output gradient on
+the same grid, and runs ``_tap_matmul`` with the per-tap blocks in reverse
 order and transposed. The kernel gradient, whose inner dimension is the
 whole grid, takes the grid in column blocks that stay in cache across the
 taps. No patch matrix is formed anywhere in the node, except with a single
-channel on the product's input side: there the ``(kh*kw, n*hp*wp)`` patch
-matrix is smaller than the output, and one product with it replaces kh*kw
+channel on the product's input side: there the ``(k*k, n*hp*wp)`` patch
+matrix is smaller than the output, and one product with it replaces k*k
 products of inner dimension 1. Grid positions outside the crop get zero
 gradient, and the bias gradient is the grid gradient summed over batch and
-space. ``im2col`` and ``fold_channels_last`` record the patch matrix and the
-crop as tape ops of their own, on the same grid pair: tests compose them
-with ``channel_bias``, which takes one bias row per item (the conv bias
-tiled over the batch), as the reference for the node, and the benchmark's
-tracer looks them up by name. This module is the only one that knows the
-layout.
+space. ``im2col`` and ``fold_channels_last`` record the patch matrix of
+that grid and its crop as tape ops of their own: tests compose them with
+``channel_bias``, which takes one bias row per item (the conv bias tiled
+over the batch), as the reference for the node, and the benchmark's tracer
+looks them up by name. This module is the only one that knows the layout.
 
 Importing this module fixes glibc's heap thresholds (``_keep_heap_mapped``).
 With no patch matrix, every temporary of a training step is below about
@@ -427,91 +427,85 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
 # convolution over the flattened padded grid, and resampling
 
 
-def _conv_geometry(x_shape, k_shape, padding):
-    if len(k_shape) != 4:
-        raise DimensionError(f"conv2d: kernel must be 4-D, got {k_shape}")
-    co, ci, kh, kw = k_shape
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ParameterError(f"conv2d: kernel dims must be odd, got {kh}x{kw}")
-    if padding < 0:
-        raise ParameterError(f"conv2d: padding must be >= 0, got {padding}")
-    n, c, h, w = _batch_shape(x_shape, "conv2d")
-    if c != ci:
-        raise DimensionError(f"conv2d: input channels {c} vs kernel {ci} ({x_shape} with {k_shape})")
-    ho = h + 2 * padding - kh + 1
-    wo = w + 2 * padding - kw + 1
-    if ho < 1 or wo < 1:
-        raise DimensionError(f"conv2d: kernel {k_shape} larger than padded input {x_shape}")
-    # each image's grid slot: the image, then padding zero rows and columns
-    # that also pad the next image's top and the next row's left, and room
-    # for the (ho, wo) output window
-    hp, wp = max(h + padding, ho), max(w + padding, wo)
-    return n, c, h, w, co, kh, kw, ho, wo, hp, wp
+def _conv_grid(x_shape, k_shape, op):
+    """conv2d's grid of an (n, c, h, w) batch under a kernel of trailing dims
+    k_shape[-2:], which must be square with an odd side k: (n, c, h, w, k,
+    hp, wp, head). Each image's slot is the image followed by p = k // 2
+    zero rows and columns, and head = p*wp + p zeros give the first image
+    its top and left border (see the module docstring)."""
+    kh, kw = k_shape[-2:]
+    if kh != kw or kh % 2 == 0:
+        raise ParameterError(f"{op}: kernel must be square with an odd side, got {tuple(k_shape)}")
+    n, c, h, w = _batch_shape(x_shape, op)
+    p = kh // 2
+    hp, wp = h + p, w + p
+    return n, c, h, w, kh, hp, wp, p * wp + p
 
 
-def _to_grid(a, hp, wp, at, head=0, tail=0):
-    """(n, c, h, w) batch -> zeroed channel-major grid (c, head + n*hp*wp + tail).
+def _to_grid(a, hp, wp, head=0):
+    """(n, c, h, w) batch -> zeroed channel-major grid (c, head + n*hp*wp + head).
 
-    Image b fills rows and columns at..at+h-1 and at..at+w-1 of the b-th
-    (hp, wp) grid, which starts at column head + b*hp*wp; everything else
-    is zero. A batch that fills its grids, with no head or tail, is only
-    swapped to (c, n) order, which is a view when n = 1.
+    Image b fills the top-left (h, w) of the b-th (hp, wp) slot, which
+    starts at column head + b*hp*wp; everything else is zero. A batch that
+    fills its slots, with no head, is only swapped to (c, n) order, which
+    is a view when n = 1.
     """
     n, c, h, w = a.shape
     swapped = a.transpose(1, 0, 2, 3)
-    if (h, w) == (hp, wp) and head == tail == 0:
+    if (h, w) == (hp, wp) and not head:
         return np.ascontiguousarray(swapped).reshape(c, n * hp * wp)
     length = n * hp * wp
-    grid = np.zeros((c, head + length + tail), dtype=a.dtype)
-    grid[:, head : head + length].reshape(c, n, hp, wp)[:, :, at : at + h, at : at + w] = swapped
+    grid = np.zeros((c, length + 2 * head), dtype=a.dtype)
+    grid[:, head : head + length].reshape(c, n, hp, wp)[:, :, :h, :w] = swapped
     return grid
 
 
-def _from_grid(grid, n, hp, wp, at, h, w):
-    """Adjoint of _to_grid without head or tail: (c, n*hp*wp) -> (n, c, h, w),
-    the (h, w) window at offset (at, at) of each image's grid."""
+def _from_grid(grid, n, hp, wp, h, w):
+    """Adjoint of _to_grid without head: (c, n*hp*wp) -> (n, c, h, w), the
+    top-left (h, w) of each image's slot."""
     c = grid.shape[0]
-    v = grid.reshape(c, n, hp, wp)[:, :, at : at + h, at : at + w]
+    v = grid.reshape(c, n, hp, wp)[:, :, :h, :w]
     return np.ascontiguousarray(v.transpose(1, 0, 2, 3))
 
 
-def _tap_offsets(kh, kw, wp):
-    """Offset of tap (i, j) into a flattened padded grid of width wp, in (i, j) order."""
-    return [i * wp + j for i in range(kh) for j in range(kw)]
+def _tap_offsets(k, wp):
+    """Offset of tap (i, j) of a k x k kernel into a flattened grid of width wp, in (i, j) order."""
+    return [i * wp + j for i in range(k) for j in range(k)]
 
 
-def _patches(xp, kh, kw, wp, length):
-    """(c*kh*kw, length) patch matrix of a padded grid: row (ci, i, j) is xp[ci, i*wp+j:][:length]."""
-    if kh == kw == 1:
+def _patches(xp, k, wp, length):
+    """(c*k*k, length) patch matrix of a grid: row (ci, i, j) is xp[ci, i*wp+j:][:length]."""
+    if k == 1:
         return xp
     c = xp.shape[0]
-    cols = np.empty((c, kh * kw, length), dtype=xp.dtype)
-    for t, off in enumerate(_tap_offsets(kh, kw, wp)):
+    cols = np.empty((c, k * k, length), dtype=xp.dtype)
+    for t, off in enumerate(_tap_offsets(k, wp)):
         cols[:, t] = xp[:, off : off + length]
-    return cols.reshape(c * kh * kw, length)
+    return cols.reshape(c * k * k, length)
 
 
-def _col2im(gcols, kh, kw, wp, length):
-    """Adjoint of _patches onto the grid without its tail, which is constant: (c, length)."""
-    taps = gcols.reshape(-1, kh * kw, length)
-    gxp = taps[:, 0].copy()
-    for t, off in enumerate(_tap_offsets(kh, kw, wp)[1:], 1):
-        gxp[:, off:] += taps[:, t, : length - off]
+def _col2im(gcols, k, wp, length):
+    """Adjoint of _patches onto the whole grid, up to the last tap's slice: (c, length + off_last)."""
+    taps = gcols.reshape(-1, k * k, length)
+    offsets = _tap_offsets(k, wp)
+    gxp = np.zeros((taps.shape[0], length + offsets[-1]), dtype=gcols.dtype)
+    for t, off in enumerate(offsets):
+        gxp[:, off : off + length] += taps[:, t]
     return gxp
 
 
-def _tap_matmul(mt, xp, kh, kw, wp, length, dtype):
-    """sum over taps t of mt[t] @ xp[:, off_t:][:, :length], mt (kh*kw, rows, c): (rows, length).
+def _tap_matmul(mt, xp, k, wp, length, dtype):
+    """sum over taps t of mt[t] @ xp[:, off_t:][:, :length], mt (k*k, rows, c): (rows, length).
 
-    With one input channel the (kh*kw, length) patch matrix is smaller than
-    the output, and one product with it replaces kh*kw broadcast
+    With one input channel the (k*k, length) patch matrix is smaller than
+    the output, and one product with it replaces k*k broadcast
     multiply-adds: enc.conv1 at the default config, 0.36-0.46 -> 0.05-0.07 ms.
     """
     out = np.empty((mt.shape[1], length), dtype=dtype)
     if xp.shape[0] == 1:
-        return np.matmul(mt[:, :, 0].T, _patches(xp, kh, kw, wp, length), out=out)
-    tmp = np.empty_like(out) if kh * kw > 1 else None
-    for t, off in enumerate(_tap_offsets(kh, kw, wp)):
+        return np.matmul(mt[:, :, 0].T, _patches(xp, k, wp, length), out=out)
+    tmp = np.empty_like(out) if k > 1 else None
+    for t, off in enumerate(_tap_offsets(k, wp)):
         np.matmul(mt[t], xp[:, off : off + length], out=tmp if t else out)
         if t:
             out += tmp
@@ -525,12 +519,12 @@ def _grad_block(c, length, itemsize):
     return -(-length // blocks)
 
 
-def _tap_matmul_t(g, xp, kh, kw, wp, length):
-    """g @ _patches(xp).T, as one product per tap with a slice of xp: (rows, c*kh*kw).
+def _tap_matmul_t(g, xp, k, wp, length):
+    """g @ _patches(xp).T, as one product per tap with a slice of xp: (rows, c*k*k).
 
     Each product's inner dimension is the whole grid. The grid's columns are
     split into blocks of _grad_block columns, and every tap runs on one
-    block before the next, so the kh*kw overlapping slices of a block are
+    block before the next, so the k*k overlapping slices of a block are
     read while they are in cache; the first block writes each tap's product
     and later blocks add to it. The 256 KiB budget is measured (float32,
     OpenBLAS on one thread, a 2-core Xeon with 2 MiB of L2 per core): one
@@ -544,15 +538,15 @@ def _tap_matmul_t(g, xp, kh, kw, wp, length):
     """
     c = xp.shape[0]
     if c == 1:
-        return g @ _patches(xp, kh, kw, wp, length).T
+        return g @ _patches(xp, k, wp, length).T
     dtype = np.result_type(g, xp)
-    out = np.empty((kh * kw, g.shape[0], c), dtype=dtype)
+    out = np.empty((k * k, g.shape[0], c), dtype=dtype)
     tmp = np.empty_like(out[0])
     block = _grad_block(c, length, dtype.itemsize)
     for lo in range(0, length, block):
         hi = min(lo + block, length)
         gb = g[:, lo:hi]
-        for t, off in enumerate(_tap_offsets(kh, kw, wp)):
+        for t, off in enumerate(_tap_offsets(k, wp)):
             xs = xp[:, off + lo : off + hi].T
             if lo:
                 out[t] += np.matmul(gb, xs, out=tmp)
@@ -561,92 +555,83 @@ def _tap_matmul_t(g, xp, kh, kw, wp, length):
     return out.transpose(1, 2, 0).reshape(g.shape[0], -1)
 
 
-def im2col(x: Tensor, kh: int, kw: int, padding: int) -> Tensor:
-    """Patch matrix of a (kh, kw) window over the zero-padded grid: (c*kh*kw, n*hp*wp).
+def im2col(x: Tensor, k: int) -> Tensor:
+    """Patch matrix of a k x k window over conv2d's grid of x: (c*k*k, n*hp*wp).
 
-    x is an (n, c, h, w) batch. Column (b, r, s) in (n, hp, wp) order and
-    row (ci, i, j), the order of a kernel's (co, ci*kh*kw) view, hold the
-    padded input at (b, ci, r+i, s+j). Only columns with r <= hp-kh and
-    s <= wp-kw are windows of the input; the others hold finite values that
-    fold_channels_last crops away. conv2d forms no such matrix; this op is
-    the reference that tests compose it against.
+    x is an (n, c, h, w) batch and k is odd, with p = k // 2. Column
+    (b, r, s) in (n, hp, wp) order and row (ci, i, j), the order of a
+    kernel's (co, ci*k*k) view, hold x at (b, ci, r+i-p, s+j-p), or zero
+    outside the image. Only columns with r < h and s < w are windows centred
+    on a pixel; the others hold finite values that fold_channels_last crops
+    away. conv2d forms no such matrix; this op is the reference that tests
+    compose it against.
     """
-    n, c, h, w = _batch_shape(x.shape, "im2col")
-    hp, wp = h + 2 * padding, w + 2 * padding
-    if hp < kh or wp < kw:
-        raise DimensionError(f"im2col: window {kh}x{kw} larger than padded input {x.shape}")
+    n, c, h, w, k, hp, wp, head = _conv_grid(x.shape, (k, k), "im2col")
     length = n * hp * wp
-    cols = _patches(_to_grid(x.data, hp, wp, padding, tail=(kh - 1) * wp + kw - 1), kh, kw, wp, length)
+    cols = _patches(_to_grid(x.data, hp, wp, head), k, wp, length)
     return _make(
         cols, "im2col", (x,),
-        (lambda g: _from_grid(_col2im(g, kh, kw, wp, length), n, hp, wp, padding, h, w),),
+        (lambda g: _from_grid(_col2im(g, k, wp, length)[:, head : head + length], n, hp, wp, h, w),),
     )
 
 
-def fold_channels_last(y: Tensor, lead_shape, out_hw) -> Tensor:
-    """Grid product (co, n*hp*wp) -> (n, co, ho, wo) activations, lead (n, hp, wp),
-    keeping the top-left (ho, wo) = out_hw of each grid.
-    """
-    if len(lead_shape) != 3:
-        raise DimensionError(f"fold_channels_last: need lead (n, hp, wp), got {lead_shape}")
-    n, hp, wp = lead_shape
-    ho, wo = out_hw
-    if y.ndim != 2 or y.shape[1] != n * hp * wp or not (0 < ho <= hp and 0 < wo <= wp):
-        raise DimensionError(f"fold_channels_last: {y.shape} with grid {lead_shape} cropped to {out_hw}")
-    return _make(_from_grid(y.data, n, hp, wp, 0, ho, wo), "fold", (y,), (lambda g: _to_grid(g, hp, wp, 0),))
+def fold_channels_last(y: Tensor, x_shape, k: int) -> Tensor:
+    """Grid product (co, n*hp*wp) -> (n, co, h, w) activations: the crop of
+    conv2d's grid of an (n, c, h, w) = x_shape batch under a k x k kernel."""
+    n, _, h, w, k, hp, wp, _ = _conv_grid(x_shape, (k, k), "fold_channels_last")
+    if y.ndim != 2 or y.shape[1] != n * hp * wp:
+        raise DimensionError(f"fold_channels_last: {y.shape} is not the grid of {tuple(x_shape)} under {k}x{k}")
+    return _make(_from_grid(y.data, n, hp, wp, h, w), "fold", (y,), (lambda g: _to_grid(g, hp, wp),))
 
 
-def conv2d(x: Tensor, k: Tensor, padding: int = 0, bias=None) -> Tensor:
-    """Cross-correlation with zero padding; x (n,c,h,w), k (co,ci,kh,kw).
-
-    bias (co,), if given, is added to every output position. One tape node
-    with inputs (x, k) or (x, k, bias).
+def conv2d(x: Tensor, k: Tensor, bias: Tensor) -> Tensor:
+    """Same-padded cross-correlation plus a bias: x (n, c, h, w), k (co, c, s, s)
+    with s odd, bias (co,) -> (n, co, h, w). One tape node with inputs (x, k, bias).
 
     The forward puts x on the grid with _to_grid, each image at the top
-    left of its (hp, wp) slot after head zeros, so that neighbouring images
-    and rows share one zero border (see the module docstring), and takes
-    one product per tap of the kernel (_tap_matmul). The backward puts the
-    output gradient on the grid after span = (kh-1)*wp + kw-1 zeros, the
-    last tap's offset. The input gradient is then the same _tap_matmul with
-    the kernel's per-tap blocks in reverse tap order and transposed; on
-    that grid image b's pixel (r, s) sits at row r + padding, column
-    s + padding of slot b, where _from_grid reads it back. The grid of x is
-    rebuilt only when k needs a gradient.
+    left of its (hp, wp) slot between head zeros, so that neighbouring
+    images and rows share one zero border (see the module docstring), and
+    takes one product per tap of the kernel (_tap_matmul). The backward
+    puts the output gradient on the same grid. The input gradient is then
+    the same _tap_matmul with the kernel's per-tap blocks in reverse tap
+    order and transposed: tap t reads the output gradient 2*head - off_t
+    columns on, which the border keeps inside the grid, and image b's pixel
+    (r, s) comes out at the top left of slot b, where _from_grid reads it.
+    The grid of x is rebuilt only when k needs a gradient.
     """
-    n, c, h, w, co, kh, kw, ho, wo, hp, wp = _conv_geometry(x.shape, k.shape, padding)
-    if bias is not None and bias.shape != (co,):
+    if k.ndim != 4:
+        raise DimensionError(f"conv2d: kernel must be 4-D, got {k.shape}")
+    n, c, h, w, ks, hp, wp, head = _conv_grid(x.shape, k.shape, "conv2d")
+    co, ci = k.shape[:2]
+    if c != ci:
+        raise DimensionError(f"conv2d: input channels {c} vs kernel {ci} ({x.shape} with {k.shape})")
+    if bias.shape != (co,):
         raise DimensionError(f"conv2d: bias {bias.shape} does not fit kernel {k.shape}; need ({co},)")
-    inputs = (x, k) + ((bias,) if bias is not None else ())
-    dtype = np.result_type(*(t.data for t in inputs))
-    span = (kh - 1) * wp + kw - 1  # offset of the last tap
-    head = padding * wp + padding  # the first image's top and left border
-    tail = max(0, span - head)  # so that the last tap stays inside the grid
-    geom = (kh, kw, wp, n * hp * wp)
+    inputs = (x, k, bias)
+    dtype = np.result_type(x.data, k.data, bias.data)
+    length = n * hp * wp
+    geom = (ks, wp, length)
     # the kernel as one contiguous (co, c) block per tap
-    mt = np.ascontiguousarray(k.data.reshape(co, c, kh * kw).transpose(2, 0, 1))
-    y = _tap_matmul(mt, _to_grid(x.data, hp, wp, 0, head, tail), *geom, dtype)
-    if bias is not None:
-        y += bias.data[:, None]
-    out = Tensor(_from_grid(y, n, hp, wp, 0, ho, wo))
+    mt = np.ascontiguousarray(k.data.reshape(co, c, ks * ks).transpose(2, 0, 1))
+    y = _tap_matmul(mt, _to_grid(x.data, hp, wp, head), *geom, dtype)
+    y += bias.data[:, None]
+    out = Tensor(_from_grid(y, n, hp, wp, h, w))
     if not _recording(inputs):
         return out
 
     def backward(g):
         need = [t._needs_grad() for t in inputs]
-        grads = [None for _ in inputs]
-        # tap t of the input gradient reads the output gradient span - off_t
-        # columns back, which the leading zeros keep inside the grid
-        gh = _to_grid(g, hp, wp, 0, head=span)
-        gg = gh[:, span:]
+        grads = [None, None, None]
+        gh = _to_grid(g, hp, wp, head)
+        gg = gh[:, head : head + length]
         if need[0]:
             # the transposed conv of g: the forward's taps reversed and transposed
             gxp = _tap_matmul(mt[::-1].transpose(0, 2, 1), gh, *geom, np.result_type(mt, gh))
-            grads[0] = _from_grid(gxp, n, hp, wp, padding, h, w)
+            grads[0] = _from_grid(gxp, n, hp, wp, h, w)
             del gxp  # before the grid of x is built
         if need[1]:
-            xp = _to_grid(x.data, hp, wp, 0, head, tail)
-            grads[1] = _tap_matmul_t(gg, xp, *geom).reshape(k.shape)
-        if bias is not None and need[2]:
+            grads[1] = _tap_matmul_t(gg, _to_grid(x.data, hp, wp, head), *geom).reshape(k.shape)
+        if need[2]:
             grads[2] = gg.sum(axis=1)
         return tuple(grads)
 
@@ -725,7 +710,7 @@ def backward(loss: Tensor):
             t.grad += g
         if t.node is not None:
             for inp, gi in zip(t.node.inputs, t.node.backward(g)):
-                if gi is None or not inp._needs_grad():
+                if gi is None:
                     continue
                 key = id(inp)
                 if key in grads:

@@ -20,7 +20,7 @@ from ldrestore.network import (
 )
 from ldrestore.optim import AdamW
 
-TINY = NetConfig(image_size=16, c_lat=3, c_enc=3, c_hid=4, c_mid=5, prompt_dim=4, temb_dim=4)
+from tiny_config import TINY
 
 HEADER_OFFSET = 16  # magic, version, header length
 
@@ -115,10 +115,9 @@ def test_zero_d_array_round_trips_as_scalar(tmp_path):
 
 
 def test_float32_params_round_trip_bit_identical(tmp_path):
-    cfg = NetConfig(image_size=16, c_lat=3, c_enc=3, c_hid=4, c_mid=5, prompt_dim=4, temb_dim=4)
-    params = init_params(cfg, 7)
+    params = init_params(TINY, 7)
     path = tmp_path / "p.ldrs"
-    save_checkpoint(path, "base", cfg.to_dict(), {}, [(n, t.data) for n, t in params.items()], {})
+    save_checkpoint(path, "base", TINY.to_dict(), {}, [(n, t.data) for n, t in params.items()], {})
     ck = load_checkpoint(path)
     back = NetParams(NetConfig.from_dict(ck.config), {n: T.Tensor(a) for n, a in ck.arrays.items()})
     assert back.names() == params.names()

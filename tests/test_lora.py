@@ -17,7 +17,6 @@ from ldrestore.lora import (
 )
 from ldrestore.network import (
     ConditioningBundle,
-    NetConfig,
     NetParams,
     _conv,
     adapted_weight,
@@ -33,10 +32,10 @@ from ldrestore.network import (
 from ldrestore.optim import AdamW
 
 from gradcheck import grad_error
+from tiny_config import TINY
 
 # float32, the default, and float64, the reference mode
 COMPUTE_MODES = (contextlib.nullcontext, T.float64)
-TINY = NetConfig(image_size=16, c_lat=3, c_enc=3, c_hid=4, c_mid=5, prompt_dim=4, temb_dim=4)
 
 
 def tiny_net(seed=0):
@@ -218,18 +217,18 @@ def test_lora_config_rejects_bad_fields():
 
 
 def test_conv_site_adapter_gradients():
-    # A and B through a conv site: den.mid (3x3, padding 1) on a batch of three,
-    # and ctrl.zero.sft (1x1, padding 0), whose kernel starts at zero
+    # A and B through a conv site: den.mid (3x3) on a batch of three,
+    # and ctrl.zero.sft (1x1), whose kernel starts at zero
     rng = np.random.default_rng(9)
     with T.float64():
         params = init_params(TINY, 0)
-        for base, x_shape, pad in [("den.mid", (3, 5, 4, 4), 1), ("ctrl.zero.sft", (3, 3, 4, 4), 0)]:
+        for base, x_shape in [("den.mid", (3, 5, 4, 4)), ("ctrl.zero.sft", (3, 3, 4, 4))]:
             co, k = matrix_view_shape(params[base + ".w"], base)
             A0, B0 = T.Tensor(rng.normal(size=(co, 2))), T.Tensor(rng.normal(size=(2, k)) * 0.3)
             x, w = T.Tensor(rng.normal(size=x_shape)), T.Tensor(rng.normal(size=(3, co, 4, 4)))
 
             def loss(A, B):
-                return T.tsum(T.mul(_conv(x, params, base, pad, [LoraAdapter(base + ".w", A, B)]), w))
+                return T.tsum(T.mul(_conv(x, params, base, [LoraAdapter(base + ".w", A, B)]), w))
 
             assert grad_error(lambda probe: loss(probe, B0), A0) < 1e-6
             assert grad_error(lambda probe: loss(A0, probe), B0) < 1e-6

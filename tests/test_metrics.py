@@ -18,9 +18,9 @@ from ldrestore.metrics import (
     psnr,
     ssim,
 )
-from ldrestore.network import NetConfig, encode, init_params
+from ldrestore.network import encode, init_params
 
-TINY = NetConfig(image_size=16, c_lat=3, c_enc=3, c_hid=4, c_mid=5, prompt_dim=4, temb_dim=4)
+from tiny_config import TINY
 
 
 def image_pair(shape, seed):

@@ -26,8 +26,7 @@ from ldrestore.network import (
 )
 
 from gradcheck import grad_error
-
-TINY = NetConfig(image_size=16, c_lat=3, c_enc=3, c_hid=4, c_mid=5, prompt_dim=4, temb_dim=4)
+from tiny_config import TINY
 
 
 def tiny_setup(seed=0):
@@ -103,8 +102,8 @@ def test_control_zero_branch_neutral_at_init():
     z = encode(T.Tensor(img[None]), params)
     pe = prompt_embedding(params, ["gradient"])
     zc_in = T.concat_channels(z, T.broadcast_spatial(pe, z.shape[2], z.shape[3]))
-    assert np.all(network._conv(zc_in, params, "ctrl.zero.conv", 0, {}).data == 0.0)
-    plain = T.conv2d(z, params["ctrl.conv.w"], 1, bias=params["ctrl.conv.b"])
+    assert np.all(network._conv(zc_in, params, "ctrl.zero.conv", {}).data == 0.0)
+    plain = T.conv2d(z, params["ctrl.conv.w"], params["ctrl.conv.b"])
     assert np.array_equal(control_features(z, pe, params).data, plain.data)
 
 
@@ -132,7 +131,7 @@ def test_denoise_shape_and_zero_sft_neutral_at_init():
     out = denoise(zt, 3, cond, params)
     assert out.shape == zt.shape
     # the bottleneck skip adds exact zeros
-    sft = network._conv(T.avg_pool2(cond.z_lq), params, "ctrl.zero.sft", 0, {})
+    sft = network._conv(T.avg_pool2(cond.z_lq), params, "ctrl.zero.sft", {})
     assert np.all(sft.data == 0.0)
 
 

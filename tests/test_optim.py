@@ -71,6 +71,14 @@ def test_adamw_state_dict_round_trip_continues_bit_exactly():
         assert np.array_equal(resumed.m[n], ref.m[n]) and np.array_equal(resumed.v[n], ref.v[n])
 
 
+def test_adamw_rejects_a_repeated_name():
+    # the moments are saved and restored by name, so a second tensor under one
+    # name would resume with the first one's moments, or with none
+    a, b = (T.Tensor(np.zeros(2), requires_grad=True) for _ in range(2))
+    with pytest.raises(ContractViolation, match="'w.A'"):
+        AdamW([("w.A", a), ("w.B", b), ("w.A", b)])
+
+
 def test_adamw_keeps_each_dtype_and_matches_per_tensor_arithmetic():
     rng = np.random.default_rng(1)
     p32 = T.Tensor(rng.normal(size=(3, 2)), requires_grad=True)

@@ -11,32 +11,32 @@ import pytest
 
 from ldrestore import network
 from ldrestore import tensor as T
-from ldrestore.errors import ContractViolation, DimensionError
+from ldrestore.errors import ContractViolation, DimensionError, ParameterError
 from ldrestore.lora import LoraAdapter
 
 from gradcheck import grad_error, numeric_grad
 
 
-def conv2d_loops(x, k, padding=0):
-    """Brute-force cross-correlation oracle, nested loops only; a batch is looped per item."""
+def conv2d_loops(x, k, b):
+    """Brute-force same-padded cross-correlation plus bias, nested loops only;
+    a batch is looped per item."""
     if x.ndim == 4:
-        return np.stack([conv2d_loops(xi, k, padding) for xi in x])
+        return np.stack([conv2d_loops(xi, k, b) for xi in x])
     c, h, w = x.shape
     co, ci, kh, kw = k.shape
-    assert c == ci
-    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
-    ho = h + 2 * padding - kh + 1
-    wo = w + 2 * padding - kw + 1
-    y = np.zeros((co, ho, wo))
+    assert c == ci and kh == kw
+    p = kh // 2
+    xp = np.pad(x, ((0, 0), (p, p), (p, p)))
+    y = np.zeros((co, h, w))
     for o in range(co):
-        for i in range(ho):
-            for j in range(wo):
+        for i in range(h):
+            for j in range(w):
                 acc = 0.0
                 for ch in range(ci):
                     for a in range(kh):
-                        for b in range(kw):
-                            acc += xp[ch, i + a, j + b] * k[o, ch, a, b]
-                y[o, i, j] = acc
+                        for s in range(kw):
+                            acc += xp[ch, i + a, j + s] * k[o, ch, a, s]
+                y[o, i, j] = acc + b[o]
     return y
 
 
@@ -82,38 +82,33 @@ def test_linear_matches_matmul_transpose():
 def test_conv2d_matches_loop_oracle():
     with T.float64():
         rng = np.random.default_rng(2)
-        # batches of one and of three, 3x3 and 1x1 kernels, one input channel
+        # batches of one and of three, 3x3, 5x5 and 1x1 kernels, one input
+        # channel, one output channel, and a kernel wider than the input
         for x_shape, k_shape in [((1, 2, 5, 6), (3, 2, 3, 3)), ((3, 2, 5, 6), (3, 2, 3, 3)),
-                                 ((3, 1, 5, 6), (4, 1, 3, 3)),
+                                 ((3, 1, 5, 6), (4, 1, 3, 3)), ((3, 2, 5, 6), (1, 2, 3, 3)),
+                                 ((3, 2, 5, 6), (3, 2, 5, 5)), ((2, 2, 2, 3), (3, 2, 5, 5)),
                                  ((1, 2, 5, 6), (4, 2, 1, 1)), ((3, 2, 4, 5), (4, 2, 1, 1))]:
-            x = rng.normal(size=x_shape)
-            k = rng.normal(size=k_shape)
-            for pad in (0, 1):
-                y = T.conv2d(T.Tensor(x), T.Tensor(k), padding=pad)
-                assert np.allclose(y.data, conv2d_loops(x, k, pad), atol=1e-12)
-        # a bias is added to every output position of its channel
-        b = rng.normal(size=4)
-        y = T.conv2d(T.Tensor(x), T.Tensor(k), 1, T.Tensor(b))
-        assert np.allclose(y.data, conv2d_loops(x, k, 1) + b[:, None, None], atol=1e-12)
-        # at a conv site, a low-rank adapter acts as kernel + (A @ B) in the kernel's (co, ci*kh*kw) view
+            x, k, b = rng.normal(size=x_shape), rng.normal(size=k_shape), rng.normal(size=k_shape[0])
+            y = T.conv2d(T.Tensor(x), T.Tensor(k), T.Tensor(b))
+            assert np.allclose(y.data, conv2d_loops(x, k, b), atol=1e-12)
+        # at a conv site, a low-rank adapter acts as kernel + (A @ B) in the kernel's (co, ci*k*k) view
         A, B = rng.normal(size=(4, 2)), rng.normal(size=(2, 2))
         params = network.NetParams(network.NetConfig(), {"s.w": T.Tensor(k), "s.b": T.Tensor(b)})
-        y = network._conv(T.Tensor(x), params, "s", 1, [LoraAdapter("s.w", T.Tensor(A), T.Tensor(B))])
-        assert np.allclose(y.data, conv2d_loops(x, k + (A @ B).reshape(k.shape), 1) + b[:, None, None], atol=1e-12)
+        y = network._conv(T.Tensor(x), params, "s", [LoraAdapter("s.w", T.Tensor(A), T.Tensor(B))])
+        assert np.allclose(y.data, conv2d_loops(x, k + (A @ B).reshape(k.shape), b), atol=1e-12)
     # float32, the default compute dtype: within float32 rounding of the float64 oracle
-    for x_shape, k_shape in [((3, 2, 5, 6), (3, 2, 3, 3)), ((3, 1, 5, 6), (4, 1, 3, 3)), ((3, 2, 4, 5), (4, 2, 1, 1))]:
-        x = rng.normal(size=x_shape)
-        k = rng.normal(size=k_shape)
-        for pad in (0, 1):
-            y = T.conv2d(T.Tensor(x), T.Tensor(k), padding=pad)
-            assert y.data.dtype == np.float32
-            assert np.allclose(y.data, conv2d_loops(x, k, pad), rtol=1e-5, atol=1e-5)
+    for x_shape, k_shape in [((3, 2, 5, 6), (3, 2, 3, 3)), ((3, 1, 5, 6), (4, 1, 3, 3)),
+                             ((3, 2, 5, 6), (3, 2, 5, 5)), ((3, 2, 4, 5), (4, 2, 1, 1))]:
+        x, k, b = rng.normal(size=x_shape), rng.normal(size=k_shape), rng.normal(size=k_shape[0])
+        y = T.conv2d(T.Tensor(x), T.Tensor(k), T.Tensor(b))
+        assert y.data.dtype == np.float32
+        assert np.allclose(y.data, conv2d_loops(x, k, b), rtol=1e-5, atol=1e-5)
     # in float64 mode, a float32 input with a float64 kernel and bias is computed in float64
     x32 = T.Tensor(x)
     with T.float64():
         k64, b64 = T.Tensor(k), T.Tensor(rng.normal(size=k.shape[0]))
-        y = T.conv2d(x32, k64, 1, b64)
-    want = conv2d_loops(x32.data.astype(np.float64), k, 1) + b64.data[:, None, None]
+        y = T.conv2d(x32, k64, b64)
+    want = conv2d_loops(x32.data.astype(np.float64), k, b64.data)
     assert y.data.dtype == np.float64
     assert np.allclose(y.data, want, rtol=1e-12, atol=1e-12)
 
@@ -122,70 +117,85 @@ def test_conv2d_batched_equals_per_item():
     # neighbouring images share zero border rows on the grid, so a wrong
     # offset or slot size would leak one image into the next
     rng = np.random.default_rng(3)
-    xb = rng.normal(size=(4, 2, 6, 5))
     with T.float64():
-        for hw in ((3, 3), (1, 3), (3, 1), (1, 1)):
-            k0 = rng.normal(size=(3, 2) + hw)
-            for pad in (0, 1, 2):
-                x, k = T.Tensor(xb, requires_grad=True), T.Tensor(k0, requires_grad=True)
-                yb = T.conv2d(x, k, pad)
-                w = rng.normal(size=yb.shape)
-                T.backward(T.tsum(T.mul(yb, T.Tensor(w))))
-                gk = np.zeros_like(k0)
-                for i in range(4):
-                    xi, ki = T.Tensor(xb[i : i + 1], requires_grad=True), T.Tensor(k0, requires_grad=True)
-                    yi = T.conv2d(xi, ki, pad)
-                    T.backward(T.tsum(T.mul(yi, T.Tensor(w[i : i + 1]))))
-                    assert np.allclose(yb.data[i : i + 1], yi.data, rtol=0, atol=1e-12), (hw, pad)
-                    assert np.allclose(x.grad[i : i + 1], xi.grad, rtol=0, atol=1e-12), (hw, pad)
-                    gk += ki.grad
-                # the batch's kernel gradient is the sum of the items'
-                assert np.allclose(k.grad, gk, rtol=0, atol=1e-12), (hw, pad)
+        # 1x1, 3x3 and 5x5 kernels, and kernels wider than the input
+        for x_shape, side in [((4, 2, 6, 5), 1), ((4, 2, 6, 5), 3), ((4, 2, 6, 5), 5),
+                              ((4, 2, 2, 3), 5), ((4, 2, 1, 1), 3)]:
+            xb, k0, b0 = rng.normal(size=x_shape), rng.normal(size=(3, 2, side, side)), rng.normal(size=3)
+            x, k, b = (T.Tensor(a, requires_grad=True) for a in (xb, k0, b0))
+            yb = T.conv2d(x, k, b)
+            w = rng.normal(size=yb.shape)
+            T.backward(T.tsum(T.mul(yb, T.Tensor(w))))
+            gk, gb = np.zeros_like(k0), np.zeros_like(b0)
+            for i in range(4):
+                xi, ki, bi = (T.Tensor(a, requires_grad=True) for a in (xb[i : i + 1], k0, b0))
+                yi = T.conv2d(xi, ki, bi)
+                T.backward(T.tsum(T.mul(yi, T.Tensor(w[i : i + 1]))))
+                assert np.allclose(yb.data[i : i + 1], yi.data, rtol=0, atol=1e-12), (x_shape, side)
+                assert np.allclose(x.grad[i : i + 1], xi.grad, rtol=0, atol=1e-12), (x_shape, side)
+                gk += ki.grad
+                gb += bi.grad
+            # the batch's kernel and bias gradients are the sums of the items'
+            assert np.allclose(k.grad, gk, rtol=0, atol=1e-12), (x_shape, side)
+            assert np.allclose(b.grad, gb, rtol=0, atol=1e-12), (x_shape, side)
 
 
 def test_conv2d_gradients_match_numeric():
     rng = np.random.default_rng(4)
-    # (input shape, kernel shape, padding, with a bias)
-    cases = [((1, 2, 4, 4), (2, 2, 3, 3), 1, False), ((2, 2, 4, 4), (2, 2, 3, 3), 1, False),
-             ((1, 2, 4, 5), (3, 2, 3, 3), 0, False), ((2, 2, 3, 4), (3, 2, 1, 1), 0, False),
-             ((2, 1, 4, 4), (3, 1, 3, 3), 1, True)]
-    # kernels that are not square, where the input gradient's tap order is
-    # flipped along each axis separately
-    cases += [((2, 2, 4, 5), (2, 2) + hw, pad, True) for hw in ((3, 1), (1, 3), (3, 5)) for pad in (0, 1, 2)]
+    # (input shape, kernel shape)
+    cases = [((1, 2, 4, 4), (2, 2, 3, 3)), ((2, 2, 4, 4), (2, 2, 3, 3)),
+             ((1, 2, 4, 5), (3, 2, 3, 3)), ((2, 2, 3, 4), (3, 2, 1, 1)),
+             ((2, 1, 4, 4), (3, 1, 3, 3))]
+    # 5x5 kernels, one of them wider than the input, where the input
+    # gradient's tap order is flipped along each axis
+    cases += [((1, 2, 4, 5), (2, 2, 5, 5)), ((2, 2, 2, 3), (2, 2, 5, 5))]
     # one output channel: the input gradient's product has one row on its
     # input side, so it takes the one-channel patch-matrix product
-    cases += [((2, 2, 4, 4), (1, 2, 3, 3), 1, False)]
-    for x_shape, k_shape, pad, with_bias in cases:
-        x0 = rng.normal(size=x_shape)
-        k0 = rng.normal(size=k_shape)
-        w = rng.normal(size=conv2d_loops(x0, k0, pad).shape)
+    cases += [((2, 2, 4, 4), (1, 2, 3, 3))]
+    for x_shape, k_shape in cases:
+        x0, k0, b0 = rng.normal(size=x_shape), rng.normal(size=k_shape), rng.normal(size=k_shape[0])
+        w = rng.normal(size=(x_shape[0], k_shape[0]) + x_shape[2:])
 
-        x = T.Tensor(x0, requires_grad=True)
-        k = T.Tensor(k0, requires_grad=True)
-        bias = T.Tensor(rng.normal(size=k_shape[0]), requires_grad=True) if with_bias else None
-        loss = T.tsum(T.mul(T.conv2d(x, k, pad, bias), T.Tensor(w)))
-        T.backward(loss)
-        if with_bias:  # the loss is linear in the bias
-            assert np.allclose(bias.grad, w.sum(axis=(0, 2, 3)), atol=1e-5)
+        x, k, bias = (T.Tensor(a, requires_grad=True) for a in (x0, k0, b0))
+        T.backward(T.tsum(T.mul(T.conv2d(x, k, bias), T.Tensor(w))))
+        # the loss is linear in the bias
+        assert np.allclose(bias.grad, w.sum(axis=(0, 2, 3)), atol=1e-5)
 
-        nx = numeric_grad(lambda v: np.sum(conv2d_loops(v, k0, pad) * w), x0)
-        nk = numeric_grad(lambda v: np.sum(conv2d_loops(x0, v, pad) * w), k0)
+        nx = numeric_grad(lambda v: np.sum(conv2d_loops(v, k0, b0) * w), x0)
+        nk = numeric_grad(lambda v: np.sum(conv2d_loops(x0, v, b0) * w), k0)
         assert np.allclose(x.grad, nx, atol=1e-5)
         assert np.allclose(k.grad, nk, atol=1e-5)
 
 
 def test_conv2d_channel_mismatch_names_shapes():
     with pytest.raises(DimensionError) as e:
-        T.conv2d(T.Tensor(np.zeros((1, 3, 5, 5))), T.Tensor(np.zeros((2, 4, 3, 3))))
+        T.conv2d(T.Tensor(np.zeros((1, 3, 5, 5))), T.Tensor(np.zeros((2, 4, 3, 3))), T.Tensor(np.zeros(2)))
     assert "(1, 3, 5, 5)" in str(e.value) and "(2, 4, 3, 3)" in str(e.value)
+
+
+def test_conv2d_kernel_must_be_square_with_an_odd_side():
+    # conv2d pads by k // 2 on every side, which keeps the input's size only
+    # for a square kernel of odd side; any other kernel raises, naming its shape
+    x = T.Tensor(np.zeros((2, 3, 5, 5)))
+    for k_shape in [(4, 3, 2, 2), (4, 3, 3, 1)]:
+        with pytest.raises(ParameterError) as e:
+            T.conv2d(x, T.Tensor(np.zeros(k_shape)), T.Tensor(np.zeros(4)))
+        assert str(k_shape) in str(e.value)
+    # so does a window of even side for the patch matrix of that grid
+    with pytest.raises(ParameterError, match="im2col"):
+        T.im2col(x, 2)
+    # a kernel that passes still needs a bias of one entry per output channel
+    with pytest.raises(DimensionError):
+        T.conv2d(x, T.Tensor(np.zeros((4, 3, 3, 3))), T.Tensor(np.zeros(3)))
 
 
 def test_spatial_ops_reject_a_single_item():
     # spatial ops take (n, c, h, w) batches only; a (c, h, w) item raises, naming its shape
     item = T.Tensor(np.zeros((2, 4, 4)))
     calls = {
-        "conv2d": lambda: T.conv2d(item, T.Tensor(np.zeros((3, 2, 3, 3))), 1),
-        "im2col": lambda: T.im2col(item, 3, 3, 1),
+        "conv2d": lambda: T.conv2d(item, T.Tensor(np.zeros((3, 2, 3, 3))), T.Tensor(np.zeros(3))),
+        "im2col": lambda: T.im2col(item, 3),
+        "fold_channels_last": lambda: T.fold_channels_last(T.Tensor(np.zeros((3, 25))), item.shape, 3),
         "concat_channels": lambda: T.concat_channels(item, item),
         "channel_bias": lambda: T.channel_bias(item, T.Tensor(np.zeros((1, 2)))),
         "avg_pool2": lambda: T.avg_pool2(item),
@@ -195,10 +205,7 @@ def test_spatial_ops_reject_a_single_item():
         with pytest.raises(DimensionError) as e:
             call()
         assert op in str(e.value) and "(2, 4, 4)" in str(e.value), op
-    # the single-item forms of the grid crop and the channel tiling
-    with pytest.raises(DimensionError) as e:
-        T.fold_channels_last(T.Tensor(np.zeros((3, 36))), (6, 6), (4, 4))
-    assert "(6, 6)" in str(e.value)
+    # the single-item form of the channel tiling
     with pytest.raises(DimensionError) as e:
         T.broadcast_spatial(T.Tensor(np.zeros(2)), 4, 4)
     assert "(2,)" in str(e.value)
@@ -209,21 +216,17 @@ def test_conv2d_bias_shape_mismatch_names_shapes():
     # a bias needs one entry per output channel
     for b_shape in [(3,), (1, 4)]:
         with pytest.raises(DimensionError) as e:
-            T.conv2d(x, k, 1, T.Tensor(np.zeros(b_shape)))
+            T.conv2d(x, k, T.Tensor(np.zeros(b_shape)))
         assert str(b_shape) in str(e.value) and str(k.shape) in str(e.value)
 
 
-def decomposed_conv2d(x, k, padding=0, bias=None):
+def decomposed_conv2d(x, k, bias):
     """conv2d recorded as separate tape ops: im2col, one matmul,
     fold_channels_last, channel_bias with the bias tiled to one row per item."""
-    co, _, kh, kw = k.shape
-    y = T.matmul(T.reshape(k, (co, k.size // co)), T.im2col(x, kh, kw, padding))
-    n, _, h, w = x.shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    y = T.fold_channels_last(y, (n, hp, wp), (hp - kh + 1, wp - kw + 1))
-    if bias is None:
-        return y
-    return T.channel_bias(y, T.matmul(T.Tensor(np.ones((n, 1))), T.reshape(bias, (1, co))))
+    co, _, side, _ = k.shape
+    y = T.matmul(T.reshape(k, (co, k.size // co)), T.im2col(x, side))
+    y = T.fold_channels_last(y, x.shape, side)
+    return T.channel_bias(y, T.matmul(T.Tensor(np.ones((x.shape[0], 1))), T.reshape(bias, (1, co))))
 
 
 # a conv whose weight gradient takes more than one column block of the padded
@@ -233,24 +236,23 @@ BLOCKED_X, BLOCKED_K = (5, 40, 18, 18), (16, 40, 3, 3)
 
 def test_conv2d_node_matches_decomposed_tape():
     rng = np.random.default_rng(12)
-    # batches of one and of three, padding 0 and 1, 3x3 and 1x1 kernels, one input channel,
-    # and a bias; the last case's kernel gradient spans several column blocks
+    # batches of one and of three, 3x3, 5x5 and 1x1 kernels, one input
+    # channel, one output channel, a kernel wider than the input; the last
+    # case's kernel gradient spans several column blocks
     # (see test_conv2d_weight_gradient_in_column_blocks)
-    cases = [((1, 2, 5, 6), (3, 2, 3, 3), 1), ((3, 2, 5, 6), (3, 2, 3, 3), 1), ((3, 2, 5, 6), (3, 2, 3, 3), 0),
-             ((3, 1, 5, 6), (3, 1, 3, 3), 1),
-             ((1, 2, 4, 5), (4, 2, 1, 1), 0), ((3, 2, 4, 5), (4, 2, 1, 1), 0), ((3, 2, 4, 5), (4, 2, 1, 1), 1),
-             (BLOCKED_X, BLOCKED_K, 1)]
-    cases += [((3, 2, 4, 5), (3, 2) + hw, pad) for hw in ((3, 1), (1, 3), (3, 5)) for pad in (0, 1, 2)]
+    cases = [((1, 2, 5, 6), (3, 2, 3, 3)), ((3, 2, 5, 6), (3, 2, 3, 3)),
+             ((3, 1, 5, 6), (3, 1, 3, 3)), ((3, 2, 5, 6), (1, 2, 3, 3)),
+             ((3, 2, 4, 5), (3, 2, 5, 5)), ((3, 2, 2, 3), (3, 2, 5, 5)),
+             ((1, 2, 4, 5), (4, 2, 1, 1)), ((3, 2, 4, 5), (4, 2, 1, 1)),
+             (BLOCKED_X, BLOCKED_K)]
     with T.float64():
-        for x_shape, k_shape, pad in cases:
-            x0, k0 = rng.normal(size=x_shape), rng.normal(size=k_shape)
-            bias0 = rng.normal(size=k_shape[0])
-            w = rng.normal(size=T.conv2d(T.Tensor(x0), T.Tensor(k0), pad).shape)
+        for x_shape, k_shape in cases:
+            x0, k0, bias0 = rng.normal(size=x_shape), rng.normal(size=k_shape), rng.normal(size=k_shape[0])
+            w = rng.normal(size=(x_shape[0], k_shape[0]) + x_shape[2:])
             results = []
             for conv in (T.conv2d, decomposed_conv2d):
-                x, k = T.Tensor(x0, requires_grad=True), T.Tensor(k0, requires_grad=True)
-                bias = T.Tensor(bias0, requires_grad=True)
-                y = conv(x, k, pad, bias)
+                x, k, bias = (T.Tensor(a, requires_grad=True) for a in (x0, k0, bias0))
+                y = conv(x, k, bias)
                 T.backward(T.tsum(T.mul(y, T.Tensor(w))))
                 results.append([y.data, x.grad, k.grad, bias.grad])
                 if conv is T.conv2d:
@@ -261,7 +263,7 @@ def test_conv2d_node_matches_decomposed_tape():
 
 
 def test_conv2d_weight_gradient_in_column_blocks():
-    n, c, *_, hp, wp = T._conv_geometry(BLOCKED_X, BLOCKED_K, 1)
+    n, c, *_, hp, wp, _ = T._conv_grid(BLOCKED_X, BLOCKED_K, "conv2d")
     length = n * hp * wp
     for itemsize in (4, 8):
         block = T._grad_block(c, length, itemsize)
@@ -275,7 +277,7 @@ def test_conv2d_weight_gradient_in_column_blocks():
     for mode in (T.float64, contextlib.nullcontext):
         with mode():
             x, k = T.Tensor(x0, requires_grad=True), T.Tensor(k0, requires_grad=True)
-            T.backward(T.tsum(T.mul(T.conv2d(x, k, 1), T.Tensor(w))))
+            T.backward(T.tsum(T.mul(T.conv2d(x, k, T.Tensor(np.zeros(BLOCKED_K[0]))), T.Tensor(w))))
             grads.append(k.grad)
     want, got = grads
     assert want.dtype == np.float64 and got.dtype == np.float32
@@ -291,11 +293,12 @@ def test_conv_tape_keeps_no_patch_matrix():
     patch_bytes = 40 * 9 * 8 * 16 * 16 * x.data.itemsize
     for k_trainable in (False, True):
         k = T.Tensor(rng.normal(size=(16, 40, 3, 3)), requires_grad=k_trainable)
+        b = T.Tensor(np.zeros(16))
         loss_weight = T.Tensor(rng.normal(size=(8, 16, 16, 16)))
         x.grad = None
         tracemalloc.start()
         try:
-            y = T.conv2d(x, k, 1)
+            y = T.conv2d(x, k, b)
             held, peak = tracemalloc.get_traced_memory()
             loss = T.tsum(T.mul(y, loss_weight))
             before, _ = tracemalloc.get_traced_memory()
@@ -498,7 +501,7 @@ def test_backward_returns_none_for_inputs_without_gradient():
     xc = T.Tensor(rng.normal(size=(2, 3, 5, 5)), requires_grad=True)
     kc = T.Tensor(rng.normal(size=(4, 3, 3, 3)))
     bc = T.Tensor(rng.normal(size=4))
-    y = T.conv2d(xc, kc, 1, bc)
+    y = T.conv2d(xc, kc, bc)
     gx, gk, gb = y.node.backward(rng.normal(size=y.shape))
     assert gk is None and gb is None and gx.shape == xc.shape
     # a conv site with an adapter: the adapted kernel gets a gradient, which reaches
@@ -506,7 +509,7 @@ def test_backward_returns_none_for_inputs_without_gradient():
     A = T.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
     B = T.Tensor(rng.normal(size=(2, 27)), requires_grad=True)
     params = network.NetParams(network.NetConfig(), {"s.w": kc, "s.b": bc})
-    y = network._conv(xc, params, "s", 1, [LoraAdapter("s.w", A, B)])
+    y = network._conv(xc, params, "s", [LoraAdapter("s.w", A, B)])
     gx, gk, gb = y.node.backward(rng.normal(size=y.shape))
     assert gb is None and gx.shape == xc.shape and gk.shape == kc.shape
     T.backward(T.tsum(y))
@@ -634,10 +637,10 @@ def test_pool_and_upsample():
 def test_linearity_of_linear_ops():
     rng = np.random.default_rng(9)
     x0 = rng.normal(size=(1, 2, 6, 6))
-    k = T.Tensor(rng.normal(size=(3, 2, 3, 3)))
+    k, zero = T.Tensor(rng.normal(size=(3, 2, 3, 3))), T.Tensor(np.zeros(3))
     for alpha in (-2.0, 0.5, 3.0):
-        ya = T.conv2d(T.Tensor(alpha * x0), k, padding=1)
-        yb = T.conv2d(T.Tensor(x0), k, padding=1)
+        ya = T.conv2d(T.Tensor(alpha * x0), k, zero)
+        yb = T.conv2d(T.Tensor(x0), k, zero)
         assert np.allclose(ya.data, alpha * yb.data, atol=1e-10)
 
 
@@ -650,11 +653,11 @@ def test_no_grad_suppresses_tape():
 
 def test_finite_diff_check_passes_on_smooth_composite():
     rng = np.random.default_rng(10)
-    k = T.Tensor(rng.normal(size=(2, 1, 3, 3)))
+    k, zero = T.Tensor(rng.normal(size=(2, 1, 3, 3))), T.Tensor(np.zeros(2))
     tgt = T.Tensor(rng.normal(size=(1, 2, 4, 4)))
 
     def f(x):
-        return T.mse(T.silu(T.conv2d(x, k, padding=1)), tgt)
+        return T.mse(T.silu(T.conv2d(x, k, zero)), tgt)
 
     err = grad_error(f, T.Tensor(rng.normal(size=(1, 1, 4, 4))))
     assert err < 1e-4
