@@ -9,20 +9,23 @@ Architecture (default config, 32x32 grayscale):
              -> silu -> pool -> conv3x3 -> silu
              -> conv3x3 + zeroconv1x1(pool(z_lq)) -> silu
              -> upsample -> concat skip -> conv3x3 -> silu -> conv3x3
-  decoder    conv3x3 -> silu -> upsample2 -> conv3x3 -> silu -> conv1x1
-             -> sigmoid                                       latent -> image
+  decoder    conv3x3 -> silu -> upsample2+conv3x3 (one node) -> silu
+             -> conv1x1 -> sigmoid                            latent -> image
 
 Every parameter under "ctrl.zero." starts at exactly zero, so at
 initialization the control conditioning and the bottleneck skip contribute
 nothing and the network behaves as if those paths were absent.
 
-Weights are applied at two sites, every convolution (one ``tensor.conv2d``
-node, its bias included; 3x3 or 1x1, same-padded, so it keeps its input's
-size) and the two dense weights ``den.temb.w`` and ``den.pemb.w``
-(``tensor.linear``), and both take their weight from ``adapted_weight``: W
-plus each low-rank adapter's A @ B, on the tape. ``lora.merge`` runs the
-same function without a tape, so a merged weight is the one training used.
-Only ``tensor.py`` knows the convolution's layout.
+Weights are applied at two sites, every convolution and the two dense
+weights ``den.temb.w`` and ``den.pemb.w`` (``tensor.linear``), and both take
+their weight from ``adapted_weight``: W plus each low-rank adapter's A @ B,
+on the tape. A convolution is one ``tensor.conv2d`` node, its bias included
+(3x3 or 1x1, same-padded, so it keeps its input's size), except the
+decoder's upsampling conv ``dec.conv2``: one ``tensor.upsample_conv2d``
+node, equal to ``conv2d(upsample2(h))``, which never forms the upsampled
+copy. ``lora.merge`` runs the same function without a tape, so a merged
+weight is the one training used. Only ``tensor.py`` knows the
+convolution's layout.
 
 Every latent is a batch ``(n, c, h, w)``, the one spatial shape of the
 tape, with one prompt-embedding row and one step per item. An ``Image`` is a
@@ -313,7 +316,7 @@ def denoise(z_t: T.Tensor, t, cond: ConditioningBundle, params: NetParams, adapt
 def decode_tensor(z: T.Tensor, params: NetParams, adapters=()) -> T.Tensor:
     """Latent (n, c, h, w) -> image tensor in [0,1] (sigmoid output), differentiable."""
     h = T.silu(_conv(z, params, "dec.conv1", adapters))
-    h = T.silu(_conv(T.upsample2(h), params, "dec.conv2", adapters))
+    h = T.silu(T.upsample_conv2d(h, adapted_weight(params, "dec.conv2.w", adapters), params["dec.conv2.b"]))
     return T.sigmoid(_conv(h, params, "dec.out", adapters))
 
 

@@ -54,13 +54,28 @@ whole grid, takes the grid in column blocks that stay in cache across the
 taps. No patch matrix is formed anywhere in the node, except with a single
 channel on the product's input side: there the ``(k*k, n*hp*wp)`` patch
 matrix is smaller than the output, and one product with it replaces k*k
-products of inner dimension 1. Grid positions outside the crop get zero
+products of inner dimension 1; for a 1x1 kernel a broadcast multiply
+replaces that one product. Grid positions outside the crop get zero
 gradient, and the bias gradient is the grid gradient summed over batch and
 space. ``im2col`` and ``fold_channels_last`` record the patch matrix of
 that grid and its crop as tape ops of their own: tests compose them with
 ``channel_bias``, which takes one bias row per item (the conv bias tiled
 over the batch), as the reference for the node, and the benchmark's tracer
 looks them up by name. This module is the only one that knows the layout.
+
+A nearest 2x upsample followed by a conv, the decoder's resize-convolution
+(Odena et al., Distill 2016), is one node too (``upsample_conv2d``), which
+works on the low-resolution grid and never forms the upsampled copy. Under
+kernel row i, output row 2r + a reads low-resolution row
+r + (a + i - p) // 2, and likewise for columns, so each output phase
+(a, b), the pixels (2r + a, 2q + b), is a conv of x with (p + 1)^2 taps on
+x's own grid, whose border of p is enough. This is sub-pixel convolution
+(Shi et al., arXiv 1609.05158) read backwards. A phase tap's (co, c) block
+is the sum of the kernel taps that land on it. For a 3x3 kernel that is 4
+taps per phase, 16 products on the low-resolution grid against 9 on the
+upsampled grid, which is 4x larger: 2.25x fewer multiply-adds. The phases
+run through the same tap loops as conv2d, and strided writes
+(out[:, :, a::2, b::2]) interleave them into the output.
 
 Importing this module fixes glibc's heap thresholds (``_keep_heap_mapped``).
 With no patch matrix, every temporary of a training step is below about
@@ -71,6 +86,7 @@ values are constants, not settings.
 """
 
 import ctypes
+import functools
 import os
 from contextlib import contextmanager
 
@@ -473,39 +489,48 @@ def _tap_offsets(k, wp):
     return [i * wp + j for i in range(k) for j in range(k)]
 
 
-def _patches(xp, k, wp, length):
-    """(c*k*k, length) patch matrix of a grid: row (ci, i, j) is xp[ci, i*wp+j:][:length]."""
-    if k == 1:
-        return xp
+def _patches(xp, offsets, length):
+    """(c*t, length) patch matrix of a grid for t tap offsets: row (ci, t) is xp[ci, off_t:][:length]."""
+    if len(offsets) == 1:
+        return xp[:, offsets[0] : offsets[0] + length]
     c = xp.shape[0]
-    cols = np.empty((c, k * k, length), dtype=xp.dtype)
-    for t, off in enumerate(_tap_offsets(k, wp)):
+    cols = np.empty((c, len(offsets), length), dtype=xp.dtype)
+    for t, off in enumerate(offsets):
         cols[:, t] = xp[:, off : off + length]
-    return cols.reshape(c * k * k, length)
+    return cols.reshape(c * len(offsets), length)
 
 
-def _col2im(gcols, k, wp, length):
+def _col2im(gcols, offsets, length):
     """Adjoint of _patches onto the whole grid, up to the last tap's slice: (c, length + off_last)."""
-    taps = gcols.reshape(-1, k * k, length)
-    offsets = _tap_offsets(k, wp)
+    taps = gcols.reshape(-1, len(offsets), length)
     gxp = np.zeros((taps.shape[0], length + offsets[-1]), dtype=gcols.dtype)
     for t, off in enumerate(offsets):
         gxp[:, off : off + length] += taps[:, t]
     return gxp
 
 
-def _tap_matmul(mt, xp, k, wp, length, dtype):
-    """sum over taps t of mt[t] @ xp[:, off_t:][:, :length], mt (k*k, rows, c): (rows, length).
+def _tap_matmul(mt, xp, offsets, length, dtype):
+    """sum over taps t of mt[t] @ xp[:, offsets[t]:][:, :length], mt (taps, rows, c): (rows, length).
 
-    With one input channel the (k*k, length) patch matrix is smaller than
-    the output, and one product with it replaces k*k broadcast
-    multiply-adds: enc.conv1 at the default config, 0.36-0.46 -> 0.05-0.07 ms.
+    Each tap is a (rows, c) block and the grid slice at its offset, so the
+    same loop serves a conv's forward (the kernel's taps, _tap_offsets), its
+    input gradient (the blocks transposed, at mirrored offsets into the
+    output gradient's grid) and the phase convolutions of upsample_conv2d.
+    With one input channel the (taps, length) patch matrix is smaller than
+    the output, and one product with it replaces one broadcast
+    multiply-add per tap: enc.conv1 at the default config, 0.36-0.46 ->
+    0.05-0.07 ms. With one channel and one tap the product has inner
+    dimension 1, and a broadcast multiply gives the same values in a tenth
+    of the time: dec.out's input gradient at the default config, 300 ->
+    17 us.
     """
     out = np.empty((mt.shape[1], length), dtype=dtype)
     if xp.shape[0] == 1:
-        return np.matmul(mt[:, :, 0].T, _patches(xp, k, wp, length), out=out)
-    tmp = np.empty_like(out) if k > 1 else None
-    for t, off in enumerate(_tap_offsets(k, wp)):
+        if len(offsets) == 1:
+            return np.multiply(mt[0], xp[:, offsets[0] : offsets[0] + length], out=out)
+        return np.matmul(mt[:, :, 0].T, _patches(xp, offsets, length), out=out)
+    tmp = np.empty_like(out) if len(offsets) > 1 else None
+    for t, off in enumerate(offsets):
         np.matmul(mt[t], xp[:, off : off + length], out=tmp if t else out)
         if t:
             out += tmp
@@ -519,34 +544,36 @@ def _grad_block(c, length, itemsize):
     return -(-length // blocks)
 
 
-def _tap_matmul_t(g, xp, k, wp, length):
-    """g @ _patches(xp).T, as one product per tap with a slice of xp: (rows, c*k*k).
+def _tap_matmul_t(g, xp, offsets, length):
+    """g @ _patches(xp, offsets).T, as one product per tap with a slice of xp: (rows, c*taps).
 
-    Each product's inner dimension is the whole grid. The grid's columns are
-    split into blocks of _grad_block columns, and every tap runs on one
-    block before the next, so the k*k overlapping slices of a block are
-    read while they are in cache; the first block writes each tap's product
-    and later blocks add to it. The 256 KiB budget is measured (float32,
-    OpenBLAS on one thread, a 2-core Xeon with 2 MiB of L2 per core): one
-    block runs at 45-53 GFLOP/s up to a slice of 160 KiB, and falls to
-    22-35 GFLOP/s somewhere between 192 and 384 KiB depending on the shape,
-    where two blocks run at 45-73. Below 160 KiB a split costs 5-25%. At
-    the default config only den.up (c=40) and dec.conv2 (c=12), with slices
-    of about 361 and 408 KiB, split, into two blocks each; the next largest
-    slice, den.conv_in's, is 145 KiB. With one input channel the patch
-    matrix is smaller than g and the result is one product with it.
+    The weight gradient of the taps of _tap_matmul, with columns in (c, tap)
+    order. Each product's inner dimension is the whole grid. The grid's
+    columns are split into blocks of _grad_block columns, and every tap
+    runs on one block before the next, so the overlapping slices of a block
+    are read while they are in cache; the first block writes each tap's
+    product and later blocks add to it. The 256 KiB budget is measured
+    (float32, OpenBLAS on one thread, a 2-core Xeon with 2 MiB of L2 per
+    core): one block runs at 45-53 GFLOP/s up to a slice of 160 KiB, and
+    falls to 22-35 GFLOP/s somewhere between 192 and 384 KiB depending on
+    the shape, where two blocks run at 45-73. Below 160 KiB a split costs
+    5-25%. At the default config only den.up (c=40), with a slice of about
+    361 KiB, splits, into two blocks; the next largest slices are
+    den.conv_in's, 145 KiB, and dec.conv2's phase grid, 108 KiB. With one
+    input channel the patch matrix is smaller than g and the result is one
+    product with it.
     """
     c = xp.shape[0]
     if c == 1:
-        return g @ _patches(xp, k, wp, length).T
+        return g @ _patches(xp, offsets, length).T
     dtype = np.result_type(g, xp)
-    out = np.empty((k * k, g.shape[0], c), dtype=dtype)
+    out = np.empty((len(offsets), g.shape[0], c), dtype=dtype)
     tmp = np.empty_like(out[0])
     block = _grad_block(c, length, dtype.itemsize)
     for lo in range(0, length, block):
         hi = min(lo + block, length)
         gb = g[:, lo:hi]
-        for t, off in enumerate(_tap_offsets(k, wp)):
+        for t, off in enumerate(offsets):
             xs = xp[:, off + lo : off + hi].T
             if lo:
                 out[t] += np.matmul(gb, xs, out=tmp)
@@ -568,10 +595,11 @@ def im2col(x: Tensor, k: int) -> Tensor:
     """
     n, c, h, w, k, hp, wp, head = _conv_grid(x.shape, (k, k), "im2col")
     length = n * hp * wp
-    cols = _patches(_to_grid(x.data, hp, wp, head), k, wp, length)
+    offsets = _tap_offsets(k, wp)
+    cols = _patches(_to_grid(x.data, hp, wp, head), offsets, length)
     return _make(
         cols, "im2col", (x,),
-        (lambda g: _from_grid(_col2im(g, k, wp, length)[:, head : head + length], n, hp, wp, h, w),),
+        (lambda g: _from_grid(_col2im(g, offsets, length)[:, head : head + length], n, hp, wp, h, w),),
     )
 
 
@@ -584,6 +612,19 @@ def fold_channels_last(y: Tensor, x_shape, k: int) -> Tensor:
     return _make(_from_grid(y.data, n, hp, wp, h, w), "fold", (y,), (lambda g: _to_grid(g, hp, wp),))
 
 
+def _checked_grid(x, k, bias, op):
+    """The checks of a conv node's (x, k, bias), raised as op; x's _conv_grid under k."""
+    if k.ndim != 4:
+        raise DimensionError(f"{op}: kernel must be 4-D, got {k.shape}")
+    grid = _conv_grid(x.shape, k.shape, op)
+    co, ci = k.shape[:2]
+    if grid[1] != ci:
+        raise DimensionError(f"{op}: input channels {grid[1]} vs kernel {ci} ({x.shape} with {k.shape})")
+    if bias.shape != (co,):
+        raise DimensionError(f"{op}: bias {bias.shape} does not fit kernel {k.shape}; need ({co},)")
+    return grid
+
+
 def conv2d(x: Tensor, k: Tensor, bias: Tensor) -> Tensor:
     """Same-padded cross-correlation plus a bias: x (n, c, h, w), k (co, c, s, s)
     with s odd, bias (co,) -> (n, co, h, w). One tape node with inputs (x, k, bias).
@@ -594,26 +635,20 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor) -> Tensor:
     takes one product per tap of the kernel (_tap_matmul). The backward
     puts the output gradient on the same grid. The input gradient is then
     the same _tap_matmul with the kernel's per-tap blocks in reverse tap
-    order and transposed: tap t reads the output gradient 2*head - off_t
-    columns on, which the border keeps inside the grid, and image b's pixel
-    (r, s) comes out at the top left of slot b, where _from_grid reads it.
-    The grid of x is rebuilt only when k needs a gradient.
+    order and transposed, which is each block at its mirrored offset
+    2*head - off_t: the border keeps that slice inside the grid, and image
+    b's pixel (r, s) comes out at the top left of slot b, where _from_grid
+    reads it. The grid of x is rebuilt only when k needs a gradient.
     """
-    if k.ndim != 4:
-        raise DimensionError(f"conv2d: kernel must be 4-D, got {k.shape}")
-    n, c, h, w, ks, hp, wp, head = _conv_grid(x.shape, k.shape, "conv2d")
-    co, ci = k.shape[:2]
-    if c != ci:
-        raise DimensionError(f"conv2d: input channels {c} vs kernel {ci} ({x.shape} with {k.shape})")
-    if bias.shape != (co,):
-        raise DimensionError(f"conv2d: bias {bias.shape} does not fit kernel {k.shape}; need ({co},)")
+    n, c, h, w, ks, hp, wp, head = _checked_grid(x, k, bias, "conv2d")
+    co = k.shape[0]
     inputs = (x, k, bias)
     dtype = np.result_type(x.data, k.data, bias.data)
     length = n * hp * wp
-    geom = (ks, wp, length)
+    offsets = _tap_offsets(ks, wp)
     # the kernel as one contiguous (co, c) block per tap
     mt = np.ascontiguousarray(k.data.reshape(co, c, ks * ks).transpose(2, 0, 1))
-    y = _tap_matmul(mt, _to_grid(x.data, hp, wp, head), *geom, dtype)
+    y = _tap_matmul(mt, _to_grid(x.data, hp, wp, head), offsets, length, dtype)
     y += bias.data[:, None]
     out = Tensor(_from_grid(y, n, hp, wp, h, w))
     if not _recording(inputs):
@@ -626,16 +661,110 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor) -> Tensor:
         gg = gh[:, head : head + length]
         if need[0]:
             # the transposed conv of g: the forward's taps reversed and transposed
-            gxp = _tap_matmul(mt[::-1].transpose(0, 2, 1), gh, *geom, np.result_type(mt, gh))
+            gxp = _tap_matmul(mt[::-1].transpose(0, 2, 1), gh, offsets, length, np.result_type(mt, gh))
             grads[0] = _from_grid(gxp, n, hp, wp, h, w)
             del gxp  # before the grid of x is built
         if need[1]:
-            grads[1] = _tap_matmul_t(gg, _to_grid(x.data, hp, wp, head), *geom).reshape(k.shape)
+            grads[1] = _tap_matmul_t(gg, _to_grid(x.data, hp, wp, head), offsets, length).reshape(k.shape)
         if need[2]:
             grads[2] = gg.sum(axis=1)
         return tuple(grads)
 
     out.node = TapeNode("conv2d", inputs, backward)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _phase_map(s, dtype):
+    """upsample_conv2d's phase taps for an s x s kernel, with p = s // 2 and
+    P = p + 1: the 0/1 map (4*P*P, s*s) from kernel taps to phase taps, and
+    lead[a], the grid row (and column) of phase a's first tap.
+
+    Under kernel row i, output row 2r + a reads low-resolution row
+    r + (a + i - p) // 2, which sits (a + i - p) // 2 + p rows below row r's
+    own row on conv2d's grid of x. Phase a's P tap rows start at the
+    smallest of these, lead[a] = (a - p) // 2 + p, so kernel row i lands on
+    phase tap row (a + i - p) // 2 + p - lead[a]; columns alike.
+    Row (a, b, m, n) of the map, phase 2a + b first, sums the kernel taps
+    (i, j) that land on phase tap (m, n). The map is cached, so it is
+    read-only.
+    """
+    p = s // 2
+    lead = tuple((a - p) // 2 + p for a in (0, 1))
+    i = np.arange(s)
+    rows = np.zeros((2, p + 1, s), dtype=dtype)
+    for a in (0, 1):
+        rows[a, (a + i - p) // 2 + p - lead[a], i] = 1
+    pmap = np.einsum("ami,bnj->abmnij", rows, rows).reshape(4 * (p + 1) ** 2, s * s)
+    pmap.flags.writeable = False
+    return pmap, lead
+
+
+def upsample_conv2d(x: Tensor, k: Tensor, bias: Tensor) -> Tensor:
+    """conv2d(upsample2(x), k, bias), with the same checks: x (n, c, h, w),
+    k (co, c, s, s) with s odd, bias (co,) -> (n, co, 2h, 2w). One tape node
+    with inputs (x, k, bias), which never forms the upsampled copy.
+
+    Output phase (a, b), the pixels (2r + a, 2q + b), is a P x P conv of x
+    on x's own grid (see the module docstring). Its (co, c) blocks are sums
+    of kernel taps, one product with _phase_map's 0/1 map. The forward runs
+    _tap_matmul once per phase and writes each phase's crop into
+    out[:, :, a::2, b::2]. The backward reads the output gradient's four
+    phases onto four grids of x's layout, laid end to end. The input
+    gradient, the sum of the phases' transposed convs, is then one
+    _tap_matmul over every block transposed, each at its mirrored offset
+    2*head - off into its own phase's grid. The kernel gradient is
+    _tap_matmul_t once per phase, folded back onto the s x s taps by one
+    product with the same map. The grid of x is rebuilt only when k needs a
+    gradient.
+    """
+    n, c, h, w, ks, hp, wp, head = _checked_grid(x, k, bias, "upsample_conv2d")
+    co = k.shape[0]
+    inputs = (x, k, bias)
+    dtype = np.result_type(x.data, k.data, bias.data)
+    length = n * hp * wp
+    pmap, lead = _phase_map(ks, k.data.dtype)
+    taps = ks // 2 + 1
+    # one contiguous (co, c) block per phase tap, taps*taps of them per phase 2a + b
+    mt = np.ascontiguousarray((k.data.reshape(co * c, ks * ks) @ pmap.T).T).reshape(4, taps * taps, co, c)
+    phases = [(a, b) for a in (0, 1) for b in (0, 1)]
+    phase_offsets = [[o + lead[a] * wp + lead[b] for o in _tap_offsets(taps, wp)] for a, b in phases]
+    xp = _to_grid(x.data, hp, wp, head)
+    y = np.empty((n, co, 2 * h, 2 * w), dtype=dtype)
+    for (a, b), offsets, blocks in zip(phases, phase_offsets, mt):
+        yp = _tap_matmul(blocks, xp, offsets, length, dtype)
+        yp += bias.data[:, None]
+        y[:, :, a::2, b::2] = yp.reshape(co, n, hp, wp)[:, :, :h, :w].transpose(1, 0, 2, 3)
+    out = Tensor(y)
+    if not _recording(inputs):
+        return out
+
+    def backward(g):
+        need = [t._needs_grad() for t in inputs]
+        grads = [None, None, None]
+        span = length + 2 * head
+        gh = np.zeros((co, 4, span), dtype=g.dtype)
+        slots = gh[:, :, head : head + length].reshape(co, 4, n, hp, wp)
+        for ph, (a, b) in enumerate(phases):
+            slots[:, ph, :, :h, :w] = g[:, :, a::2, b::2].transpose(1, 0, 2, 3)
+        gh = gh.reshape(co, 4 * span)
+        if need[0]:
+            offsets = [ph * span + 2 * head - o for ph, offs in enumerate(phase_offsets) for o in offs]
+            gxp = _tap_matmul(mt.reshape(-1, co, c).transpose(0, 2, 1), gh, offsets, length, np.result_type(mt, gh))
+            grads[0] = _from_grid(gxp, n, hp, wp, h, w)
+            del gxp  # before the grid of x is built
+        if need[1]:
+            xp = _to_grid(x.data, hp, wp, head)
+            gk = np.stack([_tap_matmul_t(gh[:, ph * span + head :][:, :length], xp, offs, length)
+                           for ph, offs in enumerate(phase_offsets)])
+            # (phase, co, c, tap) -> (co, c, phase, tap), folded onto the kernel's taps
+            gk = gk.reshape(4, co, c, taps * taps).transpose(1, 2, 0, 3).reshape(co * c, pmap.shape[0])
+            grads[1] = (gk @ pmap).reshape(k.shape)
+        if need[2]:
+            grads[2] = gh.sum(axis=1)
+        return tuple(grads)
+
+    out.node = TapeNode("upsample_conv2d", inputs, backward)
     return out
 
 

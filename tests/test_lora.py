@@ -312,6 +312,14 @@ def test_merge_on_conv_kernel_view():
                 merged = denoise(zt, t, cond, merge(params, adapters)).data
                 assert np.array_equal(runtime, merged)
                 assert not np.allclose(runtime, denoise(zt, t, cond, params).data, atol=1e-6)
+            # the decoder's upsampling conv takes its kernel through the same adapted_weight
+            params, _, zt = tiny_net_batch()
+            adapters = attach(params, LoraConfig(rank=2, targets=("dec.conv2.w",)), seed=6)
+            a = adapters[0]
+            a.B.data = T.Tensor(np.random.default_rng(6).normal(size=a.B.shape)).data
+            runtime = decode_tensor(zt, params, adapters=adapters).data
+            assert np.array_equal(runtime, decode_tensor(zt, merge(params, adapters)).data)
+            assert not np.allclose(runtime, decode_tensor(zt, params).data, atol=1e-6)
 
 
 def test_unmerge_restores_weights_shared_by_two_adapters():

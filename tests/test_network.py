@@ -212,6 +212,54 @@ def test_decode_shape_range_determinism():
     assert np.array_equal(out.data, out2.data)
 
 
+def composed_decode(z, params):
+    """decode_tensor's reference: the decoder's 2x upsample as a node of its
+    own, then conv2d, at every conv site."""
+
+    def conv(x, site):
+        return T.conv2d(x, params[site + ".w"], params[site + ".b"])
+
+    h = T.silu(conv(z, "dec.conv1"))
+    h = T.silu(conv(T.upsample2(h), "dec.conv2"))
+    return T.sigmoid(conv(h, "dec.out"))
+
+
+def tape_ops(y):
+    """The ops of every node recorded on the way to y."""
+    ops, stack, seen = [], [y], set()
+    while stack:
+        t = stack.pop()
+        if t.node is not None and id(t) not in seen:
+            seen.add(id(t))
+            ops.append(t.node.op)
+            stack.extend(t.node.inputs)
+    return ops
+
+
+def test_decode_tensor_matches_the_composed_upsample_decoder():
+    # dec.conv2 convolves the upsampled activation in one upsample_conv2d node;
+    # values and gradients equal upsampling first and then convolving
+    rng = np.random.default_rng(21)
+    with T.float64():
+        params = init_params(NetConfig(), 3)
+        z0 = rng.normal(size=(2, 8, 16, 16))
+        w = rng.normal(size=(2, 1, 32, 32))
+        sites = [name for name in params.names() if name.startswith("dec.")]
+        results = []
+        for dec in (decode_tensor, composed_decode):
+            params.zero_grads()
+            z = T.Tensor(z0, requires_grad=True)
+            y = dec(z, params)
+            T.backward(T.tsum(T.mul(y, T.Tensor(w))))
+            results.append([y.data, z.grad] + [params[name].grad for name in sites])
+            if dec is decode_tensor:
+                ops = tape_ops(y)
+                assert "upsample_conv2d" in ops and "upsample2" not in ops, ops
+        for got, want in zip(*results):
+            assert got.shape == want.shape
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
 def test_decode_rejects_a_batch_before_decoding(monkeypatch):
     params, img = tiny_setup()
     zb = encode(T.Tensor(np.stack([img, img])), params)

@@ -83,11 +83,13 @@ def test_conv2d_matches_loop_oracle():
     with T.float64():
         rng = np.random.default_rng(2)
         # batches of one and of three, 3x3, 5x5 and 1x1 kernels, one input
-        # channel, one output channel, and a kernel wider than the input
+        # channel, one output channel (also with a 1x1 kernel), and a kernel
+        # wider than the input
         for x_shape, k_shape in [((1, 2, 5, 6), (3, 2, 3, 3)), ((3, 2, 5, 6), (3, 2, 3, 3)),
                                  ((3, 1, 5, 6), (4, 1, 3, 3)), ((3, 2, 5, 6), (1, 2, 3, 3)),
                                  ((3, 2, 5, 6), (3, 2, 5, 5)), ((2, 2, 2, 3), (3, 2, 5, 5)),
-                                 ((1, 2, 5, 6), (4, 2, 1, 1)), ((3, 2, 4, 5), (4, 2, 1, 1))]:
+                                 ((1, 2, 5, 6), (4, 2, 1, 1)), ((2, 2, 3, 4), (1, 2, 1, 1)),
+                                 ((3, 2, 4, 5), (4, 2, 1, 1))]:
             x, k, b = rng.normal(size=x_shape), rng.normal(size=k_shape), rng.normal(size=k_shape[0])
             y = T.conv2d(T.Tensor(x), T.Tensor(k), T.Tensor(b))
             assert np.allclose(y.data, conv2d_loops(x, k, b), atol=1e-12)
@@ -150,8 +152,9 @@ def test_conv2d_gradients_match_numeric():
     # gradient's tap order is flipped along each axis
     cases += [((1, 2, 4, 5), (2, 2, 5, 5)), ((2, 2, 2, 3), (2, 2, 5, 5))]
     # one output channel: the input gradient's product has one row on its
-    # input side, so it takes the one-channel patch-matrix product
-    cases += [((2, 2, 4, 4), (1, 2, 3, 3))]
+    # input side, so it takes the one-channel patch-matrix product, and with
+    # a 1x1 kernel the one-channel one-tap broadcast multiply
+    cases += [((2, 2, 4, 4), (1, 2, 3, 3)), ((2, 2, 3, 4), (1, 2, 1, 1))]
     for x_shape, k_shape in cases:
         x0, k0, b0 = rng.normal(size=x_shape), rng.normal(size=k_shape), rng.normal(size=k_shape[0])
         w = rng.normal(size=(x_shape[0], k_shape[0]) + x_shape[2:])
@@ -168,25 +171,32 @@ def test_conv2d_gradients_match_numeric():
 
 
 def test_conv2d_channel_mismatch_names_shapes():
-    with pytest.raises(DimensionError) as e:
-        T.conv2d(T.Tensor(np.zeros((1, 3, 5, 5))), T.Tensor(np.zeros((2, 4, 3, 3))), T.Tensor(np.zeros(2)))
-    assert "(1, 3, 5, 5)" in str(e.value) and "(2, 4, 3, 3)" in str(e.value)
+    for conv in (T.conv2d, T.upsample_conv2d):
+        with pytest.raises(DimensionError) as e:
+            conv(T.Tensor(np.zeros((1, 3, 5, 5))), T.Tensor(np.zeros((2, 4, 3, 3))), T.Tensor(np.zeros(2)))
+        assert "(1, 3, 5, 5)" in str(e.value) and "(2, 4, 3, 3)" in str(e.value), conv
 
 
 def test_conv2d_kernel_must_be_square_with_an_odd_side():
     # conv2d pads by k // 2 on every side, which keeps the input's size only
     # for a square kernel of odd side; any other kernel raises, naming its shape
     x = T.Tensor(np.zeros((2, 3, 5, 5)))
-    for k_shape in [(4, 3, 2, 2), (4, 3, 3, 1)]:
-        with pytest.raises(ParameterError) as e:
-            T.conv2d(x, T.Tensor(np.zeros(k_shape)), T.Tensor(np.zeros(4)))
-        assert str(k_shape) in str(e.value)
+    for conv in (T.conv2d, T.upsample_conv2d):
+        for k_shape in [(4, 3, 2, 2), (4, 3, 3, 1)]:
+            with pytest.raises(ParameterError) as e:
+                conv(x, T.Tensor(np.zeros(k_shape)), T.Tensor(np.zeros(4)))
+            assert str(k_shape) in str(e.value)
+        # a kernel that is not 4-D
+        with pytest.raises(DimensionError) as e:
+            conv(x, T.Tensor(np.zeros((4, 3, 3))), T.Tensor(np.zeros(4)))
+        assert "(4, 3, 3)" in str(e.value)
     # so does a window of even side for the patch matrix of that grid
     with pytest.raises(ParameterError, match="im2col"):
         T.im2col(x, 2)
     # a kernel that passes still needs a bias of one entry per output channel
-    with pytest.raises(DimensionError):
-        T.conv2d(x, T.Tensor(np.zeros((4, 3, 3, 3))), T.Tensor(np.zeros(3)))
+    for conv in (T.conv2d, T.upsample_conv2d):
+        with pytest.raises(DimensionError):
+            conv(x, T.Tensor(np.zeros((4, 3, 3, 3))), T.Tensor(np.zeros(3)))
 
 
 def test_spatial_ops_reject_a_single_item():
@@ -194,6 +204,7 @@ def test_spatial_ops_reject_a_single_item():
     item = T.Tensor(np.zeros((2, 4, 4)))
     calls = {
         "conv2d": lambda: T.conv2d(item, T.Tensor(np.zeros((3, 2, 3, 3))), T.Tensor(np.zeros(3))),
+        "upsample_conv2d": lambda: T.upsample_conv2d(item, T.Tensor(np.zeros((3, 2, 3, 3))), T.Tensor(np.zeros(3))),
         "im2col": lambda: T.im2col(item, 3),
         "fold_channels_last": lambda: T.fold_channels_last(T.Tensor(np.zeros((3, 25))), item.shape, 3),
         "concat_channels": lambda: T.concat_channels(item, item),
@@ -214,10 +225,11 @@ def test_spatial_ops_reject_a_single_item():
 def test_conv2d_bias_shape_mismatch_names_shapes():
     x, k = T.Tensor(np.zeros((2, 3, 5, 5))), T.Tensor(np.zeros((4, 3, 3, 3)))
     # a bias needs one entry per output channel
-    for b_shape in [(3,), (1, 4)]:
-        with pytest.raises(DimensionError) as e:
-            T.conv2d(x, k, T.Tensor(np.zeros(b_shape)))
-        assert str(b_shape) in str(e.value) and str(k.shape) in str(e.value)
+    for conv in (T.conv2d, T.upsample_conv2d):
+        for b_shape in [(3,), (1, 4)]:
+            with pytest.raises(DimensionError) as e:
+                conv(x, k, T.Tensor(np.zeros(b_shape)))
+            assert str(b_shape) in str(e.value) and str(k.shape) in str(e.value), conv
 
 
 def decomposed_conv2d(x, k, bias):
@@ -312,6 +324,90 @@ def test_conv_tape_keeps_no_patch_matrix():
         assert peak < patch_bytes, (k_trainable, peak, patch_bytes)
         assert x.grad is not None and (k.grad is not None) == k_trainable
         assert backward_peak - before < patch_bytes, (k_trainable, backward_peak - before, patch_bytes)
+
+
+def upsample_then_conv2d(x, k, bias):
+    """upsample_conv2d's reference: the upsampled copy, then conv2d, two tape nodes."""
+    return T.conv2d(T.upsample2(x), k, bias)
+
+
+def upsample_conv_results(conv, x0, k0, bias0, w):
+    """Output and x, k and bias gradients of sum(conv(x, k, bias) * w)."""
+    x, k, bias = (T.Tensor(a, requires_grad=True) for a in (x0, k0, bias0))
+    y = conv(x, k, bias)
+    T.backward(T.tsum(T.mul(y, T.Tensor(w))))
+    return [y.data, x.grad, k.grad, bias.grad]
+
+
+def test_upsample_conv2d_matches_composed_tape():
+    rng = np.random.default_rng(15)
+    # batches of one and of three, one input channel, one output channel,
+    # 3x3, 5x5 and 1x1 kernels, odd and non-square inputs, a 5x5 kernel wider
+    # than the 2x2 upsampled input, one channel with a 1x1 kernel (one tap
+    # per phase), and a kernel gradient in column blocks
+    cases = [((1, 2, 5, 6), (3, 2, 3, 3)), ((3, 2, 5, 6), (3, 2, 3, 3)),
+             ((3, 1, 5, 6), (3, 1, 3, 3)), ((3, 2, 5, 6), (1, 2, 3, 3)),
+             ((3, 2, 3, 4), (3, 2, 5, 5)), ((3, 2, 1, 1), (3, 2, 5, 5)),
+             ((1, 2, 4, 5), (4, 2, 1, 1)), ((3, 2, 3, 4), (4, 2, 1, 1)),
+             ((3, 1, 3, 4), (1, 1, 1, 1)), (BLOCKED_X, BLOCKED_K)]
+    n, c, *_, hp, wp, _ = T._conv_grid(BLOCKED_X, BLOCKED_K, "upsample_conv2d")
+    assert T._grad_block(c, n * hp * wp, 8) < n * hp * wp
+    with T.float64():
+        for x_shape, k_shape in cases:
+            x0, k0, bias0 = rng.normal(size=x_shape), rng.normal(size=k_shape), rng.normal(size=k_shape[0])
+            w = rng.normal(size=(x_shape[0], k_shape[0], 2 * x_shape[2], 2 * x_shape[3]))
+            fused = upsample_conv_results(T.upsample_conv2d, x0, k0, bias0, w)
+            ref = upsample_conv_results(upsample_then_conv2d, x0, k0, bias0, w)
+            for got, want in zip(fused, ref):
+                assert got.shape == want.shape, (x_shape, k_shape)
+                assert np.allclose(got, want, rtol=1e-12, atol=1e-12), (x_shape, k_shape)
+        x, k, bias = (T.Tensor(a, requires_grad=True) for a in (x0, k0, bias0))
+        y = T.upsample_conv2d(x, k, bias)
+        assert y.node.op == "upsample_conv2d" and y.node.inputs == (x, k, bias)
+
+
+def test_upsample_conv2d_float32_matches_float64():
+    rng = np.random.default_rng(16)
+    for x_shape, k_shape in [((3, 2, 5, 6), (3, 2, 3, 3)), ((3, 1, 5, 6), (4, 1, 3, 3)),
+                             ((2, 3, 3, 4), (2, 3, 5, 5)), ((3, 2, 3, 4), (1, 2, 1, 1))]:
+        x0, k0, bias0 = rng.normal(size=x_shape), rng.normal(size=k_shape), rng.normal(size=k_shape[0])
+        w = rng.normal(size=(x_shape[0], k_shape[0], 2 * x_shape[2], 2 * x_shape[3]))
+        got = upsample_conv_results(T.upsample_conv2d, x0, k0, bias0, w)
+        with T.float64():
+            want = upsample_conv_results(T.upsample_conv2d, x0, k0, bias0, w)
+        for a, b in zip(got, want):
+            assert a.dtype == np.float32 and b.dtype == np.float64
+            assert np.allclose(a, b, rtol=1e-5, atol=1e-5), (x_shape, k_shape)
+
+
+def test_upsample_conv2d_gradients_match_finite_differences():
+    rng = np.random.default_rng(17)
+    x, k, bias = (T.Tensor(rng.normal(size=s)) for s in ((2, 2, 3, 4), (3, 2, 3, 3), (3,)))
+    tgt = T.Tensor(rng.normal(size=(2, 3, 6, 8)))
+    assert grad_error(lambda v: T.mse(T.silu(T.upsample_conv2d(v, k, bias)), tgt), x) < 1e-6
+    assert grad_error(lambda v: T.mse(T.silu(T.upsample_conv2d(x, v, bias)), tgt), k) < 1e-6
+    assert grad_error(lambda v: T.mse(T.silu(T.upsample_conv2d(x, k, v)), tgt), bias) < 1e-6
+
+
+def test_upsample_conv_tape_keeps_no_upsampled_copy():
+    # bytes a recorded node allocates and holds until backward, besides its
+    # output: the composed path holds the 4x upsampled copy of x
+    rng = np.random.default_rng(18)
+    x = T.Tensor(rng.normal(size=(8, 12, 16, 16)), requires_grad=True)
+    k = T.Tensor(rng.normal(size=(12, 12, 3, 3)), requires_grad=True)
+    b = T.Tensor(np.zeros(12), requires_grad=True)
+    extra = {}
+    for conv in (T.upsample_conv2d, upsample_then_conv2d):
+        tracemalloc.start()
+        try:
+            y = conv(x, k, b)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert y.node is not None
+        extra[conv] = held - y.data.nbytes
+    assert extra[T.upsample_conv2d] < x.data.nbytes, extra
+    assert extra[upsample_then_conv2d] >= 4 * x.data.nbytes, extra
 
 
 # A LoRA fine-tune loop: default config, batch 8, rank-4 adapters on the default
@@ -504,6 +600,13 @@ def test_backward_returns_none_for_inputs_without_gradient():
     y = T.conv2d(xc, kc, bc)
     gx, gk, gb = y.node.backward(rng.normal(size=y.shape))
     assert gk is None and gb is None and gx.shape == xc.shape
+    # upsample_conv2d likewise, and a frozen input with a trainable kernel
+    y = T.upsample_conv2d(xc, kc, bc)
+    gx, gk, gb = y.node.backward(rng.normal(size=y.shape))
+    assert gk is None and gb is None and gx.shape == xc.shape
+    y = T.upsample_conv2d(T.Tensor(xc.data), T.Tensor(kc.data, requires_grad=True), bc)
+    gx, gk, gb = y.node.backward(rng.normal(size=y.shape))
+    assert gx is None and gb is None and gk.shape == kc.shape
     # a conv site with an adapter: the adapted kernel gets a gradient, which reaches
     # A and B, while the frozen kernel and bias keep .grad None
     A = T.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
