@@ -82,22 +82,33 @@ def respace(sched: NoiseSchedule, steps: int) -> NoiseSchedule:
     return NoiseSchedule(sched.alpha_bar[idx], sched.base_t[idx])
 
 
-def check_step(sched: NoiseSchedule, t):
-    """Reject any step index, scalar or per item, outside [0, T)."""
-    t = np.asarray(t)
-    if np.any((t < 0) | (t >= sched.T)):
+def step_indices(t) -> np.ndarray:
+    """Step indices t, a scalar or one per item, as int64; ContractViolation
+    unless each is an integer >= 0. A float counts only when its value is an
+    integer, so no step is truncated."""
+    a = np.asarray(t)
+    integral = a.dtype.kind in "iu" or (a.dtype.kind == "f" and bool(np.all(np.isfinite(a) & (a == np.floor(a)))))
+    if not integral or np.any(a < 0):
+        raise ContractViolation(f"step index {t!r} is not an integer >= 0")
+    return a.astype(np.int64)
+
+
+def check_step(sched: NoiseSchedule, t) -> np.ndarray:
+    """step_indices(t), rejecting any step index, scalar or per item, outside [0, T)."""
+    ts = step_indices(t)
+    if np.any(ts >= sched.T):
         raise ContractViolation(f"step index {t} outside [0, {sched.T})")
+    return ts
 
 
 def forward_diffuse_batch(x0: T.Tensor, t, eps: T.Tensor, sched: NoiseSchedule) -> T.Tensor:
     """x_t = sqrt(ab_t) x0 + sqrt(1 - ab_t) eps per item, with one step index
     per item in t (length x0.shape[0]); differentiable through x0."""
-    t = np.asarray(t, dtype=np.int64)
+    t = check_step(sched, t)
     if x0.shape != eps.shape:
         raise DimensionError(f"forward_diffuse_batch: x0 {x0.shape} vs eps {eps.shape}")
     if t.ndim != 1 or t.shape[0] != x0.shape[0]:
         raise DimensionError(f"forward_diffuse_batch: t {t.shape} vs batch {x0.shape[0]}")
-    check_step(sched, t)
     ab = sched.alpha_bar[t]
     a = T.row_scale(x0, T.Tensor(np.sqrt(ab)))
     b = T.row_scale(eps, T.Tensor(np.sqrt(1.0 - ab)))
@@ -112,7 +123,7 @@ def ldm_loss_batch(net, x0_latent: T.Tensor, t, eps: T.Tensor, cond, sched: Nois
 def reverse_step(net, z_t: T.Tensor, t: int, cond, sched: NoiseSchedule, noise=None) -> T.Tensor:
     """One posterior step z_t -> z_{t-1}: the mean, plus sigma_t * noise when
     noise is given and t > 0."""
-    check_step(sched, t)
+    t = int(check_step(sched, t))
     eps_hat = net(z_t, t, cond)
     coef = float(sched.beta[t] / math.sqrt(1.0 - sched.alpha_bar[t]))
     mu = T.scale(T.add(z_t, T.scale(eps_hat, -coef)), 1.0 / math.sqrt(float(sched.alpha[t])))

@@ -105,6 +105,8 @@ class MetricReport:
 
     def means(self) -> MetricRow:
         n = len(self.rows)
+        if not n:
+            raise ParameterError("MetricReport: no rows to average")
         return MetricRow(
             id="MEAN",
             spec="",

@@ -8,7 +8,7 @@ Architecture (default config, 32x32 grayscale):
   denoiser   concat(z_t, z_lq) -> conv3x3 (+ time & prompt channel biases)
              -> silu -> pool -> conv3x3 -> silu
              -> conv3x3 + zeroconv1x1(pool(z_lq)) -> silu
-             -> upsample -> concat skip -> conv3x3 -> silu -> conv3x3
+             -> upsample2+concat skip+conv3x3 (one node) -> silu -> conv3x3
   decoder    conv3x3 -> silu -> upsample2+conv3x3 (one node) -> silu
              -> conv1x1 -> sigmoid                            latent -> image
 
@@ -20,12 +20,14 @@ Weights are applied at two sites, every convolution and the two dense
 weights ``den.temb.w`` and ``den.pemb.w`` (``tensor.linear``), and both take
 their weight from ``adapted_weight``: W plus each low-rank adapter's A @ B,
 on the tape. A convolution is one ``tensor.conv2d`` node, its bias included
-(3x3 or 1x1, same-padded, so it keeps its input's size), except the
-decoder's upsampling conv ``dec.conv2``: one ``tensor.upsample_conv2d``
-node, equal to ``conv2d(upsample2(h))``, which never forms the upsampled
-copy. ``lora.merge`` runs the same function without a tape, so a merged
-weight is the one training used. Only ``tensor.py`` knows the
-convolution's layout.
+(3x3 or 1x1, same-padded, so it keeps its input's size), except the two
+upsampling convs, each one ``tensor.upsample_conv2d`` node: the decoder's
+``dec.conv2``, equal to ``conv2d(upsample2(h))``, and the denoiser's
+``den.up``, which takes the skip h1 as the node's fourth input and equals
+``conv2d(concat_channels(upsample2(h3), h1))``. Neither forms the
+upsampled copy or the concat. ``lora.merge`` runs the same function
+without a tape, so a merged weight is the one training used. Only
+``tensor.py`` knows the convolution's layout.
 
 Every latent is a batch ``(n, c, h, w)``, the one spatial shape of the
 tape, with one prompt-embedding row and one step per item. An ``Image`` is a
@@ -40,7 +42,7 @@ import numpy as np
 
 from . import tensor as T
 from .dataset import FAMILIES
-from .diffusion import check_step
+from .diffusion import check_step, step_indices
 from .errors import ConfigurationError, DimensionError, ParameterError
 from .images import Image
 from .rng import stream
@@ -285,7 +287,8 @@ def control_features(z_enc: T.Tensor, prompt_emb: T.Tensor, params: NetParams, a
 
 def denoise(z_t: T.Tensor, t, cond: ConditioningBundle, params: NetParams, adapters=()) -> T.Tensor:
     """Predicted noise for the batch z_t (n, c, h, w) at physical step(s) t,
-    a scalar or a length-n array, conditioned on cond (``ConditioningBundle``)."""
+    a scalar or a length-n array of integers >= 0 (``ContractViolation``
+    otherwise), conditioned on cond (``ConditioningBundle``)."""
     cfg = params.config
     z_lq, pemb = cond.z_lq, cond.prompt_embedding
     if z_t.ndim != 4 or z_t.shape[1] != cfg.c_lat or z_t.shape != z_lq.shape:
@@ -293,7 +296,7 @@ def denoise(z_t: T.Tensor, t, cond: ConditioningBundle, params: NetParams, adapt
     n = z_t.shape[0]
     if pemb.shape != (n, cfg.prompt_dim):
         raise DimensionError(f"denoise: prompt embedding {pemb.shape}, want ({n}, {cfg.prompt_dim})")
-    tv = np.atleast_1d(np.asarray(t, dtype=np.int64))
+    tv = np.atleast_1d(step_indices(t))
     if tv.shape == (1,) and n > 1:
         tv = np.repeat(tv, n)
     if tv.shape != (n,):
@@ -308,8 +311,7 @@ def denoise(z_t: T.Tensor, t, cond: ConditioningBundle, params: NetParams, adapt
     m = _conv(h2, params, "den.mid", adapters)
     h3 = T.silu(T.add(m, _conv(T.avg_pool2(z_lq), params, "ctrl.zero.sft", adapters)))
 
-    cat = T.concat_channels(T.upsample2(h3), h1)
-    h4 = T.silu(_conv(cat, params, "den.up", adapters))
+    h4 = T.silu(T.upsample_conv2d(h3, adapted_weight(params, "den.up.w", adapters), params["den.up.b"], h1))
     return _conv(h4, params, "den.conv_out", adapters)
 
 
@@ -330,15 +332,13 @@ def decode(z: T.Tensor, params: NetParams, adapters=()) -> Image:
 
 def make_denoiser(params: NetParams, sched, adapters=()):
     """Denoiser callable net(z_t, t, cond) with t an index into ``sched``;
-    an index outside [0, sched.T) raises ContractViolation.
+    an index that is not an integer in [0, sched.T) raises ContractViolation.
 
     Maps schedule indices to physical timesteps via sched.base_t so respaced
     sampling sees the same embeddings as training.
     """
 
     def net(z_t, t, cond):
-        check_step(sched, t)
-        t_phys = sched.base_t[np.asarray(t, dtype=np.int64)]
-        return denoise(z_t, t_phys, cond, params, adapters)
+        return denoise(z_t, sched.base_t[check_step(sched, t)], cond, params, adapters)
 
     return net

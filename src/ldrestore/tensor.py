@@ -77,6 +77,17 @@ upsampled grid, which is 4x larger: 2.25x fewer multiply-adds. The phases
 run through the same tap loops as conv2d, and strided writes
 (out[:, :, a::2, b::2]) interleave them into the output.
 
+The same node takes a U-Net's skip connection as an optional input, the
+denoiser's den.up: conv2d(concat_channels(upsample2(x), skip), k, bias).
+The concat splits the kernel by input channel, so the node is the phase
+convs of x with k[:, :c] plus a conv2d of the skip with k[:, c:] on the
+skip's own grid, whose crop is added to the interleaved phases in one
+strided pass. Neither the upsampled copy nor the concat is formed. At the
+default config (batch 8) that takes den.up from 9 products of
+(16, 40) @ (40, 2312) to 16 of (16, 24) @ (24, 648) and 9 of
+(16, 16) @ (16, 2312): 13.3M -> 9.3M multiply-adds per pass, less than the
+2.25x of the phases because the 8x8 grid's border is 27% of its columns.
+
 Importing this module fixes glibc's heap thresholds (``_keep_heap_mapped``).
 With no patch matrix, every temporary of a training step is below about
 0.5 MB, and glibc's self-adjusting thresholds then return the memory a step
@@ -557,9 +568,10 @@ def _tap_matmul_t(g, xp, offsets, length):
     core): one block runs at 45-53 GFLOP/s up to a slice of 160 KiB, and
     falls to 22-35 GFLOP/s somewhere between 192 and 384 KiB depending on
     the shape, where two blocks run at 45-73. Below 160 KiB a split costs
-    5-25%. At the default config only den.up (c=40), with a slice of about
-    361 KiB, splits, into two blocks; the next largest slices are
-    den.conv_in's, 145 KiB, and dec.conv2's phase grid, 108 KiB. With one
+    5-25%. At the default config (batch 8) only dec.out splits: its 1x1
+    grid at 32x32 is 384 KiB over 12 channels, and takes two blocks. The
+    next largest slices are ctrl.zero.conv's 1x1 grid, 192 KiB, and 145 KiB
+    for den.conv_in, den.conv_out and den.up's skip grid. With one
     input channel the patch matrix is smaller than g and the result is one
     product with it.
     """
@@ -612,17 +624,35 @@ def fold_channels_last(y: Tensor, x_shape, k: int) -> Tensor:
     return _make(_from_grid(y.data, n, hp, wp, h, w), "fold", (y,), (lambda g: _to_grid(g, hp, wp),))
 
 
-def _checked_grid(x, k, bias, op):
-    """The checks of a conv node's (x, k, bias), raised as op; x's _conv_grid under k."""
+def _checked_grid(x, k, bias, op, skip=None):
+    """The checks of a conv node's (x, k, bias), raised as op; x's _conv_grid under k.
+
+    upsample_conv2d's skip must be a batch (n, cs, 2h, 2w) for x (n, c, h, w),
+    and the kernel then takes c + cs input channels.
+    """
     if k.ndim != 4:
         raise DimensionError(f"{op}: kernel must be 4-D, got {k.shape}")
     grid = _conv_grid(x.shape, k.shape, op)
+    n, c, h, w = grid[:4]
     co, ci = k.shape[:2]
-    if grid[1] != ci:
-        raise DimensionError(f"{op}: input channels {grid[1]} vs kernel {ci} ({x.shape} with {k.shape})")
+    shapes = f"{x.shape} with {k.shape}"
+    if skip is not None:
+        if skip.ndim != 4 or skip.shape[0] != n or skip.shape[2:] != (2 * h, 2 * w):
+            raise DimensionError(f"{op}: skip {skip.shape} is not a batch ({n}, cs, {2 * h}, {2 * w})"
+                                 f" for x {x.shape}")
+        c += skip.shape[1]
+        shapes = f"{x.shape} and skip {skip.shape} with {k.shape}"
+    if c != ci:
+        raise DimensionError(f"{op}: input channels {c} vs kernel {ci} ({shapes})")
     if bias.shape != (co,):
         raise DimensionError(f"{op}: bias {bias.shape} does not fit kernel {k.shape}; need ({co},)")
     return grid
+
+
+def _tap_blocks(k):
+    """A (co, c, s, s) kernel as one contiguous (co, c) block per tap, in tap order: (s*s, co, c)."""
+    co, c = k.shape[:2]
+    return np.ascontiguousarray(k.reshape(co, c, -1).transpose(2, 0, 1))
 
 
 def conv2d(x: Tensor, k: Tensor, bias: Tensor) -> Tensor:
@@ -640,15 +670,12 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor) -> Tensor:
     b's pixel (r, s) comes out at the top left of slot b, where _from_grid
     reads it. The grid of x is rebuilt only when k needs a gradient.
     """
-    n, c, h, w, ks, hp, wp, head = _checked_grid(x, k, bias, "conv2d")
-    co = k.shape[0]
+    grid = _checked_grid(x, k, bias, "conv2d")
+    n, _, h, w, ks, hp, wp, head = grid
     inputs = (x, k, bias)
     dtype = np.result_type(x.data, k.data, bias.data)
-    length = n * hp * wp
-    offsets = _tap_offsets(ks, wp)
-    # the kernel as one contiguous (co, c) block per tap
-    mt = np.ascontiguousarray(k.data.reshape(co, c, ks * ks).transpose(2, 0, 1))
-    y = _tap_matmul(mt, _to_grid(x.data, hp, wp, head), offsets, length, dtype)
+    mt = _tap_blocks(k.data)
+    y = _tap_matmul(mt, _to_grid(x.data, hp, wp, head), _tap_offsets(ks, wp), n * hp * wp, dtype)
     y += bias.data[:, None]
     out = Tensor(_from_grid(y, n, hp, wp, h, w))
     if not _recording(inputs):
@@ -656,22 +683,37 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor) -> Tensor:
 
     def backward(g):
         need = [t._needs_grad() for t in inputs]
-        grads = [None, None, None]
-        gh = _to_grid(g, hp, wp, head)
-        gg = gh[:, head : head + length]
-        if need[0]:
-            # the transposed conv of g: the forward's taps reversed and transposed
-            gxp = _tap_matmul(mt[::-1].transpose(0, 2, 1), gh, offsets, length, np.result_type(mt, gh))
-            grads[0] = _from_grid(gxp, n, hp, wp, h, w)
-            del gxp  # before the grid of x is built
-        if need[1]:
-            grads[1] = _tap_matmul_t(gg, _to_grid(x.data, hp, wp, head), offsets, length).reshape(k.shape)
-        if need[2]:
-            grads[2] = gg.sum(axis=1)
-        return tuple(grads)
+        gg, gx, gk = _conv_backward(g, x.data, mt, grid, need[0], need[1])
+        return gx, None if gk is None else gk.reshape(k.shape), gg.sum(axis=1) if need[2] else None
 
     out.node = TapeNode("conv2d", inputs, backward)
     return out
+
+
+def _conv_backward(g, a, mt, grid, need_a, need_k):
+    """conv2d's backward on grid = _conv_grid of the batch a, whose forward ran
+    _tap_matmul(mt, ...) on a's grid: (gg, ga, gk) for the output gradient g.
+
+    gg is g on the grid without its head, whose row sums are the bias
+    gradient. ga, a's gradient, is the transposed conv of g: the forward's
+    blocks in reverse tap order and transposed, which is each block at its
+    mirrored offset 2*head - off_t (see conv2d). gk is the kernel's
+    (co, c*s*s) gradient. ga is None unless need_a and gk None unless need_k;
+    the grid of a is rebuilt only for gk.
+    """
+    n, _, h, w, ks, hp, wp, head = grid
+    length = n * hp * wp
+    offsets = _tap_offsets(ks, wp)
+    gh = _to_grid(g, hp, wp, head)
+    gg = gh[:, head : head + length]
+    ga = gk = None
+    if need_a:
+        gap = _tap_matmul(mt[::-1].transpose(0, 2, 1), gh, offsets, length, np.result_type(mt, gh))
+        ga = _from_grid(gap, n, hp, wp, h, w)
+        del gap  # before the grid of a is built
+    if need_k:
+        gk = _tap_matmul_t(gg, _to_grid(a, hp, wp, head), offsets, length)
+    return gg, ga, gk
 
 
 @functools.lru_cache(maxsize=None)
@@ -700,33 +742,42 @@ def _phase_map(s, dtype):
     return pmap, lead
 
 
-def upsample_conv2d(x: Tensor, k: Tensor, bias: Tensor) -> Tensor:
+def upsample_conv2d(x: Tensor, k: Tensor, bias: Tensor, skip: Tensor = None) -> Tensor:
     """conv2d(upsample2(x), k, bias), with the same checks: x (n, c, h, w),
-    k (co, c, s, s) with s odd, bias (co,) -> (n, co, 2h, 2w). One tape node
-    with inputs (x, k, bias), which never forms the upsampled copy.
+    k (co, c, s, s) with s odd, bias (co,) -> (n, co, 2h, 2w). With a skip
+    (n, cs, 2h, 2w), the U-Net's skip connection, it is
+    conv2d(concat_channels(upsample2(x), skip), k, bias) and k is
+    (co, c + cs, s, s), x's channels first. One tape node with inputs
+    (x, k, bias), or (x, k, bias, skip), which forms neither the upsampled
+    copy nor the concat.
 
     Output phase (a, b), the pixels (2r + a, 2q + b), is a P x P conv of x
     on x's own grid (see the module docstring). Its (co, c) blocks are sums
     of kernel taps, one product with _phase_map's 0/1 map. The forward runs
     _tap_matmul once per phase and writes each phase's crop into
-    out[:, :, a::2, b::2]. The backward reads the output gradient's four
-    phases onto four grids of x's layout, laid end to end. The input
+    out[:, :, a::2, b::2]. The skip's channels k[:, c:] are a conv2d of the
+    skip on its own grid, without a bias, whose crop is added to the
+    interleaved phases in one pass. The backward reads the output gradient's
+    four phases onto four grids of x's layout, laid end to end. The input
     gradient, the sum of the phases' transposed convs, is then one
     _tap_matmul over every block transposed, each at its mirrored offset
     2*head - off into its own phase's grid. The kernel gradient is
     _tap_matmul_t once per phase, folded back onto the s x s taps by one
-    product with the same map. The grid of x is rebuilt only when k needs a
-    gradient.
+    product with the same map, followed by the skip channels' conv2d kernel
+    gradient on the skip's grid, which also gives the skip its gradient
+    (_conv_backward). The grids of x and the skip are rebuilt only when k
+    needs a gradient.
     """
-    n, c, h, w, ks, hp, wp, head = _checked_grid(x, k, bias, "upsample_conv2d")
+    n, c, h, w, ks, hp, wp, head = _checked_grid(x, k, bias, "upsample_conv2d", skip)
     co = k.shape[0]
-    inputs = (x, k, bias)
-    dtype = np.result_type(x.data, k.data, bias.data)
+    inputs = (x, k, bias) if skip is None else (x, k, bias, skip)
+    dtype = np.result_type(*(t.data for t in inputs))
     length = n * hp * wp
     pmap, lead = _phase_map(ks, k.data.dtype)
     taps = ks // 2 + 1
     # one contiguous (co, c) block per phase tap, taps*taps of them per phase 2a + b
-    mt = np.ascontiguousarray((k.data.reshape(co * c, ks * ks) @ pmap.T).T).reshape(4, taps * taps, co, c)
+    kx = k.data[:, :c].reshape(co * c, ks * ks)
+    mt = np.ascontiguousarray((kx @ pmap.T).T).reshape(4, taps * taps, co, c)
     phases = [(a, b) for a in (0, 1) for b in (0, 1)]
     phase_offsets = [[o + lead[a] * wp + lead[b] for o in _tap_offsets(taps, wp)] for a, b in phases]
     xp = _to_grid(x.data, hp, wp, head)
@@ -735,13 +786,19 @@ def upsample_conv2d(x: Tensor, k: Tensor, bias: Tensor) -> Tensor:
         yp = _tap_matmul(blocks, xp, offsets, length, dtype)
         yp += bias.data[:, None]
         y[:, :, a::2, b::2] = yp.reshape(co, n, hp, wp)[:, :, :h, :w].transpose(1, 0, 2, 3)
+    if skip is not None:
+        skip_grid = _conv_grid(skip.shape, k.shape, "upsample_conv2d")
+        _, cs, _, _, _, shp, swp, shead = skip_grid
+        ms = _tap_blocks(k.data[:, c:])
+        ys = _tap_matmul(ms, _to_grid(skip.data, shp, swp, shead), _tap_offsets(ks, swp), n * shp * swp, dtype)
+        y += ys.reshape(co, n, shp, swp)[:, :, : 2 * h, : 2 * w].transpose(1, 0, 2, 3)
     out = Tensor(y)
     if not _recording(inputs):
         return out
 
     def backward(g):
         need = [t._needs_grad() for t in inputs]
-        grads = [None, None, None]
+        grads = [None] * len(inputs)
         span = length + 2 * head
         gh = np.zeros((co, 4, span), dtype=g.dtype)
         slots = gh[:, :, head : head + length].reshape(co, 4, n, hp, wp)
@@ -759,9 +816,13 @@ def upsample_conv2d(x: Tensor, k: Tensor, bias: Tensor) -> Tensor:
                            for ph, offs in enumerate(phase_offsets)])
             # (phase, co, c, tap) -> (co, c, phase, tap), folded onto the kernel's taps
             gk = gk.reshape(4, co, c, taps * taps).transpose(1, 2, 0, 3).reshape(co * c, pmap.shape[0])
-            grads[1] = (gk @ pmap).reshape(k.shape)
+            grads[1] = (gk @ pmap).reshape(co, c, ks, ks)
         if need[2]:
             grads[2] = gh.sum(axis=1)
+        if skip is not None and (need[1] or need[3]):
+            _, grads[3], gks = _conv_backward(g, skip.data, ms, skip_grid, need[3], need[1])
+            if need[1]:
+                grads[1] = np.concatenate([grads[1], gks.reshape(co, cs, ks, ks)], axis=1)
         return tuple(grads)
 
     out.node = TapeNode("upsample_conv2d", inputs, backward)

@@ -181,6 +181,13 @@ def test_forward_diffuse_batch_rejects_bad_steps_and_shapes():
         forward_diffuse_batch(x0, [0, 5], x0, s)
     with pytest.raises(ContractViolation):
         forward_diffuse_batch(x0, [-1, 0], x0, s)
+    # a step that is not an integer is refused, not truncated to one
+    for t in ([1.5, 2.7], [0, 0.5], [1, float("nan")]):
+        with pytest.raises(ContractViolation):
+            forward_diffuse_batch(x0, t, x0, s)
+    # a float whose value is an integer is that step
+    x1 = T.Tensor(np.ones((2, 3)))
+    assert np.array_equal(forward_diffuse_batch(x1, [1.0, 2.0], x0, s).data, forward_diffuse_batch(x1, [1, 2], x0, s).data)
     with pytest.raises(DimensionError):
         forward_diffuse_batch(x0, [0], x0, s)
     with pytest.raises(DimensionError):
@@ -257,9 +264,11 @@ def test_reverse_step_rejects_bad_t():
     s = make_schedule(5, 0.05, 0.2)
     z = T.Tensor(np.zeros((1, 2, 2)))
     net = lambda zt, t, cond: T.Tensor(np.zeros((1, 2, 2)))
-    for t in (-1, 5):
+    for t in (-1, 5, 2.5):
         with pytest.raises(ContractViolation):
             reverse_step(net, z, t, None, s)
+    # a float whose value is an integer is that step
+    assert np.array_equal(reverse_step(net, z, 3.0, None, s).data, reverse_step(net, z, 3, None, s).data)
 
 
 def test_reverse_step_ignores_noise_at_t0():

@@ -302,9 +302,11 @@ def test_merge_on_conv_kernel_view():
     for mode in COMPUTE_MODES:
         with mode():
             # a 1x1 target on a batch of one, and a 3x3 target on a batch of three, where
-            # a patch row order other than the kernel's (ci, kh, kw) would disagree with merge
+            # a patch row order other than the kernel's (ci, kh, kw) would disagree with
+            # merge; den.up's kernel reaches its upsample_conv2d node, with the skip
             for target, (params, cond, zt), t in [("ctrl.zero.sft.w", tiny_net(), 2),
-                                                  ("den.mid.w", tiny_net_batch(), [2, 5, 9])]:
+                                                  ("den.mid.w", tiny_net_batch(), [2, 5, 9]),
+                                                  ("den.up.w", tiny_net_batch(), [2, 5, 9])]:
                 adapters = attach(params, LoraConfig(rank=2, targets=(target,)), seed=6)
                 a = adapters[0]
                 a.B.data = T.Tensor(np.random.default_rng(6).normal(size=a.B.shape) * 0.1).data

@@ -5,6 +5,7 @@ import pytest
 from scipy.ndimage import gaussian_filter
 
 from ldrestore import tensor as T
+from ldrestore.errors import ParameterError
 from ldrestore.images import Image
 from ldrestore.metrics import (
     PPROXY_SEED,
@@ -131,3 +132,10 @@ def test_metric_report_csv_rows_mean_and_inf(tmp_path):
     path = tmp_path / "report.csv"
     report.write_csv(path)
     assert path.read_bytes() == text.encode("utf-8")
+
+
+def test_metric_report_refuses_an_empty_report():
+    # as evaluate refuses no pairs: a mean of no rows is not a number
+    for call in (MetricReport([]).means, MetricReport([]).to_csv):
+        with pytest.raises(ParameterError, match="no rows"):
+            call()

@@ -260,6 +260,55 @@ def test_decode_tensor_matches_the_composed_upsample_decoder():
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+def composed_denoise(z_t, t, cond, params):
+    """denoise's reference at per-item steps t: den.up's 2x upsample and its
+    skip concat as nodes of their own, then conv2d, at every conv site."""
+
+    def conv(x, site):
+        return T.conv2d(x, params[site + ".w"], params[site + ".b"])
+
+    cfg, z_lq = params.config, cond.z_lq
+    h = conv(T.concat_channels(z_t, z_lq), "den.conv_in")
+    tb = T.linear(time_embedding(t, cfg.temb_dim), params["den.temb.w"])
+    pb = T.linear(cond.prompt_embedding, params["den.pemb.w"])
+    h1 = T.silu(T.channel_bias(h, T.add(tb, pb)))
+    h2 = T.silu(conv(T.avg_pool2(h1), "den.down"))
+    h3 = T.silu(T.add(conv(h2, "den.mid"), conv(T.avg_pool2(z_lq), "ctrl.zero.sft")))
+    h4 = T.silu(conv(T.concat_channels(T.upsample2(h3), h1), "den.up"))
+    return conv(h4, "den.conv_out")
+
+
+def test_denoise_matches_the_composed_upsample_concat_denoiser():
+    # den.up convolves the upsampled bottleneck and its skip in one
+    # upsample_conv2d node; values and gradients equal upsampling, concatenating
+    # and then convolving
+    rng = np.random.default_rng(22)
+    with T.float64():
+        params = init_params(NetConfig(), 3)
+        for name, shape, kind in network.parameter_plan(params.config):
+            if kind == "zero":  # so that no path or bias gradient is trivially zero
+                params[name].data = rng.normal(size=shape) * 0.1
+        z_t0, z_lq0 = rng.normal(size=(2, 8, 16, 16)), rng.normal(size=(2, 8, 16, 16))
+        pemb = prompt_embedding_batch(params, [["gradient", "high-quality"], ["stripes"]])
+        t = np.array([3, 700])
+        w = rng.normal(size=(2, 8, 16, 16))
+        sites = [name for name in params.names() if name.startswith("den.")]
+        results = []
+        for den in (denoise, composed_denoise):
+            params.zero_grads()
+            z_t, z_lq = T.Tensor(z_t0, requires_grad=True), T.Tensor(z_lq0, requires_grad=True)
+            y = den(z_t, t, ConditioningBundle(z_lq, None, pemb), params)
+            T.backward(T.tsum(T.mul(y, T.Tensor(w))))
+            results.append([y.data, z_t.grad, z_lq.grad] + [params[name].grad for name in sites])
+        for got, want in zip(*results):
+            assert got.shape == want.shape
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+        # no upsampled copy, and only den.conv_in's and ctrl.zero.conv's concats
+        z_lq = control_features(T.Tensor(z_lq0, requires_grad=True), pemb, params)
+        ops = tape_ops(denoise(T.Tensor(z_t0), t, ConditioningBundle(z_lq, None, pemb), params))
+        assert "upsample_conv2d" in ops and "upsample2" not in ops and ops.count("concat") == 2, ops
+
+
 def test_decode_rejects_a_batch_before_decoding(monkeypatch):
     params, img = tiny_setup()
     zb = encode(T.Tensor(np.stack([img, img])), params)
@@ -282,9 +331,14 @@ def test_make_denoiser_checks_step_index():
     net = make_denoiser(params, sched)
     # an index into the respaced schedule runs the denoiser at its physical step
     assert np.array_equal(net(z, 3, cond).data, denoise(z, sched.base_t[3], cond, params).data)
-    for t in (-1, sched.T):
+    for t in (-1, sched.T, 2.5, [2.5]):
         with pytest.raises(ContractViolation):
             net(z, t, cond)
+    # denoise takes physical steps: integers >= 0, with no upper bound of its own
+    for t in (2.5, -7, [3.5], [-1]):
+        with pytest.raises(ContractViolation):
+            denoise(z, t, cond, params)
+    assert np.array_equal(denoise(z, 2.0, cond, params).data, denoise(z, 2, cond, params).data)
 
 
 def test_shape_closure_all_sizes():

@@ -175,6 +175,17 @@ def test_conv2d_channel_mismatch_names_shapes():
         with pytest.raises(DimensionError) as e:
             conv(T.Tensor(np.zeros((1, 3, 5, 5))), T.Tensor(np.zeros((2, 4, 3, 3))), T.Tensor(np.zeros(2)))
         assert "(1, 3, 5, 5)" in str(e.value) and "(2, 4, 3, 3)" in str(e.value), conv
+    # upsample_conv2d's skip must be a batch (n, cs, 2h, 2w) for x (n, c, h, w), and
+    # the kernel must take c + cs channels; each error names the shapes that disagree
+    x, k, b = T.Tensor(np.zeros((2, 3, 4, 5))), T.Tensor(np.zeros((2, 5, 3, 3))), T.Tensor(np.zeros(2))
+    for skip_shape, kernel in [((2, 2, 8, 9), k), ((2, 2, 4, 5), k), ((1, 2, 8, 10), k), ((2, 8, 10), k),
+                               ((2, 3, 8, 10), k), ((2, 2, 8, 10), T.Tensor(np.zeros((2, 3, 3, 3))))]:
+        with pytest.raises(DimensionError) as e:
+            T.upsample_conv2d(x, kernel, b, T.Tensor(np.zeros(skip_shape)))
+        msg = str(e.value)
+        assert "upsample_conv2d" in msg and str(skip_shape) in msg and "(2, 3, 4, 5)" in msg, msg
+        if skip_shape[1:] == (3, 8, 10) or kernel is not k:
+            assert str(kernel.shape) in msg, msg
 
 
 def test_conv2d_kernel_must_be_square_with_an_odd_side():
@@ -326,17 +337,33 @@ def test_conv_tape_keeps_no_patch_matrix():
         assert backward_peak - before < patch_bytes, (k_trainable, backward_peak - before, patch_bytes)
 
 
-def upsample_then_conv2d(x, k, bias):
-    """upsample_conv2d's reference: the upsampled copy, then conv2d, two tape nodes."""
-    return T.conv2d(T.upsample2(x), k, bias)
+def upsample_then_conv2d(x, k, bias, skip=None):
+    """upsample_conv2d's reference: the upsampled copy, the concat with the
+    skip when there is one, then conv2d, each a tape node."""
+    up = T.upsample2(x)
+    return T.conv2d(up if skip is None else T.concat_channels(up, skip), k, bias)
 
 
-def upsample_conv_results(conv, x0, k0, bias0, w):
-    """Output and x, k and bias gradients of sum(conv(x, k, bias) * w)."""
+def upsample_conv_results(conv, x0, k0, bias0, w, skip0=None):
+    """Output and x, k, bias and skip gradients of sum(conv(x, k, bias, skip) * w)."""
     x, k, bias = (T.Tensor(a, requires_grad=True) for a in (x0, k0, bias0))
-    y = conv(x, k, bias)
+    skip = None if skip0 is None else T.Tensor(skip0, requires_grad=True)
+    y = conv(x, k, bias, skip)
     T.backward(T.tsum(T.mul(y, T.Tensor(w))))
-    return [y.data, x.grad, k.grad, bias.grad]
+    return [y.data, x.grad, k.grad, bias.grad] + ([] if skip is None else [skip.grad])
+
+
+def upsample_conv_case(rng, x_shape, skip_shape, k_shape):
+    """Random x, k, bias, loss weights and skip (or None) for upsample_conv2d."""
+    n, _, h, w = x_shape
+    x0, k0, bias0 = rng.normal(size=x_shape), rng.normal(size=k_shape), rng.normal(size=k_shape[0])
+    w0 = rng.normal(size=(n, k_shape[0], 2 * h, 2 * w))
+    return x0, k0, bias0, w0, None if skip_shape is None else rng.normal(size=skip_shape)
+
+
+# a skip (n, cs, 2h, 2w) for x (n, 2, h, w) = (5, 2, 9, 9) on BLOCKED_X's grid, so
+# that its part of the kernel gradient takes more than one column block
+BLOCKED_SKIP_X, BLOCKED_SKIP_K = (5, 2, 9, 9), (16, 42, 3, 3)
 
 
 def test_upsample_conv2d_matches_composed_tape():
@@ -344,40 +371,49 @@ def test_upsample_conv2d_matches_composed_tape():
     # batches of one and of three, one input channel, one output channel,
     # 3x3, 5x5 and 1x1 kernels, odd and non-square inputs, a 5x5 kernel wider
     # than the 2x2 upsampled input, one channel with a 1x1 kernel (one tap
-    # per phase), and a kernel gradient in column blocks
-    cases = [((1, 2, 5, 6), (3, 2, 3, 3)), ((3, 2, 5, 6), (3, 2, 3, 3)),
-             ((3, 1, 5, 6), (3, 1, 3, 3)), ((3, 2, 5, 6), (1, 2, 3, 3)),
-             ((3, 2, 3, 4), (3, 2, 5, 5)), ((3, 2, 1, 1), (3, 2, 5, 5)),
-             ((1, 2, 4, 5), (4, 2, 1, 1)), ((3, 2, 3, 4), (4, 2, 1, 1)),
-             ((3, 1, 3, 4), (1, 1, 1, 1)), (BLOCKED_X, BLOCKED_K)]
+    # per phase), and a kernel gradient in column blocks; then the same with a
+    # skip, whose channels follow x's in the kernel, one of them a single channel
+    cases = [((1, 2, 5, 6), None, (3, 2, 3, 3)), ((3, 2, 5, 6), None, (3, 2, 3, 3)),
+             ((3, 1, 5, 6), None, (3, 1, 3, 3)), ((3, 2, 5, 6), None, (1, 2, 3, 3)),
+             ((3, 2, 3, 4), None, (3, 2, 5, 5)), ((3, 2, 1, 1), None, (3, 2, 5, 5)),
+             ((1, 2, 4, 5), None, (4, 2, 1, 1)), ((3, 2, 3, 4), None, (4, 2, 1, 1)),
+             ((3, 1, 3, 4), None, (1, 1, 1, 1)), (BLOCKED_X, None, BLOCKED_K),
+             ((1, 2, 5, 6), (1, 3, 10, 12), (3, 5, 3, 3)), ((3, 2, 5, 6), (3, 1, 10, 12), (3, 3, 3, 3)),
+             ((3, 1, 5, 6), (3, 2, 10, 12), (1, 3, 3, 3)), ((3, 2, 3, 4), (3, 2, 6, 8), (3, 4, 5, 5)),
+             ((3, 2, 1, 1), (3, 2, 2, 2), (3, 4, 5, 5)), ((3, 2, 3, 4), (3, 1, 6, 8), (4, 3, 1, 1)),
+             (BLOCKED_SKIP_X, BLOCKED_X, BLOCKED_SKIP_K)]
+    # the grid of BLOCKED_X, as the input of the last x-only case and as the last skip
     n, c, *_, hp, wp, _ = T._conv_grid(BLOCKED_X, BLOCKED_K, "upsample_conv2d")
     assert T._grad_block(c, n * hp * wp, 8) < n * hp * wp
     with T.float64():
-        for x_shape, k_shape in cases:
-            x0, k0, bias0 = rng.normal(size=x_shape), rng.normal(size=k_shape), rng.normal(size=k_shape[0])
-            w = rng.normal(size=(x_shape[0], k_shape[0], 2 * x_shape[2], 2 * x_shape[3]))
-            fused = upsample_conv_results(T.upsample_conv2d, x0, k0, bias0, w)
-            ref = upsample_conv_results(upsample_then_conv2d, x0, k0, bias0, w)
+        for x_shape, skip_shape, k_shape in cases:
+            x0, k0, bias0, w, skip0 = upsample_conv_case(rng, x_shape, skip_shape, k_shape)
+            fused = upsample_conv_results(T.upsample_conv2d, x0, k0, bias0, w, skip0)
+            ref = upsample_conv_results(upsample_then_conv2d, x0, k0, bias0, w, skip0)
+            assert len(fused) == len(ref) == (4 if skip0 is None else 5)
             for got, want in zip(fused, ref):
-                assert got.shape == want.shape, (x_shape, k_shape)
-                assert np.allclose(got, want, rtol=1e-12, atol=1e-12), (x_shape, k_shape)
-        x, k, bias = (T.Tensor(a, requires_grad=True) for a in (x0, k0, bias0))
-        y = T.upsample_conv2d(x, k, bias)
-        assert y.node.op == "upsample_conv2d" and y.node.inputs == (x, k, bias)
+                assert got.shape == want.shape, (x_shape, skip_shape, k_shape)
+                assert np.allclose(got, want, rtol=1e-12, atol=1e-12), (x_shape, skip_shape, k_shape)
+        x, k, bias, skip = (T.Tensor(a, requires_grad=True) for a in (x0, k0, bias0, skip0))
+        y = T.upsample_conv2d(x, k, bias, skip)
+        assert y.node.op == "upsample_conv2d" and y.node.inputs == (x, k, bias, skip)
+        y = T.upsample_conv2d(x, T.Tensor(k0[:, : x.shape[1]], requires_grad=True), bias)
+        assert len(y.node.inputs) == 3
 
 
 def test_upsample_conv2d_float32_matches_float64():
     rng = np.random.default_rng(16)
-    for x_shape, k_shape in [((3, 2, 5, 6), (3, 2, 3, 3)), ((3, 1, 5, 6), (4, 1, 3, 3)),
-                             ((2, 3, 3, 4), (2, 3, 5, 5)), ((3, 2, 3, 4), (1, 2, 1, 1))]:
-        x0, k0, bias0 = rng.normal(size=x_shape), rng.normal(size=k_shape), rng.normal(size=k_shape[0])
-        w = rng.normal(size=(x_shape[0], k_shape[0], 2 * x_shape[2], 2 * x_shape[3]))
-        got = upsample_conv_results(T.upsample_conv2d, x0, k0, bias0, w)
+    for x_shape, skip_shape, k_shape in [((3, 2, 5, 6), None, (3, 2, 3, 3)), ((3, 1, 5, 6), None, (4, 1, 3, 3)),
+                                         ((2, 3, 3, 4), None, (2, 3, 5, 5)), ((3, 2, 3, 4), None, (1, 2, 1, 1)),
+                                         ((3, 2, 5, 6), (3, 3, 10, 12), (3, 5, 3, 3)),
+                                         ((2, 3, 3, 4), (2, 1, 6, 8), (2, 4, 5, 5))]:
+        x0, k0, bias0, w, skip0 = upsample_conv_case(rng, x_shape, skip_shape, k_shape)
+        got = upsample_conv_results(T.upsample_conv2d, x0, k0, bias0, w, skip0)
         with T.float64():
-            want = upsample_conv_results(T.upsample_conv2d, x0, k0, bias0, w)
+            want = upsample_conv_results(T.upsample_conv2d, x0, k0, bias0, w, skip0)
         for a, b in zip(got, want):
             assert a.dtype == np.float32 and b.dtype == np.float64
-            assert np.allclose(a, b, rtol=1e-5, atol=1e-5), (x_shape, k_shape)
+            assert np.allclose(a, b, rtol=1e-5, atol=1e-5), (x_shape, skip_shape, k_shape)
 
 
 def test_upsample_conv2d_gradients_match_finite_differences():
@@ -387,27 +423,37 @@ def test_upsample_conv2d_gradients_match_finite_differences():
     assert grad_error(lambda v: T.mse(T.silu(T.upsample_conv2d(v, k, bias)), tgt), x) < 1e-6
     assert grad_error(lambda v: T.mse(T.silu(T.upsample_conv2d(x, v, bias)), tgt), k) < 1e-6
     assert grad_error(lambda v: T.mse(T.silu(T.upsample_conv2d(x, k, v)), tgt), bias) < 1e-6
+    # with a skip of 2 channels
+    skip, ks = T.Tensor(rng.normal(size=(2, 2, 6, 8))), T.Tensor(rng.normal(size=(3, 4, 3, 3)))
+    assert grad_error(lambda v: T.mse(T.silu(T.upsample_conv2d(v, ks, bias, skip)), tgt), x) < 1e-6
+    assert grad_error(lambda v: T.mse(T.silu(T.upsample_conv2d(x, v, bias, skip)), tgt), ks) < 1e-6
+    assert grad_error(lambda v: T.mse(T.silu(T.upsample_conv2d(x, ks, v, skip)), tgt), bias) < 1e-6
+    assert grad_error(lambda v: T.mse(T.silu(T.upsample_conv2d(x, ks, bias, v)), tgt), skip) < 1e-6
 
 
 def test_upsample_conv_tape_keeps_no_upsampled_copy():
     # bytes a recorded node allocates and holds until backward, besides its
-    # output: the composed path holds the 4x upsampled copy of x
+    # output: the composed path holds the 4x upsampled copy of x, and with a
+    # skip also the concat of that copy and the skip
     rng = np.random.default_rng(18)
     x = T.Tensor(rng.normal(size=(8, 12, 16, 16)), requires_grad=True)
-    k = T.Tensor(rng.normal(size=(12, 12, 3, 3)), requires_grad=True)
     b = T.Tensor(np.zeros(12), requires_grad=True)
-    extra = {}
-    for conv in (T.upsample_conv2d, upsample_then_conv2d):
-        tracemalloc.start()
-        try:
-            y = conv(x, k, b)
-            held, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert y.node is not None
-        extra[conv] = held - y.data.nbytes
-    assert extra[T.upsample_conv2d] < x.data.nbytes, extra
-    assert extra[upsample_then_conv2d] >= 4 * x.data.nbytes, extra
+    for skip in (None, T.Tensor(rng.normal(size=(8, 6, 32, 32)), requires_grad=True)):
+        cs = 0 if skip is None else skip.shape[1]
+        k = T.Tensor(rng.normal(size=(12, 12 + cs, 3, 3)), requires_grad=True)
+        extra = {}
+        for conv in (T.upsample_conv2d, upsample_then_conv2d):
+            tracemalloc.start()
+            try:
+                y = conv(x, k, b, skip)
+                held, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert y.node is not None
+            extra[conv] = held - y.data.nbytes
+        copies = 4 * x.data.nbytes + (0 if skip is None else 4 * x.data.nbytes + skip.data.nbytes)
+        assert extra[T.upsample_conv2d] < x.data.nbytes, extra
+        assert extra[upsample_then_conv2d] >= copies, extra
 
 
 # A LoRA fine-tune loop: default config, batch 8, rank-4 adapters on the default
@@ -607,6 +653,15 @@ def test_backward_returns_none_for_inputs_without_gradient():
     y = T.upsample_conv2d(T.Tensor(xc.data), T.Tensor(kc.data, requires_grad=True), bc)
     gx, gk, gb = y.node.backward(rng.normal(size=y.shape))
     assert gx is None and gb is None and gk.shape == kc.shape
+    # with a skip: a frozen skip gets None, and a frozen x beside a trainable skip
+    sc = rng.normal(size=(2, 2, 10, 10))
+    ks = T.Tensor(rng.normal(size=(4, 5, 3, 3)))
+    y = T.upsample_conv2d(xc, ks, bc, T.Tensor(sc))
+    gx, gk, gb, gs = y.node.backward(rng.normal(size=y.shape))
+    assert gk is None and gb is None and gs is None and gx.shape == xc.shape
+    y = T.upsample_conv2d(T.Tensor(xc.data), ks, bc, T.Tensor(sc, requires_grad=True))
+    gx, gk, gb, gs = y.node.backward(rng.normal(size=y.shape))
+    assert gx is None and gk is None and gb is None and gs.shape == sc.shape
     # a conv site with an adapter: the adapted kernel gets a gradient, which reaches
     # A and B, while the frozen kernel and bias keep .grad None
     A = T.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
