@@ -57,6 +57,10 @@ class LoraConfig:
         self.targets = tuple(self.targets)
         if not self.targets:
             raise ConfigurationError("LoraConfig.targets must name at least one parameter")
+        repeated = dict.fromkeys(t for t in self.targets if self.targets.count(t) > 1)
+        if repeated:
+            # two adapters on one weight are two attach calls, not a repeated name
+            raise ConfigurationError(f"LoraConfig.targets names {', '.join(map(repr, repeated))} more than once")
 
 
 @dataclass

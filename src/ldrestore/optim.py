@@ -7,7 +7,9 @@ the moment and update arithmetic once per dtype rather than once per
 tensor; ``m[name]`` and ``v[name]`` are views of each tensor's slice in its
 shape. ``step`` reads each tensor's .grad and checks all of
 them before it changes anything. State round-trips through plain dicts for
-checkpointing.
+checkpointing. The constructor and ``load_state_dict`` check the
+hyperparameters with one function (``_hyperparameters``), so a value a
+checkpoint could not restore cannot be set either.
 """
 
 import math
@@ -28,10 +30,7 @@ class AdamW:
             if n in seen:
                 raise ContractViolation(f"AdamW: name {n!r} is bound twice; the moments are keyed by name")
             seen.add(n)
-        self.lr = float(lr)
-        self.beta1, self.beta2 = float(betas[0]), float(betas[1])
-        self.eps = float(eps)
-        self.weight_decay = float(weight_decay)
+        self.lr, self.beta1, self.beta2, self.eps, self.weight_decay = _hyperparameters(lr, betas, eps, weight_decay)
         self.t = 0
         by_dtype = {}
         for n, t in self.named:
@@ -98,16 +97,13 @@ class AdamW:
                 raise ContractViolation(f"AdamW: state missing {key!r}")
         try:
             t = int(state["t"])
-            lr, eps, weight_decay = (float(state[key]) for key in ("lr", "eps", "weight_decay"))
-            betas = [float(b) for b in state["betas"]]
         except (TypeError, ValueError) as e:
             raise ContractViolation(f"AdamW: state holds a non-number: {e}") from None
         if t < 0 or t != state["t"]:
             raise ContractViolation(f"AdamW: state t must be a non-negative integer, got {state['t']!r}")
-        if len(betas) != 2:
-            raise ContractViolation(f"AdamW: state betas must hold 2 values, got {len(betas)}")
-        if not all(math.isfinite(x) for x in (lr, eps, weight_decay, *betas)):
-            raise ContractViolation("AdamW: state hyperparameters must be finite")
+        lr, beta1, beta2, eps, weight_decay = _hyperparameters(
+            state["lr"], state["betas"], state["eps"], state["weight_decay"]
+        )
         moments = {"m": {}, "v": {}}
         for key, loaded in moments.items():
             if not isinstance(state[key], Mapping):
@@ -127,4 +123,24 @@ class AdamW:
             np.copyto(self.m[n], moments["m"][n])
             np.copyto(self.v[n], moments["v"][n])
         self.t, self.lr, self.eps, self.weight_decay = t, lr, eps, weight_decay
-        self.beta1, self.beta2 = betas
+        self.beta1, self.beta2 = beta1, beta2
+
+
+def _hyperparameters(lr, betas, eps, weight_decay):
+    """(lr, beta1, beta2, eps, weight_decay) as floats, the one check of both
+    the constructor's and a loaded state's values: each must be a finite
+    number with lr >= 0, 0 <= beta < 1 for both betas, eps > 0 and
+    weight_decay >= 0, else ContractViolation."""
+    try:
+        lr, eps, weight_decay = float(lr), float(eps), float(weight_decay)
+        betas = [float(b) for b in betas]
+    except (TypeError, ValueError) as e:
+        raise ContractViolation(f"AdamW: a hyperparameter is not a number: {e}") from None
+    if len(betas) != 2:
+        raise ContractViolation(f"AdamW: betas must hold 2 values, got {len(betas)}")
+    values = f"lr={lr}, betas={tuple(betas)}, eps={eps}, weight_decay={weight_decay}"
+    if not all(math.isfinite(x) for x in (lr, eps, weight_decay, *betas)):
+        raise ContractViolation(f"AdamW: hyperparameters must be finite, got {values}")
+    if lr < 0 or eps <= 0 or weight_decay < 0 or not all(0 <= b < 1 for b in betas):
+        raise ContractViolation(f"AdamW: need lr >= 0, 0 <= beta < 1, eps > 0 and weight_decay >= 0, got {values}")
+    return lr, betas[0], betas[1], eps, weight_decay

@@ -13,7 +13,14 @@ to float64, which is exact.
 Every differentiable operation records a tape node holding its inputs and a
 backward closure; calling ``backward`` on a scalar loss walks the tape once
 in reverse topological order and accumulates gradients additively into
-every tensor that was created with ``requires_grad=True``.
+every tensor that was created with ``requires_grad=True``. The walk
+consumes the tape: each recorded tensor's node is released before its
+backward runs, so the arrays a node saved are freed as soon as its
+gradients are out, not when the caller drops the loss (autograd engines do
+the same, Paszke et al., arXiv 1912.01703). A released tensor keeps its
+data, but a backward that reaches it, a second pass from one loss or a new
+graph built on it, raises ``ContractViolation`` before any ``.grad``
+changes. Leaves keep no node and are never released.
 
 A node's backward closure takes the output gradient and returns one entry
 per input. An input that needs no gradient (``not inp._needs_grad()``: not
@@ -866,8 +873,26 @@ def upsample2(x: Tensor) -> Tensor:
 # backward pass
 
 
+def _refuse_released(g):
+    raise ContractViolation("backward through a released tape node")
+
+
+# the node of every tensor whose own node a backward pass has consumed
+_RELEASED = TapeNode("released", (), _refuse_released)
+
+
 def backward(loss: Tensor):
-    """Populate .grad for every requires_grad tensor reachable from a scalar loss."""
+    """Populate .grad for every requires_grad tensor reachable from a scalar loss,
+    and release the tape on the way.
+
+    Each recorded tensor's node is replaced by the shared _RELEASED node
+    before its backward runs, and the walk holds no tensor it has passed,
+    so a node's inputs, saved arrays and any intermediate only it held are
+    freed before the next node allocates its gradients. Tensors keep their
+    .data. A pass that reaches a released tensor, the second backward of one
+    loss or a new graph built on a released tensor, raises
+    ContractViolation before any .grad changes.
+    """
     if loss.data.shape != ():
         raise ContractViolation(f"backward needs a scalar loss, got shape {loss.shape}")
 
@@ -882,6 +907,8 @@ def backward(loss: Tensor):
             continue
         if id(t) in visited:
             continue
+        if t.node is _RELEASED:
+            raise ContractViolation(f"backward reached a {t!r} whose tape an earlier backward released")
         visited.add(id(t))
         stack.append((t, True))
         if t.node is not None:
@@ -890,21 +917,33 @@ def backward(loss: Tensor):
                     stack.append((inp, False))
 
     grads = {id(loss): np.ones_like(loss.data)}
-    for t in reversed(order):
-        g = grads.pop(id(t), None)
+    while order:
+        # rebinding t, node and g drops the previous tensor and node before this one allocates
+        t = order.pop()
+        node, g = t.node, grads.pop(id(t), None)
+        if node is not None:
+            t.node = _RELEASED
         if g is None:
             continue
         if t.requires_grad:
             if t.grad is None:
                 t.grad = np.zeros_like(t.data)
             t.grad += g
-        if t.node is not None:
-            for inp, gi in zip(t.node.inputs, t.node.backward(g)):
-                if gi is None:
-                    continue
-                key = id(inp)
-                if key in grads:
-                    grads[key] = grads[key] + gi
-                else:
-                    grads[key] = gi
+        if node is not None:
+            _push_grads(grads, node, g)
 
+
+def _push_grads(grads, node, g):
+    """Add node's input gradients for output gradient g into grads, keyed by input id.
+
+    A function of its own so that its loop variables, which hold an input
+    and its gradient, are dropped when it returns rather than when the walk
+    next rebinds them."""
+    for inp, gi in zip(node.inputs, node.backward(g)):
+        if gi is None:
+            continue
+        key = id(inp)
+        if key in grads:
+            grads[key] = grads[key] + gi
+        else:
+            grads[key] = gi

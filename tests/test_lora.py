@@ -216,6 +216,13 @@ def test_lora_config_rejects_bad_fields():
             reg_loss(adapters, lam)
 
 
+def test_lora_config_rejects_a_repeated_target():
+    # attach made one adapter of ("den.mid.w", "den.mid.w"); two adapters on one
+    # weight come from two attach calls
+    with pytest.raises(ConfigurationError, match="'den.mid.w' more than once"):
+        LoraConfig(targets=("den.mid.w", "den.temb.w", "den.mid.w"))
+
+
 def test_conv_site_adapter_gradients():
     # A and B through a conv site: den.mid (3x3) on a batch of three,
     # and ctrl.zero.sft (1x1), whose kernel starts at zero

@@ -169,3 +169,28 @@ def test_adamw_failed_step_changes_nothing():
     for (n, t), (_, t_ref) in zip(opt.named, ref.named):
         assert np.array_equal(t.data, t_ref.data)
         assert np.array_equal(opt.m[n], ref.m[n]) and np.array_equal(opt.v[n], ref.v[n])
+
+
+BAD_HYPERPARAMETERS = [
+    {"lr": float("nan")}, {"lr": -0.1}, {"weight_decay": float("inf")}, {"weight_decay": -0.01},
+    {"betas": (1.5, 0.999)}, {"betas": (0.9, 1.0)}, {"betas": (-0.1, 0.999)}, {"betas": (0.9, float("nan"))},
+    {"betas": (0.9,)}, {"eps": 0.0}, {"eps": -1e-8}, {"eps": float("inf")}, {"lr": "fast"},
+]
+
+
+def test_adamw_rejects_hyperparameters_that_a_state_could_not_hold():
+    # lr=nan made every weight NaN after one step, and weight_decay=inf -inf
+    for bad in BAD_HYPERPARAMETERS:
+        with pytest.raises(ContractViolation, match="AdamW"):
+            AdamW([("p", T.Tensor(np.ones(3), requires_grad=True))], **bad)
+    # the edges of each range are allowed
+    opt = AdamW([("p", T.Tensor(np.ones(3), requires_grad=True))], lr=0.0, betas=(0.0, 0.0), weight_decay=0.0)
+    assert (opt.lr, opt.beta1, opt.beta2, opt.weight_decay) == (0.0, 0.0, 0.0, 0.0)
+
+
+def test_adamw_load_state_dict_applies_the_constructors_check():
+    opt = stepped_adamw(0.1, 0.0, 1)
+    new = stepped_adamw(0.3, 0.2, 2).state_dict()
+    bad_states = [dict(new, **{key: list(v) if key == "betas" else v for key, v in bad.items()})
+                  for bad in BAD_HYPERPARAMETERS]
+    assert_each_rejected_unchanged(opt, bad_states)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -276,10 +277,10 @@ def test_conv2d_node_matches_decomposed_tape():
             for conv in (T.conv2d, decomposed_conv2d):
                 x, k, bias = (T.Tensor(a, requires_grad=True) for a in (x0, k0, bias0))
                 y = conv(x, k, bias)
-                T.backward(T.tsum(T.mul(y, T.Tensor(w))))
-                results.append([y.data, x.grad, k.grad, bias.grad])
                 if conv is T.conv2d:
                     assert y.node.op == "conv2d" and y.node.inputs == (x, k, bias)
+                T.backward(T.tsum(T.mul(y, T.Tensor(w))))
+                results.append([y.data, x.grad, k.grad, bias.grad])
             for fused, ref in zip(*results):
                 assert fused.shape == ref.shape
                 assert np.allclose(fused, ref, rtol=1e-12, atol=1e-12)
@@ -323,6 +324,7 @@ def test_conv_tape_keeps_no_patch_matrix():
         try:
             y = T.conv2d(x, k, b)
             held, peak = tracemalloc.get_traced_memory()
+            assert y.node is not None
             loss = T.tsum(T.mul(y, loss_weight))
             before, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
@@ -330,7 +332,6 @@ def test_conv_tape_keeps_no_patch_matrix():
             _, backward_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert y.node is not None
         assert held < patch_bytes, (k_trainable, held, patch_bytes)
         assert peak < patch_bytes, (k_trainable, peak, patch_bytes)
         assert x.grad is not None and (k.grad is not None) == k_trainable
@@ -525,6 +526,49 @@ def test_backward_twice_accumulates_additively():
     for _ in range(2):
         T.backward(T.tsum(T.mul(x, x)))
     assert np.allclose(x.grad, [8.0])  # 2 * (2x)
+
+
+def probed_silu_loss(x, probe):
+    """tsum(silu(p)), where p passes x through in a node whose backward calls
+    probe() first. Returns the loss and a weakref to silu's output array, so
+    that no strong reference to an intermediate escapes."""
+
+    def through(g):
+        probe()
+        return g
+
+    h = T.silu(T._make(x.data.copy(), "probe", (x,), (through,)))
+    return T.tsum(h), weakref.ref(h.data)
+
+
+def test_backward_frees_each_intermediate_before_the_node_below_runs():
+    x = T.Tensor(np.linspace(-2.0, 2.0, 12).reshape(3, 4), requires_grad=True)
+    seen = []
+    loss, h_data = probed_silu_loss(x, lambda: seen.append(h_data()))
+    assert h_data() is not None  # the tape holds it until backward
+    T.backward(loss)
+    assert seen == [None] and h_data() is None
+    assert loss.data.shape == () and x.grad is not None and x.node is None
+
+
+def test_backward_refuses_a_released_tape():
+    x = T.Tensor(np.linspace(-2.0, 2.0, 12).reshape(3, 4), requires_grad=True)
+    h = T.silu(x)
+    loss = T.tsum(h)
+    T.backward(loss)
+    gx = x.grad.copy()
+    with pytest.raises(ContractViolation, match="released"):
+        T.backward(loss)
+    # a new graph on the released h, with a leaf that would take a gradient
+    # first: nothing is written
+    v = T.Tensor(np.ones((3, 4)), requires_grad=True)
+    with pytest.raises(ContractViolation, match="released"):
+        T.backward(T.add(T.tsum(T.mul(v, v)), T.tsum(h)))
+    assert np.array_equal(x.grad, gx) and v.grad is None
+    # the released tensor keeps its values, and the leaf x starts a new graph
+    assert np.array_equal(h.data, T.silu(T.Tensor(x.data)).data)
+    T.backward(T.tsum(x))
+    assert np.array_equal(x.grad, gx + 1.0)
 
 
 def test_backward_requires_scalar():
