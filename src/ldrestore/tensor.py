@@ -29,15 +29,17 @@ gradient is never computed, so a frozen weight costs no gradient product.
 
 Shapes are explicit. There is no general broadcasting: mixed-shape
 combinations exist only as named ops (``channel_bias``, ``row_scale``,
-``broadcast_spatial``) with hand-written backward rules. Every spatial op
-(convolution, pooling, resampling, channel concatenation and bias) takes a
-batch ``(n, c, h, w)`` only, and a 3-D input raises ``DimensionError``; a
-single item is a batch of one.
+``broadcast_spatial``, and ``conv2d``'s per-item inputs below) with
+hand-written backward rules. Every spatial op (convolution, pooling,
+resampling, channel concatenation and bias) takes a batch ``(n, c, h, w)``
+only, and a 3-D input raises ``DimensionError``; a single item is a batch
+of one.
 
-Convolution is one tape node per call, with inputs (x, k, bias). The kernel
-is square with an odd side k, and the input is zero-padded by p = k // 2 on
-every side, so the output keeps the input's (h, w) ("same" padding,
-Dumoulin & Visin, arXiv 1603.07285). It works on one channel-major grid:
+Convolution is one tape node per call, with inputs (x, k, bias), or (x, k,
+bias, x2) with a second input (see below). The kernel is square with an odd
+side k, and the input is zero-padded by p = k // 2 on every side, so the
+output keeps the input's (h, w) ("same" padding, Dumoulin & Visin, arXiv
+1603.07285). It works on one channel-major grid:
 ``_to_grid`` copies an (n, c, h, w) batch into zeros of shape (c, head +
 n*hp*wp + head), each image at the top left of a slot of its own (hp, wp) =
 (h + p, w + p), and its adjoint ``_from_grid`` reads each image's (h, w)
@@ -69,6 +71,20 @@ that grid and its crop as tape ops of their own: tests compose them with
 ``channel_bias``, which takes one bias row per item (the conv bias tiled
 over the batch), as the reference for the node, and the benchmark's tracer
 looks them up by name. This module is the only one that knows the layout.
+
+A conv2d node takes conditioning as inputs of its own, so none of it is
+copied onto the tape. The second input x2 has its channels after x's in the
+kernel. A batch x2 (n, c2, h, w) is written onto x's grid below x's rows,
+which is exactly the grid of their concat, so the node gives
+conv2d(concat_channels(x, x2), k, bias) bit for bit, and the backward
+splits the rows of the input gradient's grid between the two. A per-item
+vector x2 (n, c2) stands for its constant map over space. Under a 1x1
+kernel that map adds k[:, c:] @ x2[i] at every pixel of item i, a per-item
+constant like a bias. A wider same-padded kernel would not give a constant
+at the border, so it is refused. The bias is (co,), or one row per item,
+(n, co), which is how FiLM conditioning (Perez et al., arXiv 1709.07871)
+shifts each channel. The gradients of these constants are per-item sums of
+the output gradient. ``upsample_conv2d`` takes neither per-item form.
 
 A nearest 2x upsample followed by a conv, the decoder's resize-convolution
 (Odena et al., Distill 2016), is one node too (``upsample_conv2d``), which
@@ -476,21 +492,25 @@ def _conv_grid(x_shape, k_shape, op):
     return n, c, h, w, kh, hp, wp, p * wp + p
 
 
-def _to_grid(a, hp, wp, head=0):
+def _to_grid(a, hp, wp, head=0, a2=None):
     """(n, c, h, w) batch -> zeroed channel-major grid (c, head + n*hp*wp + head).
 
     Image b fills the top-left (h, w) of the b-th (hp, wp) slot, which
-    starts at column head + b*hp*wp; everything else is zero. A batch that
-    fills its slots, with no head, is only swapped to (c, n) order, which
-    is a view when n = 1.
+    starts at column head + b*hp*wp; everything else is zero. With a2, an
+    (n, c2, h, w) batch, the grid has a's c rows and then a2's c2: it is the
+    grid of their channel concat. A batch that fills its slots, with no head
+    and no a2, is only swapped to (c, n) order, which is a view when n = 1.
     """
     n, c, h, w = a.shape
-    swapped = a.transpose(1, 0, 2, 3)
-    if (h, w) == (hp, wp) and not head:
-        return np.ascontiguousarray(swapped).reshape(c, n * hp * wp)
+    if (h, w) == (hp, wp) and not head and a2 is None:
+        return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).reshape(c, n * hp * wp)
+    parts = (a,) if a2 is None else (a, a2)
     length = n * hp * wp
-    grid = np.zeros((c, length + 2 * head), dtype=a.dtype)
-    grid[:, head : head + length].reshape(c, n, hp, wp)[:, :, :h, :w] = swapped
+    grid = np.zeros((sum(p.shape[1] for p in parts), length + 2 * head), dtype=np.result_type(*parts))
+    slots = grid[:, head : head + length].reshape(-1, n, hp, wp)
+    slots[:c, :, :h, :w] = a.transpose(1, 0, 2, 3)
+    if a2 is not None:
+        slots[c:, :, :h, :w] = a2.transpose(1, 0, 2, 3)
     return grid
 
 
@@ -631,28 +651,39 @@ def fold_channels_last(y: Tensor, x_shape, k: int) -> Tensor:
     return _make(_from_grid(y.data, n, hp, wp, h, w), "fold", (y,), (lambda g: _to_grid(g, hp, wp),))
 
 
-def _checked_grid(x, k, bias, op, skip=None):
-    """The checks of a conv node's (x, k, bias), raised as op; x's _conv_grid under k.
+def _checked_grid(x, k, bias, op, x2=None, up=1):
+    """The checks of a conv node's (x, k, bias, x2), raised as op; x's _conv_grid under k.
 
-    upsample_conv2d's skip must be a batch (n, cs, 2h, 2w) for x (n, c, h, w),
-    and the kernel then takes c + cs input channels.
+    x2 is a second input whose channels follow x's in the kernel, which then
+    takes c + c2 input channels. For x (n, c, h, w) it is a batch
+    (n, c2, up*h, up*w): conv2d's x2 (up 1) or upsample_conv2d's skip (up 2).
+    conv2d also takes a per-item vector x2 (n, c2), which stands for its
+    constant map and so needs a 1x1 kernel: a same-padded wider kernel does
+    not keep a constant map constant at the border. conv2d's bias is (co,)
+    or one row per item, (n, co); upsample_conv2d's is (co,).
     """
     if k.ndim != 4:
         raise DimensionError(f"{op}: kernel must be 4-D, got {k.shape}")
     grid = _conv_grid(x.shape, k.shape, op)
     n, c, h, w = grid[:4]
     co, ci = k.shape[:2]
+    per_item = up == 1
     shapes = f"{x.shape} with {k.shape}"
-    if skip is not None:
-        if skip.ndim != 4 or skip.shape[0] != n or skip.shape[2:] != (2 * h, 2 * w):
-            raise DimensionError(f"{op}: skip {skip.shape} is not a batch ({n}, cs, {2 * h}, {2 * w})"
-                                 f" for x {x.shape}")
-        c += skip.shape[1]
-        shapes = f"{x.shape} and skip {skip.shape} with {k.shape}"
+    if x2 is not None:
+        name = "x2" if per_item else "skip"
+        if per_item and x2.ndim == 2 and x2.shape[0] == n:
+            if k.shape[2] != 1:
+                raise DimensionError(f"{op}: a per-item x2 {x2.shape} needs a 1x1 kernel, got {k.shape}")
+        elif x2.ndim != 4 or x2.shape[0] != n or x2.shape[2:] != (up * h, up * w):
+            want = f"a batch ({n}, c2, {up * h}, {up * w})" + (f" or a vector ({n}, c2)" if per_item else "")
+            raise DimensionError(f"{op}: {name} {x2.shape} is not {want} for x {x.shape}")
+        c += x2.shape[1]
+        shapes = f"{x.shape} and {name} {x2.shape} with {k.shape}"
     if c != ci:
         raise DimensionError(f"{op}: input channels {c} vs kernel {ci} ({shapes})")
-    if bias.shape != (co,):
-        raise DimensionError(f"{op}: bias {bias.shape} does not fit kernel {k.shape}; need ({co},)")
+    if bias.shape != (co,) and not (per_item and bias.shape == (n, co)):
+        need = f"({co},) or ({n}, {co}) for x {x.shape}" if per_item else f"({co},)"
+        raise DimensionError(f"{op}: bias {bias.shape} does not fit kernel {k.shape}; need {need}")
     return grid
 
 
@@ -662,9 +693,22 @@ def _tap_blocks(k):
     return np.ascontiguousarray(k.reshape(co, c, -1).transpose(2, 0, 1))
 
 
-def conv2d(x: Tensor, k: Tensor, bias: Tensor) -> Tensor:
+def conv2d(x: Tensor, k: Tensor, bias: Tensor, x2: Tensor = None) -> Tensor:
     """Same-padded cross-correlation plus a bias: x (n, c, h, w), k (co, c, s, s)
-    with s odd, bias (co,) -> (n, co, h, w). One tape node with inputs (x, k, bias).
+    with s odd, bias (co,) or (n, co), one row per item -> (n, co, h, w). One
+    tape node with inputs (x, k, bias), or (x, k, bias, x2).
+
+    x2 is a second input whose channels follow x's in the kernel, which is
+    then (co, c + c2, s, s). A batch (n, c2, h, w) makes the node
+    conv2d(concat_channels(x, x2), k, bias): both go on one grid, which is
+    the grid of the concat, and the backward splits the rows of the input
+    gradient's grid between them. A per-item vector (n, c2) stands for its
+    constant map, conv2d(concat_channels(x, broadcast_spatial(x2, h, w)), k,
+    bias), and needs a 1x1 kernel. The node adds k[:, c:, 0, 0] @ x2[i] to
+    item i, the way it adds a per-item bias row. Neither the concat nor the
+    map is formed. The gradients of a per-item bias, of a vector x2 and of
+    the kernel's columns for it come from the per-item sums of the output
+    gradient.
 
     The forward puts x on the grid with _to_grid, each image at the top
     left of its (hp, wp) slot between head zeros, so that neighbouring
@@ -677,38 +721,64 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor) -> Tensor:
     b's pixel (r, s) comes out at the top left of slot b, where _from_grid
     reads it. The grid of x is rebuilt only when k needs a gradient.
     """
-    grid = _checked_grid(x, k, bias, "conv2d")
-    n, _, h, w, ks, hp, wp, head = grid
-    inputs = (x, k, bias)
-    dtype = np.result_type(x.data, k.data, bias.data)
-    mt = _tap_blocks(k.data)
-    y = _tap_matmul(mt, _to_grid(x.data, hp, wp, head), _tap_offsets(ks, wp), n * hp * wp, dtype)
-    y += bias.data[:, None]
+    grid = _checked_grid(x, k, bias, "conv2d", x2)
+    n, c, h, w, ks, hp, wp, head = grid
+    co = k.shape[0]
+    inputs = (x, k, bias) if x2 is None else (x, k, bias, x2)
+    dtype = np.result_type(*(t.data for t in inputs))
+    vector = x2 is not None and x2.ndim == 2
+    a2 = None if x2 is None or vector else x2.data  # the batch that shares x's grid
+    mt = _tap_blocks(k.data[:, :c] if vector else k.data)
+    y = _tap_matmul(mt, _to_grid(x.data, hp, wp, head, a2), _tap_offsets(ks, wp), n * hp * wp, dtype)
+    # each output channel's constant: (co, 1) shared by the items, or (co, n)
+    shift = bias.data.T if bias.ndim == 2 else bias.data[:, None]
+    if vector:
+        shift = k.data[:, c:, 0, 0] @ x2.data.T + shift
+    slots = y.reshape(co, n, hp * wp)
+    slots += shift[:, :, None]
     out = Tensor(_from_grid(y, n, hp, wp, h, w))
     if not _recording(inputs):
         return out
 
     def backward(g):
         need = [t._needs_grad() for t in inputs]
-        gg, gx, gk = _conv_backward(g, x.data, mt, grid, need[0], need[1])
-        return gx, None if gk is None else gk.reshape(k.shape), gg.sum(axis=1) if need[2] else None
+        need_a2 = a2 is not None and need[3]
+        grads = [None] * len(inputs)
+        gg, ga, gk = _conv_backward(g, x.data, mt, grid, need[0] or need_a2, need[1], a2)
+        if need[0]:
+            grads[0] = ga[0]
+        if need_a2:
+            grads[3] = ga[1]
+        # (co, n): the output gradient summed over each item, its constant's gradient
+        sums = gg.reshape(co, n, hp * wp).sum(axis=2) if vector or bias.ndim == 2 else None
+        if need[1]:
+            if vector:
+                gk = np.concatenate([gk, sums @ x2.data], axis=1)
+            grads[1] = gk.reshape(k.shape)
+        if need[2]:
+            grads[2] = sums.T if bias.ndim == 2 else gg.sum(axis=1)
+        if vector and need[3]:
+            grads[3] = sums.T @ k.data[:, c:, 0, 0]
+        return tuple(grads)
 
     out.node = TapeNode("conv2d", inputs, backward)
     return out
 
 
-def _conv_backward(g, a, mt, grid, need_a, need_k):
+def _conv_backward(g, a, mt, grid, need_a, need_k, a2=None):
     """conv2d's backward on grid = _conv_grid of the batch a, whose forward ran
-    _tap_matmul(mt, ...) on a's grid: (gg, ga, gk) for the output gradient g.
+    _tap_matmul(mt, ...) on the grid of a, or of a and a2 (_to_grid): (gg,
+    ga, gk) for the output gradient g.
 
     gg is g on the grid without its head, whose row sums are the bias
-    gradient. ga, a's gradient, is the transposed conv of g: the forward's
-    blocks in reverse tap order and transposed, which is each block at its
-    mirrored offset 2*head - off_t (see conv2d). gk is the kernel's
-    (co, c*s*s) gradient. ga is None unless need_a and gk None unless need_k;
-    the grid of a is rebuilt only for gk.
+    gradient. ga is the transposed conv of g: the forward's blocks in
+    reverse tap order and transposed, which is each block at its mirrored
+    offset 2*head - off_t (see conv2d). Its rows are read out as a list of
+    one gradient per batch on the grid, a's and then a2's. gk is the
+    kernel's (co, (c + c2)*s*s) gradient. ga is None unless need_a and gk
+    None unless need_k; the grid of a is rebuilt only for gk.
     """
-    n, _, h, w, ks, hp, wp, head = grid
+    n, c, h, w, ks, hp, wp, head = grid
     length = n * hp * wp
     offsets = _tap_offsets(ks, wp)
     gh = _to_grid(g, hp, wp, head)
@@ -716,10 +786,10 @@ def _conv_backward(g, a, mt, grid, need_a, need_k):
     ga = gk = None
     if need_a:
         gap = _tap_matmul(mt[::-1].transpose(0, 2, 1), gh, offsets, length, np.result_type(mt, gh))
-        ga = _from_grid(gap, n, hp, wp, h, w)
+        ga = [_from_grid(rows, n, hp, wp, h, w) for rows in ((gap,) if a2 is None else (gap[:c], gap[c:]))]
         del gap  # before the grid of a is built
     if need_k:
-        gk = _tap_matmul_t(gg, _to_grid(a, hp, wp, head), offsets, length)
+        gk = _tap_matmul_t(gg, _to_grid(a, hp, wp, head, a2), offsets, length)
     return gg, ga, gk
 
 
@@ -775,7 +845,7 @@ def upsample_conv2d(x: Tensor, k: Tensor, bias: Tensor, skip: Tensor = None) -> 
     (_conv_backward). The grids of x and the skip are rebuilt only when k
     needs a gradient.
     """
-    n, c, h, w, ks, hp, wp, head = _checked_grid(x, k, bias, "upsample_conv2d", skip)
+    n, c, h, w, ks, hp, wp, head = _checked_grid(x, k, bias, "upsample_conv2d", skip, up=2)
     co = k.shape[0]
     inputs = (x, k, bias) if skip is None else (x, k, bias, skip)
     dtype = np.result_type(*(t.data for t in inputs))
@@ -827,7 +897,9 @@ def upsample_conv2d(x: Tensor, k: Tensor, bias: Tensor, skip: Tensor = None) -> 
         if need[2]:
             grads[2] = gh.sum(axis=1)
         if skip is not None and (need[1] or need[3]):
-            _, grads[3], gks = _conv_backward(g, skip.data, ms, skip_grid, need[3], need[1])
+            _, gs, gks = _conv_backward(g, skip.data, ms, skip_grid, need[3], need[1])
+            if need[3]:
+                grads[3] = gs[0]
             if need[1]:
                 grads[1] = np.concatenate([grads[1], gks.reshape(co, cs, ks, ks)], axis=1)
         return tuple(grads)

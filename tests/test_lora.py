@@ -329,6 +329,15 @@ def test_merge_on_conv_kernel_view():
             runtime = decode_tensor(zt, params, adapters=adapters).data
             assert np.array_equal(runtime, decode_tensor(zt, merge(params, adapters)).data)
             assert not np.allclose(runtime, decode_tensor(zt, params).data, atol=1e-6)
+            # ctrl.zero.conv's 1x1 kernel takes the prompt embedding as its per-item second input
+            params, cond, z = tiny_net_batch()
+            pe = cond.prompt_embedding
+            adapters = attach(params, LoraConfig(rank=2, targets=("ctrl.zero.conv.w",)), seed=6)
+            a = adapters[0]
+            a.B.data = T.Tensor(np.random.default_rng(6).normal(size=a.B.shape)).data
+            runtime = control_features(z, pe, params, adapters=adapters).data
+            assert np.array_equal(runtime, control_features(z, pe, merge(params, adapters)).data)
+            assert not np.allclose(runtime, control_features(z, pe, params).data, atol=1e-6)
 
 
 def test_unmerge_restores_weights_shared_by_two_adapters():

@@ -9,6 +9,7 @@ from ldrestore.dataset import synth_dataset
 from ldrestore.diffusion import ldm_loss_batch, make_schedule, respace, sample
 from ldrestore.errors import ConfigurationError, ContractViolation, DimensionError, ParameterError
 from ldrestore.images import Image
+from ldrestore.lora import LoraConfig, attach
 from ldrestore.network import (
     PROMPT_VOCAB,
     ConditioningBundle,
@@ -188,7 +189,7 @@ def test_denoise_batch_matches_per_item():
         assert np.allclose(out.data[i], out_i.data[0], rtol=1e-5, atol=1e-6)
 
 
-def test_prompt_embedding_rows_must_match_the_batch():
+def test_prompt_embedding_rows_must_match_the_batch(monkeypatch):
     # a batch of n latents takes an (n, prompt_dim) embedding, one row per item
     params, img = tiny_setup()
     zb = encode(T.Tensor(np.stack([img, img])), params)
@@ -198,6 +199,13 @@ def test_prompt_embedding_rows_must_match_the_batch():
         control_features(zb, pe, params)
     with pytest.raises(DimensionError):
         control_features(zb, pe3, params)
+    # the control checks the embedding before it convolves, and names both shapes
+    with monkeypatch.context() as m:
+        m.setattr(T, "conv2d", lambda *args: pytest.fail("control_features convolved before its check"))
+        for bad in (pe, pe3, T.Tensor(np.zeros((2, TINY.prompt_dim + 1)))):
+            with pytest.raises(DimensionError) as e:
+                control_features(zb, bad, params)
+            assert str(bad.shape) in str(e.value) and str(zb.shape) in str(e.value)
     z_lq = control_features(zb, prompt_embedding_batch(params, [["rings"]] * 2), params)
     zt = T.Tensor(np.random.default_rng(4).standard_normal(zb.shape))
     with pytest.raises(DimensionError):
@@ -307,11 +315,62 @@ def test_denoise_matches_the_composed_upsample_concat_denoiser():
         for got, want in zip(*results):
             assert got.shape == want.shape
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
-        # no upsampled copy, and only den.conv_in's and ctrl.zero.conv's concats
+        # no upsampled copy, and the conditioning enters den.conv_in and
+        # ctrl.zero.conv as conv inputs: no concat, broadcast or channel-bias copy
         pemb = prompt_embedding_batch(params, prompts)
         z_lq = control_features(T.Tensor(z_lq0, requires_grad=True), pemb, params)
         ops = tape_ops(denoise(T.Tensor(z_t0), t, ConditioningBundle(z_lq, None, pemb), params))
-        assert "upsample_conv2d" in ops and "upsample2" not in ops and ops.count("concat") == 2, ops
+        assert "upsample_conv2d" in ops and "upsample2" not in ops, ops
+        assert not {"concat", "broadcast_spatial", "channel_bias"} & set(ops), ops
+
+
+def composed_control(z_enc, pemb, params, adapters=()):
+    """control_features' reference: the prompt tiled over space by
+    broadcast_spatial and concatenated after z_enc, then ctrl.zero.conv."""
+
+    def conv(x, site):
+        return T.conv2d(x, network.adapted_weight(params, site + ".w", adapters), params[site + ".b"])
+
+    zc_in = T.concat_channels(z_enc, T.broadcast_spatial(pemb, *z_enc.shape[2:]))
+    return T.add(conv(z_enc, "ctrl.conv"), conv(zc_in, "ctrl.zero.conv"))
+
+
+def test_control_features_matches_the_composed_concat_broadcast_control():
+    # ctrl.zero.conv takes the prompt embedding as a per-item second input of
+    # its 1x1 conv; values and gradients equal tiling it, concatenating and
+    # then convolving, also with an adapter on ctrl.zero.conv.w
+    rng = np.random.default_rng(23)
+    with T.float64():
+        params = init_params(NetConfig(), 4)
+        for name in ("ctrl.zero.conv.w", "ctrl.zero.conv.b", "ctrl.conv.b"):
+            params[name].data = rng.normal(size=params[name].shape) * 0.1
+        z0 = rng.normal(size=(3, 8, 16, 16))
+        w = rng.normal(size=(3, 8, 16, 16))
+        prompts = [["gradient", "high-quality"], ["stripes"], ["rings", "low-quality"]]
+        sites = ["ctrl.conv.w", "ctrl.conv.b", "ctrl.zero.conv.w", "ctrl.zero.conv.b", network.PROMPT_TABLE]
+        for with_adapter in (False, True):
+            adapters = []
+            if with_adapter:
+                adapters = attach(params, LoraConfig(rank=2, targets=("ctrl.zero.conv.w",)), seed=5)
+                adapters[0].B.data = rng.normal(size=adapters[0].B.shape)
+            results = []
+            for control in (control_features, composed_control):
+                params.zero_grads()
+                for a in adapters:
+                    a.A.grad = a.B.grad = None
+                z = T.Tensor(z0, requires_grad=True)
+                y = control(z, prompt_embedding_batch(params, prompts), params, adapters)
+                if control is control_features:
+                    ops = tape_ops(y)
+                    assert "concat" not in ops and "broadcast_spatial" not in ops, ops
+                T.backward(T.tsum(T.mul(y, T.Tensor(w))))
+                trained = [name for name in sites if params[name].requires_grad]  # attach froze the target
+                grads = [params[name].grad for name in trained] + [g for a in adapters for g in (a.A.grad, a.B.grad)]
+                results.append([y.data, z.grad] + grads)
+            for got, want in zip(*results):
+                assert got is not None and got.shape == want.shape, with_adapter
+                assert np.allclose(got, want, rtol=1e-12, atol=1e-12), with_adapter
+            assert len(results[0]) == (8 if with_adapter else 7)
 
 
 def test_decode_rejects_a_batch_before_decoding(monkeypatch):
@@ -489,7 +548,10 @@ def test_training_step_backward_allocates_little_above_its_tape():
     # backward frees each node's saved arrays as it passes them, so its peak
     # stays near the memory held when it starts. At the default config that
     # excess was 1.27 MB while backward kept the whole tape until the loss was
-    # dropped, and is 0.45 MB when it releases the tape on the way
+    # dropped, and is 0.45 MB when it releases the tape on the way. The tape
+    # itself held 5.50 MB at backward start while the conditioning entered
+    # den.conv_in and ctrl.zero.conv through concat, broadcast and channel-bias
+    # copies, and holds 4.92 MB with the conditioning as conv inputs
     params = init_params(NetConfig(), 7)
     tracemalloc.start()
     try:
@@ -501,4 +563,5 @@ def test_training_step_backward_allocates_little_above_its_tape():
     finally:
         tracemalloc.stop()
     assert all(params[name].grad is not None for name in params.names())
+    assert start < 5.2e6, start
     assert peak - start < 0.8e6, (start, peak - start)
