@@ -3,9 +3,12 @@
 Eight parametric families of grayscale patterns stand in for a captioned
 photo corpus. Items are assigned to families round-robin (item i belongs to
 family i % 8), each with per-item parameters drawn from a dedicated seeded
-stream, so the dataset is a pure function of (seed, n, size).
+stream, so the dataset is a pure function of (seed, n, size). The
+generators build each image by broadcasting a cached pixel-centre column
+against the matching row (``_axes``), so no item forms a coordinate grid.
 """
 
+import functools
 import json
 import os
 from dataclasses import dataclass, field
@@ -26,13 +29,18 @@ class DatasetItem:
     tags: list = field(default_factory=list)
 
 
-def _grid(size):
+@functools.lru_cache(maxsize=None)
+def _axes(size):
+    """Pixel centres in [0, 1] as a read-only column and row, (size, 1) and
+    (1, size): y and x, which broadcast to the (size, size) grid. Cached per
+    size, so every generator reads the same two arrays."""
     ax = (np.arange(size) + 0.5) / size
-    return np.meshgrid(ax, ax, indexing="ij")  # y, x in [0,1]
+    ax.flags.writeable = False  # and so are its views
+    return ax[:, None], ax[None, :]
 
 
 def _gradient(rng, size):
-    y, x = _grid(size)
+    y, x = _axes(size)
     theta = rng.uniform(0.0, 2.0 * np.pi)
     lo = rng.uniform(0.05, 0.35)
     hi = rng.uniform(0.65, 0.95)
@@ -44,13 +52,13 @@ def _gradient(rng, size):
 def _checkerboard(rng, size):
     cell = int(rng.choice([2, 4, 8]))
     phase = int(rng.integers(0, 2))
-    i, j = np.indices((size, size))
-    mask = ((i // cell + j // cell + phase) % 2).astype(np.float64)
+    i = np.arange(size) // cell
+    mask = ((i[:, None] + i[None, :] + phase) % 2).astype(np.float64)
     return 0.1 + 0.8 * mask  # exactly {0.1, 0.9}
 
 
 def _blobs(rng, size):
-    y, x = _grid(size)
+    y, x = _axes(size)
     img = np.full((size, size), rng.uniform(0.05, 0.2))
     for _ in range(int(rng.integers(3, 7))):
         cy, cx = rng.uniform(0.15, 0.85, size=2)
@@ -61,7 +69,7 @@ def _blobs(rng, size):
 
 
 def _stripes(rng, size):
-    y, x = _grid(size)
+    y, x = _axes(size)
     theta = rng.uniform(0.0, np.pi)
     freq = rng.uniform(2.0, 6.0)
     phase = rng.uniform(0.0, 2.0 * np.pi)
@@ -70,7 +78,7 @@ def _stripes(rng, size):
 
 
 def _rings(rng, size):
-    y, x = _grid(size)
+    y, x = _axes(size)
     cy, cx = rng.uniform(0.35, 0.65, size=2)
     freq = rng.uniform(3.0, 8.0)
     r = np.sqrt((y - cy) ** 2 + (x - cx) ** 2)
@@ -78,8 +86,9 @@ def _rings(rng, size):
 
 
 def _texture(rng, size):
-    # smooth noise-free texture: a few random low-frequency cosine harmonics
-    y, x = _grid(size)
+    # smooth noise-free texture: a few random low-frequency cosine harmonics,
+    # each the outer product of a cosine down the column and one along the row
+    y, x = _axes(size)
     img = np.full((size, size), 0.5)
     for _ in range(4):
         fy, fx = rng.integers(1, 5, size=2)
@@ -90,7 +99,7 @@ def _texture(rng, size):
 
 
 def _disks(rng, size):
-    y, x = _grid(size)
+    y, x = _axes(size)
     dark = bool(rng.integers(0, 2))
     img = np.full((size, size), 0.85 if dark else 0.15)
     for _ in range(int(rng.integers(2, 5))):
@@ -102,15 +111,12 @@ def _disks(rng, size):
 
 
 def _cross(rng, size):
-    y, x = _grid(size)
+    y, x = _axes(size)
     cy, cx = rng.uniform(0.35, 0.65, size=2)
     thick = rng.uniform(0.04, 0.12)
     bg = rng.uniform(0.1, 0.3)
     fg = rng.uniform(0.7, 0.9)
-    img = np.full((size, size), bg)
-    img[np.abs(y - cy) < thick] = fg
-    img[np.abs(x - cx) < thick] = fg
-    return img
+    return np.where((np.abs(y - cy) < thick) | (np.abs(x - cx) < thick), fg, bg)
 
 
 _GENERATORS = {

@@ -94,16 +94,14 @@ def attach(params, config: LoraConfig, seed: int) -> list:
 
 
 def reg_loss(adapters, lam: float) -> T.Tensor:
-    """lam * sum of squared Frobenius norms of every A and B."""
+    """lam * sum of squared Frobenius norms of every A and B: two tape nodes,
+    one ``frobenius_norm_sq`` over A1, B1, A2, B2, ... summed in that order,
+    and its scaling by lam."""
     if not _finite_non_negative(lam):
         raise ConfigurationError(f"reg lambda must be finite and >= 0, got {lam!r}")
     if lam == 0 or not adapters:
         return T.Tensor(0.0)
-    total = None
-    for a in adapters:
-        term = T.add(T.frobenius_norm_sq(a.A), T.frobenius_norm_sq(a.B))
-        total = term if total is None else T.add(total, term)
-    return T.scale(total, lam)
+    return T.scale(T.frobenius_norm_sq(*(m for a in adapters for m in (a.A, a.B))), lam)
 
 
 def merge(params: NetParams, adapters) -> NetParams:

@@ -26,6 +26,19 @@ A node's backward closure takes the output gradient and returns one entry
 per input. An input that needs no gradient (``not inp._needs_grad()``: not
 ``requires_grad`` and not produced by a recorded op) gets ``None``, and its
 gradient is never computed, so a frozen weight costs no gradient product.
+Where such an input shares a product with one that needs a gradient (conv2d's
+x and x2 on one grid), only the wanted rows of the product are formed.
+
+What a node keeps until backward is its inputs, which stay tensors because
+the benchmark's tracer reads ``node.inputs``, and what its closure cannot
+cheaply form again from them. An intermediate that one elementwise pass
+over an input rebuilds is formed again in backward instead of being kept,
+the activation-recomputation trade of Chen et al. (arXiv 1604.06174): silu
+forms its logistic again from x, with the same bits, and mse its difference
+a - b. At the default config (batch 8) that keeps 1.19 MiB of logistics and
+0.09 MiB of differences off a base training step's tape, which holds
+3.58 MB at backward start (tracemalloc), for one more pass over each silu
+input in backward. A conv keeps no grid of its input (see below).
 
 Shapes are explicit. There is no general broadcasting: mixed-shape
 combinations exist only as named ops (``channel_bias``, ``row_scale``,
@@ -343,9 +356,15 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def silu(a: Tensor) -> Tensor:
-    s = _logistic(a.data)
+    """x * logistic(x). The node keeps only its input: the forward multiplies x
+    into the logistic's buffer in place, and the backward forms the logistic
+    again from x, the same bits, rather than keeping it (see the module
+    docstring)."""
+    out = _logistic(a.data)
+    out *= a.data
 
-    def backward(g):  # g * s * (1 + x * (1 - s)), in one buffer
+    def backward(g):  # g * s * (1 + x * (1 - s))
+        s = _logistic(a.data)
         d = 1.0 - s
         d *= a.data
         d += 1.0
@@ -353,7 +372,7 @@ def silu(a: Tensor) -> Tensor:
         d *= g
         return d
 
-    return _make(a.data * s, "silu", (a,), (backward,))
+    return _make(out, "silu", (a,), (backward,))
 
 
 # ---------------------------------------------------------------------------
@@ -370,17 +389,27 @@ def tmean(a: Tensor) -> Tensor:
 
 
 def mse(a: Tensor, b: Tensor) -> Tensor:
+    """Mean of (a - b)^2. The node keeps no difference: the backward forms
+    a - b again from its inputs."""
     _same_shape(a, b, "mse")
     diff = a.data - b.data
     n = diff.size
     return _make(
         np.mean(diff * diff), "mse", (a, b),
-        (lambda g: 2.0 * float(g) / n * diff, lambda g: -2.0 * float(g) / n * diff),
+        (lambda g: 2.0 * float(g) / n * (a.data - b.data), lambda g: -2.0 * float(g) / n * (a.data - b.data)),
     )
 
 
-def frobenius_norm_sq(a: Tensor) -> Tensor:
-    return _make(np.sum(a.data * a.data), "fro2", (a,), (lambda g: 2.0 * float(g) * a.data,))
+def frobenius_norm_sq(*tensors: Tensor) -> Tensor:
+    """Sum of the squared entries of every tensor given, as one node: the
+    per-tensor sums are added left to right, and tensor t's gradient is
+    2 * g * t."""
+    if not tensors:
+        raise ContractViolation("frobenius_norm_sq needs at least one tensor")
+    total = np.sum(tensors[0].data * tensors[0].data)
+    for t in tensors[1:]:
+        total = total + np.sum(t.data * t.data)
+    return _make(total, "fro2", tensors, [lambda g, t=t: 2.0 * float(g) * t.data for t in tensors])
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +748,9 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor, x2: Tensor = None) -> Tensor:
     order and transposed, which is each block at its mirrored offset
     2*head - off_t: the border keeps that slice inside the grid, and image
     b's pixel (r, s) comes out at the top left of slot b, where _from_grid
-    reads it. The grid of x is rebuilt only when k needs a gradient.
+    reads it. With a batch x2, that product runs over the input channels of
+    x, of x2 or of both, whichever need a gradient, so a frozen input's rows
+    are never formed. The grid of x is rebuilt only when k needs a gradient.
     """
     grid = _checked_grid(x, k, bias, "conv2d", x2)
     n, c, h, w, ks, hp, wp, head = grid
@@ -744,11 +775,9 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor, x2: Tensor = None) -> Tensor:
         need = [t._needs_grad() for t in inputs]
         need_a2 = a2 is not None and need[3]
         grads = [None] * len(inputs)
-        gg, ga, gk = _conv_backward(g, x.data, mt, grid, need[0] or need_a2, need[1], a2)
-        if need[0]:
-            grads[0] = ga[0]
+        gg, grads[0], ga2, gk = _conv_backward(g, x.data, mt, grid, need[0], need[1], a2, need_a2)
         if need_a2:
-            grads[3] = ga[1]
+            grads[3] = ga2
         # (co, n): the output gradient summed over each item, its constant's gradient
         sums = gg.reshape(co, n, hp * wp).sum(axis=2) if vector or bias.ndim == 2 else None
         if need[1]:
@@ -765,32 +794,37 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor, x2: Tensor = None) -> Tensor:
     return out
 
 
-def _conv_backward(g, a, mt, grid, need_a, need_k, a2=None):
+def _conv_backward(g, a, mt, grid, need_a, need_k, a2=None, need_a2=False):
     """conv2d's backward on grid = _conv_grid of the batch a, whose forward ran
     _tap_matmul(mt, ...) on the grid of a, or of a and a2 (_to_grid): (gg,
-    ga, gk) for the output gradient g.
+    ga, ga2, gk) for the output gradient g.
 
     gg is g on the grid without its head, whose row sums are the bias
-    gradient. ga is the transposed conv of g: the forward's blocks in
-    reverse tap order and transposed, which is each block at its mirrored
-    offset 2*head - off_t (see conv2d). Its rows are read out as a list of
-    one gradient per batch on the grid, a's and then a2's. gk is the
-    kernel's (co, (c + c2)*s*s) gradient. ga is None unless need_a and gk
-    None unless need_k; the grid of a is rebuilt only for gk.
+    gradient. ga and ga2 are a's and a2's rows of the transposed conv of g:
+    the forward's blocks in reverse tap order and transposed, which is each
+    block at its mirrored offset 2*head - off_t (see conv2d). The blocks are
+    cut to the input channels of the batches that need a gradient, so a
+    frozen batch's rows are not computed. gk is the kernel's
+    (co, (c + c2)*s*s) gradient. ga is None unless need_a, ga2 None unless
+    need_a2 and gk None unless need_k; the grid of a is rebuilt only for gk.
     """
     n, c, h, w, ks, hp, wp, head = grid
     length = n * hp * wp
     offsets = _tap_offsets(ks, wp)
     gh = _to_grid(g, hp, wp, head)
     gg = gh[:, head : head + length]
-    ga = gk = None
-    if need_a:
-        gap = _tap_matmul(mt[::-1].transpose(0, 2, 1), gh, offsets, length, np.result_type(mt, gh))
-        ga = [_from_grid(rows, n, hp, wp, h, w) for rows in ((gap,) if a2 is None else (gap[:c], gap[c:]))]
+    ga = ga2 = gk = None
+    if need_a or need_a2:
+        lo, hi = 0 if need_a else c, mt.shape[2] if need_a2 else c
+        gap = _tap_matmul(mt[::-1, :, lo:hi].transpose(0, 2, 1), gh, offsets, length, np.result_type(mt, gh))
+        if need_a:
+            ga = _from_grid(gap[:c], n, hp, wp, h, w)
+        if need_a2:
+            ga2 = _from_grid(gap[c - lo :], n, hp, wp, h, w)
         del gap  # before the grid of a is built
     if need_k:
         gk = _tap_matmul_t(gg, _to_grid(a, hp, wp, head, a2), offsets, length)
-    return gg, ga, gk
+    return gg, ga, ga2, gk
 
 
 @functools.lru_cache(maxsize=None)
@@ -897,9 +931,7 @@ def upsample_conv2d(x: Tensor, k: Tensor, bias: Tensor, skip: Tensor = None) -> 
         if need[2]:
             grads[2] = gh.sum(axis=1)
         if skip is not None and (need[1] or need[3]):
-            _, gs, gks = _conv_backward(g, skip.data, ms, skip_grid, need[3], need[1])
-            if need[3]:
-                grads[3] = gs[0]
+            _, grads[3], _, gks = _conv_backward(g, skip.data, ms, skip_grid, need[3], need[1])
             if need[1]:
                 grads[1] = np.concatenate([grads[1], gks.reshape(co, cs, ks, ks)], axis=1)
         return tuple(grads)

@@ -6,6 +6,8 @@ import pytest
 
 from ldrestore.dataset import (
     FAMILIES,
+    VALID_SIZES,
+    _axes,
     batches,
     epoch_batches,
     read_manifest,
@@ -60,6 +62,114 @@ def test_pixels_in_range_and_square():
             assert item.clean.data.shape == (1, size, size)
             assert item.clean.data.min() >= 0.0
             assert item.clean.data.max() <= 1.0
+
+
+def _meshgrid(size):
+    ax = (np.arange(size) + 0.5) / size
+    return np.meshgrid(ax, ax, indexing="ij")  # y, x in [0,1]
+
+
+def _gradient_ref(rng, size):
+    y, x = _meshgrid(size)
+    theta = rng.uniform(0.0, 2.0 * np.pi)
+    lo = rng.uniform(0.05, 0.35)
+    hi = rng.uniform(0.65, 0.95)
+    t = x * np.cos(theta) + y * np.sin(theta)
+    t = (t - t.min()) / max(t.max() - t.min(), 1e-9)
+    return lo + (hi - lo) * t
+
+
+def _checkerboard_ref(rng, size):
+    cell = int(rng.choice([2, 4, 8]))
+    phase = int(rng.integers(0, 2))
+    i, j = np.indices((size, size))
+    return 0.1 + 0.8 * ((i // cell + j // cell + phase) % 2).astype(np.float64)
+
+
+def _blobs_ref(rng, size):
+    y, x = _meshgrid(size)
+    img = np.full((size, size), rng.uniform(0.05, 0.2))
+    for _ in range(int(rng.integers(3, 7))):
+        cy, cx = rng.uniform(0.15, 0.85, size=2)
+        s = rng.uniform(0.06, 0.18)
+        a = rng.uniform(0.3, 0.8)
+        img += a * np.exp(-((y - cy) ** 2 + (x - cx) ** 2) / (2 * s * s))
+    return np.clip(img, 0.0, 1.0)
+
+
+def _stripes_ref(rng, size):
+    y, x = _meshgrid(size)
+    theta = rng.uniform(0.0, np.pi)
+    freq = rng.uniform(2.0, 6.0)
+    phase = rng.uniform(0.0, 2.0 * np.pi)
+    return 0.5 + 0.4 * np.sin(2 * np.pi * freq * (x * np.cos(theta) + y * np.sin(theta)) + phase)
+
+
+def _rings_ref(rng, size):
+    y, x = _meshgrid(size)
+    cy, cx = rng.uniform(0.35, 0.65, size=2)
+    freq = rng.uniform(3.0, 8.0)
+    return 0.5 + 0.4 * np.cos(2 * np.pi * freq * np.sqrt((y - cy) ** 2 + (x - cx) ** 2))
+
+
+def _texture_ref(rng, size):
+    y, x = _meshgrid(size)
+    img = np.full((size, size), 0.5)
+    for _ in range(4):
+        fy, fx = rng.integers(1, 5, size=2)
+        amp = rng.uniform(0.05, 0.15)
+        ph = rng.uniform(0.0, 2 * np.pi, size=2)
+        img += amp * np.cos(2 * np.pi * fy * y + ph[0]) * np.cos(2 * np.pi * fx * x + ph[1])
+    return np.clip(img, 0.0, 1.0)
+
+
+def _disks_ref(rng, size):
+    y, x = _meshgrid(size)
+    dark = bool(rng.integers(0, 2))
+    img = np.full((size, size), 0.85 if dark else 0.15)
+    for _ in range(int(rng.integers(2, 5))):
+        cy, cx = rng.uniform(0.2, 0.8, size=2)
+        rad = rng.uniform(0.08, 0.22)
+        img[(y - cy) ** 2 + (x - cx) ** 2 <= rad * rad] = 0.15 if dark else 0.85
+    return img
+
+
+def _cross_ref(rng, size):
+    y, x = _meshgrid(size)
+    cy, cx = rng.uniform(0.35, 0.65, size=2)
+    thick = rng.uniform(0.04, 0.12)
+    bg = rng.uniform(0.1, 0.3)
+    fg = rng.uniform(0.7, 0.9)
+    img = np.full((size, size), bg)
+    img[np.abs(y - cy) < thick] = fg
+    img[np.abs(x - cx) < thick] = fg
+    return img
+
+
+# each family on full (size, size) coordinate grids, the way the generators
+# built their images before they broadcast the cached axes
+MESHGRID_GENERATORS = {
+    "gradient": _gradient_ref,
+    "checkerboard": _checkerboard_ref,
+    "blobs": _blobs_ref,
+    "stripes": _stripes_ref,
+    "rings": _rings_ref,
+    "texture": _texture_ref,
+    "disks": _disks_ref,
+    "cross": _cross_ref,
+}
+
+
+def test_pixels_equal_the_meshgrid_generators_on_cached_read_only_axes():
+    assert set(MESHGRID_GENERATORS) == set(FAMILIES)
+    for size in VALID_SIZES:
+        y, x = _axes(size)
+        assert y.shape == (size, 1) and x.shape == (1, size)
+        assert _axes(size)[0] is y and not y.flags.writeable and not x.flags.writeable
+        for seed in (0, 1, 7, 23):
+            for i, item in enumerate(synth_dataset(seed, 24, size)):
+                want = MESHGRID_GENERATORS[item.prompt](stream(seed, "synth." + item.prompt, i), size)
+                assert np.array_equal(item.clean.data[0], want), (seed, size, i, item.prompt)
 
 
 def test_size_validation():

@@ -260,6 +260,30 @@ def test_reg_loss_values_and_gradient():
     assert np.allclose(a.A.grad, 2 * 0.7 * a.A.data)
 
 
+def test_reg_loss_is_one_fro2_node_over_every_A_and_B():
+    # scale(frobenius_norm_sq(A1, B1, A2, B2, ...), lam): two nodes, whose value
+    # is the per-tensor sums added in that order and whose gradients are 2 lam M
+    rng = np.random.default_rng(21)
+    with T.float64():
+        params = init_params(TINY, 0)
+        adapters = attach(params, LoraConfig(rank=2), seed=0)
+        for a in adapters:
+            a.B.data = rng.normal(size=a.B.shape)
+        loss = reg_loss(adapters, 0.3)
+    assert loss.node.op == "scale"
+    fro = loss.node.inputs[0]
+    mats = [m for a in adapters for m in (a.A, a.B)]
+    assert fro.node.op == "fro2" and len(fro.node.inputs) == len(mats) == 8
+    assert all(i is m for i, m in zip(fro.node.inputs, mats))
+    want = 0.0
+    for m in mats:
+        want += np.sum(m.data * m.data)
+    assert loss.data.dtype == np.float64 and loss.item() == want * 0.3
+    T.backward(loss)
+    for m in mats:
+        assert np.array_equal(m.grad, 2.0 * 0.3 * m.data)
+
+
 def test_merge_equivalence_all_ranks():
     # merge forms W + A @ B with the forward's own ops, so the outputs agree bit for bit
     for mode in COMPUTE_MODES:

@@ -774,6 +774,54 @@ def test_sigmoid_and_silu_outputs_have_no_subnormals():
         assert np.all(y[x.data > -87.0] > 0)
 
 
+def saved_logistic_silu_grad(x, g):
+    """silu's gradient from a kept logistic s, in the operation order of a node
+    that saves s: g * s * (1 + x * (1 - s))."""
+    s = T._logistic(x)
+    d = 1.0 - s
+    d *= x
+    d += 1.0
+    d *= s
+    d *= g
+    return d
+
+
+def test_silu_keeps_only_its_input_and_recomputes_its_gradient_bit_for_bit():
+    # the recorded node holds its output and nothing more (a kept logistic
+    # doubled that), and its backward forms the logistic again from x with the
+    # same bits: float32 flushes it to zero below about x = -87
+    rng = np.random.default_rng(17)
+    for mode in (contextlib.nullcontext, T.float64):
+        with mode():
+            x = T.Tensor(np.linspace(-100.0, 100.0, 100_001), requires_grad=True)
+            g = T.Tensor(rng.normal(size=x.shape)).data
+            tracemalloc.start()
+            try:
+                y = T.silu(x)
+                held, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert held < 1.1 * y.data.nbytes, (held, y.data.nbytes)
+            (gx,) = y.node.backward(g)
+            assert gx.dtype == x.data.dtype
+            assert np.array_equal(gx, saved_logistic_silu_grad(x.data, g))
+
+
+def test_mse_keeps_no_difference_on_the_tape():
+    rng = np.random.default_rng(18)
+    a = T.Tensor(rng.normal(size=(64, 1024)), requires_grad=True)
+    b = T.Tensor(rng.normal(size=(64, 1024)))
+    tracemalloc.start()
+    try:
+        loss = T.mse(a, b)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 0.1 * a.data.nbytes, (held, a.data.nbytes)
+    T.backward(loss)
+    assert np.array_equal(a.grad, 2.0 / a.data.size * (a.data - b.data))
+
+
 def test_backward_returns_none_for_inputs_without_gradient():
     rng = np.random.default_rng(11)
     x = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
@@ -846,6 +894,38 @@ def test_backward_returns_none_for_inputs_without_gradient():
     assert xc.grad is not None and A.grad is not None and B.grad is not None
 
 
+def test_conv2d_input_gradient_computes_only_the_rows_of_inputs_that_need_one(monkeypatch):
+    # den.conv_in's x and x2 share one grid; the transposed conv's product runs
+    # over the input channels of the inputs that take a gradient, c, c2 or both
+    rng = np.random.default_rng(19)
+    tap_matmul = T._tap_matmul
+    rows = []
+
+    def recording(mt, *args):
+        rows.append(mt.shape[1])
+        return tap_matmul(mt, *args)
+
+    with T.float64():
+        x, x2 = rng.normal(size=(2, 3, 5, 5)), rng.normal(size=(2, 2, 5, 5))
+        k = T.Tensor(rng.normal(size=(4, 5, 3, 3)))
+        b = T.Tensor(rng.normal(size=4))
+        g = rng.normal(size=(2, 4, 5, 5))
+        grads = {}
+        for need, want_rows in [((True, True), 5), ((False, True), 2), ((True, False), 3)]:
+            y = T.conv2d(T.Tensor(x, requires_grad=need[0]), k, b, T.Tensor(x2, requires_grad=need[1]))
+            rows.clear()
+            with monkeypatch.context() as m:
+                m.setattr(T, "_tap_matmul", recording)
+                gx, gk, gb, g2 = y.node.backward(g)
+            assert rows == [want_rows], (need, rows)
+            assert gk is None and gb is None
+            assert (gx is not None, g2 is not None) == need
+            grads[need] = gx, g2
+    both = grads[True, True]
+    assert np.allclose(grads[True, False][0], both[0], rtol=1e-12, atol=0)
+    assert np.allclose(grads[False, True][1], both[1], rtol=1e-12, atol=0)
+
+
 def test_mse_value_and_gradient():
     a0 = np.array([1.0, 2.0, 3.0])
     b0 = np.array([1.5, 1.0, 3.0])
@@ -865,6 +945,8 @@ def test_frobenius_norm_sq():
     assert np.isclose(loss.item(), np.sum(w0 * w0))
     T.backward(loss)
     assert np.allclose(w.grad, 2 * w0)
+    with pytest.raises(ContractViolation, match="at least one"):
+        T.frobenius_norm_sq()
 
 
 def test_reshape_and_concat_gradients():
