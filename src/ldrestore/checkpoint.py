@@ -94,9 +94,11 @@ def load_checkpoint(path) -> Checkpoint:
             raise FormatError(
                 f"truncated payload for tensor {entry['name']!r}", offset=len(buf)
             )
-        arrays[entry["name"]] = (
-            np.frombuffer(buf, dtype="<f8", count=count, offset=pos).reshape(shape).copy()
-        )
+        flat = np.frombuffer(buf, dtype="<f8", count=count, offset=pos)
+        try:
+            arrays[entry["name"]] = flat.reshape(shape).copy()
+        except ValueError as e:  # a zero-size shape numpy cannot hold: too many or too large dimensions
+            raise FormatError(f"tensor {entry['name']!r} has shape {list(shape)}: {e}", offset=pos) from None
         pos += nbytes
     if pos != len(buf):
         raise FormatError(f"{len(buf) - pos} trailing bytes after payload", offset=pos)

@@ -71,19 +71,20 @@ A low-rank adapter reaches the node only through its kernel
 convolution, which is a direct convolution with the flipped kernel over the
 zero-extended output gradient. So the backward puts the output gradient on
 the same grid, and runs ``_tap_matmul`` with the per-tap blocks in reverse
-order and transposed. The kernel gradient, whose inner dimension is the
-whole grid, takes the grid in column blocks that stay in cache across the
-taps. No patch matrix is formed anywhere in the node, except with a single
-channel on the product's input side: there the ``(k*k, n*hp*wp)`` patch
-matrix is smaller than the output, and one product with it replaces k*k
-products of inner dimension 1; for a 1x1 kernel a broadcast multiply
-replaces that one product. Grid positions outside the crop get zero
-gradient, and the bias gradient is the grid gradient summed over batch and
-space. ``im2col`` and ``fold_channels_last`` record the patch matrix of
-that grid and its crop as tape ops of their own: tests compose them with
-``channel_bias``, which takes one bias row per item (the conv bias tiled
-over the batch), as the reference for the node, and the benchmark's tracer
-looks them up by name. This module is the only one that knows the layout.
+order and transposed. The kernel gradient is one product per tap too, the
+output gradient's grid times the tap's slice of the input's grid, with the
+whole grid as inner dimension. No patch matrix is formed anywhere in the
+node, except with a single channel on the product's input side: there the
+``(k*k, n*hp*wp)`` patch matrix is smaller than the output, and one
+product with it replaces k*k products of inner dimension 1; for a 1x1
+kernel a broadcast multiply replaces that one product. Grid positions
+outside the crop get zero gradient, and the bias gradient is the grid
+gradient summed over batch and space. ``im2col`` and
+``fold_channels_last`` record the patch matrix of that grid and its crop
+as tape ops of their own: tests compose them with ``channel_bias``, which
+takes one bias row per item (the conv bias tiled over the batch), as the
+reference for the node, and the benchmark's tracer looks them up by name.
+This module is the only one that knows the layout.
 
 A conv2d node takes conditioning as inputs of its own, so none of it is
 copied onto the tape. The second input x2 has its channels after x's in the
@@ -148,10 +149,6 @@ _DTYPE = np.float32
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _TRIM_THRESHOLD = 256 << 20  # far above the heap a training step uses
 _MMAP_THRESHOLD = 32 << 20  # glibc's maximum on 64-bit
-
-# bytes of the padded grid one column block of a conv's weight gradient reads
-# (see _tap_matmul_t)
-_GRAD_BLOCK_BYTES = 256 << 10
 
 
 def _keep_heap_mapped():
@@ -418,6 +415,8 @@ def frobenius_norm_sq(*tensors: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
+    if any(s < 0 for s in shape):
+        raise DimensionError(f"reshape: {a.shape} -> {shape} has a negative dimension")
     if int(np.prod(shape)) != a.data.size:
         raise DimensionError(f"reshape: {a.shape} -> {shape} changes element count")
     return _make(a.data.reshape(shape), "reshape", (a,), (lambda g: g.reshape(a.shape),))
@@ -558,8 +557,6 @@ def _tap_offsets(k, wp):
 
 def _patches(xp, offsets, length):
     """(c*t, length) patch matrix of a grid for t tap offsets: row (ci, t) is xp[ci, off_t:][:length]."""
-    if len(offsets) == 1:
-        return xp[:, offsets[0] : offsets[0] + length]
     c = xp.shape[0]
     cols = np.empty((c, len(offsets), length), dtype=xp.dtype)
     for t, off in enumerate(offsets):
@@ -604,49 +601,23 @@ def _tap_matmul(mt, xp, offsets, length, dtype):
     return out
 
 
-def _grad_block(c, length, itemsize):
-    """Columns per block of _tap_matmul_t: the fewest equal blocks whose slice
-    of a c-channel grid stays within _GRAD_BLOCK_BYTES."""
-    blocks = -(-c * length * itemsize // _GRAD_BLOCK_BYTES)
-    return -(-length // blocks)
-
-
 def _tap_matmul_t(g, xp, offsets, length):
     """g @ _patches(xp, offsets).T, as one product per tap with a slice of xp: (rows, c*taps).
 
     The weight gradient of the taps of _tap_matmul, with columns in (c, tap)
-    order. Each product's inner dimension is the whole grid. The grid's
-    columns are split into blocks of _grad_block columns, and every tap
-    runs on one block before the next, so the overlapping slices of a block
-    are read while they are in cache; the first block writes each tap's
-    product and later blocks add to it. The 256 KiB budget is measured
-    (float32, OpenBLAS on one thread, a 2-core Xeon with 2 MiB of L2 per
-    core): one block runs at 45-53 GFLOP/s up to a slice of 160 KiB, and
-    falls to 22-35 GFLOP/s somewhere between 192 and 384 KiB depending on
-    the shape, where two blocks run at 45-73. Below 160 KiB a split costs
-    5-25%. At the default config (batch 8) only dec.out splits: its 1x1
-    grid at 32x32 is 384 KiB over 12 channels, and takes two blocks. The
-    next largest slices are ctrl.zero.conv's 1x1 grid, 192 KiB, and 145 KiB
-    for den.conv_in, den.conv_out and den.up's skip grid. With one
-    input channel the patch matrix is smaller than g and the result is one
-    product with it.
+    order. Each product's inner dimension is the whole grid. With one input
+    channel the patch matrix is smaller than g, and one product with it
+    replaces one product of inner dimension 1 per tap: enc.conv1 at the
+    default config, 62-74 -> 44 us. Items of 64 px, one of
+    dataset.VALID_SIZES, give 3x3 grids four times the default's, where
+    these products were not timed, because no workload runs them.
     """
     c = xp.shape[0]
     if c == 1:
         return g @ _patches(xp, offsets, length).T
-    dtype = np.result_type(g, xp)
-    out = np.empty((len(offsets), g.shape[0], c), dtype=dtype)
-    tmp = np.empty_like(out[0])
-    block = _grad_block(c, length, dtype.itemsize)
-    for lo in range(0, length, block):
-        hi = min(lo + block, length)
-        gb = g[:, lo:hi]
-        for t, off in enumerate(offsets):
-            xs = xp[:, off + lo : off + hi].T
-            if lo:
-                out[t] += np.matmul(gb, xs, out=tmp)
-            else:
-                np.matmul(gb, xs, out=out[t])
+    out = np.empty((len(offsets), g.shape[0], c), dtype=np.result_type(g, xp))
+    for t, off in enumerate(offsets):
+        np.matmul(g, xp[:, off : off + length].T, out=out[t])
     return out.transpose(1, 2, 0).reshape(g.shape[0], -1)
 
 

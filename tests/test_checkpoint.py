@@ -99,6 +99,18 @@ def test_negative_or_non_integer_dimension(tmp_path):
         assert e.value.offset == HEADER_OFFSET
 
 
+@pytest.mark.parametrize(
+    "shape", [[0, 10**30], [0, 2**40, 2**40], [0] * 70], ids=["huge-dimension", "huge-product", "70-dimensions"]
+)
+def test_zero_size_shape_numpy_cannot_hold_raises_format_error(tmp_path, shape):
+    # zero elements, so no payload is read, but no ndarray has this shape
+    header = valid_header(shape=shape)
+    path = write_raw(tmp_path / "bad.ldrs", header)
+    with pytest.raises(FormatError, match="tensor 'w' has shape") as e:
+        load_checkpoint(path)
+    assert e.value.offset == HEADER_OFFSET + len(json.dumps(header).encode("utf-8"))
+
+
 def test_repeated_tensor_name_raises_format_error(tmp_path):
     path = tmp_path / "dup.ldrs"
     save_checkpoint(path, "base", {}, {}, [("a", np.zeros(2)), ("a", np.ones(3))], {})

@@ -278,22 +278,23 @@ def decomposed_conv2d(x, k, bias):
     return T.channel_bias(y, T.matmul(T.Tensor(np.ones((x.shape[0], 1))), T.reshape(bias, (1, co))))
 
 
-# a conv whose weight gradient takes more than one column block of the padded
-# grid, the last one shorter, in float32 and float64: c=40, n*hp*wp = 5*19*19
-BLOCKED_X, BLOCKED_K = (5, 40, 18, 18), (16, 40, 3, 3)
+# a conv on a long padded grid, c=40 by n*hp*wp = 5*19*19 = 1805 columns
+# (282 KiB in float32), whose kernel gradient sums each tap's product over
+# every column
+LONG_X, LONG_K = (5, 40, 18, 18), (16, 40, 3, 3)
 
 
 def test_conv2d_node_matches_decomposed_tape():
     rng = np.random.default_rng(12)
     # batches of one and of three, 3x3, 5x5 and 1x1 kernels, one input
     # channel, one output channel, a kernel wider than the input; the last
-    # case's kernel gradient spans several column blocks
-    # (see test_conv2d_weight_gradient_in_column_blocks)
+    # case's kernel gradient runs over a long grid
+    # (see test_conv2d_float32_kernel_gradient_over_long_grid_matches_float64)
     cases = [((1, 2, 5, 6), (3, 2, 3, 3)), ((3, 2, 5, 6), (3, 2, 3, 3)),
              ((3, 1, 5, 6), (3, 1, 3, 3)), ((3, 2, 5, 6), (1, 2, 3, 3)),
              ((3, 2, 4, 5), (3, 2, 5, 5)), ((3, 2, 2, 3), (3, 2, 5, 5)),
              ((1, 2, 4, 5), (4, 2, 1, 1)), ((3, 2, 4, 5), (4, 2, 1, 1)),
-             (BLOCKED_X, BLOCKED_K)]
+             (LONG_X, LONG_K)]
     with T.float64():
         for x_shape, k_shape in cases:
             x0, k0, bias0 = rng.normal(size=x_shape), rng.normal(size=k_shape), rng.normal(size=k_shape[0])
@@ -311,22 +312,19 @@ def test_conv2d_node_matches_decomposed_tape():
                 assert np.allclose(fused, ref, rtol=1e-12, atol=1e-12)
 
 
-def test_conv2d_weight_gradient_in_column_blocks():
-    n, c, *_, hp, wp, _ = T._conv_grid(BLOCKED_X, BLOCKED_K, "conv2d")
+def test_conv2d_float32_kernel_gradient_over_long_grid_matches_float64():
+    n, *_, hp, wp, _ = T._conv_grid(LONG_X, LONG_K, "conv2d")
     length = n * hp * wp
-    for itemsize in (4, 8):
-        block = T._grad_block(c, length, itemsize)
-        assert block < length and length % block
     rng = np.random.default_rng(14)
-    x0, k0 = rng.normal(size=BLOCKED_X), rng.normal(size=BLOCKED_K)
+    x0, k0 = rng.normal(size=LONG_X), rng.normal(size=LONG_K)
     # scaled so that k.grad is O(1), like the outputs the float32 tolerances of
     # test_conv2d_matches_loop_oracle are set for
-    w = rng.normal(size=(BLOCKED_X[0], BLOCKED_K[0]) + BLOCKED_X[2:]) / np.sqrt(length)
+    w = rng.normal(size=(LONG_X[0], LONG_K[0]) + LONG_X[2:]) / np.sqrt(length)
     grads = []
     for mode in (T.float64, contextlib.nullcontext):
         with mode():
             x, k = T.Tensor(x0, requires_grad=True), T.Tensor(k0, requires_grad=True)
-            T.backward(T.tsum(T.mul(T.conv2d(x, k, T.Tensor(np.zeros(BLOCKED_K[0]))), T.Tensor(w))))
+            T.backward(T.tsum(T.mul(T.conv2d(x, k, T.Tensor(np.zeros(LONG_K[0]))), T.Tensor(w))))
             grads.append(k.grad)
     want, got = grads
     assert want.dtype == np.float64 and got.dtype == np.float32
@@ -399,8 +397,8 @@ def conv2d_case(rng, x_shape, x2_shape, k_shape, per_item_bias):
 # 3x3, 5x5 and 1x1 kernels and one channel on either side; a per-item vector
 # x2 with a 1x1 kernel, as at ctrl.zero.conv; a per-item bias alone and with
 # either form of x2 (den.conv_in takes a batch x2 and a per-item bias); batches
-# of one and of three; and last a batch x2 on BLOCKED_X's grid, whose kernel
-# gradient takes more than one column block
+# of one and of three; and last a batch x2 on LONG_X's grid, whose kernel
+# gradient runs over a long grid
 CONV2D_X2_CASES = [((1, 2, 5, 6), (1, 3, 5, 6), (3, 5, 3, 3), False),
                    ((3, 2, 5, 6), (3, 1, 5, 6), (3, 3, 3, 3), True),
                    ((3, 1, 4, 5), (3, 2, 4, 5), (4, 3, 5, 5), False),
@@ -411,13 +409,11 @@ CONV2D_X2_CASES = [((1, 2, 5, 6), (1, 3, 5, 6), (3, 5, 3, 3), False),
                    ((1, 2, 5, 6), None, (3, 2, 3, 3), True),
                    ((3, 2, 5, 6), None, (3, 2, 3, 3), True),
                    ((3, 2, 4, 5), None, (4, 2, 1, 1), True),
-                   ((5, 24, 18, 18), (5, 16, 18, 18), BLOCKED_K, True)]
+                   ((5, 24, 18, 18), (5, 16, 18, 18), LONG_K, True)]
 
 
 def test_conv2d_second_input_matches_composed_tape():
     rng = np.random.default_rng(19)
-    n, c, *_, hp, wp, _ = T._conv_grid(BLOCKED_X, BLOCKED_K, "conv2d")
-    assert T._grad_block(c, n * hp * wp, 8) < n * hp * wp
     with T.float64():
         for x_shape, x2_shape, k_shape, per_item in CONV2D_X2_CASES:
             case = conv2d_case(rng, x_shape, x2_shape, k_shape, per_item)
@@ -477,9 +473,9 @@ def upsample_conv_case(rng, x_shape, skip_shape, k_shape):
     return x0, k0, bias0, w0, None if skip_shape is None else rng.normal(size=skip_shape)
 
 
-# a skip (n, cs, 2h, 2w) for x (n, 2, h, w) = (5, 2, 9, 9) on BLOCKED_X's grid, so
-# that its part of the kernel gradient takes more than one column block
-BLOCKED_SKIP_X, BLOCKED_SKIP_K = (5, 2, 9, 9), (16, 42, 3, 3)
+# a skip (n, cs, 2h, 2w) for x (n, 2, h, w) = (5, 2, 9, 9) on LONG_X's grid, so
+# that its part of the kernel gradient runs over a long grid
+LONG_SKIP_X, LONG_SKIP_K = (5, 2, 9, 9), (16, 42, 3, 3)
 
 
 def test_upsample_conv2d_matches_composed_tape():
@@ -487,20 +483,17 @@ def test_upsample_conv2d_matches_composed_tape():
     # batches of one and of three, one input channel, one output channel,
     # 3x3, 5x5 and 1x1 kernels, odd and non-square inputs, a 5x5 kernel wider
     # than the 2x2 upsampled input, one channel with a 1x1 kernel (one tap
-    # per phase), and a kernel gradient in column blocks; then the same with a
+    # per phase), and a kernel gradient over a long grid; then the same with a
     # skip, whose channels follow x's in the kernel, one of them a single channel
     cases = [((1, 2, 5, 6), None, (3, 2, 3, 3)), ((3, 2, 5, 6), None, (3, 2, 3, 3)),
              ((3, 1, 5, 6), None, (3, 1, 3, 3)), ((3, 2, 5, 6), None, (1, 2, 3, 3)),
              ((3, 2, 3, 4), None, (3, 2, 5, 5)), ((3, 2, 1, 1), None, (3, 2, 5, 5)),
              ((1, 2, 4, 5), None, (4, 2, 1, 1)), ((3, 2, 3, 4), None, (4, 2, 1, 1)),
-             ((3, 1, 3, 4), None, (1, 1, 1, 1)), (BLOCKED_X, None, BLOCKED_K),
+             ((3, 1, 3, 4), None, (1, 1, 1, 1)), (LONG_X, None, LONG_K),
              ((1, 2, 5, 6), (1, 3, 10, 12), (3, 5, 3, 3)), ((3, 2, 5, 6), (3, 1, 10, 12), (3, 3, 3, 3)),
              ((3, 1, 5, 6), (3, 2, 10, 12), (1, 3, 3, 3)), ((3, 2, 3, 4), (3, 2, 6, 8), (3, 4, 5, 5)),
              ((3, 2, 1, 1), (3, 2, 2, 2), (3, 4, 5, 5)), ((3, 2, 3, 4), (3, 1, 6, 8), (4, 3, 1, 1)),
-             (BLOCKED_SKIP_X, BLOCKED_X, BLOCKED_SKIP_K)]
-    # the grid of BLOCKED_X, as the input of the last x-only case and as the last skip
-    n, c, *_, hp, wp, _ = T._conv_grid(BLOCKED_X, BLOCKED_K, "upsample_conv2d")
-    assert T._grad_block(c, n * hp * wp, 8) < n * hp * wp
+             (LONG_SKIP_X, LONG_X, LONG_SKIP_K)]
     with T.float64():
         for x_shape, skip_shape, k_shape in cases:
             x0, k0, bias0, w, skip0 = upsample_conv_case(rng, x_shape, skip_shape, k_shape)
@@ -994,6 +987,14 @@ def test_channel_bias_and_broadcast_spatial():
     assert np.allclose(y.data, np.broadcast_to(b0[None, :, None, None], (1, 2, 3, 3)))
     T.backward(T.tsum(T.mul(y, T.Tensor(w))))
     assert np.allclose(v.grad, w.sum(axis=(2, 3)))
+
+
+def test_reshape_rejects_negative_dimensions():
+    # both products equal the element count, 6
+    a = T.Tensor(np.arange(6.0))
+    for shape in ((-2, -3), (-1, -6)):
+        with pytest.raises(DimensionError, match="negative dimension"):
+            T.reshape(a, shape)
 
 
 def test_row_scale_gradients():
