@@ -4,17 +4,17 @@ embeddings, time embedding, and decoder.
 Architecture (default config, 32x32 grayscale):
 
   encoder    conv3x3 -> silu -> avgpool2 -> conv3x3          image -> 8x16x16
-  control    conv3x3(z_enc) + zeroconv1x1(z_enc, prompt)     -> z_lq
-  denoiser   conv3x3(z_t, z_lq; bias + time & prompt terms per item)
+  control    conv3x3(z_enc) + zeroconv1x1(z_enc, tile(prompt)) -> z_lq
+  denoiser   conv3x3(z_t, z_lq) + time & prompt terms per item
              -> silu -> pool -> conv3x3 -> silu
              -> conv3x3 + zeroconv1x1(pool(z_lq)) -> silu
              -> upsample2+concat skip+conv3x3 (one node) -> silu -> conv3x3
   decoder    conv3x3 -> silu -> upsample2+conv3x3 (one node) -> silu
              -> conv1x1 -> sigmoid                            latent -> image
 
-A conv written conv(a, b) takes b as a second input of its node, whose
-channels follow a's in the kernel (``tensor.conv2d``); the prompt, one vector
-per item, stands for its constant map over space.
+A conv written conv(a, b) takes the batch b as a second input of its node,
+whose channels follow a's in the kernel (``tensor.conv2d``); tile(prompt)
+is the prompt embedding, one vector per item, tiled over space.
 
 Every parameter under "ctrl.zero." starts at exactly zero, so at
 initialization the control conditioning and the bottleneck skip contribute
@@ -29,13 +29,12 @@ upsampling convs, each one ``tensor.upsample_conv2d`` node: the decoder's
 ``dec.conv2``, equal to ``conv2d(upsample2(h))``, and the denoiser's
 ``den.up``, which takes the skip h1 as the node's fourth input and equals
 ``conv2d(concat_channels(upsample2(h3), h1))``. Neither forms the
-upsampled copy or the concat. The conditioning enters two conv2d nodes as
-inputs, so no concat, spatial broadcast or channel-bias copy is formed
-either. ``den.conv_in`` takes z_lq as its second input, and its bias is one
-row per item: ``den.conv_in.b`` plus the time and prompt terms, FiLM-style
-conditioning (Perez et al., arXiv 1709.07871). ``ctrl.zero.conv`` takes the
-prompt embedding as a per-item second input, which is exact for its 1x1
-kernel. ``lora.merge`` runs the same function without a tape, so a merged
+upsampled copy or the concat. ``den.conv_in`` takes z_lq as its second
+input, so their concat is not formed either, and ``channel_bias`` then adds
+the time and prompt terms, one row per item, FiLM-style conditioning (Perez
+et al., arXiv 1709.07871). ``ctrl.zero.conv`` takes the prompt embedding
+tiled over space by ``broadcast_spatial`` as its second input.
+``lora.merge`` runs the same function without a tape, so a merged
 weight is the one training used. Only ``tensor.py`` knows the
 convolution's layout.
 
@@ -83,8 +82,10 @@ class NetConfig:
                 raise ConfigurationError(f"NetConfig.{f.name} must be an integer >= 1, got {v!r}")
         if self.channels not in (1, 3):
             raise ConfigurationError(f"NetConfig.channels must be 1 or 3, got {self.channels}")
-        if self.image_size % DOWNSCALE:
-            raise ConfigurationError(f"image_size {self.image_size} not divisible by {DOWNSCALE}")
+        # the encoder halves the image, and the denoiser pools the latent once more
+        if self.image_size % (2 * DOWNSCALE):
+            raise ConfigurationError(f"NetConfig.image_size must be a multiple of {2 * DOWNSCALE},"
+                                     f" got {self.image_size}")
         if self.temb_dim % 2:
             raise ConfigurationError(f"temb_dim must be even, got {self.temb_dim}")
 
@@ -287,15 +288,16 @@ def control_features(z_enc: T.Tensor, prompt_emb: T.Tensor, params: NetParams, a
 
     z_enc (n, c, h, w) takes prompt_emb (n, prompt_dim), one row per item;
     any other shape raises ``DimensionError`` before anything is computed.
-    The zero conv is 1x1, so the prompt, constant over space, is its
-    per-item second input (``tensor.conv2d``) and is never tiled.
+    The prompt, tiled over space, is the zero conv's second input
+    (``tensor.conv2d``), so z_enc and it are not concatenated.
     """
     want = (z_enc.shape[0], params.config.prompt_dim)
     if prompt_emb.shape != want:
         raise DimensionError(f"control: prompt embedding {prompt_emb.shape} vs latent {z_enc.shape}; need {want}")
     plain = _conv(z_enc, params, "ctrl.conv", adapters)
     w_zero = adapted_weight(params, "ctrl.zero.conv.w", adapters)
-    return T.add(plain, T.conv2d(z_enc, w_zero, params["ctrl.zero.conv.b"], prompt_emb))
+    tiled = T.broadcast_spatial(prompt_emb, *z_enc.shape[2:])
+    return T.add(plain, T.conv2d(z_enc, w_zero, params["ctrl.zero.conv.b"], tiled))
 
 
 def denoise(z_t: T.Tensor, t, cond: ConditioningBundle, params: NetParams, adapters=()) -> T.Tensor:
@@ -303,9 +305,8 @@ def denoise(z_t: T.Tensor, t, cond: ConditioningBundle, params: NetParams, adapt
     a scalar or a length-n array of integers >= 0 (``ContractViolation``
     otherwise), conditioned on cond (``ConditioningBundle``).
 
-    ``den.conv_in`` convolves z_t with cond.z_lq as its second input. Its
-    bias has one row per item: the time and prompt terms plus
-    ``den.conv_in.b``, which ``linear`` repeats once per item."""
+    ``den.conv_in`` convolves z_t with cond.z_lq as its second input, and
+    ``channel_bias`` adds the time and prompt terms, one row per item."""
     cfg = params.config
     z_lq, pemb = cond.z_lq, cond.prompt_embedding
     if z_t.ndim != 4 or z_t.shape[1] != cfg.c_lat or z_t.shape != z_lq.shape:
@@ -321,10 +322,8 @@ def denoise(z_t: T.Tensor, t, cond: ConditioningBundle, params: NetParams, adapt
 
     tb = T.linear(time_embedding(tv, cfg.temb_dim), adapted_weight(params, "den.temb.w", adapters))
     pb = T.linear(pemb, adapted_weight(params, "den.pemb.w", adapters))
-    b = params["den.conv_in.b"]
-    rows = T.linear(T.Tensor(np.ones((n, 1))), T.reshape(b, (b.shape[0], 1)))
     w_in = adapted_weight(params, "den.conv_in.w", adapters)
-    h1 = T.silu(T.conv2d(z_t, w_in, T.add(T.add(tb, pb), rows), z_lq))
+    h1 = T.silu(T.channel_bias(T.conv2d(z_t, w_in, params["den.conv_in.b"], z_lq), T.add(tb, pb)))
 
     h2 = T.silu(_conv(T.avg_pool2(h1), params, "den.down", adapters))
     m = _conv(h2, params, "den.mid", adapters)

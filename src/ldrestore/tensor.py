@@ -37,16 +37,15 @@ the activation-recomputation trade of Chen et al. (arXiv 1604.06174): silu
 forms its logistic again from x, with the same bits, and mse its difference
 a - b. At the default config (batch 8) that keeps 1.19 MiB of logistics and
 0.09 MiB of differences off a base training step's tape, which holds
-3.58 MB at backward start (tracemalloc), for one more pass over each silu
+3.83 MB at backward start (tracemalloc), for one more pass over each silu
 input in backward. A conv keeps no grid of its input (see below).
 
 Shapes are explicit. There is no general broadcasting: mixed-shape
-combinations exist only as named ops (``channel_bias``, ``row_scale``,
-``broadcast_spatial``, and ``conv2d``'s per-item inputs below) with
-hand-written backward rules. Every spatial op (convolution, pooling,
-resampling, channel concatenation and bias) takes a batch ``(n, c, h, w)``
-only, and a 3-D input raises ``DimensionError``; a single item is a batch
-of one.
+combinations exist only as named ops (``channel_bias``, ``row_scale`` and
+``broadcast_spatial``) with hand-written backward rules. Every spatial op
+(convolution, pooling, resampling, channel concatenation and bias) takes a
+batch ``(n, c, h, w)`` only, and a 3-D input raises ``DimensionError``; a
+single item is a batch of one.
 
 Convolution is one tape node per call, with inputs (x, k, bias), or (x, k,
 bias, x2) with a second input (see below). The kernel is square with an odd
@@ -86,19 +85,14 @@ takes one bias row per item (the conv bias tiled over the batch), as the
 reference for the node, and the benchmark's tracer looks them up by name.
 This module is the only one that knows the layout.
 
-A conv2d node takes conditioning as inputs of its own, so none of it is
-copied onto the tape. The second input x2 has its channels after x's in the
-kernel. A batch x2 (n, c2, h, w) is written onto x's grid below x's rows,
-which is exactly the grid of their concat, so the node gives
-conv2d(concat_channels(x, x2), k, bias) bit for bit, and the backward
-splits the rows of the input gradient's grid between the two. A per-item
-vector x2 (n, c2) stands for its constant map over space. Under a 1x1
-kernel that map adds k[:, c:] @ x2[i] at every pixel of item i, a per-item
-constant like a bias. A wider same-padded kernel would not give a constant
-at the border, so it is refused. The bias is (co,), or one row per item,
-(n, co), which is how FiLM conditioning (Perez et al., arXiv 1709.07871)
-shifts each channel. The gradients of these constants are per-item sums of
-the output gradient. ``upsample_conv2d`` takes neither per-item form.
+A conv2d node takes a second batch x2 (n, c2, h, w) as an input of its own,
+with its channels after x's in the kernel. x2 is written onto x's grid
+below x's rows, which is exactly the grid of their concat, so the node gives
+conv2d(concat_channels(x, x2), k, bias) bit for bit without forming the
+concat, and the backward splits the rows of the input gradient's grid
+between the two. The bias is (co,). Per-item conditioning, one vector per
+item, reaches a conv through ``broadcast_spatial`` (as an x2) or
+``channel_bias`` (after the conv), each a node of its own.
 
 A nearest 2x upsample followed by a conv, the decoder's resize-convolution
 (Odena et al., Distill 2016), is one node too (``upsample_conv2d``), which
@@ -135,6 +129,7 @@ values are constants, not settings.
 
 import ctypes
 import functools
+import math
 import os
 from contextlib import contextmanager
 
@@ -417,9 +412,13 @@ def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if any(s < 0 for s in shape):
         raise DimensionError(f"reshape: {a.shape} -> {shape} has a negative dimension")
-    if int(np.prod(shape)) != a.data.size:
+    if math.prod(shape) != a.data.size:
         raise DimensionError(f"reshape: {a.shape} -> {shape} changes element count")
-    return _make(a.data.reshape(shape), "reshape", (a,), (lambda g: g.reshape(a.shape),))
+    try:
+        data = a.data.reshape(shape)
+    except ValueError as e:  # numpy refuses a zero-size shape whose other dims overflow its index type
+        raise DimensionError(f"reshape: {a.shape} -> {shape}: {e}") from None
+    return _make(data, "reshape", (a,), (lambda g: g.reshape(a.shape),))
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
@@ -657,33 +656,25 @@ def _checked_grid(x, k, bias, op, x2=None, up=1):
     x2 is a second input whose channels follow x's in the kernel, which then
     takes c + c2 input channels. For x (n, c, h, w) it is a batch
     (n, c2, up*h, up*w): conv2d's x2 (up 1) or upsample_conv2d's skip (up 2).
-    conv2d also takes a per-item vector x2 (n, c2), which stands for its
-    constant map and so needs a 1x1 kernel: a same-padded wider kernel does
-    not keep a constant map constant at the border. conv2d's bias is (co,)
-    or one row per item, (n, co); upsample_conv2d's is (co,).
+    The bias is (co,).
     """
     if k.ndim != 4:
         raise DimensionError(f"{op}: kernel must be 4-D, got {k.shape}")
     grid = _conv_grid(x.shape, k.shape, op)
     n, c, h, w = grid[:4]
     co, ci = k.shape[:2]
-    per_item = up == 1
     shapes = f"{x.shape} with {k.shape}"
     if x2 is not None:
-        name = "x2" if per_item else "skip"
-        if per_item and x2.ndim == 2 and x2.shape[0] == n:
-            if k.shape[2] != 1:
-                raise DimensionError(f"{op}: a per-item x2 {x2.shape} needs a 1x1 kernel, got {k.shape}")
-        elif x2.ndim != 4 or x2.shape[0] != n or x2.shape[2:] != (up * h, up * w):
-            want = f"a batch ({n}, c2, {up * h}, {up * w})" + (f" or a vector ({n}, c2)" if per_item else "")
+        name = "x2" if up == 1 else "skip"
+        if x2.ndim != 4 or x2.shape[0] != n or x2.shape[2:] != (up * h, up * w):
+            want = f"a batch ({n}, c2, {up * h}, {up * w})"
             raise DimensionError(f"{op}: {name} {x2.shape} is not {want} for x {x.shape}")
         c += x2.shape[1]
         shapes = f"{x.shape} and {name} {x2.shape} with {k.shape}"
     if c != ci:
         raise DimensionError(f"{op}: input channels {c} vs kernel {ci} ({shapes})")
-    if bias.shape != (co,) and not (per_item and bias.shape == (n, co)):
-        need = f"({co},) or ({n}, {co}) for x {x.shape}" if per_item else f"({co},)"
-        raise DimensionError(f"{op}: bias {bias.shape} does not fit kernel {k.shape}; need {need}")
+    if bias.shape != (co,):
+        raise DimensionError(f"{op}: bias {bias.shape} does not fit kernel {k.shape}; need ({co},)")
     return grid
 
 
@@ -695,20 +686,14 @@ def _tap_blocks(k):
 
 def conv2d(x: Tensor, k: Tensor, bias: Tensor, x2: Tensor = None) -> Tensor:
     """Same-padded cross-correlation plus a bias: x (n, c, h, w), k (co, c, s, s)
-    with s odd, bias (co,) or (n, co), one row per item -> (n, co, h, w). One
-    tape node with inputs (x, k, bias), or (x, k, bias, x2).
+    with s odd, bias (co,) -> (n, co, h, w). One tape node with inputs
+    (x, k, bias), or (x, k, bias, x2).
 
-    x2 is a second input whose channels follow x's in the kernel, which is
-    then (co, c + c2, s, s). A batch (n, c2, h, w) makes the node
+    x2 is a second batch (n, c2, h, w) whose channels follow x's in the
+    kernel, which is then (co, c + c2, s, s). The node is
     conv2d(concat_channels(x, x2), k, bias): both go on one grid, which is
     the grid of the concat, and the backward splits the rows of the input
-    gradient's grid between them. A per-item vector (n, c2) stands for its
-    constant map, conv2d(concat_channels(x, broadcast_spatial(x2, h, w)), k,
-    bias), and needs a 1x1 kernel. The node adds k[:, c:, 0, 0] @ x2[i] to
-    item i, the way it adds a per-item bias row. Neither the concat nor the
-    map is formed. The gradients of a per-item bias, of a vector x2 and of
-    the kernel's columns for it come from the per-item sums of the output
-    gradient.
+    gradient's grid between them. The concat is not formed.
 
     The forward puts x on the grid with _to_grid, each image at the top
     left of its (hp, wp) slot between head zeros, so that neighbouring
@@ -719,47 +704,27 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor, x2: Tensor = None) -> Tensor:
     order and transposed, which is each block at its mirrored offset
     2*head - off_t: the border keeps that slice inside the grid, and image
     b's pixel (r, s) comes out at the top left of slot b, where _from_grid
-    reads it. With a batch x2, that product runs over the input channels of
-    x, of x2 or of both, whichever need a gradient, so a frozen input's rows
-    are never formed. The grid of x is rebuilt only when k needs a gradient.
+    reads it. With x2, that product runs over the input channels of x, of
+    x2 or of both, whichever need a gradient, so a frozen input's rows are
+    never formed. The grid of x is rebuilt only when k needs a gradient.
     """
     grid = _checked_grid(x, k, bias, "conv2d", x2)
     n, c, h, w, ks, hp, wp, head = grid
-    co = k.shape[0]
     inputs = (x, k, bias) if x2 is None else (x, k, bias, x2)
     dtype = np.result_type(*(t.data for t in inputs))
-    vector = x2 is not None and x2.ndim == 2
-    a2 = None if x2 is None or vector else x2.data  # the batch that shares x's grid
-    mt = _tap_blocks(k.data[:, :c] if vector else k.data)
+    a2 = None if x2 is None else x2.data
+    mt = _tap_blocks(k.data)
     y = _tap_matmul(mt, _to_grid(x.data, hp, wp, head, a2), _tap_offsets(ks, wp), n * hp * wp, dtype)
-    # each output channel's constant: (co, 1) shared by the items, or (co, n)
-    shift = bias.data.T if bias.ndim == 2 else bias.data[:, None]
-    if vector:
-        shift = k.data[:, c:, 0, 0] @ x2.data.T + shift
-    slots = y.reshape(co, n, hp * wp)
-    slots += shift[:, :, None]
+    y += bias.data[:, None]
     out = Tensor(_from_grid(y, n, hp, wp, h, w))
     if not _recording(inputs):
         return out
 
     def backward(g):
         need = [t._needs_grad() for t in inputs]
-        need_a2 = a2 is not None and need[3]
-        grads = [None] * len(inputs)
-        gg, grads[0], ga2, gk = _conv_backward(g, x.data, mt, grid, need[0], need[1], a2, need_a2)
-        if need_a2:
-            grads[3] = ga2
-        # (co, n): the output gradient summed over each item, its constant's gradient
-        sums = gg.reshape(co, n, hp * wp).sum(axis=2) if vector or bias.ndim == 2 else None
-        if need[1]:
-            if vector:
-                gk = np.concatenate([gk, sums @ x2.data], axis=1)
-            grads[1] = gk.reshape(k.shape)
-        if need[2]:
-            grads[2] = sums.T if bias.ndim == 2 else gg.sum(axis=1)
-        if vector and need[3]:
-            grads[3] = sums.T @ k.data[:, c:, 0, 0]
-        return tuple(grads)
+        gg, ga, ga2, gk = _conv_backward(g, x.data, mt, grid, need[0], need[1], a2, a2 is not None and need[3])
+        grads = (ga, None if gk is None else gk.reshape(k.shape), gg.sum(axis=1) if need[2] else None, ga2)
+        return grads[: len(inputs)]
 
     out.node = TapeNode("conv2d", inputs, backward)
     return out

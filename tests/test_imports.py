@@ -52,14 +52,31 @@ def test_library_imports_no_private_name_of_another_module():
     assert not private, f"library modules import private names of other modules: {private}"
 
 
-def test_benchmark_tracer_finds_every_name_it_wraps():
-    # the tracer swaps library functions for timed wrappers by name, so a renamed
-    # or deleted one fails here with an AttributeError that names it
+def load_tracer():
+    """perfbench/tracer.py as a module, imported from its file without registering it."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # the tracer swaps library functions for timed wrappers by name, so a renamed
+    # or deleted one fails here with an AttributeError that names it
+    tracer = load_tracer()
     linear = T.linear
     with tracer.Tracer().installed():
         assert T.linear is not linear
     assert T.linear is linear
+
+
+def test_every_name_the_benchmark_tracer_lists_is_callable_in_the_library():
+    # every tensor op and layer function the tracer times by name, all missing
+    # ones named at once; a list the tracer no longer keeps reads as empty
+    tracer = load_tracer()
+    ops = getattr(tracer, "TENSOR_OPS", ()) + getattr(tracer, "OTHER_TENSOR_OPS", ())
+    missing = [f"tensor.{op}" for op in ops if not callable(getattr(T, op, None))]
+    missing += [name for owner, attr, name in getattr(tracer, "LAYER_FUNCTIONS", ())
+                if not callable(getattr(owner, attr, None))]
+    assert not missing, f"names the benchmark tracer times but the library lacks: {missing}"

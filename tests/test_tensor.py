@@ -187,26 +187,25 @@ def test_conv2d_channel_mismatch_names_shapes():
         assert "upsample_conv2d" in msg and str(skip_shape) in msg and "(2, 3, 4, 5)" in msg, msg
         if skip_shape[1:] == (3, 8, 10) or kernel is not k:
             assert str(kernel.shape) in msg, msg
-    # likewise conv2d's x2: a batch (n, c2, h, w) with x's n, h and w, or a
-    # per-item vector (n, c2), which needs a 1x1 kernel; x2's channels follow x's
+    # likewise conv2d's x2: a batch (n, c2, h, w) with x's n, h and w, whose
+    # channels follow x's; a per-item vector (n, c2) is not a batch, under a
+    # 1x1 kernel too (broadcast_spatial tiles it into one)
     k1 = T.Tensor(np.zeros((2, 5, 1, 1)))
     # (x2, kernel, whether the error is about the kernel)
     for x2_shape, kernel, names_kernel in [((2, 2, 4, 6), k, False), ((2, 2, 5, 5), k, False),
                                            ((1, 2, 4, 5), k, False), ((2, 8, 10), k, False),
                                            ((1, 2), k1, False), ((2, 2, 1), k1, False),
-                                           ((2, 3, 4, 5), k, True), ((2, 3), k1, True),
+                                           ((2, 3, 4, 5), k, True),
                                            ((2, 2, 4, 5), T.Tensor(np.zeros((2, 3, 3, 3))), True),
-                                           ((2, 2), k, True)]:
+                                           ((2, 2), k, False), ((2, 2), k1, False), ((2, 3), k1, False)]:
         with pytest.raises(DimensionError) as e:
             T.conv2d(x, kernel, b, T.Tensor(np.zeros(x2_shape)))
         msg = str(e.value)
-        assert "conv2d" in msg and str(x2_shape) in msg, msg
+        assert "conv2d" in msg and str(x2_shape) in msg and "(2, 3, 4, 5)" in msg, msg
         assert (str(kernel.shape) in msg) == names_kernel, msg
-        if x2_shape != (2, 2):  # a vector under a 3x3 kernel is refused for the kernel alone
-            assert "(2, 3, 4, 5)" in msg, msg
-    # the same kernel accepts x2 of the right shapes
+    # the same kernels accept a batch x2 of the right shape
     assert T.conv2d(x, k, b, T.Tensor(np.zeros((2, 2, 4, 5)))).shape == (2, 2, 4, 5)
-    assert T.conv2d(x, k1, b, T.Tensor(np.zeros((2, 2)))).shape == (2, 2, 4, 5)
+    assert T.conv2d(x, k1, b, T.Tensor(np.zeros((2, 2, 4, 5)))).shape == (2, 2, 4, 5)
 
 
 def test_conv2d_kernel_must_be_square_with_an_odd_side():
@@ -256,17 +255,15 @@ def test_spatial_ops_reject_a_single_item():
 
 def test_conv2d_bias_shape_mismatch_names_shapes():
     x, k = T.Tensor(np.zeros((2, 3, 5, 5))), T.Tensor(np.zeros((4, 3, 3, 3)))
-    # a bias needs one entry per output channel
+    # a bias needs one entry per output channel, (co,); one row per item,
+    # (n, co) = (2, 4), is refused too (channel_bias adds such rows after a conv)
     for conv in (T.conv2d, T.upsample_conv2d):
-        for b_shape in [(3,), (1, 4), (3, 4), (2, 3), (2, 4, 1)]:
+        for b_shape in [(3,), (1, 4), (3, 4), (2, 3), (2, 4, 1), (2, 4)]:
             with pytest.raises(DimensionError) as e:
                 conv(x, k, T.Tensor(np.zeros(b_shape)))
-            assert str(b_shape) in str(e.value) and str(k.shape) in str(e.value), conv
-    # conv2d also takes one bias row per item, (n, co); upsample_conv2d does not
-    assert T.conv2d(x, k, T.Tensor(np.zeros((2, 4)))).shape == (2, 4, 5, 5)
-    with pytest.raises(DimensionError) as e:
-        T.upsample_conv2d(x, k, T.Tensor(np.zeros((2, 4))))
-    assert "upsample_conv2d" in str(e.value) and "(2, 4)" in str(e.value) and "need (4,)" in str(e.value)
+            msg = str(e.value)
+            assert conv.__name__ in msg and str(b_shape) in msg and str(k.shape) in msg, msg
+            assert "need (4,)" in msg, msg
 
 
 def decomposed_conv2d(x, k, bias):
@@ -371,58 +368,44 @@ def conv_results(conv, x0, k0, bias0, w, x20=None):
     return [y.data, x.grad, k.grad, bias.grad] + ([] if x2 is None else [x2.grad])
 
 
-def composed_conv2d(x, k, bias, x2=None):
-    """conv2d's reference for a second input and a per-item bias, each a tape
-    node of its own: a vector x2 (n, c2) tiled over space by broadcast_spatial,
-    x2 concatenated after x, and an (n, co) bias added by channel_bias after a
-    conv with a zero bias."""
-    if x2 is not None:
-        x = T.concat_channels(x, T.broadcast_spatial(x2, *x.shape[2:]) if x2.ndim == 2 else x2)
-    if bias.ndim == 1:
-        return T.conv2d(x, k, bias)
-    return T.channel_bias(T.conv2d(x, k, T.Tensor(np.zeros(k.shape[0]))), bias)
+def composed_conv2d(x, k, bias, x2):
+    """conv2d's reference for a second input: x2 concatenated after x by a
+    tape node of its own, then conv2d."""
+    return T.conv2d(T.concat_channels(x, x2), k, bias)
 
 
-def conv2d_case(rng, x_shape, x2_shape, k_shape, per_item_bias):
-    """Random x, k, bias ((co,) or (n, co)), loss weights and x2 (or None) for conv2d."""
+def conv2d_case(rng, x_shape, x2_shape, k_shape):
+    """Random x, k, bias, loss weights and x2 for conv2d."""
     n, _, h, w = x_shape
     co = k_shape[0]
     x0, k0 = rng.normal(size=x_shape), rng.normal(size=k_shape)
-    bias0 = rng.normal(size=(n, co) if per_item_bias else co)
+    bias0 = rng.normal(size=co)
     w0 = rng.normal(size=(n, co, h, w))
-    return x0, k0, bias0, w0, None if x2_shape is None else rng.normal(size=x2_shape)
+    return x0, k0, bias0, w0, rng.normal(size=x2_shape)
 
 
-# (x, x2 or None, kernel, per-item bias): a batch x2 beside x on one grid, with
-# 3x3, 5x5 and 1x1 kernels and one channel on either side; a per-item vector
-# x2 with a 1x1 kernel, as at ctrl.zero.conv; a per-item bias alone and with
-# either form of x2 (den.conv_in takes a batch x2 and a per-item bias); batches
-# of one and of three; and last a batch x2 on LONG_X's grid, whose kernel
-# gradient runs over a long grid
-CONV2D_X2_CASES = [((1, 2, 5, 6), (1, 3, 5, 6), (3, 5, 3, 3), False),
-                   ((3, 2, 5, 6), (3, 1, 5, 6), (3, 3, 3, 3), True),
-                   ((3, 1, 4, 5), (3, 2, 4, 5), (4, 3, 5, 5), False),
-                   ((3, 2, 4, 5), (3, 2, 4, 5), (1, 4, 1, 1), True),
-                   ((1, 2, 4, 5), (1, 3), (3, 5, 1, 1), False),
-                   ((3, 2, 4, 5), (3, 3), (3, 5, 1, 1), False),
-                   ((3, 1, 4, 5), (3, 2), (1, 3, 1, 1), True),
-                   ((1, 2, 5, 6), None, (3, 2, 3, 3), True),
-                   ((3, 2, 5, 6), None, (3, 2, 3, 3), True),
-                   ((3, 2, 4, 5), None, (4, 2, 1, 1), True),
-                   ((5, 24, 18, 18), (5, 16, 18, 18), LONG_K, True)]
+# (x, x2, kernel): a batch x2 beside x on one grid, with 3x3, 5x5 and 1x1
+# kernels and one channel on either side, as at den.conv_in (and at
+# ctrl.zero.conv, whose x2 is the tiled prompt); batches of one and of three;
+# and last an x2 on LONG_X's grid, whose kernel gradient runs over a long grid
+CONV2D_X2_CASES = [((1, 2, 5, 6), (1, 3, 5, 6), (3, 5, 3, 3)),
+                   ((3, 2, 5, 6), (3, 1, 5, 6), (3, 3, 3, 3)),
+                   ((3, 1, 4, 5), (3, 2, 4, 5), (4, 3, 5, 5)),
+                   ((3, 2, 4, 5), (3, 2, 4, 5), (1, 4, 1, 1)),
+                   ((5, 24, 18, 18), (5, 16, 18, 18), LONG_K)]
 
 
 def test_conv2d_second_input_matches_composed_tape():
     rng = np.random.default_rng(19)
     with T.float64():
-        for x_shape, x2_shape, k_shape, per_item in CONV2D_X2_CASES:
-            case = conv2d_case(rng, x_shape, x2_shape, k_shape, per_item)
+        for x_shape, x2_shape, k_shape in CONV2D_X2_CASES:
+            case = conv2d_case(rng, x_shape, x2_shape, k_shape)
             fused = conv_results(T.conv2d, *case)
             ref = conv_results(composed_conv2d, *case)
-            assert len(fused) == len(ref) == (4 if x2_shape is None else 5)
+            assert len(fused) == len(ref) == 5
             for got, want in zip(fused, ref):
-                assert got.shape == want.shape, (x_shape, x2_shape, k_shape, per_item)
-                assert np.allclose(got, want, rtol=1e-12, atol=1e-12), (x_shape, x2_shape, k_shape, per_item)
+                assert got.shape == want.shape, (x_shape, x2_shape, k_shape)
+                assert np.allclose(got, want, rtol=1e-12, atol=1e-12), (x_shape, x2_shape, k_shape)
         # one node, with x2 as its fourth input
         x0, k0, bias0, _, x20 = case
         x, k, bias, x2 = (T.Tensor(a, requires_grad=True) for a in (x0, k0, bias0, x20))
@@ -432,30 +415,28 @@ def test_conv2d_second_input_matches_composed_tape():
 
 def test_conv2d_second_input_float32_matches_float64():
     rng = np.random.default_rng(20)
-    for x_shape, x2_shape, k_shape, per_item in CONV2D_X2_CASES[:-1]:
-        case = conv2d_case(rng, x_shape, x2_shape, k_shape, per_item)
+    for x_shape, x2_shape, k_shape in CONV2D_X2_CASES[:-1]:
+        case = conv2d_case(rng, x_shape, x2_shape, k_shape)
         got = conv_results(T.conv2d, *case)
         with T.float64():
             want = conv_results(T.conv2d, *case)
         for a, b in zip(got, want):
             assert a.dtype == np.float32 and b.dtype == np.float64
-            assert np.allclose(a, b, rtol=1e-5, atol=1e-5), (x_shape, x2_shape, k_shape, per_item)
+            assert np.allclose(a, b, rtol=1e-5, atol=1e-5), (x_shape, x2_shape, k_shape)
 
 
 def test_conv2d_second_input_gradients_match_finite_differences():
     rng = np.random.default_rng(21)
     x, k3, k1 = (T.Tensor(rng.normal(size=s)) for s in ((2, 2, 3, 4), (3, 5, 3, 3), (3, 5, 1, 1)))
-    x2, v, bias, rows = (T.Tensor(rng.normal(size=s)) for s in ((2, 3, 3, 4), (2, 3), (3,), (2, 3)))
+    x2, bias = (T.Tensor(rng.normal(size=s)) for s in ((2, 3, 3, 4), (3,)))
     tgt = T.Tensor(rng.normal(size=(2, 3, 3, 4)))
 
     def loss(*args):
         return T.mse(T.silu(T.conv2d(*args)), tgt)
 
     assert grad_error(lambda a: loss(x, k3, bias, a), x2) < 1e-6
-    assert grad_error(lambda a: loss(x, k3, a, x2), rows) < 1e-6
-    assert grad_error(lambda a: loss(x, k1, bias, a), v) < 1e-6
-    assert grad_error(lambda a: loss(x, k1, a, v), rows) < 1e-6
-    assert grad_error(lambda a: loss(x, a, rows, v), k1) < 1e-6
+    assert grad_error(lambda a: loss(x, k1, bias, a), x2) < 1e-6
+    assert grad_error(lambda a: loss(x, a, bias, x2), k1) < 1e-6
 
 
 def upsample_then_conv2d(x, k, bias, skip=None):
@@ -862,18 +843,18 @@ def test_backward_returns_none_for_inputs_without_gradient():
     y = T.upsample_conv2d(T.Tensor(xc.data), ks, bc, T.Tensor(sc, requires_grad=True))
     gx, gk, gb, gs = y.node.backward(rng.normal(size=y.shape))
     assert gx is None and gk is None and gb is None and gs.shape == sc.shape
-    # conv2d's x2, a batch or a per-item vector: a frozen x2 and k get None; a frozen
-    # x beside a trainable x2 likewise, and a per-item bias gets its (n, co) gradient
-    x2c, vc = rng.normal(size=(2, 2, 5, 5)), rng.normal(size=(2, 2))
+    # conv2d's x2: a frozen x2 and k get None; a frozen x beside a trainable x2
+    # likewise, and a trainable bias gets its (co,) gradient
+    x2c = rng.normal(size=(2, 2, 5, 5))
     k1 = T.Tensor(rng.normal(size=(4, 5, 1, 1)))
-    for kernel, x2 in [(ks, x2c), (k1, vc)]:
-        y = T.conv2d(xc, kernel, bc, T.Tensor(x2))
+    for kernel in (ks, k1):
+        y = T.conv2d(xc, kernel, bc, T.Tensor(x2c))
         gx, gk, gb, g2 = y.node.backward(rng.normal(size=y.shape))
         assert gk is None and gb is None and g2 is None and gx.shape == xc.shape
-        rows = T.Tensor(rng.normal(size=(2, 4)), requires_grad=True)
-        y = T.conv2d(T.Tensor(xc.data), kernel, rows, T.Tensor(x2, requires_grad=True))
+        bt = T.Tensor(bc.data, requires_grad=True)
+        y = T.conv2d(T.Tensor(xc.data), kernel, bt, T.Tensor(x2c, requires_grad=True))
         gx, gk, gb, g2 = y.node.backward(rng.normal(size=y.shape))
-        assert gx is None and gk is None and gb.shape == (2, 4) and g2.shape == x2.shape
+        assert gx is None and gk is None and gb.shape == (4,) and g2.shape == x2c.shape
     # a conv site with an adapter: the adapted kernel gets a gradient, which reaches
     # A and B, while the frozen kernel and bias keep .grad None
     A = T.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
@@ -995,6 +976,18 @@ def test_reshape_rejects_negative_dimensions():
     for shape in ((-2, -3), (-1, -6)):
         with pytest.raises(DimensionError, match="negative dimension"):
             T.reshape(a, shape)
+
+
+def test_reshape_of_a_zero_size_tensor_raises_only_dimension_error():
+    # the element count is taken on Python ints, where np.prod wraps
+    # (2**32, 2**32) to 0; numpy's own refusal of a zero-size shape whose other
+    # dimensions overflow is raised as DimensionError too
+    empty = T.Tensor(np.zeros(0))
+    for shape in ((0, 2**40, 2**40), (2**32, 2**32), (2**62, 4, 0)):
+        with pytest.raises(DimensionError) as e:
+            T.reshape(empty, shape)
+        assert "reshape" in str(e.value) and "(0,)" in str(e.value), shape
+    assert T.reshape(empty, (3, 0)).shape == (3, 0)
 
 
 def test_row_scale_gradients():
