@@ -9,6 +9,7 @@ against the matching row (``_axes``), so no item forms a coordinate grid.
 """
 
 import functools
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
@@ -147,20 +148,23 @@ def synth_dataset(seed: int, n: int, size: int) -> list:
     return [synth_item(seed, i, size) for i in range(n)]
 
 
-def batches(data: list, batch: int, seed: int):
-    """Yield epoch after epoch of seeded shuffled batches; short final batch kept."""
-    epoch = 0
-    while True:
-        yield from epoch_batches(data, batch, seed, epoch)
-        epoch += 1
-
-
-def epoch_batches(data: list, batch: int, seed: int, epoch: int = 0) -> list:
-    """One epoch's batches as a list: a seeded shuffle cut into runs of ``batch``."""
+def _check_batch(data: list, batch: int) -> None:
     if not data:
         raise ConfigurationError("batches: empty dataset")
     if batch < 1 or batch > len(data):
         raise ConfigurationError(f"batches: batch {batch} outside [1, {len(data)}]")
+
+
+def batches(data: list, batch: int, seed: int):
+    """Epoch after epoch of seeded shuffled batches, without end; short final
+    batch kept. The arguments are checked at the call, not at the first batch."""
+    _check_batch(data, batch)
+    return itertools.chain.from_iterable(epoch_batches(data, batch, seed, e) for e in itertools.count())
+
+
+def epoch_batches(data: list, batch: int, seed: int, epoch: int = 0) -> list:
+    """One epoch's batches as a list: a seeded shuffle cut into runs of ``batch``."""
+    _check_batch(data, batch)
     order = stream(seed, "batches", epoch).permutation(len(data))
     return [[data[i] for i in order[lo : lo + batch]] for lo in range(0, len(data), batch)]
 

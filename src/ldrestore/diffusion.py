@@ -12,10 +12,11 @@ The forward process q(x_t | x_{t-1}) = N(sqrt(alpha_t) x_{t-1}, (1-alpha_t) I)
 is used in its closed marginal form x_t = sqrt(ab_t) x0 + sqrt(1-ab_t) eps.
 It runs on a batch, with one step index per item (``forward_diffuse_batch``),
 and the loss (``ldm_loss_batch``) is the mean squared error of the predicted
-noise on such a batch. The reverse step predicts the injected noise and forms
-the posterior mean mu = (z_t - beta_t / sqrt(1-ab_t) * eps_hat) / sqrt(alpha_t);
-``sample`` adds sigma_t times fresh seeded noise at every step t > 0, with
-the fixed posterior variance sigma_t^2 = beta_t (1-ab_{t-1}) / (1-ab_t).
+noise on such a batch. ``sample`` forms each posterior step itself: the net
+predicts the injected noise eps_hat, the step takes the posterior mean
+mu = (z_t - beta_t / sqrt(1-ab_t) * eps_hat) / sqrt(alpha_t), and at every
+t > 0 adds sigma_t times fresh seeded noise, with the fixed posterior
+variance sigma_t^2 = beta_t (1-ab_{t-1}) / (1-ab_t).
 
 A denoiser is any callable net(z_t, t, cond) -> Tensor of z_t's shape, where
 t is an index into the schedule. Respaced sub-schedules keep ``base_t``, the
@@ -63,8 +64,8 @@ class NoiseSchedule:
 
 def make_schedule(T_steps: int, beta_start: float, beta_end: float) -> NoiseSchedule:
     """Linear beta from beta_start to beta_end over T_steps steps."""
-    if T_steps < 1:
-        raise ConfigurationError(f"make_schedule: T must be >= 1, got {T_steps}")
+    if isinstance(T_steps, bool) or not isinstance(T_steps, (int, np.integer)) or T_steps < 1:
+        raise ConfigurationError(f"make_schedule: T must be an integer >= 1, got {T_steps!r}")
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ConfigurationError(
             f"make_schedule: need 0 < beta_start <= beta_end < 1, got [{beta_start}, {beta_end}]"
@@ -74,8 +75,8 @@ def make_schedule(T_steps: int, beta_start: float, beta_end: float) -> NoiseSche
 
 def respace(sched: NoiseSchedule, steps: int) -> NoiseSchedule:
     """Evenly spaced sub-schedule with the same marginals at the kept steps."""
-    if steps < 1 or steps > sched.T:
-        raise ConfigurationError(f"respace: steps {steps} outside [1, {sched.T}]")
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or not 1 <= steps <= sched.T:
+        raise ConfigurationError(f"respace: steps {steps!r} is not an integer in [1, {sched.T}]")
     if steps == sched.T:
         return sched
     idx = np.unique(np.round(np.linspace(0, sched.T - 1, steps)).astype(np.int64))
@@ -120,29 +121,17 @@ def ldm_loss_batch(net, x0_latent: T.Tensor, t, eps: T.Tensor, cond, sched: Nois
     return T.mse(eps, net(z_t, t, cond))
 
 
-def reverse_step(net, z_t: T.Tensor, t: int, cond, sched: NoiseSchedule, noise=None) -> T.Tensor:
-    """One posterior step z_t -> z_{t-1}: the mean, plus sigma_t * noise when
-    noise is given and t > 0."""
-    t = int(check_step(sched, t))
-    eps_hat = net(z_t, t, cond)
-    coef = float(sched.beta[t] / math.sqrt(1.0 - sched.alpha_bar[t]))
-    mu = T.scale(T.add(z_t, T.scale(eps_hat, -coef)), 1.0 / math.sqrt(float(sched.alpha[t])))
-    if noise is None or t == 0:
-        return mu
-    if noise.shape != z_t.shape:
-        raise DimensionError(f"reverse_step: noise {noise.shape} vs z_t {z_t.shape}")
-    return T.add(mu, T.scale(noise, float(sched.sigma[t])))
-
-
 def sample(net, shape, cond, sched: NoiseSchedule, seed: int) -> T.Tensor:
     """Ancestral sampling: the reverse chain from seeded unit Gaussian noise
-    down to z_0, with fresh seeded noise at every step t > 0."""
+    down to z_0, one posterior step per t, with fresh seeded noise at every
+    step t > 0."""
     shape = tuple(int(s) for s in shape)
     with T.no_grad():
         z = T.Tensor(stream(seed, "sample.init").standard_normal(shape))
         for t in range(sched.T - 1, -1, -1):
-            noise = None
+            coef = float(sched.beta[t] / math.sqrt(1.0 - sched.alpha_bar[t]))
+            z = T.scale(T.add(z, T.scale(net(z, t, cond), -coef)), 1.0 / math.sqrt(float(sched.alpha[t])))
             if t > 0:
                 noise = T.Tensor(stream(seed, "sample.noise", t).standard_normal(shape))
-            z = reverse_step(net, z, t, cond, sched, noise)
+                z = T.add(z, T.scale(noise, float(sched.sigma[t])))
     return z

@@ -239,6 +239,8 @@ def prompt_embedding(params: NetParams, prompts) -> T.Tensor:
 
 def prompt_embedding_batch(params: NetParams, prompt_lists) -> T.Tensor:
     """(n, prompt_dim) embeddings, row i the mean embedding of prompt_lists[i]."""
+    if not prompt_lists:
+        raise ParameterError("empty batch of prompt lists")
     table = params[PROMPT_TABLE]
     weights = np.zeros((len(prompt_lists), table.shape[0]))
     for i, prompts in enumerate(prompt_lists):

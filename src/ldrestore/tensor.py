@@ -372,12 +372,12 @@ def silu(a: Tensor) -> Tensor:
 
 
 def tsum(a: Tensor) -> Tensor:
-    return _make(np.sum(a.data), "sum", (a,), (lambda g: np.full_like(a.data, float(g)),))
+    return _make(np.sum(a.data), "tsum", (a,), (lambda g: np.full_like(a.data, float(g)),))
 
 
 def tmean(a: Tensor) -> Tensor:
     n = a.data.size
-    return _make(np.mean(a.data), "mean", (a,), (lambda g: np.full_like(a.data, float(g) / n),))
+    return _make(np.mean(a.data), "tmean", (a,), (lambda g: np.full_like(a.data, float(g) / n),))
 
 
 def mse(a: Tensor, b: Tensor) -> Tensor:
@@ -401,7 +401,7 @@ def frobenius_norm_sq(*tensors: Tensor) -> Tensor:
     total = np.sum(tensors[0].data * tensors[0].data)
     for t in tensors[1:]:
         total = total + np.sum(t.data * t.data)
-    return _make(total, "fro2", tensors, [lambda g, t=t: 2.0 * float(g) * t.data for t in tensors])
+    return _make(total, "frobenius_norm_sq", tensors, [lambda g, t=t: 2.0 * float(g) * t.data for t in tensors])
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +429,7 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"concat_channels: shape {a.shape} vs {b.shape}")
     ca = a.shape[1]
     return _make(
-        np.concatenate([a.data, b.data], axis=1), "concat", (a, b),
+        np.concatenate([a.data, b.data], axis=1), "concat_channels", (a, b),
         (lambda g: np.ascontiguousarray(g[:, :ca]), lambda g: np.ascontiguousarray(g[:, ca:])),
     )
 
@@ -476,7 +476,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         np.add.at(gt, ids, g)
         return gt
 
-    return _make(table.data[ids].copy(), "embedding", (table,), (backward,))
+    return _make(table.data[ids].copy(), "embedding_lookup", (table,), (backward,))
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +647,7 @@ def fold_channels_last(y: Tensor, x_shape, k: int) -> Tensor:
     n, _, h, w, k, hp, wp, _ = _conv_grid(x_shape, (k, k), "fold_channels_last")
     if y.ndim != 2 or y.shape[1] != n * hp * wp:
         raise DimensionError(f"fold_channels_last: {y.shape} is not the grid of {tuple(x_shape)} under {k}x{k}")
-    return _make(_from_grid(y.data, n, hp, wp, h, w), "fold", (y,), (lambda g: _to_grid(g, hp, wp),))
+    return _make(_from_grid(y.data, n, hp, wp, h, w), "fold_channels_last", (y,), (lambda g: _to_grid(g, hp, wp),))
 
 
 def _checked_grid(x, k, bias, op, x2=None, up=1):

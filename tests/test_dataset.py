@@ -214,6 +214,11 @@ def test_empty_dataset_rejected():
     data = synth_dataset(0, 4, 16)
     with pytest.raises(ConfigurationError):
         next(batches(data, 5, seed=0))
+    # the call alone raises, before any batch is asked for
+    with pytest.raises(ConfigurationError):
+        batches([], 1, seed=0)
+    with pytest.raises(ConfigurationError):
+        batches(data, 5, seed=0)
 
 
 def test_batch_size_outside_range_rejected_by_both():
@@ -223,6 +228,8 @@ def test_batch_size_outside_range_rejected_by_both():
             epoch_batches(data, bad, seed=0)
         with pytest.raises(ConfigurationError):
             next(batches(data, bad, seed=0))
+        with pytest.raises(ConfigurationError):
+            batches(data, bad, seed=0)
 
 
 def test_batches_yields_the_epochs_in_order():

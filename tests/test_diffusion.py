@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from ldrestore import diffusion
 from ldrestore import tensor as T
 from ldrestore.diffusion import (
     NoiseSchedule,
@@ -10,10 +12,10 @@ from ldrestore.diffusion import (
     ldm_loss_batch,
     make_schedule,
     respace,
-    reverse_step,
     sample,
 )
 from ldrestore.errors import ConfigurationError, ContractViolation, DimensionError
+from ldrestore.rng import stream
 
 from gradcheck import grad_error
 
@@ -101,6 +103,19 @@ def test_respace_identity_and_errors():
         respace(s, 0)
     with pytest.raises(ConfigurationError):
         respace(s, 101)
+
+
+def test_step_counts_must_be_integers():
+    s = make_schedule(10, 1e-3, 0.1)
+    # a float or a bool is no step count, even where numpy would take it
+    for bad in (2.5, 3.0, True, np.float64(4.0), "4"):
+        with pytest.raises(ConfigurationError, match=re.escape(repr(bad))):
+            make_schedule(bad, 1e-3, 0.1)
+        with pytest.raises(ConfigurationError, match=re.escape(repr(bad))):
+            respace(s, bad)
+    # numpy integers are step counts
+    assert make_schedule(np.int64(10), 1e-3, 0.1).T == 10
+    assert respace(s, np.int32(4)).T == 4 and respace(s, np.int64(10)) is s
 
 
 def test_forward_diffuse_values():
@@ -224,60 +239,88 @@ def test_ldm_loss_differentiable_through_net_params():
 
 
 def test_reverse_step_t0_is_mu_exactly():
-    s = make_schedule(5, 0.05, 0.2)
+    # sample's step at t = 0 is the posterior mean of its input alone
+    s = make_schedule(1, 0.05, 0.05)
     rng = np.random.default_rng(5)
-    z = rng.normal(size=(1, 3, 3))
     pred = rng.normal(size=(1, 3, 3))
     net = lambda zt, t, cond: T.Tensor(pred)
-    out = reverse_step(net, T.Tensor(z), 0, None, s)
-    mu = (z - s.beta[0] / math.sqrt(1 - s.alpha_bar[0]) * pred) / math.sqrt(s.alpha[0])
+    with T.float64():
+        out = sample(net, (1, 3, 3), None, s, seed=3)
+    z_init = stream(3, "sample.init").standard_normal((1, 3, 3))
+    mu = (z_init - s.beta[0] / math.sqrt(1 - s.alpha_bar[0]) * pred) / math.sqrt(s.alpha[0])
     assert np.allclose(out.data, mu, atol=1e-12)
+
+
+def test_reverse_step_ignores_noise_at_t0(monkeypatch):
+    # a 1-step chain draws its init noise and nothing else: t = 0 adds none
+    drawn = []
+
+    def recording_stream(seed, name, *indices):
+        drawn.append((name, *indices))
+        return stream(seed, name, *indices)
+
+    monkeypatch.setattr(diffusion, "stream", recording_stream)
+    s = make_schedule(1, 0.05, 0.05)
+    net = lambda zt, t, cond: T.Tensor(np.zeros((1, 2, 2)))
+    with T.float64():
+        out = sample(net, (1, 2, 2), None, s, seed=4)
+    assert drawn == [("sample.init",)]
+    z_init = stream(4, "sample.init").standard_normal((1, 2, 2))
+    assert np.allclose(out.data, z_init / math.sqrt(s.alpha[0]), atol=1e-12)
 
 
 def test_reverse_step_perfect_oracle_recovers_posterior_mean():
-    # with eps_hat equal to the true injected eps, mu matches the closed form
-    s = make_schedule(8, 0.02, 0.15)
-    rng = np.random.default_rng(6)
-    x0 = rng.normal(size=(1, 2, 2))
-    eps = rng.normal(size=(1, 2, 2))
-    t = 5
-    z_t = forward_diffuse_batch(T.Tensor(x0), [t], T.Tensor(eps), s)
-    net = lambda zt, tt, cond: T.Tensor(eps)
-    out = reverse_step(net, z_t, t, None, s)
-    mu = (z_t.data - s.beta[t] / math.sqrt(1 - s.alpha_bar[t]) * eps) / math.sqrt(s.alpha[t])
-    assert np.allclose(out.data, mu, atol=1e-12)
+    # an oracle that returns the noise that takes x0 to its input z_1 gives
+    # mu_1, the posterior mean of q(z_0 | z_1, x0) (Ho et al., eq. 7); the
+    # step then adds sigma_1 times the sample.noise draw at 1, and the zero
+    # net at t = 0 only divides by sqrt(alpha_0)
+    s = make_schedule(2, 0.02, 0.15)
+    ab, shape, seed = s.alpha_bar, (1, 2, 2), 6
+    x0 = np.random.default_rng(6).normal(size=shape)
+    steps = []
+
+    def net(z, t, cond):
+        steps.append(t)
+        if t == 0:
+            return T.Tensor(np.zeros(shape))
+        return T.Tensor((z.data - math.sqrt(ab[1]) * x0) / math.sqrt(1 - ab[1]))
+
+    with T.float64():
+        out = sample(net, shape, None, s, seed)
+    z_1 = stream(seed, "sample.init").standard_normal(shape)
+    n_1 = stream(seed, "sample.noise", 1).standard_normal(shape)
+    mu_1 = math.sqrt(ab[0]) * s.beta[1] / (1 - ab[1]) * x0 + math.sqrt(s.alpha[1]) * (1 - ab[0]) / (1 - ab[1]) * z_1
+    assert steps == [1, 0]
+    assert np.allclose(out.data, (mu_1 + s.sigma[1] * n_1) / math.sqrt(s.alpha[0]), atol=1e-12)
 
 
 def test_reverse_step_ancestral_adds_sigma_noise():
-    s = make_schedule(5, 0.05, 0.2)
-    rng = np.random.default_rng(7)
-    z = T.Tensor(rng.normal(size=(1, 2, 2)))
-    noise = rng.normal(size=(1, 2, 2))
-    net = lambda zt, t, cond: T.Tensor(np.zeros((1, 2, 2)))
-    t = 3
-    det = reverse_step(net, z, t, None, s)
-    anc = reverse_step(net, z, t, None, s, T.Tensor(noise))
-    assert np.allclose(anc.data - det.data, s.sigma[t] * noise, atol=1e-12)
+    # with a zero net the step at t = 1 is z_1 / sqrt(alpha_1) plus sigma_1
+    # times the sample.noise draw at 1; t = 0 then divides by sqrt(alpha_0)
+    s = make_schedule(2, 0.05, 0.2)
+    shape, seed = (1, 2, 2), 7
+    net = lambda zt, t, cond: T.Tensor(np.zeros(shape))
+    with T.float64():
+        out = sample(net, shape, None, s, seed)
+    z_1 = stream(seed, "sample.init").standard_normal(shape)
+    n_1 = stream(seed, "sample.noise", 1).standard_normal(shape)
+    det = z_1 / math.sqrt(s.alpha[1])
+    assert np.allclose(out.data * math.sqrt(s.alpha[0]) - det, s.sigma[1] * n_1, atol=1e-12)
 
 
-def test_reverse_step_rejects_bad_t():
-    s = make_schedule(5, 0.05, 0.2)
-    z = T.Tensor(np.zeros((1, 2, 2)))
-    net = lambda zt, t, cond: T.Tensor(np.zeros((1, 2, 2)))
-    for t in (-1, 5, 2.5):
-        with pytest.raises(ContractViolation):
-            reverse_step(net, z, t, None, s)
-    # a float whose value is an integer is that step
-    assert np.array_equal(reverse_step(net, z, 3.0, None, s).data, reverse_step(net, z, 3, None, s).data)
+def test_sample_draws_init_then_noise_at_every_step_but_the_last(monkeypatch):
+    # the seed streams are the contract that bit-exact resume and the stored
+    # eval pixels rest on: sample.init once, then sample.noise at T-1 .. 1
+    calls = []
 
+    def recording_stream(seed, name, *indices):
+        calls.append((seed, name, *indices))
+        return stream(seed, name, *indices)
 
-def test_reverse_step_ignores_noise_at_t0():
-    s = make_schedule(5, 0.05, 0.2)
-    rng = np.random.default_rng(9)
-    z = T.Tensor(rng.normal(size=(1, 2, 2)))
-    net = lambda zt, t, cond: T.Tensor(np.zeros((1, 2, 2)))
-    noise = T.Tensor(rng.normal(size=(1, 2, 2)))
-    assert np.array_equal(reverse_step(net, z, 0, None, s, noise).data, reverse_step(net, z, 0, None, s).data)
+    monkeypatch.setattr(diffusion, "stream", recording_stream)
+    net = lambda z, t, cond: T.Tensor(np.zeros(z.shape))
+    sample(net, (1, 2, 2), None, make_schedule(4, 0.05, 0.2), seed=11)
+    assert calls == [(11, "sample.init"), (11, "sample.noise", 3), (11, "sample.noise", 2), (11, "sample.noise", 1)]
 
 
 def test_sample_reproducible_per_seed():

@@ -273,7 +273,7 @@ def test_reg_loss_is_one_fro2_node_over_every_A_and_B():
     assert loss.node.op == "scale"
     fro = loss.node.inputs[0]
     mats = [m for a in adapters for m in (a.A, a.B)]
-    assert fro.node.op == "fro2" and len(fro.node.inputs) == len(mats) == 8
+    assert fro.node.op == "frobenius_norm_sq" and len(fro.node.inputs) == len(mats) == 8
     assert all(i is m for i, m in zip(fro.node.inputs, mats))
     want = 0.0
     for m in mats:

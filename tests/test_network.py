@@ -324,7 +324,7 @@ def test_denoise_matches_the_composed_upsample_concat_denoiser():
         pemb = prompt_embedding_batch(params, prompts)
         z_lq = control_features(T.Tensor(z_lq0, requires_grad=True), pemb, params)
         ops = tape_ops(denoise(T.Tensor(z_t0), t, ConditioningBundle(z_lq, None, pemb), params))
-        assert "upsample_conv2d" in ops and not {"concat", "upsample2"} & set(ops), ops
+        assert "upsample_conv2d" in ops and not {"concat_channels", "upsample2"} & set(ops), ops
         assert {"channel_bias", "broadcast_spatial"} <= set(ops), ops
 
 
@@ -366,7 +366,7 @@ def test_control_features_matches_the_composed_concat_broadcast_control():
                 y = control(z, prompt_embedding_batch(params, prompts), params, adapters)
                 if control is control_features:
                     ops = tape_ops(y)
-                    assert "concat" not in ops and "broadcast_spatial" in ops, ops
+                    assert "concat_channels" not in ops and "broadcast_spatial" in ops, ops
                 T.backward(T.tsum(T.mul(y, T.Tensor(w))))
                 trained = [name for name in sites if params[name].requires_grad]  # attach froze the target
                 grads = [params[name].grad for name in trained] + [g for a in adapters for g in (a.A.grad, a.B.grad)]
@@ -460,6 +460,14 @@ def test_prompt_unknown_token_rejected():
         prompt_embedding(params, ["sharpen"])
     with pytest.raises(ParameterError):
         prompt_embedding(params, [])
+
+
+def test_prompt_embedding_batch_of_no_prompt_lists_rejected():
+    params, _ = tiny_setup()
+    with pytest.raises(ParameterError):
+        prompt_embedding_batch(params, [])
+    with pytest.raises(ParameterError):
+        prompt_embedding_batch(params, [["rings"], []])
 
 
 def test_time_embedding_shape_and_distinctness():

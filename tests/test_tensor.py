@@ -41,6 +41,28 @@ def conv2d_loops(x, k, b):
     return y
 
 
+def test_every_op_records_its_function_name():
+    # TapeNode.op is the name of the function that made the node, so a
+    # per-op profile keyed on it needs no table from op to function
+    rng = np.random.default_rng(0)
+
+    def t(*shape):
+        return T.Tensor(rng.normal(size=shape), requires_grad=True)
+
+    x, v, k = t(2, 3, 4, 4), t(2, 3), t(5, 3, 3, 3)
+    args = {
+        T.add: (x, x), T.add_scalar: (x, 1.0), T.mul: (x, x), T.scale: (x, 2.0),
+        T.relu: (x,), T.sigmoid: (x,), T.silu: (x,), T.tsum: (x,), T.tmean: (x,), T.mse: (x, x),
+        T.frobenius_norm_sq: (x, v), T.reshape: (x, (2, 48)), T.concat_channels: (x, x),
+        T.channel_bias: (x, v), T.broadcast_spatial: (v, 4, 4), T.row_scale: (x, t(2)),
+        T.embedding_lookup: (t(6, 3), [0, 5]), T.matmul: (v, t(3, 2)), T.linear: (v, t(2, 3)),
+        T.im2col: (x, 3), T.fold_channels_last: (t(5, 2 * 5 * 5), x.shape, 3),
+        T.conv2d: (x, k, t(5)), T.upsample_conv2d: (x, k, t(5)), T.avg_pool2: (x,), T.upsample2: (x,),
+    }
+    for fn, a in args.items():
+        assert fn(*a).node.op == fn.__name__
+
+
 def test_matmul_hand_oracle():
     a = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
     b = T.Tensor([[5.0, 6.0], [7.0, 8.0]])
