@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, FormatError, ParameterError
+from .errors import ConfigurationError, FormatError, ParameterError, is_integer
 from .images import Image, load_pnm, save_pnm
 from .rng import stream
 
@@ -141,18 +141,18 @@ def synth_item(seed: int, index: int, size: int) -> DatasetItem:
 
 
 def synth_dataset(seed: int, n: int, size: int) -> list:
-    if size not in VALID_SIZES:
-        raise ParameterError(f"size must be one of {VALID_SIZES}, got {size}")
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    if not is_integer(size) or size not in VALID_SIZES:
+        raise ParameterError(f"size must be one of {VALID_SIZES}, got {size!r}")
+    if not is_integer(n) or n < 1:
+        raise ParameterError(f"n must be an integer >= 1, got {n!r}")
     return [synth_item(seed, i, size) for i in range(n)]
 
 
 def _check_batch(data: list, batch: int) -> None:
     if not data:
         raise ConfigurationError("batches: empty dataset")
-    if batch < 1 or batch > len(data):
-        raise ConfigurationError(f"batches: batch {batch} outside [1, {len(data)}]")
+    if not is_integer(batch) or not 1 <= batch <= len(data):
+        raise ConfigurationError(f"batches: batch {batch!r} is not an integer in [1, {len(data)}]")
 
 
 def batches(data: list, batch: int, seed: int):
@@ -165,6 +165,8 @@ def batches(data: list, batch: int, seed: int):
 def epoch_batches(data: list, batch: int, seed: int, epoch: int = 0) -> list:
     """One epoch's batches as a list: a seeded shuffle cut into runs of ``batch``."""
     _check_batch(data, batch)
+    if not is_integer(epoch):
+        raise ConfigurationError(f"epoch_batches: epoch {epoch!r} is not an integer")
     order = stream(seed, "batches", epoch).permutation(len(data))
     return [[data[i] for i in order[lo : lo + batch]] for lo in range(0, len(data), batch)]
 

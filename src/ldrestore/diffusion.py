@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigurationError, ContractViolation, DimensionError
+from .errors import ConfigurationError, ContractViolation, DimensionError, is_integer
 from .rng import stream
 
 
@@ -64,7 +64,7 @@ class NoiseSchedule:
 
 def make_schedule(T_steps: int, beta_start: float, beta_end: float) -> NoiseSchedule:
     """Linear beta from beta_start to beta_end over T_steps steps."""
-    if isinstance(T_steps, bool) or not isinstance(T_steps, (int, np.integer)) or T_steps < 1:
+    if not is_integer(T_steps) or T_steps < 1:
         raise ConfigurationError(f"make_schedule: T must be an integer >= 1, got {T_steps!r}")
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ConfigurationError(
@@ -75,7 +75,7 @@ def make_schedule(T_steps: int, beta_start: float, beta_end: float) -> NoiseSche
 
 def respace(sched: NoiseSchedule, steps: int) -> NoiseSchedule:
     """Evenly spaced sub-schedule with the same marginals at the kept steps."""
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or not 1 <= steps <= sched.T:
+    if not is_integer(steps) or not 1 <= steps <= sched.T:
         raise ConfigurationError(f"respace: steps {steps!r} is not an integer in [1, {sched.T}]")
     if steps == sched.T:
         return sched

@@ -1,4 +1,13 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one integer rule
+its argument checks use."""
+
+import numpy as np
+
+
+def is_integer(v) -> bool:
+    """Whether v is a Python or numpy integer and not a bool: the rule every
+    count, size, seed and index check of the package applies."""
+    return isinstance(v, (int, np.integer)) and type(v) is not bool
 
 
 class LdrError(Exception):

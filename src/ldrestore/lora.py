@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigurationError
+from .errors import ConfigurationError, is_integer
 from .network import NetParams, adapted_weight, matrix_view_shape
 from .rng import stream
 
@@ -48,8 +48,9 @@ class LoraConfig:
     lr: float = 1e-3
 
     def __post_init__(self):
-        if isinstance(self.rank, bool) or not isinstance(self.rank, int) or self.rank < 1:
+        if not is_integer(self.rank) or self.rank < 1:
             raise ConfigurationError(f"LoraConfig.rank must be an integer >= 1, got {self.rank!r}")
+        self.rank = int(self.rank)
         if not _finite_non_negative(self.reg_lambda):
             raise ConfigurationError(f"LoraConfig.reg_lambda must be finite and >= 0, got {self.reg_lambda!r}")
         if isinstance(self.targets, str):

@@ -52,7 +52,7 @@ import numpy as np
 from . import tensor as T
 from .dataset import FAMILIES
 from .diffusion import check_step, step_indices
-from .errors import ConfigurationError, DimensionError, ParameterError
+from .errors import ConfigurationError, DimensionError, ParameterError, is_integer
 from .images import Image
 from .rng import stream
 
@@ -78,8 +78,9 @@ class NetConfig:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+            if not is_integer(v) or v < 1:
                 raise ConfigurationError(f"NetConfig.{f.name} must be an integer >= 1, got {v!r}")
+            object.__setattr__(self, f.name, int(v))  # a numpy integer is stored as an int, which JSON takes
         if self.channels not in (1, 3):
             raise ConfigurationError(f"NetConfig.channels must be 1 or 3, got {self.channels}")
         # the encoder halves the image, and the denoiser pools the latent once more

@@ -47,77 +47,83 @@ combinations exist only as named ops (``channel_bias``, ``row_scale`` and
 batch ``(n, c, h, w)`` only, and a 3-D input raises ``DimensionError``; a
 single item is a batch of one.
 
-Convolution is one tape node per call, with inputs (x, k, bias), or (x, k,
-bias, x2) with a second input (see below). The kernel is square with an odd
-side k, and the input is zero-padded by p = k // 2 on every side, so the
-output keeps the input's (h, w) ("same" padding, Dumoulin & Visin, arXiv
-1603.07285). It works on one channel-major grid:
-``_to_grid`` copies an (n, c, h, w) batch into zeros of shape (c, head +
-n*hp*wp + head), each image at the top left of a slot of its own (hp, wp) =
-(h + p, w + p), and its adjoint ``_from_grid`` reads each image's (h, w)
-back out. On the flattened grid the p zero rows and columns after an image
-are also the bottom border of that image and the top border of the next,
-and the right border of one row and the left border of the next, so
-neighbours share a single border. The head = p*wp + p zeros before the
-first slot give the first image its top and left border. Kernel tap (i, j)
-then reads one contiguous slice at offset i*wp + j, and the head zeros
-after the last slot keep the last tap, at 2*head, inside the grid. The
-forward takes one product per tap, the tap's (co, c) block of the kernel
-times the tap's slice, summed into a ``(co, n*hp*wp)`` grid
-(``_tap_matmul``). It then adds the bias and reads each image's (h, w) out.
-A low-rank adapter reaches the node only through its kernel
-(``network.adapted_weight``). The input gradient is the transposed
-convolution, which is a direct convolution with the flipped kernel over the
-zero-extended output gradient. So the backward puts the output gradient on
-the same grid, and runs ``_tap_matmul`` with the per-tap blocks in reverse
-order and transposed. The kernel gradient is one product per tap too, the
-output gradient's grid times the tap's slice of the input's grid, with the
-whole grid as inner dimension. No patch matrix is formed anywhere in the
-node, except with a single channel on the product's input side: there the
-``(k*k, n*hp*wp)`` patch matrix is smaller than the output, and one
-product with it replaces k*k products of inner dimension 1; for a 1x1
-kernel a broadcast multiply replaces that one product. Grid positions
-outside the crop get zero gradient, and the bias gradient is the grid
-gradient summed over batch and space. ``im2col`` and
-``fold_channels_last`` record the patch matrix of that grid and its crop
-as tape ops of their own: tests compose them with ``channel_bias``, which
-takes one bias row per item (the conv bias tiled over the batch), as the
-reference for the node, and the benchmark's tracer looks them up by name.
-This module is the only one that knows the layout.
+Convolution is one tape node, and one function builds it for both public
+ops: ``conv2d(x, k, bias, x2=None)``, and ``upsample_conv2d(x, k, bias,
+skip=None)``, which is conv2d(upsample2(x), k, bias), the decoder's
+resize-convolution (Odena et al., Distill 2016), without the upsampled
+copy. Its inputs are (x, k, bias), or (x, k, bias, x2) with a second input
+(see below). The kernel is square with an odd side s, and the input is
+zero-padded by p = s // 2 on every side, so the output keeps the
+(upsampled) input's size ("same" padding, Dumoulin & Visin, arXiv
+1603.07285). A low-rank adapter reaches the node only through its kernel
+(``network.adapted_weight``).
 
-A conv2d node takes a second batch x2 (n, c2, h, w) as an input of its own,
-with its channels after x's in the kernel. x2 is written onto x's grid
-below x's rows, which is exactly the grid of their concat, so the node gives
-conv2d(concat_channels(x, x2), k, bias) bit for bit without forming the
-concat, and the backward splits the rows of the input gradient's grid
-between the two. The bias is (co,). Per-item conditioning, one vector per
-item, reaches a conv through ``broadcast_spatial`` (as an x2) or
-``channel_bias`` (after the conv), each a node of its own.
+The node works on one channel-major grid of x: ``_to_grid`` copies an
+(n, c, h, w) batch into zeros of shape (c, head + n*hp*wp + head), each
+image at the top left of a slot of its own (hp, wp) = (h + p, w + p), and
+its adjoint ``_from_grid`` reads each image's (h, w) back out. On the
+flattened grid the p zero rows and columns after an image are also the
+bottom border of that image and the top border of the next, and the right
+border of one row and the left border of the next, so neighbours share a
+single border. The head = p*wp + p zeros before the first slot give the
+first image its top and left border. A tap at grid offset o, (i, j) of the
+kernel at i*wp + j, then reads one contiguous slice, and the head zeros
+after the last slot keep the last tap, at 2*head, inside the grid.
 
-A nearest 2x upsample followed by a conv, the decoder's resize-convolution
-(Odena et al., Distill 2016), is one node too (``upsample_conv2d``), which
-works on the low-resolution grid and never forms the upsampled copy. Under
-kernel row i, output row 2r + a reads low-resolution row
-r + (a + i - p) // 2, and likewise for columns, so each output phase
-(a, b), the pixels (2r + a, 2q + b), is a conv of x with (p + 1)^2 taps on
-x's own grid, whose border of p is enough. This is sub-pixel convolution
-(Shi et al., arXiv 1609.05158) read backwards. A phase tap's (co, c) block
-is the sum of the kernel taps that land on it. For a 3x3 kernel that is 4
-taps per phase, 16 products on the low-resolution grid against 9 on the
-upsampled grid, which is 4x larger: 2.25x fewer multiply-adds. The phases
-run through the same tap loops as conv2d, and strided writes
-(out[:, :, a::2, b::2]) interleave them into the output.
+After a nearest upsample by up, 1 or 2, output row up*r + a reads input
+row r + (a + i - p) // up under kernel row i, and likewise for columns. So
+each output phase (a, b), the pixels (up*r + a, up*q + b), is a conv of x
+on x's own grid, whose border of p is enough, with ceil(s / up) taps a side
+(``_phase_offsets``). A phase tap's (co, c) block is the sum of the kernel
+taps that land on it (``_phase_map``). This is sub-pixel convolution (Shi
+et al., arXiv 1609.05158) read backwards. At up = 1 there is one phase,
+whose taps are the kernel's own: that is conv2d. At up = 2 a 3x3 kernel
+gives 4 taps per phase, 16 products on x's grid against 9 on the upsampled
+grid, which is 4x larger: 2.25x fewer multiply-adds. The forward takes one
+product per phase tap, its block times its slice, summed into a
+``(co, n*hp*wp)`` grid per phase (``_tap_matmul``), adds the bias, and
+writes each phase's crop into out[:, :, a::up, b::up].
 
-The same node takes a U-Net's skip connection as an optional input, the
-denoiser's den.up: conv2d(concat_channels(upsample2(x), skip), k, bias).
-The concat splits the kernel by input channel, so the node is the phase
-convs of x with k[:, :c] plus a conv2d of the skip with k[:, c:] on the
-skip's own grid, whose crop is added to the interleaved phases in one
-strided pass. Neither the upsampled copy nor the concat is formed. At the
-default config (batch 8) that takes den.up from 9 products of
-(16, 40) @ (40, 2312) to 16 of (16, 24) @ (24, 648) and 9 of
+The input gradient is the sum of the phases' transposed convolutions, each
+a direct convolution with the flipped blocks over the zero-extended output
+gradient. So the backward puts the output gradient's up*up phases on one
+grid of x's layout, phase after phase as a batch of up*up*n, and runs
+``_tap_matmul`` once over every block in reverse order and transposed, each
+at its mirrored offset into its phase's part of that grid. The kernel
+gradient is one product per phase tap, the phase's gradient grid times the
+tap's slice of x's grid, with the whole grid as inner dimension
+(``_tap_matmul_t``); at up = 2 one product with the 0/1 phase map folds it
+back onto the kernel's taps. Grid positions outside the crop get zero
+gradient, and the bias gradient is the gradient grid's slots summed. No
+patch matrix is formed anywhere in the node, except with a single channel
+on the product's input side: there the ``(taps, n*hp*wp)`` patch matrix is
+smaller than the output, and one product with it replaces one product of
+inner dimension 1 per tap; for a 1x1 kernel a broadcast multiply replaces
+that one product. ``im2col`` and ``fold_channels_last`` record the patch
+matrix of conv2d's grid and its crop as tape ops of their own: tests
+compose them with ``channel_bias``, which takes one bias row per item (the
+conv bias tiled over the batch), as the reference for the node, and the
+benchmark's tracer looks them up by name. This module is the only one that
+knows the layout.
+
+A second input, whose channels follow x's in the kernel, joins the node by
+its shape. At x's resolution, conv2d's x2 (n, c2, h, w) is written onto x's
+grid below x's rows, which is exactly the grid of their concat, so the node
+gives conv2d(concat_channels(x, x2), k, bias) bit for bit without forming
+the concat, and the backward splits the rows of the input gradient's grid
+between the two. At the output's resolution, when that differs from x's,
+upsample_conv2d's skip (n, cs, 2h, 2w), the U-Net's skip connection at the
+denoiser's den.up, is conv2d(concat_channels(upsample2(x), skip), k, bias).
+The concat splits the kernel by input channel, so the node runs the same
+code at up = 1 for the skip, with k[:, c:] on the skip's own grid, and adds
+its crop to the phases. Neither the upsampled copy nor the concat is
+formed. At the default config (batch 8) that takes den.up from 9 products
+of (16, 40) @ (40, 2312) to 16 of (16, 24) @ (24, 648) and 9 of
 (16, 16) @ (16, 2312): 13.3M -> 9.3M multiply-adds per pass, less than the
 2.25x of the phases because the 8x8 grid's border is 27% of its columns.
+The bias is (co,). Per-item conditioning, one vector per item, reaches a
+conv through ``broadcast_spatial`` (as an x2) or ``channel_bias`` (after
+the conv), each a node of its own.
 
 Importing this module fixes glibc's heap thresholds (``_keep_heap_mapped``).
 With no patch matrix, every temporary of a training step is below about
@@ -519,25 +525,30 @@ def _conv_grid(x_shape, k_shape, op):
     return n, c, h, w, kh, hp, wp, p * wp + p
 
 
-def _to_grid(a, hp, wp, head=0, a2=None):
+def _to_grid(a, hp, wp, head=0, a2=None, up=1):
     """(n, c, h, w) batch -> zeroed channel-major grid (c, head + n*hp*wp + head).
 
     Image b fills the top-left (h, w) of the b-th (hp, wp) slot, which
     starts at column head + b*hp*wp; everything else is zero. With a2, an
     (n, c2, h, w) batch, the grid has a's c rows and then a2's c2: it is the
-    grid of their channel concat. A batch that fills its slots, with no head
-    and no a2, is only swapped to (c, n) order, which is a view when n = 1.
+    grid of their channel concat. With up, a is (n, c, up*h, up*w), and its
+    up*up phases a[:, :, i::up, j::up], phase up*i + j first, fill the slots
+    as one batch of up*up*n images (h, w). A batch that fills its slots,
+    with no head and no a2, is only swapped to (c, n) order, which is a view
+    when n = 1 and up = 1.
     """
     n, c, h, w = a.shape
+    h, w = h // up, w // up
+    phases = a.reshape(n, c, h, up, w, up).transpose(1, 3, 5, 0, 2, 4)
     if (h, w) == (hp, wp) and not head and a2 is None:
-        return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).reshape(c, n * hp * wp)
+        return np.ascontiguousarray(phases).reshape(c, -1)
     parts = (a,) if a2 is None else (a, a2)
-    length = n * hp * wp
+    length = up * up * n * hp * wp
     grid = np.zeros((sum(p.shape[1] for p in parts), length + 2 * head), dtype=np.result_type(*parts))
-    slots = grid[:, head : head + length].reshape(-1, n, hp, wp)
-    slots[:c, :, :h, :w] = a.transpose(1, 0, 2, 3)
+    slots = grid[:, head : head + length].reshape(-1, up, up, n, hp, wp)
+    slots[:c, ..., :h, :w] = phases
     if a2 is not None:
-        slots[c:, :, :h, :w] = a2.transpose(1, 0, 2, 3)
+        slots[c:, 0, 0, :, :h, :w] = a2.transpose(1, 0, 2, 3)
     return grid
 
 
@@ -576,9 +587,10 @@ def _tap_matmul(mt, xp, offsets, length, dtype):
     """sum over taps t of mt[t] @ xp[:, offsets[t]:][:, :length], mt (taps, rows, c): (rows, length).
 
     Each tap is a (rows, c) block and the grid slice at its offset, so the
-    same loop serves a conv's forward (the kernel's taps, _tap_offsets), its
-    input gradient (the blocks transposed, at mirrored offsets into the
-    output gradient's grid) and the phase convolutions of upsample_conv2d.
+    same loop serves the conv node's forward, one call per output phase
+    (_phase_offsets; at up = 1 the kernel's own taps), and its input
+    gradient (every phase's blocks transposed, at mirrored offsets into the
+    output gradient's grid).
     With one input channel the (taps, length) patch matrix is smaller than
     the output, and one product with it replaces one broadcast
     multiply-add per tap: enc.conv1 at the default config, 0.36-0.46 ->
@@ -656,32 +668,162 @@ def _checked_grid(x, k, bias, op, x2=None, up=1):
     x2 is a second input whose channels follow x's in the kernel, which then
     takes c + c2 input channels. For x (n, c, h, w) it is a batch
     (n, c2, up*h, up*w): conv2d's x2 (up 1) or upsample_conv2d's skip (up 2).
-    The bias is (co,).
+    The bias is (co,). The messages are formed only when a check fails.
     """
     if k.ndim != 4:
         raise DimensionError(f"{op}: kernel must be 4-D, got {k.shape}")
     grid = _conv_grid(x.shape, k.shape, op)
     n, c, h, w = grid[:4]
     co, ci = k.shape[:2]
-    shapes = f"{x.shape} with {k.shape}"
+    name = "x2" if up == 1 else "skip"
     if x2 is not None:
-        name = "x2" if up == 1 else "skip"
         if x2.ndim != 4 or x2.shape[0] != n or x2.shape[2:] != (up * h, up * w):
-            want = f"a batch ({n}, c2, {up * h}, {up * w})"
-            raise DimensionError(f"{op}: {name} {x2.shape} is not {want} for x {x.shape}")
+            raise DimensionError(f"{op}: {name} {x2.shape} is not a batch ({n}, c2, {up * h}, {up * w})"
+                                 f" for x {x.shape}")
         c += x2.shape[1]
-        shapes = f"{x.shape} and {name} {x2.shape} with {k.shape}"
     if c != ci:
+        shapes = f"{x.shape} with {k.shape}" if x2 is None else f"{x.shape} and {name} {x2.shape} with {k.shape}"
         raise DimensionError(f"{op}: input channels {c} vs kernel {ci} ({shapes})")
     if bias.shape != (co,):
         raise DimensionError(f"{op}: bias {bias.shape} does not fit kernel {k.shape}; need ({co},)")
     return grid
 
 
-def _tap_blocks(k):
-    """A (co, c, s, s) kernel as one contiguous (co, c) block per tap, in tap order: (s*s, co, c)."""
+@functools.lru_cache(maxsize=None)
+def _phase_offsets(s, up, wp):
+    """Tap offsets of each output phase of an s x s kernel after an up x up
+    nearest upsample, into the input's grid of width wp: a tuple per phase,
+    phase up*a + b first, taps in (m, n) order. Under kernel row i, output
+    row up*r + a reads the grid row (a + i - p) // up + p below row r's own,
+    p = s // 2, so phase a's ceil(s / up) tap rows start at
+    lead = (a - p) // up + p; columns alike. At up = 1 the one phase's taps
+    are the kernel's own, at i*wp + j. Cached per (s, up, wp).
+    """
+    p = s // 2
+    lead = [(a - p) // up + p for a in range(up)]
+    taps = _tap_offsets(-(-s // up), wp)
+    return tuple(tuple(o + la * wp + lb for o in taps) for la in lead for lb in lead)
+
+
+@functools.lru_cache(maxsize=None)
+def _phase_map(s, dtype):
+    """The 0/1 map (4*P*P, s*s), P = s // 2 + 1, from an s x s kernel's taps
+    to the phase taps of a 2x upsample (_phase_offsets): row (a, b, m, n),
+    phase 2a + b first, sums the kernel taps (i, j) that land on phase tap
+    (m, n). The map is cached, so it is read-only.
+    """
+    p = s // 2
+    i = np.arange(s)
+    rows = np.zeros((2, p + 1, s), dtype=dtype)
+    for a in (0, 1):
+        rows[a, (a + i - p) // 2 - (a - p) // 2, i] = 1
+    pmap = np.einsum("ami,bnj->abmnij", rows, rows).reshape(4 * (p + 1) ** 2, s * s)
+    pmap.flags.writeable = False
+    return pmap
+
+
+def _phase_conv(y, a, a2, k, up, grid, bias=None):
+    """Run the conv of a (and of a2, on a's grid below a's rows) after an
+    up x up upsample, under the (co, c, s, s) kernel k on grid = _conv_grid
+    of a, into y (n, co, up*h, up*w); return its phase blocks
+    (up*up, taps, co, c) for the backward.
+
+    At up = 1 the blocks are the kernel's own taps, with no product. With a
+    bias, the bias is added and each phase's crop written into
+    y[:, :, a::up, b::up]; without one, the crops are added to what y
+    holds, which is how the node's second grid joins the first.
+    """
+    n, _, h, w, s, hp, wp, head = grid
     co, c = k.shape[:2]
-    return np.ascontiguousarray(k.reshape(co, c, -1).transpose(2, 0, 1))
+    if up == 1:
+        mt = np.ascontiguousarray(k.reshape(co, c, 1, s * s).transpose(2, 3, 0, 1))
+    else:
+        mt = np.ascontiguousarray((k.reshape(co * c, s * s) @ _phase_map(s, k.dtype).T).T).reshape(up * up, -1, co, c)
+    xp = _to_grid(a, hp, wp, head, a2)
+    for ph, offsets in enumerate(_phase_offsets(s, up, wp)):
+        yp = _tap_matmul(mt[ph], xp, offsets, n * hp * wp, y.dtype)
+        out = y[:, :, ph // up :: up, ph % up :: up]
+        if bias is None:
+            out += yp.reshape(co, n, hp, wp)[:, :, :h, :w].transpose(1, 0, 2, 3)
+        else:
+            yp += bias[:, None]
+            out[...] = yp.reshape(co, n, hp, wp)[:, :, :h, :w].transpose(1, 0, 2, 3)
+    return mt
+
+
+def _phase_conv_grads(g, a, a2, mt, up, grid, need):
+    """The gradients of a _phase_conv that ran the blocks mt on grid, for the
+    output gradient g: (ga, gk, gb, ga2) for (a, k, bias, a2), each None
+    unless need, four flags in that order, asks for it.
+
+    The input gradient's one product sums every block in reverse order,
+    each at its mirrored offset 2*head - off into its phase's part of g's
+    grid, which at up = 1 is ascending offset. It runs over the input
+    channels of the batches that need a gradient only, so a frozen batch's
+    rows are not computed. The grid of a is rebuilt only for gk, and gb sums
+    only the slots of g's grid, not its head.
+    """
+    n, c, h, w, s, hp, wp, head = grid
+    co, ci, length, phases = mt.shape[2], mt.shape[3], n * hp * wp, _phase_offsets(s, up, wp)
+    gh = _to_grid(g, hp, wp, head, up=up)
+    ga = gk = gb = ga2 = None
+    if need[0] or need[3]:
+        lo, hi = 0 if need[0] else c, ci if need[3] else c
+        offsets = [ph * length + 2 * head - o for ph, offs in enumerate(phases) for o in offs][::-1]
+        blocks = mt.reshape(-1, co, ci)[::-1, :, lo:hi].transpose(0, 2, 1)
+        gap = _tap_matmul(blocks, gh, offsets, length, np.result_type(mt, gh))
+        if need[0]:
+            ga = _from_grid(gap[:c], n, hp, wp, h, w)
+        if need[3]:
+            ga2 = _from_grid(gap[c - lo :], n, hp, wp, h, w)
+        del gap  # before the grid of a is built
+    if need[1]:
+        xp = _to_grid(a, hp, wp, head, a2)
+        gks = [_tap_matmul_t(gh[:, head + ph * length :][:, :length], xp, offs, length)
+               for ph, offs in enumerate(phases)]
+        if up == 1:
+            gk = gks[0]
+        else:  # (phase, co, ci, tap) -> (co, ci, phase, tap), folded onto the kernel's taps
+            gk = np.stack(gks).reshape(up * up, co, ci, -1).transpose(1, 2, 0, 3).reshape(co * ci, -1)
+            gk = gk @ _phase_map(s, mt.dtype)
+        gk = gk.reshape(co, ci, s, s)
+    if need[2]:
+        gb = gh[:, head : head + up * up * length].sum(axis=1)
+    return ga, gk, gb, ga2
+
+
+def _conv(x, k, bias, x2, up, op):
+    """The conv node of conv2d (up 1) and upsample_conv2d (up 2), recorded as
+    op, with inputs (x, k, bias) or (x, k, bias, x2); see the module docstring.
+
+    x2 at x's resolution joins x's grid. At the output's resolution, when
+    that differs from x's, it is a second grid of the node, a conv at up = 1
+    of its own with the kernel's channels after x's.
+    """
+    grid = _checked_grid(x, k, bias, op, x2, up)
+    n, c, h, w = grid[:4]
+    inputs = (x, k, bias) if x2 is None else (x, k, bias, x2)
+    y = np.empty((n, k.shape[0], up * h, up * w), dtype=np.result_type(*(t.data for t in inputs)))
+    skip = None if x2 is None or x2.shape[2:] == x.shape[2:] else x2
+    a2 = None if x2 is None or skip is not None else x2.data
+    mt = _phase_conv(y, x.data, a2, k.data if skip is None else k.data[:, :c], up, grid, bias.data)
+    if skip is not None:
+        skip_grid = _conv_grid(skip.shape, k.shape, op)
+        ms = _phase_conv(y, skip.data, None, k.data[:, c:], 1, skip_grid)
+    out = Tensor(y)
+    if not _recording(inputs):
+        return out
+
+    def backward(g):
+        need = [t._needs_grad() for t in inputs] + [False]
+        gx, gk, gb, g2 = _phase_conv_grads(g, x.data, a2, mt, up, grid, (*need[:3], a2 is not None and need[3]))
+        if skip is not None and (need[1] or need[3]):
+            g2, gks, _, _ = _phase_conv_grads(g, skip.data, None, ms, 1, skip_grid, (need[3], need[1], False, False))
+            gk = None if gks is None else np.concatenate([gk, gks], axis=1)
+        return (gx, gk, gb, g2)[: len(inputs)]
+
+    out.node = TapeNode(op, inputs, backward)
+    return out
 
 
 def conv2d(x: Tensor, k: Tensor, bias: Tensor, x2: Tensor = None) -> Tensor:
@@ -693,100 +835,11 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor, x2: Tensor = None) -> Tensor:
     kernel, which is then (co, c + c2, s, s). The node is
     conv2d(concat_channels(x, x2), k, bias): both go on one grid, which is
     the grid of the concat, and the backward splits the rows of the input
-    gradient's grid between them. The concat is not formed.
-
-    The forward puts x on the grid with _to_grid, each image at the top
-    left of its (hp, wp) slot between head zeros, so that neighbouring
-    images and rows share one zero border (see the module docstring), and
-    takes one product per tap of the kernel (_tap_matmul). The backward
-    puts the output gradient on the same grid. The input gradient is then
-    the same _tap_matmul with the kernel's per-tap blocks in reverse tap
-    order and transposed, which is each block at its mirrored offset
-    2*head - off_t: the border keeps that slice inside the grid, and image
-    b's pixel (r, s) comes out at the top left of slot b, where _from_grid
-    reads it. With x2, that product runs over the input channels of x, of
-    x2 or of both, whichever need a gradient, so a frozen input's rows are
-    never formed. The grid of x is rebuilt only when k needs a gradient.
+    gradient's grid between them. The concat is not formed. This is the
+    conv node at up = 1, one phase whose taps are the kernel's own (see the
+    module docstring).
     """
-    grid = _checked_grid(x, k, bias, "conv2d", x2)
-    n, c, h, w, ks, hp, wp, head = grid
-    inputs = (x, k, bias) if x2 is None else (x, k, bias, x2)
-    dtype = np.result_type(*(t.data for t in inputs))
-    a2 = None if x2 is None else x2.data
-    mt = _tap_blocks(k.data)
-    y = _tap_matmul(mt, _to_grid(x.data, hp, wp, head, a2), _tap_offsets(ks, wp), n * hp * wp, dtype)
-    y += bias.data[:, None]
-    out = Tensor(_from_grid(y, n, hp, wp, h, w))
-    if not _recording(inputs):
-        return out
-
-    def backward(g):
-        need = [t._needs_grad() for t in inputs]
-        gg, ga, ga2, gk = _conv_backward(g, x.data, mt, grid, need[0], need[1], a2, a2 is not None and need[3])
-        grads = (ga, None if gk is None else gk.reshape(k.shape), gg.sum(axis=1) if need[2] else None, ga2)
-        return grads[: len(inputs)]
-
-    out.node = TapeNode("conv2d", inputs, backward)
-    return out
-
-
-def _conv_backward(g, a, mt, grid, need_a, need_k, a2=None, need_a2=False):
-    """conv2d's backward on grid = _conv_grid of the batch a, whose forward ran
-    _tap_matmul(mt, ...) on the grid of a, or of a and a2 (_to_grid): (gg,
-    ga, ga2, gk) for the output gradient g.
-
-    gg is g on the grid without its head, whose row sums are the bias
-    gradient. ga and ga2 are a's and a2's rows of the transposed conv of g:
-    the forward's blocks in reverse tap order and transposed, which is each
-    block at its mirrored offset 2*head - off_t (see conv2d). The blocks are
-    cut to the input channels of the batches that need a gradient, so a
-    frozen batch's rows are not computed. gk is the kernel's
-    (co, (c + c2)*s*s) gradient. ga is None unless need_a, ga2 None unless
-    need_a2 and gk None unless need_k; the grid of a is rebuilt only for gk.
-    """
-    n, c, h, w, ks, hp, wp, head = grid
-    length = n * hp * wp
-    offsets = _tap_offsets(ks, wp)
-    gh = _to_grid(g, hp, wp, head)
-    gg = gh[:, head : head + length]
-    ga = ga2 = gk = None
-    if need_a or need_a2:
-        lo, hi = 0 if need_a else c, mt.shape[2] if need_a2 else c
-        gap = _tap_matmul(mt[::-1, :, lo:hi].transpose(0, 2, 1), gh, offsets, length, np.result_type(mt, gh))
-        if need_a:
-            ga = _from_grid(gap[:c], n, hp, wp, h, w)
-        if need_a2:
-            ga2 = _from_grid(gap[c - lo :], n, hp, wp, h, w)
-        del gap  # before the grid of a is built
-    if need_k:
-        gk = _tap_matmul_t(gg, _to_grid(a, hp, wp, head, a2), offsets, length)
-    return gg, ga, ga2, gk
-
-
-@functools.lru_cache(maxsize=None)
-def _phase_map(s, dtype):
-    """upsample_conv2d's phase taps for an s x s kernel, with p = s // 2 and
-    P = p + 1: the 0/1 map (4*P*P, s*s) from kernel taps to phase taps, and
-    lead[a], the grid row (and column) of phase a's first tap.
-
-    Under kernel row i, output row 2r + a reads low-resolution row
-    r + (a + i - p) // 2, which sits (a + i - p) // 2 + p rows below row r's
-    own row on conv2d's grid of x. Phase a's P tap rows start at the
-    smallest of these, lead[a] = (a - p) // 2 + p, so kernel row i lands on
-    phase tap row (a + i - p) // 2 + p - lead[a]; columns alike.
-    Row (a, b, m, n) of the map, phase 2a + b first, sums the kernel taps
-    (i, j) that land on phase tap (m, n). The map is cached, so it is
-    read-only.
-    """
-    p = s // 2
-    lead = tuple((a - p) // 2 + p for a in (0, 1))
-    i = np.arange(s)
-    rows = np.zeros((2, p + 1, s), dtype=dtype)
-    for a in (0, 1):
-        rows[a, (a + i - p) // 2 + p - lead[a], i] = 1
-    pmap = np.einsum("ami,bnj->abmnij", rows, rows).reshape(4 * (p + 1) ** 2, s * s)
-    pmap.flags.writeable = False
-    return pmap, lead
+    return _conv(x, k, bias, x2, 1, "conv2d")
 
 
 def upsample_conv2d(x: Tensor, k: Tensor, bias: Tensor, skip: Tensor = None) -> Tensor:
@@ -796,84 +849,11 @@ def upsample_conv2d(x: Tensor, k: Tensor, bias: Tensor, skip: Tensor = None) -> 
     conv2d(concat_channels(upsample2(x), skip), k, bias) and k is
     (co, c + cs, s, s), x's channels first. One tape node with inputs
     (x, k, bias), or (x, k, bias, skip), which forms neither the upsampled
-    copy nor the concat.
-
-    Output phase (a, b), the pixels (2r + a, 2q + b), is a P x P conv of x
-    on x's own grid (see the module docstring). Its (co, c) blocks are sums
-    of kernel taps, one product with _phase_map's 0/1 map. The forward runs
-    _tap_matmul once per phase and writes each phase's crop into
-    out[:, :, a::2, b::2]. The skip's channels k[:, c:] are a conv2d of the
-    skip on its own grid, without a bias, whose crop is added to the
-    interleaved phases in one pass. The backward reads the output gradient's
-    four phases onto four grids of x's layout, laid end to end. The input
-    gradient, the sum of the phases' transposed convs, is then one
-    _tap_matmul over every block transposed, each at its mirrored offset
-    2*head - off into its own phase's grid. The kernel gradient is
-    _tap_matmul_t once per phase, folded back onto the s x s taps by one
-    product with the same map, followed by the skip channels' conv2d kernel
-    gradient on the skip's grid, which also gives the skip its gradient
-    (_conv_backward). The grids of x and the skip are rebuilt only when k
-    needs a gradient.
+    copy nor the concat: the conv node at up = 2, whose four output phases
+    are convs on x's own grid, with the skip a conv at up = 1 on its own
+    grid (see the module docstring).
     """
-    n, c, h, w, ks, hp, wp, head = _checked_grid(x, k, bias, "upsample_conv2d", skip, up=2)
-    co = k.shape[0]
-    inputs = (x, k, bias) if skip is None else (x, k, bias, skip)
-    dtype = np.result_type(*(t.data for t in inputs))
-    length = n * hp * wp
-    pmap, lead = _phase_map(ks, k.data.dtype)
-    taps = ks // 2 + 1
-    # one contiguous (co, c) block per phase tap, taps*taps of them per phase 2a + b
-    kx = k.data[:, :c].reshape(co * c, ks * ks)
-    mt = np.ascontiguousarray((kx @ pmap.T).T).reshape(4, taps * taps, co, c)
-    phases = [(a, b) for a in (0, 1) for b in (0, 1)]
-    phase_offsets = [[o + lead[a] * wp + lead[b] for o in _tap_offsets(taps, wp)] for a, b in phases]
-    xp = _to_grid(x.data, hp, wp, head)
-    y = np.empty((n, co, 2 * h, 2 * w), dtype=dtype)
-    for (a, b), offsets, blocks in zip(phases, phase_offsets, mt):
-        yp = _tap_matmul(blocks, xp, offsets, length, dtype)
-        yp += bias.data[:, None]
-        y[:, :, a::2, b::2] = yp.reshape(co, n, hp, wp)[:, :, :h, :w].transpose(1, 0, 2, 3)
-    if skip is not None:
-        skip_grid = _conv_grid(skip.shape, k.shape, "upsample_conv2d")
-        _, cs, _, _, _, shp, swp, shead = skip_grid
-        ms = _tap_blocks(k.data[:, c:])
-        ys = _tap_matmul(ms, _to_grid(skip.data, shp, swp, shead), _tap_offsets(ks, swp), n * shp * swp, dtype)
-        y += ys.reshape(co, n, shp, swp)[:, :, : 2 * h, : 2 * w].transpose(1, 0, 2, 3)
-    out = Tensor(y)
-    if not _recording(inputs):
-        return out
-
-    def backward(g):
-        need = [t._needs_grad() for t in inputs]
-        grads = [None] * len(inputs)
-        span = length + 2 * head
-        gh = np.zeros((co, 4, span), dtype=g.dtype)
-        slots = gh[:, :, head : head + length].reshape(co, 4, n, hp, wp)
-        for ph, (a, b) in enumerate(phases):
-            slots[:, ph, :, :h, :w] = g[:, :, a::2, b::2].transpose(1, 0, 2, 3)
-        gh = gh.reshape(co, 4 * span)
-        if need[0]:
-            offsets = [ph * span + 2 * head - o for ph, offs in enumerate(phase_offsets) for o in offs]
-            gxp = _tap_matmul(mt.reshape(-1, co, c).transpose(0, 2, 1), gh, offsets, length, np.result_type(mt, gh))
-            grads[0] = _from_grid(gxp, n, hp, wp, h, w)
-            del gxp  # before the grid of x is built
-        if need[1]:
-            xp = _to_grid(x.data, hp, wp, head)
-            gk = np.stack([_tap_matmul_t(gh[:, ph * span + head :][:, :length], xp, offs, length)
-                           for ph, offs in enumerate(phase_offsets)])
-            # (phase, co, c, tap) -> (co, c, phase, tap), folded onto the kernel's taps
-            gk = gk.reshape(4, co, c, taps * taps).transpose(1, 2, 0, 3).reshape(co * c, pmap.shape[0])
-            grads[1] = (gk @ pmap).reshape(co, c, ks, ks)
-        if need[2]:
-            grads[2] = gh.sum(axis=1)
-        if skip is not None and (need[1] or need[3]):
-            _, grads[3], _, gks = _conv_backward(g, skip.data, ms, skip_grid, need[3], need[1])
-            if need[1]:
-                grads[1] = np.concatenate([grads[1], gks.reshape(co, cs, ks, ks)], axis=1)
-        return tuple(grads)
-
-    out.node = TapeNode("upsample_conv2d", inputs, backward)
-    return out
+    return _conv(x, k, bias, skip, 2, "upsample_conv2d")
 
 
 def _quarter_sum(a):

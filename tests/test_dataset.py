@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -177,6 +178,13 @@ def test_size_validation():
         synth_dataset(0, 4, 48)
     with pytest.raises(ParameterError):
         synth_dataset(0, 0, 32)
+    # a float or a bool is no count or size; numpy integers are
+    for n, size, bad in [(2.5, 16, 2.5), (True, 16, True), (2, 32.0, 32.0), (2, np.float64(16), np.float64(16))]:
+        with pytest.raises(ParameterError, match=re.escape(repr(bad))):
+            synth_dataset(1, n, size)
+    want = synth_dataset(1, 2, 16)
+    got = synth_dataset(1, np.int64(2), np.int32(16))
+    assert len(got) == 2 and all(np.array_equal(a.clean.data, b.clean.data) for a, b in zip(got, want))
 
 
 def test_batch_sizes_with_short_tail():
@@ -223,13 +231,23 @@ def test_empty_dataset_rejected():
 
 def test_batch_size_outside_range_rejected_by_both():
     data = synth_dataset(0, 6, 16)
-    for bad in (0, -1, 7):
-        with pytest.raises(ConfigurationError):
+    for bad in (0, -1, 7, 2.5, True, np.float64(2)):
+        with pytest.raises(ConfigurationError, match=re.escape(repr(bad))):
             epoch_batches(data, bad, seed=0)
         with pytest.raises(ConfigurationError):
             next(batches(data, bad, seed=0))
         with pytest.raises(ConfigurationError):
             batches(data, bad, seed=0)
+
+
+def test_epoch_must_be_an_integer():
+    # epoch 1.5 would be truncated onto epoch 1's shuffle, and True onto epoch 1's too
+    data = synth_dataset(0, 6, 16)
+    for bad in (1.5, True, np.float64(1)):
+        with pytest.raises(ConfigurationError, match=re.escape(repr(bad))):
+            epoch_batches(data, 3, seed=0, epoch=bad)
+    ids = [[id(x) for x in b] for b in epoch_batches(data, 3, seed=0, epoch=1)]
+    assert [[id(x) for x in b] for b in epoch_batches(data, np.int64(3), np.int64(0), np.int32(1))] == ids
 
 
 def test_batches_yields_the_epochs_in_order():

@@ -1,5 +1,6 @@
 import inspect
 
+import numpy as np
 import pytest
 
 from ldrestore import errors
@@ -32,3 +33,8 @@ def test_every_error_subclasses_ldr_error():
         assert issubclass(cls, LdrError) and issubclass(cls, Exception), cls
         with pytest.raises(LdrError):
             raise cls("x")
+
+
+def test_is_integer_takes_python_and_numpy_integers_and_no_bool():
+    assert all(errors.is_integer(v) for v in (0, -3, 2**70, np.int8(1), np.uint64(2**63), np.intp(5)))
+    assert not any(errors.is_integer(v) for v in (True, False, np.bool_(True), 2.0, np.float32(2), "2", None))

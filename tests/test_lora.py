@@ -209,6 +209,8 @@ def test_lora_config_rejects_bad_fields():
     for field, value in bad:
         with pytest.raises(ConfigurationError, match=f"LoraConfig.{field}"):
             LoraConfig(**{field: value})
+    # a numpy integer is a rank, stored as an int
+    assert LoraConfig(rank=np.int64(4)) == LoraConfig() and type(LoraConfig(rank=np.int32(2)).rank) is int
     params = matrix_params(2, 2)
     adapters = attach(params, LoraConfig(rank=1, targets=("w",)), seed=0)
     for lam in (-1.0, float("nan"), float("inf")):

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -85,6 +86,12 @@ def test_netconfig_rejects_sizes_it_cannot_build():
     assert NetConfig.from_dict(TINY.to_dict()) == TINY
     assert NetConfig(channels=3).channels == 3
     assert all(NetConfig(image_size=size).image_size == size for size in VALID_SIZES)
+
+
+def test_netconfig_takes_numpy_integers_as_ints():
+    cfg = NetConfig(image_size=np.int64(32), c_lat=np.int32(8))
+    assert cfg == NetConfig() and type(cfg.image_size) is int and type(cfg.c_lat) is int
+    assert NetConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg  # as a checkpoint header holds it
 
 
 def test_encode_shape_and_determinism():

@@ -1,5 +1,9 @@
-import numpy as np
+import re
 
+import numpy as np
+import pytest
+
+from ldrestore.errors import ContractViolation
 from ldrestore.rng import stream
 
 
@@ -17,3 +21,14 @@ def test_streams_are_stateless_and_distinct():
     assert np.array_equal(a, stream(1, "x", 2).standard_normal(3))
     for other in (stream(2, "x", 2), stream(1, "y", 2), stream(1, "x", 3), stream(1, "x")):
         assert not np.array_equal(a, other.standard_normal(3))
+
+
+def test_stream_refuses_a_seed_or_index_that_is_not_an_integer():
+    # int() would put 1.7 and True on stream(1, "x")'s draws
+    for args, bad in [((1.7, "x"), 1.7), ((True, "x"), True), ((1, "x", 2.0), 2.0),
+                      ((1, "x", 2, np.bool_(True)), np.bool_(True)), ((np.float64(1.0), "x"), np.float64(1.0))]:
+        with pytest.raises(ContractViolation, match=re.escape(repr(bad))):
+            stream(*args)
+    # numpy integers are integers
+    want = stream(1, "x", 2).standard_normal(3)
+    assert np.array_equal(stream(np.int64(1), "x", np.uint8(2)).standard_normal(3), want)

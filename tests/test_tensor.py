@@ -528,6 +528,26 @@ def test_upsample_conv2d_float32_matches_float64():
             assert np.allclose(a, b, rtol=1e-5, atol=1e-5), (x_shape, skip_shape, k_shape)
 
 
+def test_upsample_conv2d_float32_gradients_over_long_grid_match_float64():
+    # den.up's channel counts, 24 upsampled and 16 skip channels into 16, on
+    # grids as long as LONG_X's: x's own without a skip, the skip's with one.
+    # The input and bias gradients sum over every phase of the output
+    # gradient's grid, and the kernel gradient over every column of a grid.
+    rng = np.random.default_rng(22)
+    for x_shape, skip_shape, k_shape in [((5, 24, 18, 18), None, (16, 24, 3, 3)),
+                                         ((5, 24, 9, 9), (5, 16, 18, 18), (16, 40, 3, 3))]:
+        x0, k0, bias0, w, skip0 = upsample_conv_case(rng, x_shape, skip_shape, k_shape)
+        # scaled so that k.grad is O(1), as in the long-grid conv2d test
+        w /= np.sqrt(w[:, 0].size)
+        got = conv_results(T.upsample_conv2d, x0, k0, bias0, w, skip0)
+        with T.float64():
+            want = conv_results(T.upsample_conv2d, x0, k0, bias0, w, skip0)
+        assert len(got) == (4 if skip0 is None else 5)
+        for a, b in zip(got, want):
+            assert a.dtype == np.float32 and b.dtype == np.float64
+            assert np.allclose(a, b, rtol=1e-5, atol=1e-5), (x_shape, skip_shape)
+
+
 def test_upsample_conv2d_gradients_match_finite_differences():
     rng = np.random.default_rng(17)
     x, k, bias = (T.Tensor(rng.normal(size=s)) for s in ((2, 2, 3, 4), (3, 2, 3, 3), (3,)))
