@@ -1,30 +1,33 @@
 """Noise schedules, forward diffusion, the latent noise-prediction loss, and
-ancestral reverse sampling (DDPM, Ho et al., arXiv 2006.11239).
+DDIM sampling at eta = 1 (Song et al., arXiv 2010.02502), which is the DDPM
+ancestral chain (Ho et al., arXiv 2006.11239).
 
-A schedule is its cumulative signal fraction ``alpha_bar`` (ab):
-``NoiseSchedule(alpha_bar, base_t=None)`` derives alpha_t = ab_t / ab_{t-1},
-beta_t = 1 - alpha_t and the posterior std sigma_t once, at construction,
-and rejects any ab that is not strictly decreasing inside (0, 1).
-``make_schedule`` is the linear-beta schedule ab = cumprod(1 - beta), and
-``respace`` keeps a subset of its ab values.
+A schedule is its cumulative signal fraction ``alpha_bar`` (ab) and nothing
+else: ``NoiseSchedule(alpha_bar, base_t=None)`` rejects any ab that is not
+strictly decreasing inside (0, 1). ``make_schedule`` is the linear-beta
+schedule ab = cumprod(1 - beta), and ``respace`` keeps a subset of its ab
+values.
 
-The forward process q(x_t | x_{t-1}) = N(sqrt(alpha_t) x_{t-1}, (1-alpha_t) I)
-is used in its closed marginal form x_t = sqrt(ab_t) x0 + sqrt(1-ab_t) eps.
-It runs on a batch, with one step index per item (``forward_diffuse_batch``),
-and the loss (``ldm_loss_batch``) is the mean squared error of the predicted
-noise on such a batch. ``sample`` forms each posterior step itself: the net
-predicts the injected noise eps_hat, the step takes the posterior mean
-mu = (z_t - beta_t / sqrt(1-ab_t) * eps_hat) / sqrt(alpha_t), and at every
-t > 0 adds sigma_t times fresh seeded noise, with the fixed posterior
-variance sigma_t^2 = beta_t (1-ab_{t-1}) / (1-ab_t).
+The forward process is used in its closed marginal form
+x_t = sqrt(ab_t) x0 + sqrt(1-ab_t) eps. It runs on a batch, with one step
+index per item (``forward_diffuse_batch``), and the loss (``ldm_loss_batch``)
+is the mean squared error of the predicted noise on such a batch.
 
-A denoiser is any callable net(z_t, t, cond) -> Tensor of z_t's shape, where
-t is an index into the schedule. Respaced sub-schedules keep ``base_t``, the
-original step indices, so time embeddings stay aligned with training.
+``sample`` takes a denoiser that returns x0_hat, its estimate of the clean
+latent. Each step from t to the schedule's step before it, prev, forms
+eps_hat = (z_t - sqrt(ab_t) x0_hat) / sqrt(1-ab_t) and
+z_prev = sqrt(ab_prev) x0_hat + sqrt(1-ab_prev-s^2) eps_hat + s noise, with
+s^2 = (1 - ab_t/ab_prev)(1-ab_prev)/(1-ab_t), the variance of the DDPM
+posterior q(z_prev | z_t, x0_hat) across that gap. At t = 0 it returns x0_hat.
+
+A denoiser is any callable net(z_t, t, cond) -> x0_hat, a Tensor of z_t's
+shape, where t is an index into the schedule. Respaced sub-schedules keep
+``base_t``, the original step indices, so time embeddings stay aligned with
+training.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,13 +38,10 @@ from .rng import stream
 
 @dataclass
 class NoiseSchedule:
-    """A schedule is its alpha_bar; alpha, beta and sigma are derived from it."""
+    """A schedule is its alpha_bar, with the original step index of each entry."""
 
     alpha_bar: np.ndarray
     base_t: np.ndarray = None
-    alpha: np.ndarray = field(init=False, repr=False)
-    beta: np.ndarray = field(init=False, repr=False)
-    sigma: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         ab = self.alpha_bar = np.asarray(self.alpha_bar, dtype=np.float64)
@@ -51,11 +51,6 @@ class NoiseSchedule:
         self.base_t = np.arange(len(ab)) if self.base_t is None else np.asarray(self.base_t)
         if self.base_t.shape != ab.shape:
             raise ConfigurationError(f"schedule: base_t {self.base_t.shape} vs alpha_bar {ab.shape}")
-        prev = np.concatenate([[1.0], ab[:-1]])
-        self.alpha = ab / prev
-        self.beta = 1.0 - self.alpha
-        # posterior std sigma_t^2 = beta_t (1 - ab_{t-1}) / (1 - ab_t); sigma_0 = 0
-        self.sigma = np.sqrt(self.beta * (1.0 - prev) / (1.0 - ab))
 
     @property
     def T(self) -> int:
@@ -74,12 +69,18 @@ def make_schedule(T_steps: int, beta_start: float, beta_end: float) -> NoiseSche
 
 
 def respace(sched: NoiseSchedule, steps: int) -> NoiseSchedule:
-    """Evenly spaced sub-schedule with the same marginals at the kept steps."""
+    """Evenly spaced sub-schedule with the same marginals at the kept steps.
+
+    Two or more steps keep both ends, rounded from linspace(0, T-1, steps).
+    One step keeps the trailing end T-1 (Lin et al., arXiv 2305.08891), so a
+    one-step chain starts from the noisiest step, as its unit-noise init
+    assumes, and not from the nearly clean step 0.
+    """
     if not is_integer(steps) or not 1 <= steps <= sched.T:
         raise ConfigurationError(f"respace: steps {steps!r} is not an integer in [1, {sched.T}]")
     if steps == sched.T:
         return sched
-    idx = np.unique(np.round(np.linspace(0, sched.T - 1, steps)).astype(np.int64))
+    idx = np.round(np.linspace(0 if steps > 1 else sched.T - 1, sched.T - 1, steps)).astype(np.int64)
     return NoiseSchedule(sched.alpha_bar[idx], sched.base_t[idx])
 
 
@@ -122,16 +123,20 @@ def ldm_loss_batch(net, x0_latent: T.Tensor, t, eps: T.Tensor, cond, sched: Nois
 
 
 def sample(net, shape, cond, sched: NoiseSchedule, seed: int) -> T.Tensor:
-    """Ancestral sampling: the reverse chain from seeded unit Gaussian noise
-    down to z_0, one posterior step per t, with fresh seeded noise at every
-    step t > 0."""
+    """DDIM at eta = 1 on the x0 contract (see the module docstring): from
+    seeded unit Gaussian noise at the schedule's last step, one step per t
+    down to 1, each on the net's x0_hat and with fresh seeded noise; the
+    net's x0_hat at t = 0 is the sample. The seed streams are sample.init
+    once, then sample.noise at each t from T-1 down to 1."""
     shape = tuple(int(s) for s in shape)
+    ab = sched.alpha_bar
     with T.no_grad():
         z = T.Tensor(stream(seed, "sample.init").standard_normal(shape))
-        for t in range(sched.T - 1, -1, -1):
-            coef = float(sched.beta[t] / math.sqrt(1.0 - sched.alpha_bar[t]))
-            z = T.scale(T.add(z, T.scale(net(z, t, cond), -coef)), 1.0 / math.sqrt(float(sched.alpha[t])))
-            if t > 0:
-                noise = T.Tensor(stream(seed, "sample.noise", t).standard_normal(shape))
-                z = T.add(z, T.scale(noise, float(sched.sigma[t])))
-    return z
+        for t in range(sched.T - 1, 0, -1):
+            x0 = net(z, t, cond)
+            eps = T.scale(T.add(z, T.scale(x0, -math.sqrt(ab[t]))), 1.0 / math.sqrt(1.0 - ab[t]))
+            var = (1.0 - ab[t] / ab[t - 1]) * (1.0 - ab[t - 1]) / (1.0 - ab[t])
+            noise = T.Tensor(stream(seed, "sample.noise", t).standard_normal(shape))
+            z = T.add(T.scale(x0, math.sqrt(ab[t - 1])), T.scale(eps, math.sqrt(1.0 - ab[t - 1] - var)))
+            z = T.add(z, T.scale(noise, math.sqrt(var)))
+        return net(z, 0, cond)

@@ -352,14 +352,22 @@ def decode(z: T.Tensor, params: NetParams, adapters=()) -> Image:
 
 
 def make_denoiser(params: NetParams, sched, adapters=()):
-    """Denoiser callable net(z_t, t, cond) with t an index into ``sched``;
-    an index that is not an integer in [0, sched.T) raises ContractViolation.
+    """Denoiser callable net(z_t, t, cond) -> x0_hat, with t an index (or one
+    per item) into ``sched``; an index that is not an integer in
+    [0, sched.T) raises ContractViolation.
 
     Maps schedule indices to physical timesteps via sched.base_t so respaced
-    sampling sees the same embeddings as training.
+    sampling sees the same embeddings as training. This is the one place
+    where the network's output becomes x0_hat: ``denoise`` is still trained
+    to predict the noise eps_hat, so it is converted here by
+    x0_hat = (z_t - sqrt(1 - ab_t) eps_hat) / sqrt(ab_t). Once ``denoise``
+    is trained on x0 the conversion goes.
     """
 
     def net(z_t, t, cond):
-        return denoise(z_t, sched.base_t[check_step(sched, t)], cond, params, adapters)
+        ts = check_step(sched, t)
+        eps = denoise(z_t, sched.base_t[ts], cond, params, adapters)
+        ab = np.broadcast_to(sched.alpha_bar[ts], z_t.shape[:1])
+        return T.row_scale(T.add(z_t, T.row_scale(eps, T.Tensor(-np.sqrt(1.0 - ab)))), T.Tensor(1.0 / np.sqrt(ab)))
 
     return net

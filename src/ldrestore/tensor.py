@@ -515,11 +515,14 @@ def _conv_grid(x_shape, k_shape, op):
     k_shape[-2:], which must be square with an odd side k: (n, c, h, w, k,
     hp, wp, head). Each image's slot is the image followed by p = k // 2
     zero rows and columns, and head = p*wp + p zeros give the first image
-    its top and left border (see the module docstring)."""
+    its top and left border (see the module docstring). An empty batch
+    (n = 0) raises DimensionError."""
     kh, kw = k_shape[-2:]
     if kh != kw or kh % 2 == 0:
         raise ParameterError(f"{op}: kernel must be square with an odd side, got {tuple(k_shape)}")
     n, c, h, w = _batch_shape(x_shape, op)
+    if n == 0:
+        raise DimensionError(f"{op}: need at least one image in the batch, got shape {tuple(x_shape)}")
     p = kh // 2
     hp, wp = h + p, w + p
     return n, c, h, w, kh, hp, wp, p * wp + p

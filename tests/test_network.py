@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -404,8 +405,20 @@ def test_make_denoiser_checks_step_index():
     cond = make_cond(params, z)
     sched = respace(make_schedule(100, 1e-4, 0.02), 10)
     net = make_denoiser(params, sched)
-    # an index into the respaced schedule runs the denoiser at its physical step
-    assert np.array_equal(net(z, 3, cond).data, denoise(z, sched.base_t[3], cond, params).data)
+    # an index into the respaced schedule runs the denoiser at its physical
+    # step, and its noise estimate eps becomes x0_hat = (z - sqrt(1-ab) eps) / sqrt(ab)
+    ab = sched.alpha_bar[3]
+    eps = denoise(z, sched.base_t[3], cond, params).data
+    assert np.array_equal(net(z, 3, cond).data, (z.data + eps * -math.sqrt(1 - ab)) * (1 / math.sqrt(ab)))
+    # with one index per item, each item converts at its own step
+    z2 = encode(T.Tensor(np.stack([img, img[:, ::-1]])), params)
+    pe2 = prompt_embedding_batch(params, [["gradient", "high-quality"], ["rings"]])
+    cond2 = ConditioningBundle(control_features(z2, pe2, params), None, pe2)
+    ts = np.array([3, 7])
+    ab2, eps2 = sched.alpha_bar[ts], denoise(z2, sched.base_t[ts], cond2, params).data
+    per_item = lambda v: T.Tensor(v).data[:, None, None, None]  # one factor per item, in the tape's dtype
+    want = (z2.data + eps2 * per_item(-np.sqrt(1 - ab2))) * per_item(1 / np.sqrt(ab2))
+    assert np.array_equal(net(z2, ts, cond2).data, want)
     for t in (-1, sched.T, 2.5, [2.5]):
         with pytest.raises(ContractViolation):
             net(z, t, cond)

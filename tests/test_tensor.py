@@ -275,6 +275,23 @@ def test_spatial_ops_reject_a_single_item():
     assert "(2,)" in str(e.value)
 
 
+def test_conv_ops_reject_an_empty_batch():
+    # a batch of no images has no grid; both conv ops raise, naming its shape,
+    # with or without a second input
+    x, k, b = T.Tensor(np.zeros((0, 2, 3, 3))), T.Tensor(np.zeros((4, 2, 3, 3))), T.Tensor(np.zeros(4))
+    k2 = T.Tensor(np.zeros((4, 3, 3, 3)))
+    calls = {
+        "conv2d": lambda: T.conv2d(x, k, b),
+        "upsample_conv2d": lambda: T.upsample_conv2d(x, k, b),
+        "conv2d x2": lambda: T.conv2d(x, k2, b, T.Tensor(np.zeros((0, 1, 3, 3)))),
+        "upsample_conv2d skip": lambda: T.upsample_conv2d(x, k2, b, T.Tensor(np.zeros((0, 1, 6, 6)))),
+    }
+    for name, call in calls.items():
+        with pytest.raises(DimensionError) as e:
+            call()
+        assert name.split()[0] in str(e.value) and "(0, 2, 3, 3)" in str(e.value), name
+
+
 def test_conv2d_bias_shape_mismatch_names_shapes():
     x, k = T.Tensor(np.zeros((2, 3, 5, 5))), T.Tensor(np.zeros((4, 3, 3, 3)))
     # a bias needs one entry per output channel, (co,); one row per item,
